@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .numutil import BudgetError
@@ -419,9 +418,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="mulcm",
         description="Verification toolkit for the squarefree lcm-weighted "
                     "double Moebius sum and its explicit constants.")
-    parser.add_argument("--threads", type=int, default=os.cpu_count(),
-                        help="parallelism hint, recorded in the manifest "
-                             "(heavy kernels are vectorized internally)")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("sieve", help="sieve summary statistics")

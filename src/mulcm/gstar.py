@@ -635,6 +635,11 @@ def moebius_square_table_check(rows=MSQ_ROWS, X_max: int = 1_000_000) -> BoundRe
     worst_overall = (0.0, None)
     for X0, c in rows:
         lo = int(X0)
+        if lo > X_max:
+            # [X0, X_max + 1) holds no integer: nothing is checked.
+            results.append({"X0": X0, "c": c, "checked": False, "passed": False})
+            all_pass = False
+            continue
         sq_n = np.sqrt(np.maximum(n, 1.0))
         sq_n1 = np.sqrt(n + 1.0)
         excess = (Q - dens * n) / (c * sq_n)
@@ -647,14 +652,16 @@ def moebius_square_table_check(rows=MSQ_ROWS, X_max: int = 1_000_000) -> BoundRe
         j = int(np.argmax(ratios))
         row_pass = bool(ratios[j] <= 1.0)
         side = "excess" if excess[j] >= deficit[j] else "deficit"
-        results.append({"X0": X0, "c": c, "worst_ratio": float(ratios[j]),
+        results.append({"X0": X0, "c": c, "checked": True, "worst_ratio": float(ratios[j]),
                         "worst_arg": j, "side": side, "passed": row_pass})
         all_pass = all_pass and row_pass
         if ratios[j] > worst_overall[0]:
             worst_overall = (float(ratios[j]), (X0, j))
+    unchecked = [r["X0"] for r in results if not r["checked"]]
     return BoundReport(
         name="squarefree-count-table",
-        domain=f"real x up to {X_max + 1}",
+        domain=f"real x up to {X_max + 1}" + (
+            f"; rows X0 = {unchecked} unchecked (X0 > {X_max})" if unchecked else ""),
         passed=all_pass,
         worst_ratio=worst_overall[0],
         worst_arg=worst_overall[1],

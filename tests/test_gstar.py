@@ -147,6 +147,11 @@ def test_moebius_square_first_rows_desk():
     rep = moebius_square_table_check(X_max=100_000)
     rows = rep.details["rows"]
     assert rows[0]["passed"] and rows[1]["passed"] and rows[2]["passed"]
+    # X0 = 438653 lies past X_max: an empty domain is unchecked, not passed.
+    assert (rows[4]["X0"], rows[4]["c"]) == (438653, 0.02767)
+    assert rows[4]["checked"] is False and rows[4]["passed"] is False
+    assert all(r["checked"] for r in rows[:4])
+    assert not rep.passed and "438653" in rep.domain
 
 
 def test_init_bound_desk():

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mulcm.sieve import factorize
+from mulcm import sigma
+from mulcm.numutil import BudgetError
+from mulcm.sieve import factorize, mu_upto
 from mulcm.sigma import (
     check_landau,
     drift_report,
@@ -125,6 +128,46 @@ def test_checkpoint_roundtrip(tmp_path):
     assert resumed.running_max_arg == full.running_max_arg == 5
 
 
+def test_interrupted_checkpoint_write_keeps_old_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "scan.csv"
+    sigma_scan(1500, checkpoint_path=str(path), checkpoint_every=500)
+    before = path.read_bytes()
+    clean = tmp_path / "clean.csv"
+    clean.write_bytes(before)
+    real_writer = csv.writer
+
+    class FailingWriter:
+        """Writes the first row, then fails as a full disk would."""
+
+        def __init__(self, fh):
+            self.inner, self.rows = real_writer(fh), 0
+
+        def writerow(self, row):
+            if self.rows == 1:
+                raise OSError("no space left on device")
+            self.rows += 1
+            self.inner.writerow(row)
+
+    monkeypatch.setattr(sigma.csv, "writer", FailingWriter)
+    with pytest.raises(OSError):
+        sigma_scan(2500, checkpoint_path=str(path), checkpoint_every=500, resume=True)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert not (tmp_path / "scan.csv.tmp").exists()
+
+    resumed = sigma_scan(2500, checkpoint_path=str(path), checkpoint_every=500, resume=True)
+    uninterrupted = sigma_scan(2500, checkpoint_path=str(clean), checkpoint_every=500,
+                               resume=True)
+    assert resumed.values[2500] == uninterrupted.values[2500]
+    assert resumed.running_max == uninterrupted.running_max
+    assert resumed.running_max_arg == uninterrupted.running_max_arg
+    assert path.read_bytes() == clean.read_bytes()
+    full = sigma_scan(2500)
+    assert resumed.values[2500] == pytest.approx(full.values[2500], abs=1e-12)
+    assert resumed.running_max == full.running_max
+    assert resumed.running_max_arg == full.running_max_arg
+
+
 def test_resumed_window_refuses_unknown_prefix(tmp_path):
     path = str(tmp_path / "scan.csv")
     sigma_scan(1000, checkpoint_path=path, checkpoint_every=500)
@@ -151,3 +194,63 @@ def test_drift_report_tight():
     rep = drift_report(scan, shadow_to=3000)
     assert rep.passed
     assert rep.details["max_deviation"] < 1e-13
+
+
+def _increments_by_pair_loop(X, d_from):
+    """The scan increments by one Python add per (k, d) pair, k ascending."""
+    mu = mu_upto(X)
+    M = np.zeros(X + 1)
+    M[1:] = np.cumsum(mu[1:].astype(np.float64) / np.arange(1, X + 1, dtype=np.float64))
+    rad = sigma._radical_array(X)
+    cnum = sigma._coeff_numerators(X)
+    inner = np.zeros(X + 1)
+    for k in range(1, X):
+        R = int(rad[k])
+        w = cnum[k] / k
+        for d in range((max(k, d_from - 1) // R + 1) * R, X + 1, R):
+            inner[d] += w * M[(d - 1) // k]
+    inc = np.zeros(X + 1)
+    dd = np.arange(1, X + 1, dtype=np.float64)
+    muf = mu[1:].astype(np.float64)
+    inc[1:] = (muf * muf) / dd + 2.0 * muf / dd * inner[1:]
+    inc[: d_from] = 0.0
+    return inc
+
+
+@pytest.mark.parametrize("chunk", [1, 7, sigma._SCAN_CHUNK])
+def test_scan_increments_match_pair_loop(monkeypatch, chunk):
+    # Chunks of 1 and 7 pairs put chunk boundaries inside the runs of d of
+    # most k; the chunked scatter-add must still sum each d in k order.
+    monkeypatch.setattr(sigma, "_SCAN_CHUNK", chunk)
+    for X in (1, 2, 3, 997, 5000):
+        for d_from in sorted({1, 2, X // 2, X} - {0}):
+            got = sigma._scan_increments(X, d_from)
+            want = _increments_by_pair_loop(X, d_from)
+            assert got.shape == want.shape == (X + 1,)
+            assert (got == want).all(), (X, d_from, chunk)
+
+
+def test_scan_memory_within_declared_budget(monkeypatch):
+    X = 200_000
+    declared = sigma._scan_bytes(X)
+    monkeypatch.setenv("MULCM_MEMORY_BUDGET", str(declared))
+    tracemalloc.start()
+    try:
+        sigma_scan(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= declared, (peak, declared)
+
+
+def test_scan_refused_one_byte_below_declared(monkeypatch):
+    X = 200_000
+    monkeypatch.setenv("MULCM_MEMORY_BUDGET", str(sigma._scan_bytes(X) - 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            sigma_scan(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # refused before any array over d exists
