@@ -75,7 +75,6 @@ from .gstar import (
     check_gstar_contract,
     check_gstar_difference,
     check_majorstar2,
-    gstar,
     gstar_asymptotic,
     gstar_exact,
     init_bound_check,

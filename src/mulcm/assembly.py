@@ -19,15 +19,16 @@ of the remainder over dyadic windows x in [Y, 2Y).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numutil import check_allocation, quad_checked
 from .report import BoundReport
 from .mertens import g0_factor, g1_factor
-from .products import A_DEEP, EULER_GAMMA
-from .sieve import factorize, primes_upto, prime_divisors, sieve_range
+from .products import A_DEEP, EULER_GAMMA, j1_star
+from .sieve import primes_upto, sieve_range
+from .sigma import _coprime_decomposition_sum
 
 DEEP_SCALE = 1e12  # scale beyond which the logarithmic envelope term exists
 
@@ -37,6 +38,8 @@ REFERENCE_ROWS = (
     (3e10, 55.99, 0.536),
     (2.4e12, 75.99, 0.504),
 )
+# A row is within tolerance when its bound lies in [ref - 0.05, ref + 0.01].
+TOL_BELOW, TOL_ABOVE = 0.05, 0.01
 
 
 @dataclass(frozen=True)
@@ -111,18 +114,6 @@ def block_weight(j: int) -> float:
     return float(_j_table(j)["w"].sum())
 
 
-def _j1_star_primorial(j: int) -> float:
-    r = 1.0
-    for p in primes_upto(j):
-        p = float(p)
-        r *= (p ** 1.5 + p) / (p ** 1.5 + 1.0)
-    return r
-
-
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))
-
-
 def theorem_bound(config: AssemblyConfig) -> dict:
     """Evaluate the assembled bound for sqrt(x) S(x), x >= x_min.
 
@@ -139,10 +130,13 @@ def theorem_bound(config: AssemblyConfig) -> dict:
     tail = 4.14 / ratio + 0.00205
     main_total = 0.0
     prodw = 1.0
+    primorial = 1
     per_j = []
+    primes = set(primes_upto(jmax).tolist())
     for j in range(1, jmax + 1):
-        if _is_prime(j):
+        if j in primes:
             prodw *= j * j / (j * j + j - 1.0)
+            primorial *= j
         R = min(j + 1.0, ratio)
         t = _j_table(j)
         W = float(t["w"].sum())
@@ -154,7 +148,7 @@ def theorem_bound(config: AssemblyConfig) -> dict:
             C = np.full(t["small"].shape, 2.18)
         coef = 2.0 * C * e1 * (math.sqrt(R) + math.sqrt(j)) \
             + 2.0 * 2.18 * e2 * (math.sqrt(R) - math.sqrt(j))
-        errw = _j1_star_primorial(j) * t["wsq"] * coef
+        errw = j1_star(primorial) * t["wsq"] * coef
         per_j.append({"j": j, "main": main_j, "W": W,
                       "logd": t["logd"], "errw": errw})
     # Remainder: sup over x >= x_min of (1/sqrt(x)) sum of the (j, delta)
@@ -197,24 +191,20 @@ def theorem_bound(config: AssemblyConfig) -> dict:
     }
 
 
-def theorem_table(scan_cap: float = 19.0 / 30.0,
-                  refine_small_factors: bool = True,
-                  localize: bool = True,
-                  tol_hi: float = 0.01, tol_lo: float = 0.05) -> dict:
-    """All reference rows plus the combined first row.
+def theorem_table(scan_cap: float = 19.0 / 30.0) -> dict:
+    """All reference rows plus the combined first row, both refinements on.
 
     Each row reports the computed bound next to its reference value and
-    whether it lands within (-tol_lo, +tol_hi) of it.  The combined row is
+    whether it lands within (-TOL_BELOW, +TOL_ABOVE) of it.  The combined row is
     max(first assembled bound, scan_cap) and is checked against 17/25.
     A row out of tolerance is reported, not raised; only failure to compute
     is an error.
     """
     rows = []
     for x_min, ratio, ref in REFERENCE_ROWS:
-        res = theorem_bound(AssemblyConfig(x_min, ratio,
-                                           refine_small_factors, localize))
+        res = theorem_bound(AssemblyConfig(x_min, ratio))
         res["reference"] = ref
-        res["within_tolerance"] = bool(ref - tol_lo <= res["bound"] <= ref + tol_hi)
+        res["within_tolerance"] = bool(ref - TOL_BELOW <= res["bound"] <= ref + TOL_ABOVE)
         rows.append(res)
     combined = max(rows[0]["bound"], scan_cap)
     return {
@@ -230,19 +220,22 @@ def theorem_table(scan_cap: float = 19.0 / 30.0,
 # ----------------------------------------------------------------------
 # The two weighted-sum lemmas feeding the tail constant, and the tail itself.
 
-def _weighted_sum_exact(x: float, D: float, power: float, weight) -> float:
-    """sum_{d <= min(D, x/1e12), d squarefree} phi(d) weight(d) / d^power / logterm."""
-    cap = int(min(D, x / DEEP_SCALE))
-    total = 0.0
-    for d in range(1, cap + 1):
-        fac = factorize(d)
-        if any(e > 1 for _, e in fac):
-            continue
-        phi = 1
-        for p, _ in fac:
-            phi *= p - 1
-        total += phi * weight(d) / d ** power
-    return total
+_LEMMA_GRID = [(x, x / r) for x in (1e12, 1e13, 1e14, 1e15)
+               for r in (23.0, 39.0, 56.0, 76.0)]
+
+
+def _squarefree_phi_sums(grid, term) -> list[float]:
+    """Per (x, D) in grid: sum over squarefree d <= min(D, x/1e12) of term(phi(d), x, d)."""
+    caps = [int(min(D, x / DEEP_SCALE)) for x, D in grid]
+    block = sieve_range(1, max(caps + [1]))
+    sums = []
+    for (x, _), cap in zip(grid, caps):
+        total = 0.0
+        for d in range(1, cap + 1):
+            if block.mu[d - 1]:
+                total += term(int(block.phi[d - 1]), x, d)
+        sums.append(total)
+    return sums
 
 
 def le1_verify(grid=None, quad_tol: float = 1e-13) -> BoundReport:
@@ -254,22 +247,12 @@ def le1_verify(grid=None, quad_tol: float = 1e-13) -> BoundReport:
     and that the proof's majorant (an explicit integral plus 0.0497 sqrt(D))
     also stays below the cap and above the exact sum.
     """
-    if grid is None:
-        grid = [(x, x / r) for x in (1e12, 1e13, 1e14, 1e15)
-                for r in (23.0, 39.0, 56.0, 76.0)]
+    grid = _LEMMA_GRID if grid is None else grid
+    sums = _squarefree_phi_sums(grid, lambda phi, x, d: (
+        phi * g0_factor(d) * g1_factor(d) / (d ** 1.5 * math.log(x / d))))
     worst = (0.0, None)
     rows = []
-    for x, D in grid:
-        exact = 0.0
-        cap_d = int(min(D, x / DEEP_SCALE))
-        for d in range(1, cap_d + 1):
-            fac = factorize(d)
-            if any(e > 1 for _, e in fac):
-                continue
-            phi = 1
-            for p, _ in fac:
-                phi *= p - 1
-            exact += phi * g0_factor(d) * g1_factor(d) / (d ** 1.5 * math.log(x / d))
+    for (x, D), exact in zip(grid, sums):
         capval = 0.05 * math.sqrt(D)
         lo_u = max(DEEP_SCALE, x / D)
         integral, ierr = quad_checked(
@@ -301,23 +284,15 @@ def le2_verify(grid=None, quad_tol: float = 1e-13) -> BoundReport:
 
     together with its integral majorant plus 0.00152.
     """
-    if grid is None:
-        grid = [(x, x / r) for x in (1e12, 1e13, 1e14, 1e15)
-                for r in (23.0, 39.0, 56.0, 76.0)]
+    def term(phi, x, d):
+        g1 = g1_factor(d)
+        return phi * g1 * g1 / (d * d * math.log(x / d) ** 2)
+
+    grid = _LEMMA_GRID if grid is None else grid
+    sums = _squarefree_phi_sums(grid, term)
     worst = (0.0, None)
     rows = []
-    for x, D in grid:
-        exact = 0.0
-        cap_d = int(min(D, x / DEEP_SCALE))
-        for d in range(1, cap_d + 1):
-            fac = factorize(d)
-            if any(e > 1 for _, e in fac):
-                continue
-            phi = 1
-            for p, _ in fac:
-                phi *= p - 1
-            g1 = g1_factor(d)
-            exact += phi * g1 * g1 / (d * d * math.log(x / d) ** 2)
+    for (x, D), exact in zip(grid, sums):
         lo_u = max(DEEP_SCALE, x / D)
         integral, ierr = quad_checked(
             lambda u: (math.log(u) - 1.0) / (u * math.log(u) ** 3),
@@ -392,28 +367,12 @@ def tail_audit() -> BoundReport:
 def tail_desk_check(x: int = 200_000, ratio: float = 23.0) -> BoundReport:
     """Directly evaluate the tail sum at desk scale against 4.14 D/x + 0.00205.
 
-    The sum sum_{d <= D} mu^2(d) phi(d)/d^2 m_d(x/d)^2 is computed exactly
-    in floats (m_d by sieve masks), then compared to the flat bound.
+    The sum sum_{d <= D} mu^2(d) phi(d)/d^2 m_d(x/d)^2 is the coprime
+    decomposition of S(x) (sigma_via_gstar_identity) cut off at d <= D,
+    computed in floats, then compared to the flat bound.
     """
     D = int(x / ratio)
-    block = sieve_range(1, x)
-    mu = np.zeros(x + 1, dtype=np.int8)
-    mu[1:] = block.mu
-    base = np.zeros(x + 1, dtype=np.float64)
-    base[1:] = mu[1:].astype(np.float64) / np.arange(1, x + 1, dtype=np.float64)
-    total = 0.0
-    for d in range(1, D + 1):
-        if mu[d] == 0:
-            continue
-        y = x // d
-        terms = base[1: y + 1].copy()
-        for p in prime_divisors(d):
-            terms[p - 1:: p] = 0.0
-        md = float(np.sum(terms))
-        phi = 1
-        for p in prime_divisors(d):
-            phi *= p - 1
-        total += phi / (d * d) * md * md
+    total = _coprime_decomposition_sum(x, D)
     cap = 4.14 * D / x + 0.00205
     return BoundReport(
         name="tail-envelope-desk",

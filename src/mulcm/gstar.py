@@ -19,7 +19,8 @@ import numpy as np
 from .numutil import NeumaierSum
 from .report import BoundReport, CertifiedValue
 from .sieve import (
-    mu_upto, prime_divisors, primes_upto, require_squarefree, sieve_range,
+    _coprime_mask, _squarefree_divisors, mu_upto, prime_divisors,
+    require_squarefree, sieve_range,
 )
 from .products import (
     EULER_GAMMA, A_DEEP, P0_DEEP, c_q, h_q, j1_star, j5_star,
@@ -28,19 +29,18 @@ from .products import (
 _AUX_K_CUTOFF = 200_000
 
 
-_require_squarefree = require_squarefree
+def _inverses(limit: int) -> np.ndarray:
+    """1/n for n = 0..limit, with 0 at n = 0."""
+    inv = np.zeros(limit + 1, dtype=np.float64)
+    inv[1:] = 1.0 / np.arange(1, limit + 1, dtype=np.float64)
+    return inv
 
 
-def _coprime_mask(limit: int, moduli: list[int]) -> np.ndarray:
-    """Boolean mask over 1..limit (index i = i+1) of being coprime to all moduli."""
-    keep = np.ones(limit, dtype=bool)
-    seen = set()
-    for q in moduli:
-        for p in prime_divisors(q):
-            if p not in seen:
-                seen.add(p)
-                keep[p - 1:: p] = False
-    return keep
+def _gstar_terms(block, q: int) -> np.ndarray:
+    """mu^2(n) phi(n) / n^2 over a block starting at n = 1, 0 unless (n, q) = 1."""
+    n = np.arange(1, len(block) + 1, dtype=np.float64)
+    keep = (block.mu != 0) & _coprime_mask(len(block), q)
+    return np.where(keep, block.phi.astype(np.float64) / (n * n), 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -48,20 +48,16 @@ def _coprime_mask(limit: int, moduli: list[int]) -> np.ndarray:
 
 def gstar(q: int, X: float) -> float:
     """G*_q(X) = sum_{n <= X, (n,q)=1} mu^2(n) phi(n) / n^2, as a float."""
-    _require_squarefree(q)
+    require_squarefree(q)
     t = int(math.floor(X))
     if t < 1:
         return 0.0
-    block = sieve_range(1, t)
-    n = np.arange(1, t + 1, dtype=np.float64)
-    keep = (block.mu != 0) & _coprime_mask(t, [q])
-    terms = np.where(keep, block.phi.astype(np.float64) / (n * n), 0.0)
-    return math.fsum(terms.tolist())
+    return math.fsum(_gstar_terms(sieve_range(1, t), q).tolist())
 
 
 def gstar_exact(q: int, X: float) -> Fraction:
     """Exact rational G*_q(X) for X <= 20000."""
-    _require_squarefree(q)
+    require_squarefree(q)
     t = int(math.floor(X))
     if t > 20_000:
         raise ValueError("gstar_exact limited to X <= 20000")
@@ -108,15 +104,11 @@ def check_gstar_contract(q_set=(1, 2, 3, 6, 30, 210),
 
     One sieve per q at the largest X serves all smaller X values.
     """
-    xmax = max(x_set)
-    block = sieve_range(1, xmax)
-    n = np.arange(1, xmax + 1, dtype=np.float64)
+    block = sieve_range(1, max(x_set))
     worst = (0.0, None)
     cases = []
     for q in q_set:
-        keep = (block.mu != 0) & _coprime_mask(xmax, [q])
-        terms = np.where(keep, block.phi.astype(np.float64) / (n * n), 0.0)
-        cum = np.cumsum(terms)
+        cum = np.cumsum(_gstar_terms(block, q))
         for X in x_set:
             val = float(cum[X - 1])
             main, radius = gstar_asymptotic(q, float(X))
@@ -139,13 +131,10 @@ def check_gstar_contract(q_set=(1, 2, 3, 6, 30, 210),
 def check_gstar_difference(q_set=(1, 2, 6, 30),
                            pairs=((20_000, 10_000), (100_000, 10_000), (50_000, 25_000))) -> BoundReport:
     """Check the difference form |G*_q(X) - G*_q(Y) - H_q log(X/Y)| <= radius."""
-    xmax = max(p[0] for p in pairs)
-    block = sieve_range(1, xmax)
-    n = np.arange(1, xmax + 1, dtype=np.float64)
+    block = sieve_range(1, max(p[0] for p in pairs))
     worst = (0.0, None)
     for q in q_set:
-        keep = (block.mu != 0) & _coprime_mask(xmax, [q])
-        cum = np.cumsum(np.where(keep, block.phi.astype(np.float64) / (n * n), 0.0))
+        cum = np.cumsum(_gstar_terms(block, q))
         hq = h_q(q).mid
         for X, Y in pairs:
             diff = float(cum[X - 1] - cum[Y - 1]) - hq * math.log(X / Y)
@@ -174,48 +163,36 @@ def check_gstar_difference(q_set=(1, 2, 6, 30),
 #   r2*(X; q) = sum_{k^2 l r > X} mu(r k l) phi(k)/(r k^3 l^2)
 #             = H_q(1) - sum_{m <= X} g_q(m)/m.
 
-def _squarefree_divisors(q: int) -> list[int]:
-    divs = [1]
-    for p in prime_divisors(q):
-        divs += [d * p for d in divs]
-    return sorted(divs)
-
-
 def _triple_accumulate(limit: int, q: int, signed: bool) -> np.ndarray:
     """Accumulate the (k, l, r) triple weights into an array indexed by k^2 l r.
 
     signed=True gives g_q(m) (weights mu(rkl) phi(k)/(kl)); signed=False
     gives the jump weights of r1* (mu^2(rkl) phi(k)/(kl)).
     """
-    _require_squarefree(q)
-    mu = mu_upto(limit)
-    inv = np.zeros(limit + 1, dtype=np.float64)
-    inv[1:] = 1.0 / np.arange(1, limit + 1, dtype=np.float64)
+    require_squarefree(q)
+    block = sieve_range(1, limit)
+    mu = block.mu  # mu[n - 1] = mu(n)
+    inv = _inverses(limit)
     out = np.zeros(limit + 1, dtype=np.float64)
-    qps = prime_divisors(q)
+    r_divs = _squarefree_divisors(q)
     for k in range(1, int(math.isqrt(limit)) + 1):
-        if mu[k] == 0 or math.gcd(k, q) != 1:
+        mu_k = int(mu[k - 1])
+        if mu_k == 0 or math.gcd(k, q) != 1:
             continue
-        phi_k = 1
-        for p in prime_divisors(k):
-            phi_k *= p - 1
-        for r in _squarefree_divisors(q):
+        phi_k = int(block.phi[k - 1])
+        # ok[l - 1]: l squarefree and coprime to q k, for l <= limit / k^2.
+        L_k = limit // (k * k)
+        ok = (mu[:L_k] != 0) & _coprime_mask(L_k, q * k)
+        for r, mu_r in r_divs:
             base = k * k * r
             if base > limit:
                 continue
-            L = limit // base
-            ell = np.arange(1, L + 1, dtype=np.int64)
-            ok = mu[1: L + 1] != 0
-            for p in set(qps + prime_divisors(k)):
-                ok[p - 1:: p] = False
-            ell = ell[ok]
+            ell = np.flatnonzero(ok[: limit // base]) + 1
             if ell.size == 0:
                 continue
-            mu_r = -1 if (len(prime_divisors(r)) % 2) else 1
-            mu_k = int(mu[k])
             if signed:
                 w = mu_r * mu_k * phi_k / k
-                vals = w * mu[ell].astype(np.float64) * inv[ell]
+                vals = w * mu[ell - 1].astype(np.float64) * inv[ell]
             else:
                 w = phi_k / k
                 vals = w * inv[ell]
@@ -240,7 +217,7 @@ def r1_star(X: float, q: int = 1) -> Fraction:
     t = int(math.floor(X))
     if t > 10_000:
         raise ValueError("exact r1_star limited to X <= 10^4; use r1_values")
-    _require_squarefree(q)
+    require_squarefree(q)
     if t < 1:
         return Fraction(0)
     mu = mu_upto(t)
@@ -251,7 +228,7 @@ def r1_star(X: float, q: int = 1) -> Fraction:
         phi_k = 1
         for p in prime_divisors(k):
             phi_k *= p - 1
-        for r in _squarefree_divisors(q):
+        for r, _ in _squarefree_divisors(q):
             base = k * k * r
             if base > t:
                 continue
@@ -261,7 +238,7 @@ def r1_star(X: float, q: int = 1) -> Fraction:
     return total
 
 
-def r2_star(X: float, q: int = 1, limit_hint: int | None = None) -> tuple[float, float]:
+def r2_star(X: float, q: int = 1) -> tuple[float, float]:
     """(value, error_bound) for r2*(X; q) = sum_{k^2 l r > X} mu(rkl) phi(k)/(r k^3 l^2).
 
     Grouping the triple sum by m = k^2 l r shows r2*(X) is the tail beyond X
@@ -275,11 +252,8 @@ def r2_star(X: float, q: int = 1, limit_hint: int | None = None) -> tuple[float,
     hq = h_q(q)
     if t < 1:
         return hq.mid, 0.5 * hq.width
-    limit = limit_hint or t
-    g = g_coefficients(limit, q)
-    minv = np.zeros(t + 1, dtype=np.float64)
-    minv[1:] = 1.0 / np.arange(1, t + 1, dtype=np.float64)
-    partial = math.fsum((g[: t + 1] * minv).tolist())
+    g = g_coefficients(t, q)
+    partial = math.fsum((g * _inverses(t)).tolist())
     err = 0.5 * hq.width + 1e-12
     return hq.mid - partial, err
 
@@ -292,10 +266,7 @@ def check_majorstar2(q_set=(1, 2, 6, 30), X_max: int = 100_000) -> BoundReport:
     """
     worst = (0.0, None)
     for q in q_set:
-        g = g_coefficients(X_max, q)
-        minv = np.zeros(X_max + 1, dtype=np.float64)
-        minv[1:] = 1.0 / np.arange(1, X_max + 1, dtype=np.float64)
-        partials = np.cumsum(g * minv)
+        partials = np.cumsum(g_coefficients(X_max, q) * _inverses(X_max))
         hq = h_q(q)
         n = np.arange(0, X_max + 1, dtype=np.float64)
         n[0] = 1.0
@@ -384,7 +355,7 @@ def aux_k_sum(K: float, M: int = 1, cutoff: int = _AUX_K_CUTOFF) -> CertifiedVal
         return CertifiedValue(-bound, bound)
     block = sieve_range(1, cutoff)
     k = np.arange(1, cutoff + 1, dtype=np.float64)
-    keep = (block.mu != 0) & _coprime_mask(cutoff, [M])
+    keep = (block.mu != 0) & _coprime_mask(cutoff, M)
     keep[: kmin - 1] = False
     terms = np.where(keep, block.mu * block.phi.astype(np.float64) / (k * k * k), 0.0)
     partial = math.fsum(terms.tolist())
@@ -404,7 +375,7 @@ def check_aux_k(K_step: float = 0.25, K_max: float = 200.0,
     k = np.arange(1, cutoff + 1, dtype=np.float64)
     worst = (0.0, None)
     for M in M_set:
-        keep = (block.mu != 0) & _coprime_mask(cutoff, [M])
+        keep = (block.mu != 0) & _coprime_mask(cutoff, M)
         terms = np.where(keep, block.mu * block.phi.astype(np.float64) / (k ** 3), 0.0)
         # suffix[j] = sum over k >= j, for j = 1..cutoff+1
         suffix = np.concatenate([np.cumsum(terms[::-1])[::-1], [0.0]])
@@ -461,26 +432,6 @@ def aux_k_band(lo: float = -0.2523, hi: float = -0.2519) -> BoundReport:
 # ----------------------------------------------------------------------
 # Convolution identities generating g_q.
 
-def _int_g(m_factors: list[tuple[int, int]]) -> int:
-    """m * g(m) as an integer, where g(p^k) = (-1)^k / p multiplicatively."""
-    val = 1
-    for p, e in m_factors:
-        val *= (-1) ** e * p ** (e - 1)
-    return val
-
-
-def _factor_with_spf(n: int, spf: np.ndarray) -> list[tuple[int, int]]:
-    out = []
-    while n > 1:
-        p = int(spf[n - 1])
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
-    return out
-
-
 def check_convol0(N: int = 100_000) -> BoundReport:
     """Verify mu^2(d) phi(d) / d = sum_{l m = d} mu^2(l) g(m) for all d <= N.
 
@@ -492,7 +443,7 @@ def check_convol0(N: int = 100_000) -> BoundReport:
     block = sieve_range(1, N)
     bad = []
     for d in range(1, N + 1):
-        fac = _factor_with_spf(d, block.spf)
+        fac = block.factor(d)
         # Enumerate divisors m of d as exponent vectors; l = d/m must be
         # squarefree, i.e. every prime has exponent e or e-1 <= 1 in m.
         rhs = 0
@@ -542,7 +493,7 @@ def check_convol(N: int = 100_000, q_set=(1, 2, 3, 6, 30, 210)) -> BoundReport:
     for q in q_set:
         qps = set(prime_divisors(q))
         for d in range(1, N + 1):
-            fac = _factor_with_spf(d, block.spf)
+            fac = block.factor(d)
             # term accumulator: sign * phi(k) * d / (k l)
             rhs = 0
             stack = [(0, 1, 1, 1)]  # (idx, sign, phi_k, k*l)
@@ -589,10 +540,7 @@ def check_g_mean(limit: int = 1_000_000, q_set=(1, 2, 6)) -> BoundReport:
     worst = (0.0, None)
     rows = []
     for q in q_set:
-        g = g_coefficients(limit, q)
-        minv = np.zeros(limit + 1, dtype=np.float64)
-        minv[1:] = 1.0 / np.arange(1, limit + 1, dtype=np.float64)
-        partial = math.fsum((g * minv).tolist())
+        partial = math.fsum((g_coefficients(limit, q) * _inverses(limit)).tolist())
         hq = h_q(q)
         err = abs(partial - hq.mid) + 0.5 * hq.width
         env = 2.18 * j1_star(q) / math.sqrt(limit)
@@ -727,9 +675,7 @@ def check_averaged_divisor_identity(D_values=(10, 100, 1000), q: int = 1,
     point roundoff, scaled by the absolute mass that was summed.
     """
     g = g_coefficients(tail_limit, q)
-    minv = np.zeros(tail_limit + 1, dtype=np.float64)
-    minv[1:] = 1.0 / np.arange(1, tail_limit + 1, dtype=np.float64)
-    gm = g * minv
+    gm = g * _inverses(tail_limit)
     partials = np.cumsum(gm)
     total = float(partials[-1])
     absg = np.cumsum(np.abs(g))

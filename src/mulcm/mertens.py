@@ -22,7 +22,10 @@ import numpy as np
 
 from .numutil import check_allocation
 from .report import BoundReport
-from .sieve import mu_upto, prime_divisors, sieve_range
+from .sieve import (
+    _coprime_mask, _squarefree_divisors, mu_upto, prime_divisors, radical,
+    sieve_range,
+)
 
 # Exponent for the logarithmic-regime interpolation envelope.
 XI = 1.0 - 1.0 / (12.0 * math.log(10.0))
@@ -79,18 +82,7 @@ def m(y: float) -> float:
 
 def m_exact(y) -> Fraction:
     """Exact rational m(y) for y <= 100000 (guard against runaway cost)."""
-    t = int(math.floor(y))
-    if t < 1:
-        return Fraction(0)
-    if t > _EXACT_LIMIT:
-        raise ValueError(f"m_exact limited to y <= {_EXACT_LIMIT}, got {y}")
-    mu = mu_upto(t)
-    total = Fraction(0)
-    for n in range(1, t + 1):
-        v = int(mu[n])
-        if v:
-            total += Fraction(v, n)
-    return total
+    return m_q_exact(y, 1)
 
 
 def m_q(y: float, q: int) -> float:
@@ -100,10 +92,7 @@ def m_q(y: float, q: int) -> float:
         return 0.0
     block = sieve_range(1, t)
     n = np.arange(1, t + 1, dtype=np.float64)
-    keep = np.ones(t, dtype=bool)
-    for p in prime_divisors(q):
-        keep[p - 1:: p] = False
-    terms = np.where(keep, block.mu.astype(np.float64) / n, 0.0)
+    terms = np.where(_coprime_mask(t, q), block.mu.astype(np.float64) / n, 0.0)
     return float(np.sum(terms))
 
 
@@ -174,15 +163,9 @@ class MertensTable:
             return 0.0
         if k > self.limit:
             raise ValueError(f"table limit {self.limit} < {k}")
-        rad = 1
-        for p in prime_divisors(self.m0):
-            rad *= p
-        divs = [d for d in range(1, rad + 1) if rad % d == 0]
         total = 0.0
-        for a in divs:
-            mu_a = _mu_small(a)
-            if mu_a:
-                total += mu_a / a * self.coprime_value(k // a)
+        for a, mu_a in _squarefree_divisors(self.m0):
+            total += mu_a / a * self.coprime_value(k // a)
         return total
 
     def save(self, path: str) -> None:
@@ -214,20 +197,6 @@ class MertensTable:
         return MertensTable(m0=m0, limit=int(limit), rows=rows)
 
 
-def _mu_small(n: int) -> int:
-    mu, d = 1, 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            mu = -mu
-        d += 1
-    if n > 1:
-        mu = -mu
-    return mu
-
-
 def build_table(limit: int, m0: int = 6) -> MertensTable:
     """Build the residue-class table up to `limit` for modulus m0."""
     if limit < 1 or m0 < 1:
@@ -249,6 +218,19 @@ def build_table(limit: int, m0: int = 6) -> MertensTable:
 # ----------------------------------------------------------------------
 # Envelopes.
 
+def _envelope_cum(limit: int, q: int, form: str):
+    """(params, cum) for the q-envelope, cum[n] = m_q(n) for n <= limit."""
+    if q == 1:
+        return M_PARAMS, _cum_to(limit)
+    if q == 2:
+        mu = mu_upto(limit)
+        vals = np.zeros(limit + 1, dtype=np.float64)
+        idx = np.arange(1, limit + 1, 2)
+        vals[idx] = mu[idx].astype(np.float64) / idx
+        return M2_PARAMS, np.cumsum(vals)
+    raise ValueError(f"{form} envelope is stated for q in {{1, 2}}")
+
+
 def check_envelope_sqrt(limit: int, q: int = 1) -> BoundReport:
     """Sweep the square-root envelope over all real x in [1, limit + 1).
 
@@ -256,18 +238,7 @@ def check_envelope_sqrt(limit: int, q: int = 1) -> BoundReport:
     |m_2(x)| <= sqrt(3/x).  m is constant on [n, n+1), so the supremum over
     real x of |m(x)| sqrt(x) on that interval is |m(n)| sqrt(n+1).
     """
-    if q == 1:
-        params = M_PARAMS
-        cum = _cum_to(limit)
-    elif q == 2:
-        params = M2_PARAMS
-        mu = mu_upto(limit)
-        vals = np.zeros(limit + 1, dtype=np.float64)
-        idx = np.arange(1, limit + 1, 2)
-        vals[idx] = mu[idx].astype(np.float64) / idx
-        cum = np.cumsum(vals)
-    else:
-        raise ValueError("square-root envelope is stated for q in {1, 2}")
+    params, cum = _envelope_cum(limit, q, "square-root")
     n = np.arange(0, limit + 1, dtype=np.float64)
     n[0] = 1.0
     ratios = np.abs(cum[: limit + 1]) * np.sqrt(n + 1.0) / math.sqrt(params.sqrt_c)
@@ -287,18 +258,7 @@ def check_envelope_sqrt(limit: int, q: int = 1) -> BoundReport:
 
 def check_envelope_log(limit: int, q: int = 1) -> BoundReport:
     """Sweep the logarithmic envelope |m(x)| <= c / log x for x >= threshold."""
-    if q == 1:
-        params = M_PARAMS
-        cum = _cum_to(limit)
-    elif q == 2:
-        params = M2_PARAMS
-        mu = mu_upto(limit)
-        vals = np.zeros(limit + 1, dtype=np.float64)
-        idx = np.arange(1, limit + 1, 2)
-        vals[idx] = mu[idx].astype(np.float64) / idx
-        cum = np.cumsum(vals)
-    else:
-        raise ValueError("log envelope is stated for q in {1, 2}")
+    params, cum = _envelope_cum(limit, q, "log")
     start = params.log_from
     if limit < start:
         raise ValueError(f"limit {limit} below threshold {start}")
@@ -389,15 +349,10 @@ def check_envelope_coprime(d_limit: int = 100, y_limit: int = 10_000) -> BoundRe
     base_terms = block.mu.astype(np.float64) / n
     worst = (0.0, None)
     for d in range(1, d_limit + 1):
-        ps = prime_divisors(d)
-        if any(d % (p * p) == 0 for p in ps):
+        if radical(d) != d:
             continue
-        keep = np.ones(y_limit, dtype=bool)
-        for p in ps:
-            keep[p - 1:: p] = False
-        md = np.cumsum(np.where(keep, base_terms, 0.0))
-        g0d = g0_factor(d)
-        ratios = np.abs(md) / (g0d * np.sqrt(2.0 / n))
+        md = np.cumsum(np.where(_coprime_mask(y_limit, d), base_terms, 0.0))
+        ratios = np.abs(md) / (g0_factor(d) * np.sqrt(2.0 / n))
         j = int(np.argmax(ratios))
         if ratios[j] > worst[0]:
             worst = (float(ratios[j]), (d, j + 1))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 
 class BudgetError(RuntimeError):

@@ -14,7 +14,6 @@ demand at documented cutoffs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -99,7 +98,7 @@ def tail_sum_over_primes(f, P: float, mode: str = "strong", sigma: float = 2.0) 
     return prime_tail_bound(h, P, mode=mode, sigma=sigma)
 
 
-def check_prime_tail(cutoff: int = 30_000_000) -> "BoundReport":
+def check_prime_tail(cutoff: int = 30_000_000) -> BoundReport:
     """Desk validation of the prime tail estimate against exact partial sums.
 
     For f(t) = t^(-a), a in {1.5, 2}, and a grid of cut points P spanning
@@ -109,7 +108,6 @@ def check_prime_tail(cutoff: int = 30_000_000) -> "BoundReport":
     uncaptured remainder beyond the cutoff only makes the check more lenient
     and is reported per row as the captured integral fraction.
     """
-    from .report import BoundReport
     ps = primes_upto(cutoff).astype(np.float64)
     logs = np.log(ps)
     grid = [(10.0, "weak"), (1e3, "weak"), (1e5, "weak"),
@@ -143,6 +141,13 @@ def check_prime_tail(cutoff: int = 30_000_000) -> "BoundReport":
     )
 
 
+def _partial_product(local, cutoff: int) -> tuple[np.ndarray, float]:
+    """(primes p <= cutoff as floats, prod_{p <= cutoff} (1 + local(p)))."""
+    ps = primes_upto(cutoff).astype(np.float64)
+    logs = np.log1p(np.array([local(float(p)) for p in ps]))
+    return ps, math.exp(math.fsum(logs.tolist()))
+
+
 def product_over_primes(local, cutoff: int, tail_abs_bound: float,
                         tail_sign: str) -> CertifiedValue:
     """Certified enclosure of prod_p (1 + local(p)) over all primes.
@@ -152,10 +157,7 @@ def product_over_primes(local, cutoff: int, tail_abs_bound: float,
     tail_sign describes the tail terms: "negative" (partial is an upper
     bound), "positive" (partial is a lower bound), or "mixed".
     """
-    ps = primes_upto(cutoff).astype(np.float64)
-    logs = np.log1p(np.array([local(float(p)) for p in ps]))
-    s = math.fsum(logs.tolist())
-    partial = math.exp(s)
+    _, partial = _partial_product(local, cutoff)
     # Float slack: fsum is exact to one rounding; log1p and exp each lose
     # an ulp per operation, so allow a generous 1e-13 relative cushion.
     fslack = 1e-13
@@ -181,13 +183,6 @@ def constant_A(cutoff: int = 2_000_000) -> CertifiedValue:
     tail = tail_sum_over_primes(lambda t: 2.0 / (t * t), float(cutoff), mode="weak")
     return product_over_primes(
         lambda p: (-2.0 * p + 1.0) / (p * p * p), cutoff, tail, "negative")
-
-
-def constant_ktail_product(cutoff: int = 2_000_000) -> CertifiedValue:
-    """Enclosure of prod_p (1 - 1/p^2 + 1/p^3) at a chosen cutoff."""
-    tail = tail_sum_over_primes(lambda t: 1.0 / (t * t), float(cutoff), mode="weak")
-    return product_over_primes(
-        lambda p: (1.0 - p) / (p * p * p), cutoff, tail, "negative")
 
 
 # ----------------------------------------------------------------------
@@ -417,9 +412,7 @@ def _sharp_weight_product(key: str, w_shifts, extra, cutoff: int,
     """
     if cutoff < SHARP_TAIL_MIN_CUTOFF:
         raise ValueError(f"cutoff must be >= {SHARP_TAIL_MIN_CUTOFF}")
-    ps = primes_upto(cutoff).astype(np.float64)
-    logs = np.log1p(np.array([local(float(p)) for p in ps]))
-    partial = math.exp(math.fsum(logs.tolist()))
+    ps, partial = _partial_product(local, cutoff)
     tail = _local_log_tail(key, w_shifts, extra, cutoff, ps)
     fslack = 1e-13
     return CertifiedValue(partial * math.exp(tail.lo) * (1.0 - fslack),
@@ -625,14 +618,13 @@ def c_q_prerewrite(q: int, cutoff: int = 1_000_000) -> CertifiedValue:
     return CertifiedValue(base, base + tail)
 
 
-def check_cq_forms(qs=(1, 2, 6), tol: float = 1e-9) -> "BoundReport":
+def check_cq_forms(qs=(1, 2, 6), tol: float = 1e-9) -> BoundReport:
     """Cross-check the two algebraic forms of c_q on small moduli.
 
     The rewritten form (c_q) and the pre-simplification form
     (c_q_prerewrite) must agree to within the tail width of the
     universal sum plus float slack.
     """
-    from .report import BoundReport
     worst = (0.0, None)
     rows = []
     for q in qs:

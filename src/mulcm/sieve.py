@@ -3,7 +3,9 @@
 The central object is MultiplicativeBlock, a contiguous window [lo, hi] of
 precomputed arrays.  Blocks are produced segment by segment so the working
 set stays bounded; results are identical regardless of segmentation, which
-the tests check explicitly on awkward boundaries.
+the tests check explicitly on awkward boundaries.  The other modules take
+phi, mu, factorizations and divisor lists from a block, and coprimality
+masks and squarefree divisors of a modulus from the helpers here.
 """
 
 from __future__ import annotations
@@ -38,6 +40,26 @@ class MultiplicativeBlock:
         if not (self.lo <= n <= self.hi):
             raise IndexError(f"{n} outside block [{self.lo}, {self.hi}]")
         return n - self.lo
+
+    def factor(self, n: int) -> list[tuple[int, int]]:
+        """Prime factorization of n in the block as (p, e) pairs, p ascending."""
+        out = []
+        while n > 1:
+            p = int(self.spf[n - self.lo])
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        return out
+
+    def divisors(self, n: int) -> list[int]:
+        """All divisors of n, the largest prime's exponent varying fastest
+        (12 gives [1, 3, 2, 6, 4, 12])."""
+        divs = [1]
+        for p, e in self.factor(n):
+            divs = [dv * p ** k for dv in divs for k in range(e + 1)]
+        return divs
 
 
 def primes_upto(n: int) -> np.ndarray:
@@ -176,6 +198,22 @@ def require_squarefree(q: int) -> list[int]:
     return ps
 
 
+def _squarefree_divisors(q: int) -> list[tuple[int, int]]:
+    """(r, mu(r)) for every squarefree divisor r of q, ascending in r."""
+    divs = [(1, 1)]
+    for p in prime_divisors(q):
+        divs += [(r * p, -m) for r, m in divs]
+    return sorted(divs)
+
+
+def _coprime_mask(limit: int, q: int) -> np.ndarray:
+    """Boolean mask over n = 1..limit (index n - 1) of gcd(n, q) = 1."""
+    keep = np.ones(limit, dtype=bool)
+    for p in prime_divisors(q):
+        keep[p - 1:: p] = False
+    return keep
+
+
 def smooth_numbers(d: int, limit: int) -> list[int]:
     """Sorted integers <= limit whose prime factors all divide d.
 
@@ -193,25 +231,6 @@ def smooth_numbers(d: int, limit: int) -> list[int]:
         out.extend(grown)
     out.sort()
     return out
-
-
-def primorial_divisors(j: int, max_primes: int = 25) -> list[int]:
-    """All squarefree divisors of the product of primes <= j, sorted.
-
-    The divisor count is 2^pi(j); max_primes caps pi(j) so a careless call
-    cannot allocate 2^many entries.
-    """
-    ps = [int(p) for p in primes_upto(j)]
-    if len(ps) > max_primes:
-        from .numutil import BudgetError
-        raise BudgetError(
-            f"primorial of primes <= {j} has {len(ps)} prime factors; cap is {max_primes}"
-        )
-    divs = [1]
-    for p in ps:
-        divs += [d * p for d in divs]
-    divs.sort()
-    return divs
 
 
 def squarefree_count(x: int) -> int:

@@ -26,14 +26,15 @@ import csv
 import math
 import os
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .mertens import m_q, m_q_exact
 from .numutil import check_allocation
 from .report import BoundReport
-from .sieve import factorize, mu_upto, prime_divisors, primes_upto, sieve_range, smooth_numbers
+from .sieve import _coprime_mask, mu_upto, primes_upto, sieve_range, smooth_numbers
 
 # (k, d) pairs expanded per scatter-add in the scan; bounds its transient memory.
 _SCAN_CHUNK = 1 << 17
@@ -69,6 +70,7 @@ def sigma_bruteforce(X: int, method: str = "auto") -> Fraction:
                 total += Fraction(int(mu[d1]) * int(mu[d2]) * g, d1 * d2)
         return total
     if method == "gcd":
+        phi = sieve_range(1, X).phi
         total = Fraction(0)
         for e in range(1, X + 1):
             s = Fraction(0)
@@ -76,16 +78,9 @@ def sigma_bruteforce(X: int, method: str = "auto") -> Fraction:
                 if mu[n]:
                     s += Fraction(int(mu[n]), n)
             if s:
-                total += _phi_int(e) * s * s
+                total += int(phi[e - 1]) * s * s
         return total
     raise ValueError(f"unknown method {method!r}")
-
-
-def _phi_int(n: int) -> int:
-    val = n
-    for p in prime_divisors(n):
-        val = val // p * (p - 1)
-    return val
 
 
 def sigma_trace_exact(X: int) -> list[Fraction]:
@@ -104,31 +99,18 @@ def sigma_trace_exact(X: int) -> list[Fraction]:
     for d in range(1, X + 1):
         mu_d = int(block.mu[d - 1])
         if mu_d != 0:
-            divs = _divisors_from_spf(d, block)
+            divs = block.divisors(d)
             W = Fraction(0)
             for e in divs:
                 u = U.get(e)
                 if u is not None:
-                    W += _phi_int(e) * u
+                    W += int(block.phi[e - 1]) * u
             total += Fraction(1, d) + Fraction(2 * mu_d, d) * W
             delta = Fraction(mu_d, d)
             for e in divs:
                 U[e] = U.get(e, Fraction(0)) + delta
         out.append(total)
     return out
-
-
-def _divisors_from_spf(d: int, block) -> list[int]:
-    divs = [1]
-    n = d
-    while n > 1:
-        p = int(block.spf[n - 1])
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        divs = [dv * p ** k for dv in divs for k in range(e + 1)]
-    return divs
 
 
 def sigma_pairs_trace(X: int) -> np.ndarray:
@@ -166,13 +148,12 @@ def sigma_coprime_trace(X: int) -> np.ndarray:
     mu = mu_upto(X)
     md = np.zeros(X + 1, dtype=np.float64)
     weight = np.zeros(X + 1, dtype=np.float64)
-    for d in range(1, X + 1):
-        if block.mu[d - 1] != 0:
-            weight[d] = _phi_int(d) / (d * d)
+    dd = np.arange(1, X + 1, dtype=np.float64)
+    weight[1:] = np.where(block.mu != 0, block.phi / (dd * dd), 0.0)
     out = np.zeros(X, dtype=np.float64)
     total = 0.0
     for n in range(1, X + 1):
-        for d in _divisors_from_spf(n, block):
+        for d in block.divisors(n):
             q = n // d
             if mu[q] != 0 and math.gcd(q, d) == 1:
                 # m_d gains mu(q)/q; update the weighted square's total.
@@ -189,22 +170,22 @@ def sigma_coprime_trace(X: int) -> np.ndarray:
 
 def sigma_via_gstar_identity(X: int) -> float:
     """S(X) evaluated directly as sum_d mu^2(d) phi(d)/d^2 m_d(floor(X/d))^2."""
+    return _coprime_decomposition_sum(X, X)
+
+
+def _coprime_decomposition_sum(X: int, D: int) -> float:
+    """sum_{d <= D} mu^2(d) phi(d)/d^2 m_d(floor(X/d))^2, m_d by sieve masks."""
     if X < 1:
         return 0.0
     block = sieve_range(1, X)
-    mu = mu_upto(X)
-    n_inv = np.zeros(X + 1, dtype=np.float64)
-    n_inv[1:] = mu[1:].astype(np.float64) / np.arange(1, X + 1, dtype=np.float64)
+    mu_over_n = block.mu.astype(np.float64) / np.arange(1, X + 1, dtype=np.float64)
     total = 0.0
-    for d in range(1, X + 1):
+    for d in range(1, D + 1):
         if block.mu[d - 1] == 0:
             continue
         y = X // d
-        terms = n_inv[1: y + 1].copy()
-        for p in prime_divisors(d):
-            terms[p - 1:: p] = 0.0
-        md = float(np.sum(terms))
-        total += _phi_int(d) / (d * d) * md * md
+        md = float(np.sum(np.where(_coprime_mask(y, d), mu_over_n[:y], 0.0)))
+        total += int(block.phi[d - 1]) / (d * d) * md * md
     return total
 
 
@@ -212,23 +193,12 @@ def sigma_via_gstar_identity(X: int) -> float:
 # Strict-cutoff coprime Mertens sums and their smooth-part expansion.
 
 def landau_coprime_m(d: int, y, exact: bool = True):
-    """sum_{n < y, (n, d) = 1} mu(n)/n, strict cutoff, exact by default."""
+    """sum_{n < y, (n, d) = 1} mu(n)/n, strict cutoff, exact by default.
+
+    This is m_d at the cutoff ceil(y) - 1.
+    """
     limit = math.ceil(y) - 1
-    if limit < 1:
-        return Fraction(0) if exact else 0.0
-    if exact:
-        total = Fraction(0)
-        mu = mu_upto(limit)
-        for n in range(1, limit + 1):
-            if mu[n] != 0 and math.gcd(n, d) == 1:
-                total += Fraction(int(mu[n]), n)
-        return total
-    mu = mu_upto(limit)
-    keep = np.ones(limit, dtype=bool)
-    for p in prime_divisors(d):
-        keep[p - 1:: p] = False
-    n = np.arange(1, limit + 1, dtype=np.float64)
-    return float(np.sum(np.where(keep, mu[1:].astype(np.float64) / n, 0.0)))
+    return m_q_exact(limit, d) if exact else m_q(limit, d)
 
 
 def landau_smooth_expansion(d: int, y) -> Fraction:
@@ -402,6 +372,8 @@ def sigma_scan(X_max: int, checkpoint_path: str | None = None,
     checkpointed d, recomputing only the remaining increments.  The running
     max tracks d >= 2 (d = 1 has the trivial value 1).
     """
+    if checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     check_allocation(_scan_bytes(X_max), f"sigma scan to {X_max}")
     d_from = 1
     base = 0.0
@@ -418,6 +390,18 @@ def sigma_scan(X_max: int, checkpoint_path: str | None = None,
     if resume:
         values += base
         values[: d_from] = 0.0
+    # The d at which the running max is reported: the multiples of
+    # checkpoint_every when checkpointing, and X_max for the result.
+    lo = max(2, d_from)
+    ds = np.empty(0, dtype=np.int64)
+    if checkpoint_path:
+        first_row = -(-lo // checkpoint_every) * checkpoint_every
+        ds = np.arange(first_row, X_max + 1, checkpoint_every, dtype=np.int64)
+    if lo <= X_max and (ds.size == 0 or ds[-1] != X_max):
+        ds = np.append(ds, X_max)
+    maxes, args = _running_max(values[lo:], lo, run_max, run_arg, ds - lo)
+    if ds.size:
+        run_max, run_arg = float(maxes[-1]), int(args[-1])
     if checkpoint_path:
         # Rows go to a temporary file that replaces the checkpoint only when
         # complete, so an interrupted write leaves the old checkpoint intact.
@@ -429,29 +413,32 @@ def sigma_scan(X_max: int, checkpoint_path: str | None = None,
                 writer = csv.writer(fh)
                 if not resume:
                     writer.writerow(CHECKPOINT_HEADER)
-                for d in range(max(2, d_from), X_max + 1):
-                    v = float(values[d])
-                    if v > run_max:
-                        run_max, run_arg = v, d
-                    if d % checkpoint_every == 0 or d == X_max:
-                        writer.writerow([d, repr(float(values[d])), run_arg, repr(run_max)])
+                for d, a, mx in zip(ds.tolist(), args.tolist(), maxes.tolist()):
+                    writer.writerow([d, repr(float(values[d])), a, repr(mx)])
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, checkpoint_path)
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
-    else:
-        lo = max(2, d_from)
-        if lo <= X_max:
-            seg = values[lo:]
-            j = int(np.argmax(seg))
-            if float(seg[j]) > run_max:
-                run_max, run_arg = float(seg[j]), lo + j
     return ScanResult(X_max=X_max, values=values,
                       resumed_from=d_from - 1 if resume else 0,
                       checkpoint_path=checkpoint_path,
                       running_max=run_max, running_max_arg=run_arg)
+
+
+def _running_max(seg: np.ndarray, lo: int, run_max: float, run_arg: int,
+                 rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Running max of seg[i] = S(lo + i), continued from (run_max, run_arg),
+    and its first argument, at the positions rows (ascending).
+
+    A value replaces the max only when strictly greater, so ties keep the
+    earliest d.
+    """
+    cum = np.maximum.accumulate(np.concatenate(([run_max], seg)))
+    records = np.flatnonzero(seg > cum[:-1])
+    args = np.concatenate(([run_arg], lo + records))
+    return cum[rows + 1], args[np.searchsorted(records, rows, side="right")]
 
 
 def scan_report(X_max: int = 1_000_000, scan: ScanResult | None = None) -> dict:

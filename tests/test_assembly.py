@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from mulcm.assembly import (
@@ -14,6 +15,8 @@ from mulcm.assembly import (
     theorem_table,
 )
 from mulcm.products import A_DEEP, EULER_GAMMA
+from mulcm.sieve import factorize, mu_upto
+from mulcm.sigma import sigma_via_gstar_identity
 
 
 def test_block_weights_small():
@@ -90,6 +93,32 @@ def test_tail_audit_and_desk():
     assert tail_audit().passed
     rep = tail_desk_check(x=50_000, ratio=23.0)
     assert rep.passed, rep.summary_line()
+
+
+def test_tail_desk_sum_is_cut_identity_sum():
+    # At ratio 1 the tail sum runs over every d <= x: it is S(x) itself.
+    x = 20_000
+    rep = tail_desk_check(x=x, ratio=1.0)
+    assert rep.details["sum"] == sigma_via_gstar_identity(x)
+    # At ratio 23, an in-test evaluation of sum_{d <= D} mu^2 phi/d^2 m_d(x/d)^2.
+    rep = tail_desk_check(x=x, ratio=23.0)
+    D = int(x / 23.0)
+    mu = mu_upto(x)
+    base = mu[1:].astype(np.float64) / np.arange(1, x + 1, dtype=np.float64)
+    total = 0.0
+    for d in range(1, D + 1):
+        fac = factorize(d)
+        if any(e > 1 for _, e in fac):
+            continue
+        terms = base[: x // d].copy()
+        phi = 1
+        for p, _ in fac:
+            terms[p - 1:: p] = 0.0
+            phi *= p - 1
+        md = float(np.sum(terms))
+        total += phi / (d * d) * md * md
+    assert rep.details["sum"] == total
+    assert rep.worst_arg == (x, D)
 
 
 def test_le1_le2_grids():

@@ -56,15 +56,17 @@ def test_m_q_restricts_to_coprime():
 
 
 def test_table_roundtrip(tmp_path):
-    table = build_table(2000, m0=6)
-    path = tmp_path / "table.bin"
-    table.save(str(path))
-    loaded = MertensTable.load(str(path))
-    assert loaded.m0 == table.m0
-    assert loaded.limit == table.limit
-    for t in (1, 2, 3, 17, 100, 999, 2000):
-        assert loaded.full_value(t) == pytest.approx(m(t), abs=1e-12)
-        assert loaded.coprime_value(t) == pytest.approx(m_q(t, 6), abs=1e-12)
+    for m0 in (6, 30):
+        table = build_table(2000, m0=m0)
+        path = tmp_path / f"table{m0}.bin"
+        table.save(str(path))
+        loaded = MertensTable.load(str(path))
+        assert loaded.m0 == table.m0
+        assert loaded.limit == table.limit
+        # full_value sums mu(a)/a * m_{m0}(t/a) over squarefree a | m0.
+        for t in list(range(0, 100)) + [210, 999, 1999.5, 2000]:
+            assert loaded.full_value(t) == pytest.approx(m(t), abs=1e-12)
+            assert loaded.coprime_value(t) == pytest.approx(m_q(t, m0), abs=1e-12)
 
 
 def test_table_rejects_garbage(tmp_path):

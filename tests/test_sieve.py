@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mulcm.numutil import BudgetError
 from mulcm.sieve import (
     factorize,
     mu_upto,
     prime_divisors,
     primes_upto,
-    primorial_divisors,
     radical,
     sieve_range,
     smooth_numbers,
@@ -98,13 +96,6 @@ def test_smooth_numbers_exact():
                     if 2 ** a * 3 ** b <= 50)
     assert smooth_numbers(6, 50) == expect
     assert smooth_numbers(1, 50) == [1]
-
-
-def test_primorial_divisors_structure():
-    divs = primorial_divisors(5)  # primes 2, 3, 5
-    assert sorted(divs) == [1, 2, 3, 5, 6, 10, 15, 30]
-    with pytest.raises(BudgetError):
-        primorial_divisors(200, max_primes=10)
 
 
 def _squarefree_count_ref(x: int) -> int:

@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import tracemalloc
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mulcm import sigma
+from mulcm.mertens import m_q, m_q_exact
 from mulcm.numutil import BudgetError
 from mulcm.sieve import factorize, mu_upto
 from mulcm.sigma import (
@@ -88,6 +90,17 @@ def _cached_scan():
     return _SCAN
 
 
+def test_landau_is_m_d_at_strict_cutoff():
+    for d in range(1, 51):
+        for y in (0.5, 1, 1.5, 2, 3, 10, 10.2, 100, 1000):
+            cut = math.ceil(y) - 1
+            got = landau_coprime_m(d, y, exact=False)
+            assert got == m_q(cut, d), (d, y)
+            exact = landau_coprime_m(d, y, exact=True)
+            assert exact == m_q_exact(cut, d), (d, y)
+            assert got == pytest.approx(float(exact), abs=1e-12)
+
+
 def test_landau_formula_exact():
     rep = check_landau(d_max=20, y_values=(2, 3, 10, 100))
     assert rep.passed, rep.summary_line()
@@ -126,6 +139,54 @@ def test_checkpoint_roundtrip(tmp_path):
     assert tail_dev < 1e-12
     assert resumed.running_max == pytest.approx(full.running_max, abs=1e-12)
     assert resumed.running_max_arg == full.running_max_arg == 5
+
+
+def _running_max_by_loop(values, d_from, X_max, every, run_max, run_arg):
+    """Checkpoint rows and the final running max by one Python step per d."""
+    rows = []
+    for d in range(max(2, d_from), X_max + 1):
+        v = float(values[d])
+        if v > run_max:
+            run_max, run_arg = v, d
+        if d % every == 0 or d == X_max:
+            rows.append([d, repr(float(values[d])), run_arg, repr(run_max)])
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().encode(), run_max, run_arg
+
+
+@pytest.mark.parametrize("every", [1, 7, 500])
+def test_running_max_matches_per_d_loop(tmp_path, every):
+    # 2003 is a multiple of none of the row spacings but 1; S(d) repeats at
+    # every non-squarefree d, so ties between equal values are exercised.
+    half, X = 1000, 2003
+    path = tmp_path / "scan.csv"
+    first = sigma_scan(half, checkpoint_path=str(path), checkpoint_every=every)
+    rows, mx, arg = _running_max_by_loop(first.values, 1, half, every, -math.inf, 0)
+    header = b"d,sigma,running_max_arg,running_max\r\n"
+    assert path.read_bytes() == header + rows
+    assert (first.running_max, first.running_max_arg) == (mx, arg)
+
+    before = path.read_bytes()
+    resumed = sigma_scan(X, checkpoint_path=str(path), checkpoint_every=every, resume=True)
+    rows, mx, arg = _running_max_by_loop(resumed.values, half + 1, X, every, mx, arg)
+    assert path.read_bytes() == before + rows
+    assert (resumed.running_max, resumed.running_max_arg) == (mx, arg)
+
+    plain = sigma_scan(X)
+    _, mx, arg = _running_max_by_loop(plain.values, 1, X, X, -math.inf, 0)
+    assert (plain.running_max, plain.running_max_arg) == (mx, arg)
+
+
+def test_running_max_ties_keep_first_record():
+    seg = np.array([0.5, 0.7, 0.7, 0.6, 0.9, 0.9, 0.2])
+    rows = np.arange(seg.size)
+    maxes, args = sigma._running_max(seg, 10, 0.7, 3, rows)
+    assert maxes.tolist() == [0.7, 0.7, 0.7, 0.7, 0.9, 0.9, 0.9]
+    assert args.tolist() == [3, 3, 3, 3, 14, 14, 14]
+    maxes, args = sigma._running_max(seg, 10, -math.inf, 0, rows[[0, 2, 6]])
+    assert maxes.tolist() == [0.5, 0.7, 0.9]
+    assert args.tolist() == [10, 11, 14]
 
 
 def test_interrupted_checkpoint_write_keeps_old_checkpoint(tmp_path, monkeypatch):
@@ -187,6 +248,8 @@ def test_malformed_checkpoint_rejected(tmp_path):
     empty.write_text("d,sigma,running_max_arg,running_max\n")
     with pytest.raises(ValueError):
         sigma_scan(100, checkpoint_path=str(empty), resume=True)
+    with pytest.raises(ValueError):
+        sigma_scan(100, checkpoint_path=str(tmp_path / "new.csv"), checkpoint_every=0)
 
 
 def test_drift_report_tight():
