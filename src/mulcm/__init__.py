@@ -4,7 +4,8 @@ and the explicit constants entering its upper bound.
 
 Layout:
 
-* sieve: segmented multiplicative sieves (mu, phi, smallest prime factor);
+* sieve: segmented multiplicative sieves (mu, phi, smallest prime factor)
+  and the one process-wide arithmetic table the other modules read;
 * mertens: weighted Moebius partial sums m(y), coprime variants, disk
   tables, and their proven envelopes;
 * products: certified Euler products, prime tail estimates, and the named
@@ -22,7 +23,6 @@ from .numutil import BudgetError, adaptive_simpson, quad_checked, quad_log
 from .sieve import (
     MultiplicativeBlock,
     factorize,
-    mu_upto,
     primes_upto,
     radical,
     sieve_range,

@@ -27,7 +27,7 @@ from .numutil import check_allocation, quad_checked
 from .report import BoundReport
 from .mertens import g0_factor, g1_factor
 from .products import A_DEEP, EULER_GAMMA, j1_star
-from .sieve import primes_upto, sieve_range
+from .sieve import _table, primes_upto
 from .sigma import _coprime_decomposition_sum
 
 DEEP_SCALE = 1e12  # scale beyond which the logarithmic envelope term exists
@@ -227,7 +227,7 @@ _LEMMA_GRID = [(x, x / r) for x in (1e12, 1e13, 1e14, 1e15)
 def _squarefree_phi_sums(grid, term) -> list[float]:
     """Per (x, D) in grid: sum over squarefree d <= min(D, x/1e12) of term(phi(d), x, d)."""
     caps = [int(min(D, x / DEEP_SCALE)) for x, D in grid]
-    block = sieve_range(1, max(caps + [1]))
+    block = _table(max(caps + [1]))
     sums = []
     for (x, _), cap in zip(grid, caps):
         total = 0.0

@@ -198,10 +198,10 @@ def _cmd_sieve(args) -> int:
 
     import numpy as np
 
-    from .sieve import sieve_range, squarefree_count
+    from .sieve import _table, squarefree_count
     manifest = RunManifest.start("sieve", {"to": args.to})
     n = args.to
-    block = sieve_range(1, n)
+    block = _table(n)
     mu = block.mu.astype(np.int64)
     pi_n = int(np.count_nonzero(block.spf == np.arange(1, n + 1))) - 1
     mertens = int(mu.sum())

@@ -19,8 +19,8 @@ import numpy as np
 from .numutil import NeumaierSum
 from .report import BoundReport, CertifiedValue
 from .sieve import (
-    _coprime_mask, _squarefree_divisors, mu_upto, prime_divisors,
-    require_squarefree, sieve_range,
+    _coprime_mask, _squarefree_divisors, _table, prime_divisors,
+    require_squarefree,
 )
 from .products import (
     EULER_GAMMA, A_DEEP, P0_DEEP, c_q, h_q, j1_star, j5_star,
@@ -52,7 +52,7 @@ def gstar(q: int, X: float) -> float:
     t = int(math.floor(X))
     if t < 1:
         return 0.0
-    return math.fsum(_gstar_terms(sieve_range(1, t), q).tolist())
+    return math.fsum(_gstar_terms(_table(t), q).tolist())
 
 
 def gstar_exact(q: int, X: float) -> Fraction:
@@ -63,7 +63,7 @@ def gstar_exact(q: int, X: float) -> Fraction:
         raise ValueError("gstar_exact limited to X <= 20000")
     if t < 1:
         return Fraction(0)
-    block = sieve_range(1, t)
+    block = _table(t)
     total = Fraction(0)
     for n in range(1, t + 1):
         if block.mu[n - 1] != 0 and math.gcd(n, q) == 1:
@@ -102,9 +102,9 @@ def check_gstar_contract(q_set=(1, 2, 3, 6, 30, 210),
                          x_set=(100, 1000, 10_000, 100_000, 1_000_000)) -> BoundReport:
     """Spot-check |G*_q(X) - main| <= radius on a (q, X) grid.
 
-    One sieve per q at the largest X serves all smaller X values.
+    One table read at the largest X serves every q and all smaller X.
     """
-    block = sieve_range(1, max(x_set))
+    block = _table(max(x_set))
     worst = (0.0, None)
     cases = []
     for q in q_set:
@@ -131,7 +131,7 @@ def check_gstar_contract(q_set=(1, 2, 3, 6, 30, 210),
 def check_gstar_difference(q_set=(1, 2, 6, 30),
                            pairs=((20_000, 10_000), (100_000, 10_000), (50_000, 25_000))) -> BoundReport:
     """Check the difference form |G*_q(X) - G*_q(Y) - H_q log(X/Y)| <= radius."""
-    block = sieve_range(1, max(p[0] for p in pairs))
+    block = _table(max(p[0] for p in pairs))
     worst = (0.0, None)
     for q in q_set:
         cum = np.cumsum(_gstar_terms(block, q))
@@ -170,7 +170,7 @@ def _triple_accumulate(limit: int, q: int, signed: bool) -> np.ndarray:
     gives the jump weights of r1* (mu^2(rkl) phi(k)/(kl)).
     """
     require_squarefree(q)
-    block = sieve_range(1, limit)
+    block = _table(limit)
     mu = block.mu  # mu[n - 1] = mu(n)
     inv = _inverses(limit)
     out = np.zeros(limit + 1, dtype=np.float64)
@@ -220,10 +220,10 @@ def r1_star(X: float, q: int = 1) -> Fraction:
     require_squarefree(q)
     if t < 1:
         return Fraction(0)
-    mu = mu_upto(t)
+    mu = _table(t).mu  # mu[n - 1] = mu(n)
     total = Fraction(0)
     for k in range(1, int(math.isqrt(t)) + 1):
-        if mu[k] == 0 or math.gcd(k, q) != 1:
+        if mu[k - 1] == 0 or math.gcd(k, q) != 1:
             continue
         phi_k = 1
         for p in prime_divisors(k):
@@ -233,7 +233,7 @@ def r1_star(X: float, q: int = 1) -> Fraction:
             if base > t:
                 continue
             for ell in range(1, t // base + 1):
-                if mu[ell] != 0 and math.gcd(ell, q * k) == 1:
+                if mu[ell - 1] != 0 and math.gcd(ell, q * k) == 1:
                     total += Fraction(phi_k, k * ell)
     return total
 
@@ -353,7 +353,7 @@ def aux_k_sum(K: float, M: int = 1, cutoff: int = _AUX_K_CUTOFF) -> CertifiedVal
         # Everything is in the tail regime; bound by the integral comparison.
         bound = 1.0 / (kmin - 1)
         return CertifiedValue(-bound, bound)
-    block = sieve_range(1, cutoff)
+    block = _table(cutoff)
     k = np.arange(1, cutoff + 1, dtype=np.float64)
     keep = (block.mu != 0) & _coprime_mask(cutoff, M)
     keep[: kmin - 1] = False
@@ -371,7 +371,7 @@ def check_aux_k(K_step: float = 0.25, K_max: float = 200.0,
     exceed it (modulo the certified tail slack).
     """
     cutoff = _AUX_K_CUTOFF
-    block = sieve_range(1, cutoff)
+    block = _table(cutoff)
     k = np.arange(1, cutoff + 1, dtype=np.float64)
     worst = (0.0, None)
     for M in M_set:
@@ -440,7 +440,7 @@ def check_convol0(N: int = 100_000) -> BoundReport:
     """
     if N > 100_000:
         raise ValueError("identity check limited to N <= 10^5")
-    block = sieve_range(1, N)
+    block = _table(N)
     bad = []
     for d in range(1, N + 1):
         fac = block.factor(d)
@@ -488,7 +488,7 @@ def check_convol(N: int = 100_000, q_set=(1, 2, 3, 6, 30, 210)) -> BoundReport:
     """
     if N > 100_000:
         raise ValueError("identity check limited to N <= 10^5")
-    block = sieve_range(1, N)
+    block = _table(N)
     bad = []
     for q in q_set:
         qps = set(prime_divisors(q))
@@ -572,12 +572,19 @@ def moebius_square_table_check(rows=MSQ_ROWS, X_max: int = 1_000_000) -> BoundRe
     extremal at x = n and the deficit side as x -> (n+1)-, so each integer n
     contributes two endpoint tests.
     """
-    mu = mu_upto(X_max)
-    sqfree = np.zeros(X_max + 1, dtype=np.int64)
-    sqfree[1:] = (mu[1:] != 0).astype(np.int64)
-    Q = np.cumsum(sqfree).astype(np.float64)
-    n = np.arange(0, X_max + 1, dtype=np.float64)
     dens = 6.0 / math.pi ** 2
+    Q = np.zeros(X_max + 1, dtype=np.float64)
+    np.cumsum(_table(X_max).mu != 0, dtype=np.float64, out=Q[1:])
+    # Row-invariant arrays over n = 0..X_max: sqrt(max(n, 1)) is root[:-1]
+    # and sqrt(n + 1) is root[1:]; over = Q - dens n, under = dens (n + 1) - Q.
+    x = np.arange(0, X_max + 2, dtype=np.float64)
+    root = np.sqrt(x)
+    root[0] = 1.0
+    x *= dens
+    over = Q - x[:-1]
+    under = x[1:] - Q
+    del x, Q
+    excess, deficit, ratios = (np.empty(X_max + 1, dtype=np.float64) for _ in range(3))
     results = []
     all_pass = True
     worst_overall = (0.0, None)
@@ -588,15 +595,13 @@ def moebius_square_table_check(rows=MSQ_ROWS, X_max: int = 1_000_000) -> BoundRe
             results.append({"X0": X0, "c": c, "checked": False, "passed": False})
             all_pass = False
             continue
-        sq_n = np.sqrt(np.maximum(n, 1.0))
-        sq_n1 = np.sqrt(n + 1.0)
-        excess = (Q - dens * n) / (c * sq_n)
-        deficit = (dens * (n + 1.0) - Q) / (c * sq_n1)
+        np.divide(over, np.multiply(root[:-1], c, out=excess), out=excess)
+        np.divide(under, np.multiply(root[1:], c, out=deficit), out=deficit)
         excess[: lo + 1] = 0.0   # excess side applies from x = n >= X0
         if lo == 0:
             excess[0] = 0.0
         deficit[: lo] = 0.0      # deficit side applies once n + 1 > X0
-        ratios = np.maximum(excess, deficit)
+        np.maximum(excess, deficit, out=ratios)
         j = int(np.argmax(ratios))
         row_pass = bool(ratios[j] <= 1.0)
         side = "excess" if excess[j] >= deficit[j] else "deficit"
@@ -629,7 +634,7 @@ def init_bound_check(X_max: int = 1_000_000) -> BoundReport:
     adverse side throughout, so the verdict is rigorous despite A being
     known only to an interval.
     """
-    block = sieve_range(1, X_max)
+    block = _table(X_max)
     d = np.arange(1, X_max + 1, dtype=np.float64)
     keep = block.mu != 0
     S = np.cumsum(np.where(keep, block.phi.astype(np.float64) / d, 0.0))

@@ -2,8 +2,9 @@
 
 Three layers:
 
-* direct evaluation: exact rationals for small y, cached float cumsums for
-  scan-scale y, and the coprime variants m_q;
+* direct evaluation: exact rationals for small y, the arithmetic table's
+  float cumsum (`sieve._mertens_cum`) for scan-scale y, and the coprime
+  variants m_q;
 * MertensTable: residue-class tables mod a small modulus with a documented
   binary checkpoint format, so long runs can persist and reload their state;
 * envelope machinery: the square-root and logarithmic decay bounds, their
@@ -23,8 +24,8 @@ import numpy as np
 from .numutil import check_allocation
 from .report import BoundReport
 from .sieve import (
-    _coprime_mask, _squarefree_divisors, mu_upto, prime_divisors, radical,
-    sieve_range,
+    _coprime_mask, _mertens_cum, _squarefree_divisors, _table, prime_divisors,
+    radical,
 )
 
 # Exponent for the logarithmic-regime interpolation envelope.
@@ -52,32 +53,13 @@ M2_PARAMS = EnvelopeParams(sqrt_c=3.0, sqrt_range=1e12, log_c=0.0296, log_from=5
 
 _EXACT_LIMIT = 100_000
 
-# Cached float cumulative sums of mu(n)/n, grown on demand.
-_mu_over_n_cum: np.ndarray | None = None
-
-
-def _cum_to(n: int) -> np.ndarray:
-    global _mu_over_n_cum
-    cur = _mu_over_n_cum
-    if cur is None or len(cur) <= n:
-        size = max(n + 1, 1 << 16)
-        if cur is not None:
-            size = max(size, 2 * len(cur))
-        check_allocation(size * 9, f"mertens cumsum to {size}")
-        mu = mu_upto(size - 1)
-        vals = np.zeros(size, dtype=np.float64)
-        vals[1:] = mu[1:].astype(np.float64) / np.arange(1, size, dtype=np.float64)
-        cur = np.cumsum(vals)
-        _mu_over_n_cum = cur
-    return cur
-
 
 def m(y: float) -> float:
     """m(y) = sum_{n <= y} mu(n)/n, as a float.  m(y) = m(floor(y))."""
     t = int(math.floor(y))
     if t < 1:
         return 0.0
-    return float(_cum_to(t)[t])
+    return float(_mertens_cum(t)[t])
 
 
 def m_exact(y) -> Fraction:
@@ -90,7 +72,7 @@ def m_q(y: float, q: int) -> float:
     t = int(math.floor(y))
     if t < 1:
         return 0.0
-    block = sieve_range(1, t)
+    block = _table(t)
     n = np.arange(1, t + 1, dtype=np.float64)
     terms = np.where(_coprime_mask(t, q), block.mu.astype(np.float64) / n, 0.0)
     return float(np.sum(terms))
@@ -103,10 +85,10 @@ def m_q_exact(y, q: int) -> Fraction:
         return Fraction(0)
     if t > _EXACT_LIMIT:
         raise ValueError(f"m_q_exact limited to y <= {_EXACT_LIMIT}, got {y}")
-    mu = mu_upto(t)
+    mu = _table(t).mu
     total = Fraction(0)
     for n in range(1, t + 1):
-        v = int(mu[n])
+        v = int(mu[n - 1])
         if v and math.gcd(n, q) == 1:
             total += Fraction(v, n)
     return total
@@ -131,13 +113,6 @@ class MertensTable:
     m0: int
     limit: int
     rows: np.ndarray  # float64, shape (m0, limit + 1)
-
-    def residue_value(self, t: float, u: int) -> float:
-        k = int(math.floor(t))
-        if k < 0:
-            return 0.0
-        k = min(k, self.limit)
-        return float(self.rows[u % self.m0][k])
 
     def coprime_value(self, y: float) -> float:
         """m_{m0}(y): the sum restricted to n coprime to m0."""
@@ -201,11 +176,10 @@ def build_table(limit: int, m0: int = 6) -> MertensTable:
     """Build the residue-class table up to `limit` for modulus m0."""
     if limit < 1 or m0 < 1:
         raise ValueError("need limit >= 1 and m0 >= 1")
-    check_allocation(m0 * (limit + 1) * 8 + limit * 9, f"mertens table {m0} x {limit}")
-    mu = mu_upto(limit)
-    n = np.arange(0, limit + 1, dtype=np.float64)
-    n[0] = 1.0
-    terms = mu.astype(np.float64) / n
+    check_allocation((m0 + 3) * (limit + 1) * 8, f"mertens table {m0} x {limit}")
+    terms = np.zeros(limit + 1, dtype=np.float64)
+    terms[1:] = _table(limit).mu
+    terms[1:] /= np.arange(1, limit + 1, dtype=np.float64)
     rows = np.zeros((m0, limit + 1), dtype=np.float64)
     for u in range(m0):
         sel = np.zeros(limit + 1, dtype=np.float64)
@@ -221,12 +195,10 @@ def build_table(limit: int, m0: int = 6) -> MertensTable:
 def _envelope_cum(limit: int, q: int, form: str):
     """(params, cum) for the q-envelope, cum[n] = m_q(n) for n <= limit."""
     if q == 1:
-        return M_PARAMS, _cum_to(limit)
+        return M_PARAMS, _mertens_cum(limit)
     if q == 2:
-        mu = mu_upto(limit)
         vals = np.zeros(limit + 1, dtype=np.float64)
-        idx = np.arange(1, limit + 1, 2)
-        vals[idx] = mu[idx].astype(np.float64) / idx
+        vals[1::2] = _table(limit).mu[::2] / np.arange(1, limit + 1, 2)
         return M2_PARAMS, np.cumsum(vals)
     raise ValueError(f"{form} envelope is stated for q in {{1, 2}}")
 
@@ -344,7 +316,7 @@ def check_envelope_coprime(d_limit: int = 100, y_limit: int = 10_000) -> BoundRe
     Compares |m_d(y)| directly against envelope_coprime(d, y) for every
     squarefree d <= d_limit and every integer y <= y_limit.
     """
-    block = sieve_range(1, y_limit)
+    block = _table(y_limit)
     n = np.arange(1, y_limit + 1, dtype=np.float64)
     base_terms = block.mu.astype(np.float64) / n
     worst = (0.0, None)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import platform
 import sys
 import time
@@ -39,9 +38,6 @@ class BoundReport:
         d = dataclasses.asdict(self)
         d["passed"] = bool(self.passed)
         return d
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, default=str)
 
     def summary_line(self) -> str:
         verdict = "pass" if self.passed else "FAIL"
@@ -72,18 +68,9 @@ class CertifiedValue:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
-    def __contains__(self, x: float) -> bool:
-        return self.contains(x)
-
     def entirely_below(self, cap: float) -> bool:
         """True if every value in the enclosure is <= cap."""
         return self.hi <= cap
-
-    def entirely_above(self, floor: float) -> bool:
-        return self.lo >= floor
 
     def scale(self, c: float) -> "CertifiedValue":
         if c >= 0:

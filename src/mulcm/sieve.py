@@ -1,15 +1,17 @@
-"""Segmented sieves for multiplicative data: mu, phi, smallest prime factor.
+"""Segmented sieves for multiplicative data and the one arithmetic table.
 
-The central object is MultiplicativeBlock, a contiguous window [lo, hi] of
-precomputed arrays.  Blocks are produced segment by segment so the working
-set stays bounded; results are identical regardless of segmentation, which
-the tests check explicitly on awkward boundaries.  The other modules take
-phi, mu, factorizations and divisor lists from a block, and coprimality
-masks and squarefree divisors of a modulus from the helpers here.
+A MultiplicativeBlock holds mu, phi and spf (smallest prime factor) over
+[lo, hi]; sieve_range fills one segment by segment, with results that do
+not depend on the segmentation.  No other module sieves [1, n]: _table(n)
+gives read-only views over [1, n] of the process-wide table, which keeps
+9 bytes per n (int8 mu, int32 phi and spf) for the life of the process, and
+_mertens_cum(n) its cumsum of mu(k)/k, 8 more bytes per n once asked for.
+primes_upto stays its own 1-byte-per-n sieve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +19,12 @@ import numpy as np
 from .numutil import check_allocation
 
 DEFAULT_SEGMENT = 1 << 22
+# sieve_range memory, measured with tracemalloc: the outputs (int8 mu plus
+# phi and spf, int32 below 2^31), 22.5 bytes per n of one segment (the
+# unfactored parts and the index arrays of p = 2; 24 declared), the prime
+# sieve to sqrt(hi) and up to 64 KiB of small per-segment arrays.
+_SIEVE_WORK_BYTES_PER_N = 24
+_SIEVE_FIXED_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -30,8 +38,8 @@ class MultiplicativeBlock:
     lo: int
     hi: int
     mu: np.ndarray   # int8
-    phi: np.ndarray  # int64
-    spf: np.ndarray  # int64
+    phi: np.ndarray  # int32 (int64 when hi >= 2^31)
+    spf: np.ndarray  # as phi
 
     def __len__(self) -> int:
         return self.hi - self.lo + 1
@@ -75,14 +83,13 @@ def primes_upto(n: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
-def _sieve_segment(lo: int, hi: int, primes: np.ndarray):
-    """Sieve one segment [lo, hi].  primes must cover sqrt(hi)."""
+def _sieve_segment(lo: int, hi: int, primes: np.ndarray, mu, phi, spf) -> None:
+    """Sieve one segment [lo, hi] into mu, phi, spf (filled with 1, 1, 0).
+
+    primes must cover sqrt(hi).
+    """
     n = hi - lo + 1
-    vals = np.arange(lo, hi + 1, dtype=np.int64)
-    rem = vals.copy()          # unfactored part of each n
-    mu = np.ones(n, dtype=np.int8)
-    phi = np.ones(n, dtype=np.int64)
-    spf = np.zeros(n, dtype=np.int64)
+    rem = np.arange(lo, hi + 1, dtype=np.int64)  # unfactored part of each n
     for p in primes:
         p = int(p)
         if p * p > hi:
@@ -98,16 +105,12 @@ def _sieve_segment(lo: int, hi: int, primes: np.ndarray):
         r //= p
         phi[idx] *= p - 1
         mu[idx] = -mu[idx]
-        again = r % p == 0
-        while np.any(again):
-            sub = idx[again]
-            r2 = r[again] // p
-            phi[sub] *= p
-            mu[sub] = 0
-            r[again] = r2
-            again2 = np.zeros_like(again)
-            again2[again] = r2 % p == 0
-            again = again2
+        again = np.flatnonzero(r % p == 0)  # positions in idx of p^2 | n
+        mu[idx[again]] = 0
+        while again.size:
+            phi[idx[again]] *= p
+            r[again] //= p
+            again = again[r[again] % p == 0]
         rem[idx] = r
     # Leftover factor > sqrt(hi) is prime (appears to the first power).
     left = rem > 1
@@ -115,43 +118,82 @@ def _sieve_segment(lo: int, hi: int, primes: np.ndarray):
     mu[left] = -mu[left]
     no_spf = left & (spf == 0)
     spf[no_spf] = rem[no_spf]
-    if lo <= 1 <= hi:
-        i = 1 - lo
-        mu[i], phi[i], spf[i] = 1, 1, 1
-    if lo <= 0:
-        raise ValueError("sieve domain starts at 1")
-    return mu, phi, spf
+    if lo == 1:
+        mu[0], phi[0], spf[0] = 1, 1, 1
+
+
+def _sieve_bytes(lo: int, hi: int, segment: int = DEFAULT_SEGMENT) -> int:
+    """Peak memory of sieve_range(lo, hi, segment): the outputs, the
+    working arrays of one segment and the primes to sqrt(hi)."""
+    n = hi - lo + 1
+    out = 1 + 2 * np.dtype(_wide(hi)).itemsize
+    return (n * out + min(n, segment) * _SIEVE_WORK_BYTES_PER_N
+            + 3 * math.isqrt(hi) + _SIEVE_FIXED_BYTES)
+
+
+def _wide(hi: int):
+    """dtype of phi and spf on a range ending at hi."""
+    return np.int32 if hi < 2 ** 31 else np.int64
 
 
 def sieve_range(lo: int, hi: int, segment: int = DEFAULT_SEGMENT) -> MultiplicativeBlock:
     """Compute mu, phi, spf on [lo, hi] inclusive, segment by segment."""
     if lo < 1 or hi < lo:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    check_allocation((hi - lo + 1) * 17, f"multiplicative block [{lo}, {hi}]")
+    check_allocation(_sieve_bytes(lo, hi, segment), f"multiplicative block [{lo}, {hi}]")
+    n = hi - lo + 1
+    mu = np.ones(n, dtype=np.int8)
+    phi = np.ones(n, dtype=_wide(hi))
+    spf = np.zeros(n, dtype=_wide(hi))
     primes = primes_upto(int(hi ** 0.5) + 1)
-    mus, phis, spfs = [], [], []
-    a = lo
-    while a <= hi:
+    for a in range(lo, hi + 1, segment):
         b = min(a + segment - 1, hi)
-        mu, phi, spf = _sieve_segment(a, b, primes)
-        mus.append(mu)
-        phis.append(phi)
-        spfs.append(spf)
-        a = b + 1
-    mu = np.concatenate(mus)
-    phi = np.concatenate(phis)
-    spf = np.concatenate(spfs)
+        part = slice(a - lo, b - lo + 1)
+        _sieve_segment(a, b, primes, mu[part], phi[part], spf[part])
     for arr in (mu, phi, spf):
         arr.setflags(write=False)
     return MultiplicativeBlock(lo=lo, hi=hi, mu=mu, phi=phi, spf=spf)
 
 
-def mu_upto(n: int) -> np.ndarray:
-    """mu(k) for k = 0..n as int8 (index 0 unused, set to 0)."""
-    block = sieve_range(1, n)
-    out = np.zeros(n + 1, dtype=np.int8)
-    out[1:] = block.mu
-    return out
+_TABLE_MIN = 1 << 16
+_table_block: MultiplicativeBlock | None = None
+_table_cum: np.ndarray | None = None
+
+
+def _table(n: int) -> MultiplicativeBlock:
+    """mu, phi, spf over [1, n] as read-only views of the process-wide table.
+
+    A request past the table's end sieves [1, max(n, _TABLE_MIN)] once and
+    replaces the table; every smaller request reads views of it.  The
+    build declares sieve_range's peak, which holds the retained arrays.
+    """
+    global _table_block, _table_cum
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if _table_block is None or _table_block.hi < n:
+        _table_block = _table_cum = None  # let the old table go first
+        _table_block = sieve_range(1, max(n, _TABLE_MIN))
+    t = _table_block
+    return MultiplicativeBlock(lo=1, hi=n, mu=t.mu[:n], phi=t.phi[:n], spf=t.spf[:n])
+
+
+def _mertens_cum(n: int) -> np.ndarray:
+    """cum[t] = m(t) = sum_{k <= t} mu(k)/k for t = 0..n, a read-only view.
+
+    The cumsum runs once over the whole table, in index order, so cum[t]
+    does not depend on the table's size.
+    """
+    global _table_cum
+    _table(max(n, 1))
+    if _table_cum is None:
+        size = _table_block.hi
+        check_allocation((size + 1) * 16, f"mertens cumsum to {size}")
+        cum = np.zeros(size + 1, dtype=np.float64)
+        cum[1:] = _table_block.mu
+        cum[1:] /= np.arange(1, size + 1, dtype=np.float64)
+        _table_cum = np.cumsum(cum, out=cum)
+        _table_cum.setflags(write=False)
+    return _table_cum[: n + 1]
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -241,15 +283,11 @@ def squarefree_count(x: int) -> int:
     """
     if x < 1:
         return 0
-    r = int(x ** 0.5)
-    while (r + 1) * (r + 1) <= x:
-        r += 1
-    while r * r > x:
-        r -= 1
-    mu = mu_upto(r)
+    r = math.isqrt(x)
+    mu = _table(r).mu
     total = 0
     for d in range(1, r + 1):
-        m = int(mu[d])
+        m = int(mu[d - 1])
         if m:
             total += m * (x // (d * d))
     return total

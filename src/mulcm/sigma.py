@@ -13,9 +13,9 @@ Three independent evaluation routes:
 
 The batched scan evaluates the trace recursion in floats for millions of d:
 the recursion's smooth-part contributions are indexed by their smooth factor
-k (coefficient prod_{p | k}(1-p) per unit k, looked up against a cumulative
-Mertens table), and all (k, d) pairs are expanded in bounded chunks and
-scatter-added in ascending k, so the result does not depend on the chunk
+k (coefficient prod_{p | k}(1-p) per unit k, looked up against the arithmetic
+table's Mertens cumsum), and all (k, d) pairs are expanded in bounded chunks
+and scatter-added in ascending k, so the result does not depend on the chunk
 size.  Scans checkpoint to CSV, replacing the file atomically, and resume
 from the last checkpointed d.
 """
@@ -34,13 +34,14 @@ import numpy as np
 from .mertens import m_q, m_q_exact
 from .numutil import check_allocation
 from .report import BoundReport
-from .sieve import _coprime_mask, mu_upto, primes_upto, sieve_range, smooth_numbers
+from .sieve import _coprime_mask, _mertens_cum, _table, primes_upto, smooth_numbers
 
 # (k, d) pairs expanded per scatter-add in the scan; bounds its transient memory.
 _SCAN_CHUNK = 1 << 17
-# Scan memory, measured with tracemalloc: 73 bytes per d (nine 8-byte arrays
-# over d or k plus the int8 Moebius table) and 40-44 bytes per expanded pair.
-_SCAN_BYTES_PER_D = 80
+# Scan memory, measured with tracemalloc: 56 bytes per d (seven 8-byte arrays
+# over d or k; mu and the Mertens cumsum are views of the arithmetic table)
+# and 40-44 bytes per expanded pair.
+_SCAN_BYTES_PER_D = 64
 _SCAN_BYTES_PER_PAIR = 48
 
 
@@ -60,25 +61,25 @@ def sigma_bruteforce(X: int, method: str = "auto") -> Fraction:
         return Fraction(0)
     if method == "auto":
         method = "pairs" if X <= 300 else "gcd"
-    mu = mu_upto(X)
+    block = _table(X)
+    mu = block.mu  # mu[n - 1] = mu(n)
     if method == "pairs":
         total = Fraction(0)
-        sf = [d for d in range(1, X + 1) if mu[d] != 0]
+        sf = [d for d in range(1, X + 1) if mu[d - 1] != 0]
         for d1 in sf:
             for d2 in sf:
                 g = math.gcd(d1, d2)
-                total += Fraction(int(mu[d1]) * int(mu[d2]) * g, d1 * d2)
+                total += Fraction(int(mu[d1 - 1]) * int(mu[d2 - 1]) * g, d1 * d2)
         return total
     if method == "gcd":
-        phi = sieve_range(1, X).phi
         total = Fraction(0)
         for e in range(1, X + 1):
             s = Fraction(0)
             for n in range(e, X + 1, e):
-                if mu[n]:
-                    s += Fraction(int(mu[n]), n)
+                if mu[n - 1]:
+                    s += Fraction(int(mu[n - 1]), n)
             if s:
-                total += int(phi[e - 1]) * s * s
+                total += int(block.phi[e - 1]) * s * s
         return total
     raise ValueError(f"unknown method {method!r}")
 
@@ -92,7 +93,7 @@ def sigma_trace_exact(X: int) -> list[Fraction]:
     using gcd(d, d') = sum of phi(e) over e dividing both.  The divisor
     accumulators U_e are updated after each step.
     """
-    block = sieve_range(1, X)
+    block = _table(X)
     U: dict[int, Fraction] = {}
     out: list[Fraction] = []
     total = Fraction(0)
@@ -119,18 +120,18 @@ def sigma_pairs_trace(X: int) -> np.ndarray:
     S(d) = S(d-1) + mu^2(d)/d + 2 mu(d) sum_{d' < d} mu(d')/lcm(d, d').
     Vectorized per row; no identity beyond the definition is used.
     """
-    mu = mu_upto(X)
+    mu = _table(X).mu  # mu[n - 1] = mu(n)
     out = np.zeros(X, dtype=np.float64)
     total = 1.0
     out[0] = 1.0
     idx_all = np.arange(1, X + 1, dtype=np.int64)
     muf = mu.astype(np.float64)
     for d in range(2, X + 1):
-        if mu[d] != 0:
+        if mu[d - 1] != 0:
             prior = idx_all[: d - 1]
             g = np.gcd(prior, d)
-            row = muf[1: d] * g / (prior.astype(np.float64) * d)
-            total += 1.0 / d + 2.0 * float(mu[d]) * float(np.sum(row))
+            row = muf[: d - 1] * g / (prior.astype(np.float64) * d)
+            total += 1.0 / d + 2.0 * float(mu[d - 1]) * float(np.sum(row))
         out[d - 1] = total
     return out
 
@@ -144,8 +145,8 @@ def sigma_coprime_trace(X: int) -> np.ndarray:
     the divisors d of n see their argument floor(n/d) jump, and the new
     point n/d enters m_d iff gcd(n/d, d) = 1.
     """
-    block = sieve_range(1, X)
-    mu = mu_upto(X)
+    block = _table(X)
+    mu = block.mu  # mu[n - 1] = mu(n)
     md = np.zeros(X + 1, dtype=np.float64)
     weight = np.zeros(X + 1, dtype=np.float64)
     dd = np.arange(1, X + 1, dtype=np.float64)
@@ -155,15 +156,15 @@ def sigma_coprime_trace(X: int) -> np.ndarray:
     for n in range(1, X + 1):
         for d in block.divisors(n):
             q = n // d
-            if mu[q] != 0 and math.gcd(q, d) == 1:
+            if mu[q - 1] != 0 and math.gcd(q, d) == 1:
                 # m_d gains mu(q)/q; update the weighted square's total.
                 if weight[d] != 0.0:
                     old = md[d]
-                    new = old + float(mu[q]) / q
+                    new = old + float(mu[q - 1]) / q
                     total += weight[d] * (new * new - old * old)
                     md[d] = new
                 else:
-                    md[d] += float(mu[q]) / q
+                    md[d] += float(mu[q - 1]) / q
         out[n - 1] = total
     return out
 
@@ -177,7 +178,7 @@ def _coprime_decomposition_sum(X: int, D: int) -> float:
     """sum_{d <= D} mu^2(d) phi(d)/d^2 m_d(floor(X/d))^2, m_d by sieve masks."""
     if X < 1:
         return 0.0
-    block = sieve_range(1, X)
+    block = _table(X)
     mu_over_n = block.mu.astype(np.float64) / np.arange(1, X + 1, dtype=np.float64)
     total = 0.0
     for d in range(1, D + 1):
@@ -211,12 +212,12 @@ def landau_smooth_expansion(d: int, y) -> Fraction:
     limit = math.ceil(y) - 1
     if limit < 1:
         return total
-    mu = mu_upto(limit)
+    mu = _table(limit).mu  # mu[n - 1] = mu(n)
     strict = [Fraction(0)] * (limit + 2)
     acc = Fraction(0)
     for n in range(1, limit + 1):
-        if mu[n]:
-            acc += Fraction(int(mu[n]), n)
+        if mu[n - 1]:
+            acc += Fraction(int(mu[n - 1]), n)
         strict[n + 1] = acc  # strict[v] = sum_{n < v} mu(n)/n for integer v
     for ell in smooth_numbers(d, limit):
         # strict cutoff n < y/ell; for integer v = ceil(y/ell), that is
@@ -282,19 +283,16 @@ class ScanResult:
         }
 
 
-def _radical_array(X: int) -> np.ndarray:
+def _radical_and_coeffs(X: int) -> tuple[np.ndarray, np.ndarray]:
+    """rad[k] = prod_{p | k} p (int64) and c_num[k] = prod_{p | k} (1 - p)
+    (float64, multiplied in ascending p) for k = 0..X, from one pass over
+    the primes."""
     rad = np.ones(X + 1, dtype=np.int64)
-    for p in primes_upto(X):
-        rad[p:: p] *= p
-    return rad
-
-
-def _coeff_numerators(X: int) -> np.ndarray:
-    """c_num[k] = prod_{p | k} (1 - p) as float64 (c_num[1] = 1)."""
     cn = np.ones(X + 1, dtype=np.float64)
-    for p in primes_upto(X):
-        cn[p:: p] *= 1.0 - float(p)
-    return cn
+    for p in primes_upto(X).tolist():
+        rad[p:: p] *= p
+        cn[p:: p] *= 1.0 - p
+    return rad, cn
 
 
 def _scan_increments(X: int, d_from: int) -> np.ndarray:
@@ -307,16 +305,15 @@ def _scan_increments(X: int, d_from: int) -> np.ndarray:
     most _SCAN_CHUNK pairs and scatter-added with np.add.at, which applies
     the adds in array order: every inner[d] is summed in ascending k.
     """
-    mu = mu_upto(X)
-    M = np.zeros(X + 1, dtype=np.float64)
-    M[1:] = np.cumsum(mu[1:].astype(np.float64) / np.arange(1, X + 1, dtype=np.float64))
+    M = _mertens_cum(X)
     k = np.arange(1, X, dtype=np.int64)
-    R = _radical_array(X)[k]
-    w = _coeff_numerators(X)[k] / k
+    rad, cn = _radical_and_coeffs(X)
+    R = rad[1: X]
+    w = np.divide(cn[1: X], k, out=cn[1: X])
     start = (np.maximum(k, d_from - 1) // R + 1) * R
     cnt = np.maximum((X - start) // R + 1, 0)
     ends = np.cumsum(cnt)
-    first = ends - cnt
+    first = np.subtract(ends, cnt, out=cnt)  # reuses cnt's buffer
     n_pairs = int(ends[-1]) if X > 1 else 0
     inner = np.zeros(X + 1, dtype=np.float64)
     for a in range(0, n_pairs, _SCAN_CHUNK):
@@ -326,10 +323,10 @@ def _scan_increments(X: int, d_from: int) -> np.ndarray:
         rep = np.repeat(np.arange(i0, i1 + 1), c)
         d = start[rep] + (np.arange(a, b) - first[rep]) * R[rep]
         np.add.at(inner, d, w[rep] * M[(d - 1) // k[rep]])
-    del k, R, w, start, cnt, ends, first
+    del k, R, w, rad, cn, start, cnt, ends, first
     inc = np.zeros(X + 1, dtype=np.float64)
     dd = np.arange(1, X + 1, dtype=np.float64)
-    muf = mu[1:].astype(np.float64)
+    muf = _table(X).mu.astype(np.float64)
     inc[1:] = (muf * muf) / dd + 2.0 * muf / dd * inner[1:]
     if d_from > 1:
         inc[: d_from] = 0.0

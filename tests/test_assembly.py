@@ -15,7 +15,7 @@ from mulcm.assembly import (
     theorem_table,
 )
 from mulcm.products import A_DEEP, EULER_GAMMA
-from mulcm.sieve import factorize, mu_upto
+from mulcm.sieve import factorize, sieve_range
 from mulcm.sigma import sigma_via_gstar_identity
 
 
@@ -103,8 +103,8 @@ def test_tail_desk_sum_is_cut_identity_sum():
     # At ratio 23, an in-test evaluation of sum_{d <= D} mu^2 phi/d^2 m_d(x/d)^2.
     rep = tail_desk_check(x=x, ratio=23.0)
     D = int(x / 23.0)
-    mu = mu_upto(x)
-    base = mu[1:].astype(np.float64) / np.arange(1, x + 1, dtype=np.float64)
+    mu = sieve_range(1, x).mu
+    base = mu.astype(np.float64) / np.arange(1, x + 1, dtype=np.float64)
     total = 0.0
     for d in range(1, D + 1):
         fac = factorize(d)

@@ -1,7 +1,9 @@
-"""Static check: every name a module of the package imports is used in it.
+"""Static checks on the package's modules.
 
-The package's `__init__.py` is exempt: its imports are the public
-re-exports collected into `__all__`.
+Every name a module imports is used in it (the package's `__init__.py` is
+exempt: its imports are the public re-exports collected into `__all__`),
+and only `sieve.py` runs the multiplicative sieve: every other module reads
+mu, phi, spf and the Mertens cumsum from the one arithmetic table.
 """
 
 import ast
@@ -48,3 +50,36 @@ def test_package_attribute_is_the_module(name):
     # A re-exported function must not shadow the submodule of the same name.
     module = importlib.import_module(f"mulcm.{name}")
     assert getattr(mulcm, name) is module
+
+
+# Names whose use outside sieve.py would sieve [1, n] again.
+SIEVE_ENTRY_POINTS = {"sieve_range"}
+
+
+def sieve_calls(source: str) -> list[str]:
+    """Imports of, and references to, the sieve's entry points."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name in SIEVE_ENTRY_POINTS]
+    return sorted(set(found))
+
+
+def test_sieve_detector_flags_calls_and_imports():
+    src = ("from .sieve import _table, sieve_range\nfrom . import sieve\n"
+           "b = _table(9)\nc = sieve.sieve_range(1, 9)\n")
+    assert sieve_calls(src) == ["sieve_range (line 1)", "sieve_range (line 4)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "sieve.py"],
+                         ids=lambda p: p.name)
+def test_only_the_sieve_module_sieves(path):
+    assert sieve_calls(path.read_text()) == []

@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mulcm import gstar, mertens, sieve, sigma
+from mulcm.numutil import BudgetError
 from mulcm.sieve import (
+    DEFAULT_SEGMENT,
     factorize,
-    mu_upto,
     prime_divisors,
     primes_upto,
     radical,
@@ -64,10 +67,107 @@ def test_segment_independence(lo, width):
     assert np.array_equal(seg.spf, full.spf[off: off + width + 1])
 
 
-def test_mu_upto_matches_block():
-    mu = mu_upto(300)
-    block = sieve_range(1, 300)
-    assert np.array_equal(mu[1:], block.mu)
+@pytest.fixture
+def empty_table(monkeypatch):
+    """Start from no arithmetic table; the old one is put back afterwards."""
+    monkeypatch.setattr(sieve, "_table_block", None)
+    monkeypatch.setattr(sieve, "_table_cum", None)
+
+
+def test_table_views_match_fresh_sieve(empty_table):
+    sieve._table(100_000)
+    for n in (1, 2, 30, 300, 65_536, 99_999, 100_000):
+        view = sieve._table(n)
+        fresh = sieve_range(1, n)
+        assert (view.lo, view.hi) == (1, n)
+        for name in ("mu", "phi", "spf"):
+            got, want = getattr(view, name), getattr(fresh, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (n, name)
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 0
+    assert sieve._table_block.hi == 100_000
+
+
+def test_mertens_cum_is_the_sequential_cumsum(empty_table):
+    n = 100_000
+    mu = sieve_range(1, n).mu
+    want = np.cumsum(np.concatenate(([0.0], mu / np.arange(1, n + 1, dtype=np.float64))))
+    cum = sieve._mertens_cum(n)
+    assert cum.shape == (n + 1,) and (cum == want).all()
+    assert not cum.flags.writeable
+    # A larger table rebuilds the cumsum; its prefix is unchanged.
+    assert (sieve._mertens_cum(3 * n)[: n + 1] == want).all()
+    assert (sieve._mertens_cum(10) == want[:11]).all()
+
+
+@pytest.fixture
+def sieved(monkeypatch, empty_table):
+    """(lo, hi) of every sieve_range call, starting from no table."""
+    calls = []
+    real = sieve.sieve_range
+
+    def counting(lo, hi, *args):
+        calls.append((lo, hi))
+        return real(lo, hi, *args)
+
+    monkeypatch.setattr(sieve, "sieve_range", counting)
+    return calls
+
+
+def test_table_grows_only_past_its_end(sieved):
+    for n in (10, 5000, sieve._TABLE_MIN, 1000):
+        sieve._table(n)
+    assert sieved == [(1, sieve._TABLE_MIN)]
+    sieve._table(100_000)
+    sieve._mertens_cum(70_000)
+    sieve._table(99_999)
+    assert sieved == [(1, sieve._TABLE_MIN), (1, 100_000)]
+
+
+def test_checks_share_one_sieve(sieved):
+    # A run of checks sieves [1, n] once per new maximum n, not once per check.
+    N = 200_000
+    for q in (1, 2):
+        mertens.check_envelope_sqrt(N, q=q)
+    mertens.check_envelope_log(N, q=2)
+    gstar.init_bound_check(100_000)
+    gstar.moebius_square_table_check(X_max=N)
+    sigma.sigma_scan(50_000)
+    assert mertens.m(N) == float(sieve._mertens_cum(N)[N])
+    assert sieved == [(1, N)]
+    gstar.scan_majorstar(300_000, q_set=(1,))
+    assert sieved == [(1, N), (1, 300_000)]
+
+
+@pytest.mark.parametrize("lo, hi, segment", [
+    (1, 200_000, DEFAULT_SEGMENT),
+    (1, 200_000, 4096),
+    (10 ** 6, 10 ** 6 + 50_000, DEFAULT_SEGMENT),
+])
+def test_sieve_memory_within_declared_budget(monkeypatch, lo, hi, segment):
+    declared = sieve._sieve_bytes(lo, hi, segment)
+    monkeypatch.setenv("MULCM_MEMORY_BUDGET", str(declared))
+    tracemalloc.start()
+    try:
+        sieve_range(lo, hi, segment)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= declared, (peak, declared)
+
+
+def test_sieve_refused_one_byte_below_declared(monkeypatch):
+    lo, hi = 1, 200_000
+    monkeypatch.setenv("MULCM_MEMORY_BUDGET", str(sieve._sieve_bytes(lo, hi) - 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            sieve_range(lo, hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # refused before any array over n exists
 
 
 @given(st.integers(min_value=1, max_value=10 ** 6))

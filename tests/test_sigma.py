@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mulcm import sigma
+from mulcm import sieve, sigma
 from mulcm.mertens import m_q, m_q_exact
 from mulcm.numutil import BudgetError
-from mulcm.sieve import factorize, mu_upto
+from mulcm.sieve import factorize, sieve_range
 from mulcm.sigma import (
     check_landau,
     drift_report,
@@ -260,21 +260,23 @@ def test_drift_report_tight():
 
 
 def _increments_by_pair_loop(X, d_from):
-    """The scan increments by one Python add per (k, d) pair, k ascending."""
-    mu = mu_upto(X)
+    """The scan increments by one Python add per (k, d) pair, k ascending,
+    from a fresh sieve and trial-division radicals."""
+    mu = sieve_range(1, X).mu
     M = np.zeros(X + 1)
-    M[1:] = np.cumsum(mu[1:].astype(np.float64) / np.arange(1, X + 1, dtype=np.float64))
-    rad = sigma._radical_array(X)
-    cnum = sigma._coeff_numerators(X)
+    M[1:] = np.cumsum(mu.astype(np.float64) / np.arange(1, X + 1, dtype=np.float64))
     inner = np.zeros(X + 1)
     for k in range(1, X):
-        R = int(rad[k])
-        w = cnum[k] / k
+        R, cnum = 1, 1.0
+        for p, _ in factorize(k):
+            R *= p
+            cnum *= 1.0 - p
+        w = cnum / k
         for d in range((max(k, d_from - 1) // R + 1) * R, X + 1, R):
             inner[d] += w * M[(d - 1) // k]
     inc = np.zeros(X + 1)
     dd = np.arange(1, X + 1, dtype=np.float64)
-    muf = mu[1:].astype(np.float64)
+    muf = mu.astype(np.float64)
     inc[1:] = (muf * muf) / dd + 2.0 * muf / dd * inner[1:]
     inc[: d_from] = 0.0
     return inc
@@ -295,6 +297,12 @@ def test_scan_increments_match_pair_loop(monkeypatch, chunk):
 
 def test_scan_memory_within_declared_budget(monkeypatch):
     X = 200_000
+    # The scan reads mu and m(t) from the arithmetic table; build both to
+    # exactly X first, so the trace holds the scan's own arrays whatever ran
+    # before.
+    monkeypatch.setattr(sieve, "_table_block", None)
+    monkeypatch.setattr(sieve, "_table_cum", None)
+    sieve._mertens_cum(X)
     declared = sigma._scan_bytes(X)
     monkeypatch.setenv("MULCM_MEMORY_BUDGET", str(declared))
     tracemalloc.start()
