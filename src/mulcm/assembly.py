@@ -55,24 +55,31 @@ class AssemblyConfig:
 
 _j_table_cache: dict[int, dict] = {}
 
+# Traced peak of one _j_table call: 32 B per divisor mask (measured at
+# j = 75, 2^21 masks: the 8 B weights and 8 B weights * sqrt(delta) while
+# log(delta) doubles, 16 B), plus room for the per-n and per-prime objects.
+_J_TABLE_BYTES_PER_MASK = 32
+_J_TABLE_FIXED_BYTES = 64 << 10
 
-def _j_table(j: int) -> dict:
-    """Arrays over delta | primorial(j): log(delta), phi(delta)/delta^2 *
-    m_delta(j)^2, the same times sqrt(delta), and a small-factor flag.
 
-    m_delta(j) = sum_{n <= j, (n, delta) = 1} mu(n)/n is evaluated for all
-    2^pi(j) divisors at once: point masses mu(n)/n are placed on the prime
-    subset of each squarefree n <= j, a subset-sum transform gives the sum
-    over all n supported inside any prime set T, and m_delta(j) is the value
-    at the complement of delta's support.
-    """
-    if j in _j_table_cache:
-        return _j_table_cache[j]
-    ps = [int(p) for p in primes_upto(j)]
-    k = len(ps)
-    n_masks = 1 << k
-    check_allocation(n_masks * 8 * 6, f"primorial divisor table for j={j}")
-    h = np.zeros(n_masks, dtype=np.float64)
+def _j_table_bytes(n_masks: int) -> int:
+    """Declared peak memory of building one _j_table over n_masks divisors."""
+    return _J_TABLE_BYTES_PER_MASK * n_masks + _J_TABLE_FIXED_BYTES
+
+
+def _doubled(start, ps, step) -> np.ndarray:
+    """Array over the 2^len(ps) prime masks: entry `mask` is start with
+    step(., p) applied for each prime p in mask, in ascending order."""
+    a = np.array([start])
+    for p in ps:
+        a = np.concatenate((a, step(a, p)))
+    return a
+
+
+def _subset_sums(j: int, ps: list[int]) -> np.ndarray:
+    """g[T] = sum of mu(n)/n over the squarefree n <= j whose primes all lie
+    in the prime mask T (bit i for ps[i])."""
+    g = np.zeros(1 << len(ps), dtype=np.float64)
     for n in range(1, j + 1):
         x, mask, mu, ok = n, 0, 1, True
         for i, p in enumerate(ps):
@@ -84,27 +91,40 @@ def _j_table(j: int) -> dict:
                 mask |= 1 << i
                 mu = -mu
         if ok and x == 1:
-            h[mask] += mu / n
-    g = h.copy()
-    for i in range(k):
-        bit = 1 << i
-        idx = np.nonzero(np.arange(n_masks) & bit)[0]
-        g[idx] += g[idx ^ bit]
-    masks = np.arange(n_masks)
-    m_vals = g[(n_masks - 1) ^ masks]
-    logd = np.zeros(n_masks, dtype=np.float64)
-    wphi = np.ones(n_masks, dtype=np.float64)
-    sq = np.ones(n_masks, dtype=np.float64)
-    small = np.ones(n_masks, dtype=bool)
-    for i, p in enumerate(ps):
-        bit = (masks >> i) & 1
-        logd += bit * math.log(p)
-        wphi *= np.where(bit, (p - 1.0) / (p * p), 1.0)
-        sq *= np.where(bit, math.sqrt(p), 1.0)
-        if p >= 30:
-            small &= bit == 0
-    w = wphi * m_vals * m_vals
-    table = {"logd": logd, "w": w, "wsq": w * sq, "small": small}
+            g[mask] += mu / n
+    for i in range(len(ps)):
+        v = g.reshape(-1, 2, 1 << i)
+        v[:, 1, :] += v[:, 0, :]
+    return g
+
+
+def _j_table(j: int) -> dict:
+    """Arrays over delta | primorial(j): log(delta), phi(delta)/delta^2 *
+    m_delta(j)^2, the same times sqrt(delta), and a small-factor flag.
+
+    A divisor delta is the bitmask of its primes, bit i for the i-th prime.
+    m_delta(j) = sum_{n <= j, (n, delta) = 1} mu(n)/n is evaluated for all
+    2^pi(j) divisors at once: point masses mu(n)/n are placed on the prime
+    subset of each squarefree n <= j, an in-place subset-sum transform (one
+    vectorized pass per prime) gives the sum over all n supported inside any
+    prime set T, and m_delta(j) is the value at the complement of delta's
+    support, which is the mask array reversed.  log(delta), phi(delta)/delta^2
+    and sqrt(delta) are built by doubling, prime by prime, so each entry is
+    the same chain of float operations, in ascending prime order, as a
+    per-mask product.  The declared memory (_j_table_bytes) is the traced
+    peak of one call.
+    """
+    if j in _j_table_cache:
+        return _j_table_cache[j]
+    ps = [int(p) for p in primes_upto(j)]
+    check_allocation(_j_table_bytes(1 << len(ps)), f"primorial divisor table for j={j}")
+    m_vals = _subset_sums(j, ps)[::-1]
+    w = _doubled(1.0, ps, lambda a, p: a * ((p - 1.0) / (p * p))) * m_vals * m_vals
+    del m_vals
+    wsq = w * _doubled(1.0, ps, lambda a, p: a * math.sqrt(p))
+    table = {"logd": _doubled(0.0, ps, lambda a, p: a + math.log(p)),
+             "w": w, "wsq": wsq,
+             "small": _doubled(True, ps, lambda a, p: a & (p < 30))}
     _j_table_cache[j] = table
     return table
 

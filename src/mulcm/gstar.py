@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numutil import NeumaierSum
+from .numutil import NeumaierSum, fsum_array
 from .report import BoundReport, CertifiedValue
 from .sieve import (
     _coprime_mask, _squarefree_divisors, _table, prime_divisors,
@@ -52,7 +52,7 @@ def gstar(q: int, X: float) -> float:
     t = int(math.floor(X))
     if t < 1:
         return 0.0
-    return math.fsum(_gstar_terms(_table(t), q).tolist())
+    return fsum_array(_gstar_terms(_table(t), q))
 
 
 def gstar_exact(q: int, X: float) -> Fraction:
@@ -253,7 +253,7 @@ def r2_star(X: float, q: int = 1) -> tuple[float, float]:
     if t < 1:
         return hq.mid, 0.5 * hq.width
     g = g_coefficients(t, q)
-    partial = math.fsum((g * _inverses(t)).tolist())
+    partial = fsum_array(g * _inverses(t))
     err = 0.5 * hq.width + 1e-12
     return hq.mid - partial, err
 
@@ -358,7 +358,7 @@ def aux_k_sum(K: float, M: int = 1, cutoff: int = _AUX_K_CUTOFF) -> CertifiedVal
     keep = (block.mu != 0) & _coprime_mask(cutoff, M)
     keep[: kmin - 1] = False
     terms = np.where(keep, block.mu * block.phi.astype(np.float64) / (k * k * k), 0.0)
-    partial = math.fsum(terms.tolist())
+    partial = fsum_array(terms)
     tail = 1.0 / cutoff
     return CertifiedValue(partial - tail, partial + tail)
 
@@ -540,7 +540,7 @@ def check_g_mean(limit: int = 1_000_000, q_set=(1, 2, 6)) -> BoundReport:
     worst = (0.0, None)
     rows = []
     for q in q_set:
-        partial = math.fsum((g_coefficients(limit, q) * _inverses(limit)).tolist())
+        partial = fsum_array(g_coefficients(limit, q) * _inverses(limit))
         hq = h_q(q)
         err = abs(partial - hq.mid) + 0.5 * hq.width
         env = 2.18 * j1_star(q) / math.sqrt(limit)
@@ -697,11 +697,11 @@ def check_averaged_divisor_identity(D_values=(10, 100, 1000), q: int = 1,
             if g[m] != 0.0:
                 conv[m:: m] += g[m]
         lhs_terms = conv[1:] / np.arange(1, D + 1)
-        lhs = math.fsum(lhs_terms.tolist())
+        lhs = fsum_array(lhs_terms)
         # Main term, a finite sum for the truncated sequence.
         logs = np.log(float(D)) - np.log(np.arange(1, tail_limit + 1, dtype=np.float64))
         main_terms = gm[1:] * (logs + EULER_GAMMA)
-        main = math.fsum(main_terms.tolist())
+        main = fsum_array(main_terms)
         # Integral of G#(t)/t over [eta D, tail_limit]; beyond the
         # truncation G# is identically zero.
         a = eta * D
@@ -709,7 +709,7 @@ def check_averaged_divisor_identity(D_values=(10, 100, 1000), q: int = 1,
         t0s = np.concatenate([[a], t1s[:-1]])
         gs = total - partials[np.floor(t0s).astype(np.int64)]
         step_terms = gs * (np.log(t1s) - np.log(t0s))
-        integral = math.fsum(step_terms.tolist())
+        integral = fsum_array(step_terms)
         # Error budget of the identity: (1/D) int_1^eta sum_{m<=uD} |g| du/u,
         # stepwise exact in u.
         err_budget = NeumaierSum()

@@ -1,8 +1,9 @@
 """Numerical utilities: compensated summation, certified quadrature, budgets.
 
-Everything downstream that adds many floats goes through NeumaierSum, and
-every integral that feeds an inequality goes through adaptive_simpson so we
-always have an error estimate to fold into the verdict.
+Everything downstream that adds many floats goes through NeumaierSum or,
+for an array, the correctly rounded fsum_array, and every integral that
+feeds an inequality goes through adaptive_simpson so we always have an error
+estimate to fold into the verdict.
 """
 
 from __future__ import annotations
@@ -77,6 +78,17 @@ def neumaier_sum(xs) -> float:
     for x in xs:
         acc.add(x)
     return acc.total()
+
+
+def fsum_array(values) -> float:
+    """math.fsum of a numpy array's values as float64: the correctly rounded sum.
+
+    fsum reads the floats through a memoryview of a contiguous float64
+    buffer (the array itself when it already is one), which gives the same
+    floats as a list of them without building one Python float per element
+    first.
+    """
+    return math.fsum(memoryview(values.astype("float64", order="C", copy=False)))
 
 
 def _simpson(f, a: float, b: float, fa: float, fm: float, fb: float) -> float:

@@ -6,6 +6,12 @@ cutoff.  Tail bounds on sums of f(p) log p use an effective prime number
 theorem inequality with two validity modes; tails without the log weight go
 through f(t)/log t.
 
+Every product and weighted sum over the primes up to a cutoff reads one
+per-cutoff prime context (_prime_context): the primes as floats, sieved once,
+with the weights G(p) and the powers p^e evaluated as arrays.  Local terms are
+array expressions over that context, in the same float operations and order
+as a per-prime loop, so the partial products are bit-identical to one.
+
 Deep constants (cutoff 1e8) are frozen here with their enclosures and can be
 regenerated with tools/deep_constants.py; everything else is recomputed on
 demand at documented cutoffs.
@@ -13,12 +19,13 @@ demand at documented cutoffs.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import mpmath as mp
 import numpy as np
 
-from .numutil import NeumaierSum, quad_log
+from .numutil import NeumaierSum, fsum_array, quad_log
 from .report import BoundReport, CertifiedValue
 from .sieve import primes_upto, require_squarefree
 from .mertens import XI
@@ -141,18 +148,80 @@ def check_prime_tail(cutoff: int = 30_000_000) -> BoundReport:
     )
 
 
+class _PrimeContext:
+    """The primes p <= cutoff as floats, with per-prime arrays built once."""
+
+    def __init__(self, cutoff: int):
+        self.ps = _read_only(primes_upto(cutoff).astype(np.float64))
+        self._powers: dict[float, np.ndarray] = {}
+
+    def power(self, e: float) -> np.ndarray:
+        """p ** e at every prime, with libm pow (Python's `**`).
+
+        numpy's SIMD power is not always correctly rounded and differs from
+        libm in the last ulp at some primes, so the local terms would no
+        longer equal a per-prime evaluation.
+        The floats are read one at a time from a memoryview, so no list of
+        Python floats is ever held.
+        """
+        if e not in self._powers:
+            self._powers[e] = _read_only(np.fromiter(
+                (p ** e for p in memoryview(self.ps)), np.float64, len(self.ps)))
+        return self._powers[e]
+
+    @functools.cached_property
+    def g0(self) -> np.ndarray:
+        """g0(p) = sqrt(p)/(sqrt(p)-1) for odd p, sqrt(3/2) at p = 2."""
+        sp = np.sqrt(self.ps)
+        g = sp / (sp - 1.0)
+        g[:1] = math.sqrt(1.5)
+        return _read_only(g)
+
+    @functools.cached_property
+    def g1(self) -> np.ndarray:
+        """g1(p) = p^XI/(p^XI - 1) for odd p, 2.06 at p = 2."""
+        pe = self.power(XI)
+        g = pe / (pe - 1.0)
+        g[:1] = 2.06
+        return _read_only(g)
+
+    def weight(self, key: str) -> np.ndarray:
+        """G(p) at every prime for the weight named by key: "g0^2", "g0*g1", or "g1^2"."""
+        if key == "g0^2":
+            return self.g0 * self.g0
+        if key == "g0*g1":
+            return self.g0 * self.g1
+        if key == "g1^2":
+            return self.g1 * self.g1
+        raise ValueError(f"unknown weight {key!r}")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# Two slots: check_h_caps and the registry each work at one cutoff at a time.
+@functools.lru_cache(maxsize=2)
+def _prime_context(cutoff: int) -> _PrimeContext:
+    return _PrimeContext(cutoff)
+
+
 def _partial_product(local, cutoff: int) -> tuple[np.ndarray, float]:
-    """(primes p <= cutoff as floats, prod_{p <= cutoff} (1 + local(p)))."""
-    ps = primes_upto(cutoff).astype(np.float64)
-    logs = np.log1p(np.array([local(float(p)) for p in ps]))
-    return ps, math.exp(math.fsum(logs.tolist()))
+    """(primes p <= cutoff as floats, prod_{p <= cutoff} (1 + local(p))).
+
+    local maps a _PrimeContext to the array of local terms at its primes.
+    """
+    primes = _prime_context(cutoff)
+    return primes.ps, math.exp(fsum_array(np.log1p(local(primes))))
 
 
 def product_over_primes(local, cutoff: int, tail_abs_bound: float,
                         tail_sign: str) -> CertifiedValue:
     """Certified enclosure of prod_p (1 + local(p)) over all primes.
 
-    local is evaluated at every prime p <= cutoff; tail_abs_bound must bound
+    local maps a _PrimeContext to the local terms at every prime p <= cutoff
+    (see _partial_product); tail_abs_bound must bound
     sum_{p > cutoff} |local(p)|, with every |local(p)| <= 1/2 there.
     tail_sign describes the tail terms: "negative" (partial is an upper
     bound), "positive" (partial is a lower bound), or "mixed".
@@ -180,35 +249,17 @@ def constant_A(cutoff: int = 2_000_000) -> CertifiedValue:
     The tail of sum 2/p^2 is bounded in weak mode (valid from P = 2), so any
     cutoff >= 100 works; larger cutoffs tighten the bracket.
     """
+    def local(primes):
+        p = primes.ps
+        return (-2.0 * p + 1.0) / (p * p * p)
+
     tail = tail_sum_over_primes(lambda t: 2.0 / (t * t), float(cutoff), mode="weak")
-    return product_over_primes(
-        lambda p: (-2.0 * p + 1.0) / (p * p * p), cutoff, tail, "negative")
+    return product_over_primes(local, cutoff, tail, "negative")
 
 
 # ----------------------------------------------------------------------
-# The three envelope weights G and their Dirichlet-series constants.
-
-def weight_value(key: str, p: float) -> float:
-    """G(p) for the weight named by key: "g0^2", "g0*g1", or "g1^2".
-
-    g0(p) = sqrt(p)/(sqrt(p)-1) for odd p, sqrt(3/2) at p = 2;
-    g1(p) = p^XI/(p^XI - 1) for odd p, 2.06 at p = 2.
-    """
-    if p == 2:
-        a, b = math.sqrt(1.5), 2.06
-    else:
-        sp = math.sqrt(p)
-        a = sp / (sp - 1.0)
-        pe = p ** XI
-        b = pe / (pe - 1.0)
-    if key == "g0^2":
-        return a * a
-    if key == "g0*g1":
-        return a * b
-    if key == "g1^2":
-        return b * b
-    raise ValueError(f"unknown weight {key!r}")
-
+# The three envelope weights G (_PrimeContext.weight) and their
+# Dirichlet-series constants.
 
 # Caps asserted for the constants below: (H(1) cap, Hbar(2/3) cap).
 H_CAPS = {"g0^2": (2.0004, 72.9), "g0*g1": (1.34, 23.4), "g1^2": (1.06, 9.20)}
@@ -250,17 +301,22 @@ def _expo_add(e, f):
 _UP = 1.0 + 1e-12
 
 _prime_zeta_tail_cache: dict[tuple[int, int, int], CertifiedValue] = {}
+# primezeta(e) at 40 digits, keyed by the exponent pair alone: it does not
+# depend on the cutoff, and every cutoff asks for the same exponents.
+_primezeta_cache: dict[tuple[int, int], mp.mpf] = {}
 
 
 def _prime_power_tails(exponents, cutoff: int, ps: np.ndarray) -> dict:
     """Enclosures of Z(e) = sum_{p > cutoff} p^(-e) for exponent pairs e.
 
-    Z(e) = primezeta(e) - (sieved partial sum).  primezeta is evaluated at 40
-    digits with the exponent reconstructed there (so the exponent seen by
-    primezeta is exact to 40 digits), and the subtraction is done at that
-    precision.  The sieved partial uses float powers, whose rounding and the
-    float representation of the exponent are covered by a cushion of 1e-12
-    relative plus 1e-12 absolute, orders of magnitude above the true error.
+    Z(e) = primezeta(e) - (sieved partial sum over ps, the primes up to the
+    cutoff).  primezeta is evaluated at 40 digits with the exponent
+    reconstructed there (so the exponent seen by primezeta is exact to 40
+    digits), once per exponent pair for the whole process, and the
+    subtraction is done at that precision.  The sieved partial uses float
+    powers, whose rounding and the float representation of the exponent are
+    covered by a cushion of 1e-12 relative plus 1e-12 absolute, orders of
+    magnitude above the true error.  Enclosures are cached per (cutoff, e).
     """
     out = {}
     for e in exponents:
@@ -270,10 +326,13 @@ def _prime_power_tails(exponents, cutoff: int, ps: np.ndarray) -> dict:
         key = (cutoff, e[0], e[1])
         hit = _prime_zeta_tail_cache.get(key)
         if hit is None:
-            partial = math.fsum(np.power(ps, -e_f).tolist())
+            partial = fsum_array(np.power(ps, -e_f))
             with mp.workdps(40):
-                e_mp = mp.mpf(e[0]) / 6 + e[1] * mp.mpf(XI)
-                z = float(mp.primezeta(e_mp) - mp.mpf(partial))
+                zeta = _primezeta_cache.get(e)
+                if zeta is None:
+                    e_mp = mp.mpf(e[0]) / 6 + e[1] * mp.mpf(XI)
+                    zeta = _primezeta_cache[e] = mp.primezeta(e_mp)
+                z = float(zeta - mp.mpf(partial))
             pad = 1e-12 * abs(z) + 1e-12
             hit = CertifiedValue(max(z - pad, 0.0), z + pad)
             _prime_zeta_tail_cache[key] = hit
@@ -427,8 +486,8 @@ def h_linear(key: str, cutoff: int = 10_000_000) -> CertifiedValue:
     term is W/p^2 - W/p^3 - 1/p^2, which the sharp tail expands past the
     cutoff; widths land near 1e-9 at the default cutoff.
     """
-    def local(p: float) -> float:
-        G = weight_value(key, p)
+    def local(primes):
+        p, G = primes.ps, primes.weight(key)
         return ((p - 1.0) * G - p) / (p * p) - (p - 1.0) * G / (p * p * p)
 
     return _sharp_weight_product(key, *H1_SHAPE, cutoff, local)
@@ -443,9 +502,10 @@ def h_twothirds(key: str, cutoff: int = 10_000_000) -> CertifiedValue:
     would shrink only like cutoff^(-1/6), while the prime zeta route gives
     widths near 1e-8 at the default cutoff.
     """
-    def local(p: float) -> float:
-        G = weight_value(key, p)
-        return ((p - 1.0) * G - p) / p ** (5.0 / 3.0) + (p - 1.0) * G / p ** (7.0 / 3.0)
+    def local(primes):
+        p, G = primes.ps, primes.weight(key)
+        return (((p - 1.0) * G - p) / primes.power(5.0 / 3.0)
+                + (p - 1.0) * G / primes.power(7.0 / 3.0))
 
     return _sharp_weight_product(key, *H23_SHAPE, cutoff, local)
 
@@ -483,18 +543,29 @@ AUX_ASYMPTOTIC = {"g0^2": (2.0004, 106.0), "g0*g1": (1.34, 33.8), "g1^2": (1.06,
 
 
 def _aux_values(key: str, D: int) -> np.ndarray:
-    """values[d] = mu^2(d) phi(d) G(d) / d for d = 0..D (0 at d=0)."""
+    """values[d] = mu^2(d) phi(d) G(d) / d for d = 0..D (0 at d=0).
+
+    Each d is multiplied by (p-1)/p G(p) for its primes p in ascending
+    order.  Primes up to isqrt(D) are applied by strided slices; a
+    squarefree d has at most one prime above isqrt(D), its largest, so those
+    are applied last, one multiplier m = d/p at a time.
+    """
     vals = np.ones(D + 1, dtype=np.float64)
     vals[0] = 0.0
     square_free = np.ones(D + 1, dtype=bool)
     square_free[0] = False
-    for p in primes_upto(D):
-        p = int(p)
-        w = (p - 1.0) / p * weight_value(key, float(p))
-        vals[p:: p] *= w
-        pp = p * p
-        if pp <= D:
-            square_free[pp:: pp] = False
+    primes = _PrimeContext(D)  # uncached: its arrays are freed on return
+    ps = primes.ps.astype(np.int64)
+    w = (primes.ps - 1.0) / primes.ps * primes.weight(key)
+    r = math.isqrt(D)
+    small = int(np.searchsorted(ps, r, side="right"))
+    for p, wp in zip(ps[:small].tolist(), w[:small]):
+        vals[p:: p] *= wp
+        square_free[p * p:: p * p] = False
+    big, w_big = ps[small:], w[small:]
+    for m in range(1, D // (r + 1) + 1):
+        n = int(np.searchsorted(big, D // m, side="right"))
+        vals[m * big[:n]] *= w_big[:n]
     vals[~square_free] = 0.0
     return vals
 
@@ -570,7 +641,7 @@ def universal_log_sum(cutoff: int = 1_000_000) -> CertifiedValue:
         return _universal_log_sum
     ps = primes_upto(cutoff).astype(np.float64)
     terms = (3.0 * ps - 2.0) * np.log(ps) / ((ps - 1.0) * (ps * ps + ps - 1.0))
-    partial = math.fsum(terms.tolist())
+    partial = fsum_array(terms)
     tail = prime_tail_bound(lambda t: 3.2 / (t * t), float(cutoff), mode="weak")
     enc = CertifiedValue(partial, partial + tail)
     if cutoff == 1_000_000:
@@ -612,7 +683,7 @@ def c_q_prerewrite(q: int, cutoff: int = 1_000_000) -> CertifiedValue:
         for p in qps:
             mask &= ps != float(p)
         terms = terms[mask]
-    partial = math.fsum(terms.tolist())
+    partial = fsum_array(terms)
     tail = prime_tail_bound(lambda t: 3.2 / (t * t), float(cutoff), mode="weak")
     base = EULER_GAMMA + loc + partial
     return CertifiedValue(base, base + tail)

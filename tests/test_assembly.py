@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mulcm import assembly
 from mulcm.assembly import (
     AssemblyConfig,
     block_weight,
@@ -14,8 +16,9 @@ from mulcm.assembly import (
     theorem_bound,
     theorem_table,
 )
+from mulcm.numutil import BudgetError
 from mulcm.products import A_DEEP, EULER_GAMMA
-from mulcm.sieve import factorize, sieve_range
+from mulcm.sieve import factorize, primes_upto, sieve_range
 from mulcm.sigma import sigma_via_gstar_identity
 
 
@@ -23,6 +26,83 @@ def test_block_weights_small():
     assert block_weight(1) == pytest.approx(1.0)
     # j = 2: delta = 1 gives m_1(2)^2 = 1/4; delta = 2 gives (1/4) m_2(2)^2 = 1/4.
     assert block_weight(2) == pytest.approx(0.5)
+
+
+def _j_table_mask_loop(j: int) -> dict:
+    """The primorial divisor table built mask by mask: bit tests per prime."""
+    ps = [int(p) for p in primes_upto(j)]
+    n_masks = 1 << len(ps)
+    h = np.zeros(n_masks, dtype=np.float64)
+    for n in range(1, j + 1):
+        x, mask, mu, ok = n, 0, 1, True
+        for i, p in enumerate(ps):
+            if x % p == 0:
+                x //= p
+                if x % p == 0:
+                    ok = False
+                    break
+                mask |= 1 << i
+                mu = -mu
+        if ok and x == 1:
+            h[mask] += mu / n
+    g = h.copy()
+    for i in range(len(ps)):
+        bit = 1 << i
+        idx = np.nonzero(np.arange(n_masks) & bit)[0]
+        g[idx] += g[idx ^ bit]
+    masks = np.arange(n_masks)
+    m_vals = g[(n_masks - 1) ^ masks]
+    logd = np.zeros(n_masks, dtype=np.float64)
+    wphi = np.ones(n_masks, dtype=np.float64)
+    sq = np.ones(n_masks, dtype=np.float64)
+    small = np.ones(n_masks, dtype=bool)
+    for i, p in enumerate(ps):
+        bit = (masks >> i) & 1
+        logd += bit * math.log(p)
+        wphi *= np.where(bit, (p - 1.0) / (p * p), 1.0)
+        sq *= np.where(bit, math.sqrt(p), 1.0)
+        if p >= 30:
+            small &= bit == 0
+    w = wphi * m_vals * m_vals
+    return {"logd": logd, "w": w, "wsq": w * sq, "small": small}
+
+
+def test_j_table_equals_mask_loop():
+    for j in range(1, 42):
+        table, oracle = assembly._j_table(j), _j_table_mask_loop(j)
+        assert table.keys() == oracle.keys()
+        for name in oracle:
+            assert table[name].dtype == oracle[name].dtype, (j, name)
+            assert np.array_equal(table[name], oracle[name]), (j, name)
+
+
+def test_j_table_memory_within_declared_budget(monkeypatch):
+    j = 75  # the largest j of the reference rows: 2^21 divisor masks
+    monkeypatch.setattr(assembly, "_j_table_cache", {})
+    declared = assembly._j_table_bytes(1 << len(primes_upto(j)))
+    monkeypatch.setenv("MULCM_MEMORY_BUDGET", str(declared))
+    tracemalloc.start()
+    try:
+        assembly._j_table(j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= declared, (peak, declared)
+
+
+def test_j_table_refused_one_byte_below_declared(monkeypatch):
+    j = 75
+    monkeypatch.setattr(assembly, "_j_table_cache", {})
+    declared = assembly._j_table_bytes(1 << len(primes_upto(j)))
+    monkeypatch.setenv("MULCM_MEMORY_BUDGET", str(declared - 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            assembly._j_table(j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # refused before any array over the masks exists
 
 
 def test_first_main_terms():

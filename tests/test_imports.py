@@ -2,8 +2,9 @@
 
 Every name a module imports is used in it (the package's `__init__.py` is
 exempt: its imports are the public re-exports collected into `__all__`),
-and only `sieve.py` runs the multiplicative sieve: every other module reads
-mu, phi, spf and the Mertens cumsum from the one arithmetic table.
+only `sieve.py` runs the multiplicative sieve: every other module reads
+mu, phi, spf and the Mertens cumsum from the one arithmetic table, and
+exact sums of arrays go through `numutil.fsum_array`, not `fsum` of a list.
 """
 
 import ast
@@ -83,3 +84,31 @@ def test_sieve_detector_flags_calls_and_imports():
                          ids=lambda p: p.name)
 def test_only_the_sieve_module_sieves(path):
     assert sieve_calls(path.read_text()) == []
+
+
+def fsum_of_lists(source: str) -> list[str]:
+    """Calls of fsum whose argument is a `.tolist()` call."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name != "fsum":
+            continue
+        for arg in node.args:
+            if (isinstance(arg, ast.Call) and isinstance(arg.func, ast.Attribute)
+                    and arg.func.attr == "tolist"):
+                found.append(f"fsum of tolist (line {node.lineno})")
+    return found
+
+
+def test_fsum_detector_flags_tolist_arguments():
+    src = ("import math\nfrom math import fsum\na = math.fsum(x.tolist())\n"
+           "b = fsum((x * y).tolist())\nc = math.fsum(x)\nd = math.fsum([v.tolist()])\n")
+    assert fsum_of_lists(src) == ["fsum of tolist (line 3)", "fsum of tolist (line 4)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_exact_sums_read_arrays_directly(path):
+    assert fsum_of_lists(path.read_text()) == []

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,11 +10,20 @@ from mulcm.numutil import (
     NeumaierSum,
     adaptive_simpson,
     check_allocation,
+    fsum_array,
     memory_budget_bytes,
     neumaier_sum,
     quad_checked,
     quad_log,
 )
+
+
+def test_fsum_array_equals_fsum_of_list():
+    xs = np.array([1e16, 1.0, -1e16, 1.0, 0.5, -0.25] * 100) * np.linspace(1, 2, 600)
+    assert fsum_array(xs) == math.fsum(xs.tolist())
+    assert fsum_array(xs[::3]) == math.fsum(xs[::3].tolist())
+    assert fsum_array(xs.astype(np.float32)) == math.fsum(xs.astype(np.float32).tolist())
+    assert fsum_array(np.empty(0)) == 0.0
 
 
 def test_neumaier_matches_fsum_on_cancelling_terms():

@@ -6,17 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mulcm import products
 from mulcm.mertens import XI
 from mulcm.products import (
     A_DEEP,
     H1_SHAPE,
     H23_SHAPE,
+    H_CAPS,
     P0_DEEP,
+    _aux_values,
     _local_monomials,
+    _prime_context,
     _prime_power_tails,
     aux_asymptotic_check,
     aux_ratio_scan,
     aux_sum,
+    build_registry,
     c_q,
     c_q_prerewrite,
     check_cq_forms,
@@ -32,7 +37,6 @@ from mulcm.products import (
     local_ratio,
     prime_tail_bound,
     universal_log_sum,
-    weight_value,
 )
 from mulcm.sieve import primes_upto
 
@@ -111,9 +115,114 @@ def test_h_q_and_local_ratio():
 
 
 def test_weights():
-    assert weight_value("g0^2", 2.0) == pytest.approx(1.5)
-    assert weight_value("g0*g1", 2.0) == pytest.approx(math.sqrt(1.5) * 2.06)
-    assert weight_value("g1^2", 2.0) == pytest.approx(2.06 ** 2)
+    primes = _prime_context(2)
+    assert primes.weight("g0^2")[0] == pytest.approx(1.5)
+    assert primes.weight("g0*g1")[0] == pytest.approx(math.sqrt(1.5) * 2.06)
+    assert primes.weight("g1^2")[0] == pytest.approx(2.06 ** 2)
+    with pytest.raises(ValueError):
+        primes.weight("g2^2")
+
+
+def _scalar_weight(key: str, p: float) -> float:
+    """G(p) in Python floats, one prime at a time (libm sqrt and pow)."""
+    if p == 2:
+        a, b = math.sqrt(1.5), 2.06
+    else:
+        sp = math.sqrt(p)
+        a = sp / (sp - 1.0)
+        pe = p ** XI
+        b = pe / (pe - 1.0)
+    return {"g0^2": a * a, "g0*g1": a * b, "g1^2": b * b}[key]
+
+
+def _scalar_locals(cutoff: int) -> dict:
+    """The local terms of A and of the six H products, per prime, in Python floats."""
+    ps = [float(p) for p in primes_upto(cutoff)]
+    out = {"A": [(-2.0 * p + 1.0) / (p * p * p) for p in ps]}
+    for key in H_CAPS:
+        Gs = [_scalar_weight(key, p) for p in ps]
+        out["H1", key] = [((p - 1.0) * G - p) / (p * p) - (p - 1.0) * G / (p * p * p)
+                          for p, G in zip(ps, Gs)]
+        out["H23", key] = [((p - 1.0) * G - p) / p ** (5.0 / 3.0)
+                           + (p - 1.0) * G / p ** (7.0 / 3.0) for p, G in zip(ps, Gs)]
+    return out
+
+
+def test_partial_products_equal_scalar_loop(monkeypatch):
+    # The array local terms must reproduce the per-prime float evaluation
+    # bit for bit, and so must the partial products built from them.
+    # numpy's SIMD power differs from libm pow in the last ulp at some
+    # primes, which the term comparison catches.
+    cutoff = 100_000
+    seen = []
+    real = products._partial_product
+
+    def spy(local, cut):
+        terms = []
+
+        def recording(primes):
+            terms.append(local(primes))
+            return terms[0]
+
+        ps, partial = real(recording, cut)
+        seen.append((terms[0], partial))
+        return ps, partial
+
+    monkeypatch.setattr(products, "_partial_product", spy)
+    constant_A(cutoff)
+    for key in H_CAPS:
+        h_linear(key, cutoff)
+        h_twothirds(key, cutoff)
+    labels = ["A"] + [(label, key) for key in H_CAPS for label in ("H1", "H23")]
+    expected = _scalar_locals(cutoff)
+    assert len(seen) == len(labels)
+    for label, (terms, partial) in zip(labels, seen):
+        oracle_terms = np.array(expected[label])
+        assert np.array_equal(terms, oracle_terms), label
+        oracle = math.exp(math.fsum(np.log1p(oracle_terms).tolist()))
+        assert partial == oracle, label
+
+
+def test_primezeta_evaluated_once_per_exponent(monkeypatch):
+    # primezeta(e) does not depend on the cutoff, so H caps at one cutoff and
+    # the registry at another (10^5) share one evaluation per exponent, and
+    # the registry's enclosures equal those from a cold cache.
+    calls = []
+    real = products.mp.primezeta
+
+    def counting(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(products.mp, "primezeta", counting)
+    monkeypatch.setattr(products, "_primezeta_cache", {})
+    monkeypatch.setattr(products, "_prime_zeta_tail_cache", {})
+    check_h_caps(150_000)
+    warm = build_registry()["h_constants"]
+    assert len(calls) == 132
+    monkeypatch.setattr(products, "_primezeta_cache", {})
+    monkeypatch.setattr(products, "_prime_zeta_tail_cache", {})
+    assert build_registry()["h_constants"] == warm
+    assert len(calls) == 264
+
+
+def _aux_values_loop(key: str, D: int) -> np.ndarray:
+    vals = np.ones(D + 1, dtype=np.float64)
+    vals[0] = 0.0
+    square_free = np.ones(D + 1, dtype=bool)
+    square_free[0] = False
+    for p in primes_upto(D).tolist():
+        vals[p:: p] *= (p - 1.0) / p * _scalar_weight(key, float(p))
+        if p * p <= D:
+            square_free[p * p:: p * p] = False
+    vals[~square_free] = 0.0
+    return vals
+
+
+@pytest.mark.parametrize("D", [0, 1, 2, 3, 4, 10, 1000, 99991])
+def test_aux_values_equal_prime_loop(D):
+    for key in H_CAPS:
+        assert np.array_equal(_aux_values(key, D), _aux_values_loop(key, D)), key
 
 
 def test_aux_sum_small():
