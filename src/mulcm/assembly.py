@@ -54,8 +54,11 @@ class AssemblyConfig:
 # Per-j tables over the divisors of the primorial of j.
 
 _j_table_cache: dict[int, dict] = {}
+# The arrays that depend only on the primes <= j, keyed by their count and
+# shared read-only by every j with that prime set.
+_prime_set_cache: dict[int, dict] = {}
 
-# Traced peak of one _j_table call: 32 B per divisor mask (measured at
+# Traced peak of one cold _j_table call: 32 B per divisor mask (measured at
 # j = 75, 2^21 masks: the 8 B weights and 8 B weights * sqrt(delta) while
 # log(delta) doubles, 16 B), plus room for the per-n and per-prime objects.
 _J_TABLE_BYTES_PER_MASK = 32
@@ -98,6 +101,20 @@ def _subset_sums(j: int, ps: list[int]) -> np.ndarray:
     return g
 
 
+def _prime_set_arrays(ps: list[int]) -> dict:
+    """log(delta) and the small-factor flag (all primes of delta below 30)
+    over the masks of the primes ps, built by doubling.  Both depend only on
+    the prime set, so each set is built once and shared read-only."""
+    arrays = _prime_set_cache.get(len(ps))
+    if arrays is None:
+        arrays = {"logd": _doubled(0.0, ps, lambda a, p: a + math.log(p)),
+                  "small": _doubled(True, ps, lambda a, p: a & (p < 30))}
+        for a in arrays.values():
+            a.setflags(write=False)
+        _prime_set_cache[len(ps)] = arrays
+    return arrays
+
+
 def _j_table(j: int) -> dict:
     """Arrays over delta | primorial(j): log(delta), phi(delta)/delta^2 *
     m_delta(j)^2, the same times sqrt(delta), and a small-factor flag.
@@ -111,8 +128,11 @@ def _j_table(j: int) -> dict:
     support, which is the mask array reversed.  log(delta), phi(delta)/delta^2
     and sqrt(delta) are built by doubling, prime by prime, so each entry is
     the same chain of float operations, in ascending prime order, as a
-    per-mask product.  The declared memory (_j_table_bytes) is the traced
-    peak of one call.
+    per-mask product.  log(delta) and the flag depend only on the primes
+    <= j (_prime_set_arrays): every j between two primes shares them, so the
+    j = 73, 74, 75 tables hold one copy, not three.  The declared memory
+    (_j_table_bytes) is the traced peak of one call that builds both the
+    table and its prime-set arrays.
     """
     if j in _j_table_cache:
         return _j_table_cache[j]
@@ -122,9 +142,7 @@ def _j_table(j: int) -> dict:
     w = _doubled(1.0, ps, lambda a, p: a * ((p - 1.0) / (p * p))) * m_vals * m_vals
     del m_vals
     wsq = w * _doubled(1.0, ps, lambda a, p: a * math.sqrt(p))
-    table = {"logd": _doubled(0.0, ps, lambda a, p: a + math.log(p)),
-             "w": w, "wsq": wsq,
-             "small": _doubled(True, ps, lambda a, p: a & (p < 30))}
+    table = {"w": w, "wsq": wsq, **_prime_set_arrays(ps)}
     _j_table_cache[j] = table
     return table
 

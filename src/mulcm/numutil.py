@@ -4,12 +4,21 @@ Everything downstream that adds many floats goes through NeumaierSum or,
 for an array, the correctly rounded fsum_array, and every integral that
 feeds an inequality goes through adaptive_simpson so we always have an error
 estimate to fold into the verdict.
+
+fsum_array returns exactly what math.fsum returns.  It splits the array
+exactly into a few extracted parts and a small leftover in numpy (the
+error-free extraction of Rump, Ogita and Oishi, 2008), bounds the error of
+the leftover's float sum by gamma_{n-1} (Higham, ch. 4), and accepts the
+rounding only if both ends of that bound round to the same float; otherwise
+it calls math.fsum on the array.
 """
 
 from __future__ import annotations
 
 import math
 import os
+
+import numpy as np
 
 
 class BudgetError(RuntimeError):
@@ -80,15 +89,87 @@ def neumaier_sum(xs) -> float:
     return acc.total()
 
 
-def fsum_array(values) -> float:
-    """math.fsum of a numpy array's values as float64: the correctly rounded sum.
+# Up to this many values one fsum call is faster than the extraction.
+_FSUM_DIRECT_MAX = 1024
+# Extraction passes before the leftover is summed and the rounding decided.
+# Two suffice for sums without cancellation; the third runs in cache and
+# costs little, so every array gets three.
+_EXTRACTION_PASSES = 3
+# Elements per block: the passes over one block run in the L2 cache.
+_EXTRACTION_BLOCK = 1 << 15
+_U = 2.0 ** -53  # unit roundoff of float64
 
-    fsum reads the floats through a memoryview of a contiguous float64
-    buffer (the array itself when it already is one), which gives the same
-    floats as a list of them without building one Python float per element
-    first.
+
+def _fsum(x) -> float:
+    """math.fsum of a contiguous float64 array, read through a memoryview."""
+    return math.fsum(memoryview(x))
+
+
+def fsum_array(values) -> float:
+    """The correctly rounded sum of an array's values as float64.
+
+    Returns exactly math.fsum(values.tolist()), the float nearest the exact
+    sum (ties to even), but does the work in numpy.  This is the error-free
+    extraction of Rump, Ogita and Oishi ("Accurate floating-point
+    summation, part I", SIAM J. Sci. Comput. 31, 2008):
+
+    * With n values, 2^m >= n + 2 and max|x| < 2^E, the first pass uses the
+      power of two sigma = 2^(E + m).  A pass computes q = (r + sigma) -
+      sigma and r -= q (r starts as x).  Both steps are exact.  Every q is
+      a multiple of u sigma (u = 2^-53) and, as sigma +- 2^-m sigma are
+      floats and rounding is monotone, at most 2^-m sigma in size; so every
+      partial sum of them is a multiple of u sigma below n / (n + 2) sigma,
+      a float, and sum(q) is exact in any order.  The new |r| <= u sigma.
+      The next pass uses sigma * 2^(m - 53), so its |r| <= 2^-m sigma
+      again.  After three passes the exact sum is sum(parts) + sum(r),
+      where parts are the three sums of q.
+    * numpy sums the leftover r as s with |s - sum(r)| <= gamma_{n-1} *
+      n * max|r| (Higham, *Accuracy and Stability of Numerical Algorithms*,
+      ch. 4: any summation order), gamma_k = k u / (1 - k u).
+      delta = n^2 * 2u * u sigma_3 is at least that, and s - delta and
+      s + delta are widened outward by one ulp each to s_lo and s_hi.
+    * Correct rounding is monotone: if fsum(parts + [s_lo]) and
+      fsum(parts + [s_hi]) agree, the exact sum, which lies between the
+      two exact sums they round, rounds to the same float, the answer.
+
+    Otherwise (a result within delta of a rounding boundary, which includes
+    a heavy cancellation and an exact zero; non-finite values; max|x| >=
+    2^960, or < 2^-800, which keeps u sigma_3 and delta clear of the
+    subnormals) the array goes to math.fsum through a memoryview,
+    which gives the same result, or raises the same exception, as fsum of a
+    list.  So do arrays of at most _FSUM_DIRECT_MAX values.  The passes run
+    block by block over _EXTRACTION_BLOCK values, in two block-sized
+    buffers; per-block sums of q add up exactly, and the blocks' sums of r
+    are one more summation tree under the same gamma_{n-1} bound.
     """
-    return math.fsum(memoryview(values.astype("float64", order="C", copy=False)))
+    x = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    n = x.size
+    if n <= _FSUM_DIRECT_MAX:
+        return _fsum(x)
+    top = max(float(x.max()), -float(x.min()))
+    if not 2.0 ** -800 <= top < 2.0 ** 960:
+        return _fsum(x)
+    m = (n + 1).bit_length()  # 2^m >= n + 2
+    e = math.frexp(top)[1] + m
+    sigmas = [math.ldexp(1.0, e - k * (53 - m)) for k in range(_EXTRACTION_PASSES)]
+    q, r = np.empty(min(n, _EXTRACTION_BLOCK)), np.empty(min(n, _EXTRACTION_BLOCK))
+    parts = [0.0] * _EXTRACTION_PASSES
+    s = 0.0
+    for start in range(0, n, _EXTRACTION_BLOCK):
+        rest = x[start:start + _EXTRACTION_BLOCK]
+        qb, rb = q[:rest.size], r[:rest.size]
+        for k, sigma in enumerate(sigmas):
+            np.add(rest, sigma, out=qb)
+            qb -= sigma
+            rest = np.subtract(rest, qb, out=rb)
+            parts[k] += float(qb.sum())
+        s += float(rest.sum())
+    delta = float(n) * float(n) * (2.0 * _U * _U * sigmas[-1])
+    lo = math.fsum(parts + [math.nextafter(s - delta, -math.inf)])
+    hi = math.fsum(parts + [math.nextafter(s + delta, math.inf)])
+    if lo == hi:
+        return lo
+    return _fsum(x)
 
 
 def _simpson(f, a: float, b: float, fa: float, fm: float, fb: float) -> float:

@@ -313,10 +313,27 @@ def _prime_power_tails(exponents, cutoff: int, ps: np.ndarray) -> dict:
     cutoff).  primezeta is evaluated at 40 digits with the exponent
     reconstructed there (so the exponent seen by primezeta is exact to 40
     digits), once per exponent pair for the whole process, and the
-    subtraction is done at that precision.  The sieved partial uses float
-    powers, whose rounding and the float representation of the exponent are
-    covered by a cushion of 1e-12 relative plus 1e-12 absolute, orders of
-    magnitude above the true error.  Enclosures are cached per (cutoff, e).
+    subtraction is done at that precision.  Enclosures are cached per
+    (cutoff, e).
+
+    The pad of 1e-12 relative plus 1e-12 absolute covers the float partial.
+    Write u = 2^-53, N = cutoff <= 1e8 and P = sum_{p <= N} p^(-e) for the
+    exact e = m/6 + n * XI (m, n >= 0 for every pair the H products use):
+
+    * e_f = fl(fl(m/6) + fl(n * XI)) has |e_f - e| <= 3u e, which scales
+      each term by p^(e - e_f), a relative change of at most 3.1 u e ln N;
+    * np.power is taken to be within 4 ulps (8u relative) per term;
+      glibc's pow is within 1 ulp, and 0.64 ulp is the worst seen for
+      five exponents at every seventh prime below 10^5;
+    * fsum_array rounds the sum of the float terms once (u relative).
+
+    So |partial - P| <= u P (9 + 3.1 e ln N), to first order.  For e > 1,
+    P <= sum_{p <= N} 1/p < ln ln N + 0.2615 + 1/ln^2 N < 3.2 (Rosser and
+    Schoenfeld), so e P < 6.4 for e < 2; for e >= 2, P <= 2^(2-e) P(2) with
+    P(2) < 0.46 gives e P < 1.  The error is then at most
+    u (9 * 3.2 + 3.1 * 18.5 * 6.4) < 400u < 4.5e-14.  Rounding z to a float
+    adds u |z|, and primezeta's 40 digits add under 1e-38.  The pad exceeds
+    that total more than 20-fold.
     """
     out = {}
     for e in exponents:

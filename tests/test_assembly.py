@@ -76,9 +76,19 @@ def test_j_table_equals_mask_loop():
             assert np.array_equal(table[name], oracle[name]), (j, name)
 
 
+def test_j_tables_share_prime_set_arrays():
+    # j = 73, 74, 75 have the same primes: one read-only log(delta) and flag.
+    tables = [assembly._j_table(j) for j in (73, 74, 75)]
+    for name in ("logd", "small"):
+        assert tables[0][name] is tables[1][name] is tables[2][name]
+        assert not tables[0][name].flags.writeable
+    assert tables[0]["w"] is not tables[1]["w"]
+
+
 def test_j_table_memory_within_declared_budget(monkeypatch):
     j = 75  # the largest j of the reference rows: 2^21 divisor masks
     monkeypatch.setattr(assembly, "_j_table_cache", {})
+    monkeypatch.setattr(assembly, "_prime_set_cache", {})
     declared = assembly._j_table_bytes(1 << len(primes_upto(j)))
     monkeypatch.setenv("MULCM_MEMORY_BUDGET", str(declared))
     tracemalloc.start()
@@ -93,6 +103,7 @@ def test_j_table_memory_within_declared_budget(monkeypatch):
 def test_j_table_refused_one_byte_below_declared(monkeypatch):
     j = 75
     monkeypatch.setattr(assembly, "_j_table_cache", {})
+    monkeypatch.setattr(assembly, "_prime_set_cache", {})
     declared = assembly._j_table_bytes(1 << len(primes_upto(j)))
     monkeypatch.setenv("MULCM_MEMORY_BUDGET", str(declared - 1))
     tracemalloc.start()

@@ -4,7 +4,8 @@ Every name a module imports is used in it (the package's `__init__.py` is
 exempt: its imports are the public re-exports collected into `__all__`),
 only `sieve.py` runs the multiplicative sieve: every other module reads
 mu, phi, spf and the Mertens cumsum from the one arithmetic table, and
-exact sums of arrays go through `numutil.fsum_array`, not `fsum` of a list.
+exact sums of arrays go through `numutil.fsum_array`, not `fsum` of a list
+nor `fsum` of a memoryview outside `numutil.py`.
 """
 
 import ast
@@ -86,8 +87,8 @@ def test_only_the_sieve_module_sieves(path):
     assert sieve_calls(path.read_text()) == []
 
 
-def fsum_of_lists(source: str) -> list[str]:
-    """Calls of fsum whose argument is a `.tolist()` call."""
+def fsum_of_arrays(source: str) -> list[str]:
+    """Calls of fsum whose argument is a `.tolist()` or a `memoryview(...)` call."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
@@ -97,18 +98,32 @@ def fsum_of_lists(source: str) -> list[str]:
         if name != "fsum":
             continue
         for arg in node.args:
-            if (isinstance(arg, ast.Call) and isinstance(arg.func, ast.Attribute)
-                    and arg.func.attr == "tolist"):
+            if not isinstance(arg, ast.Call):
+                continue
+            if isinstance(arg.func, ast.Attribute) and arg.func.attr == "tolist":
                 found.append(f"fsum of tolist (line {node.lineno})")
+            elif isinstance(arg.func, ast.Name) and arg.func.id == "memoryview":
+                found.append(f"fsum of memoryview (line {node.lineno})")
     return found
 
 
 def test_fsum_detector_flags_tolist_arguments():
     src = ("import math\nfrom math import fsum\na = math.fsum(x.tolist())\n"
            "b = fsum((x * y).tolist())\nc = math.fsum(x)\nd = math.fsum([v.tolist()])\n")
-    assert fsum_of_lists(src) == ["fsum of tolist (line 3)", "fsum of tolist (line 4)"]
+    assert fsum_of_arrays(src) == ["fsum of tolist (line 3)", "fsum of tolist (line 4)"]
+
+
+def test_fsum_detector_flags_memoryview_arguments():
+    src = ("import math\nfrom math import fsum\na = math.fsum(memoryview(x))\n"
+           "b = fsum(memoryview(x.astype(float)))\nc = math.fsum([memoryview(x)])\n"
+           "d = memoryview(x)\ne = math.fsum(x.memoryview())\n")
+    assert fsum_of_arrays(src) == ["fsum of memoryview (line 3)", "fsum of memoryview (line 4)"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_exact_sums_read_arrays_directly(path):
-    assert fsum_of_lists(path.read_text()) == []
+    # numutil.py holds the one exact array-sum path; its memoryview fsum is it.
+    found = fsum_of_arrays(path.read_text())
+    if path.name == "numutil.py":
+        found = [f for f in found if "memoryview" not in f]
+    assert found == []

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mulcm import numutil
 from mulcm.numutil import (
     BudgetError,
     NeumaierSum,
@@ -18,12 +19,108 @@ from mulcm.numutil import (
 )
 
 
+def assert_same_as_fsum(values):
+    """fsum_array(values) is math.fsum of the values as a list, or raises
+    the same exception, by default and with the direct path switched off
+    (_FSUM_DIRECT_MAX = 0), so that short arrays take the extraction too."""
+    values = np.asarray(values)
+    try:
+        want = math.fsum(values.astype(np.float64).ravel().tolist())
+    except (ValueError, OverflowError) as exc:
+        want = type(exc)
+    for direct_max in (numutil._FSUM_DIRECT_MAX, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numutil, "_FSUM_DIRECT_MAX", direct_max)
+            if isinstance(want, type):
+                with pytest.raises(want):
+                    fsum_array(values)
+                continue
+            got = fsum_array(values)
+        if math.isnan(want):
+            assert math.isnan(got)
+        else:
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), \
+                (direct_max, got, want)
+
+
 def test_fsum_array_equals_fsum_of_list():
     xs = np.array([1e16, 1.0, -1e16, 1.0, 0.5, -0.25] * 100) * np.linspace(1, 2, 600)
-    assert fsum_array(xs) == math.fsum(xs.tolist())
-    assert fsum_array(xs[::3]) == math.fsum(xs[::3].tolist())
-    assert fsum_array(xs.astype(np.float32)) == math.fsum(xs.astype(np.float32).tolist())
+    assert_same_as_fsum(xs)
+    assert_same_as_fsum(xs[::3])
+    assert_same_as_fsum(xs.astype(np.float32))
+    assert_same_as_fsum(np.empty(0))
     assert fsum_array(np.empty(0)) == 0.0
+
+
+TINY = 2.0 ** -1074  # the smallest subnormal
+
+
+@pytest.mark.parametrize("values", [
+    [1.0, 2.0 ** -53],                   # exact half-ulp tie, rounds to even
+    [1.0, 2.0 ** -53, 2.0 ** -106],      # just past the tie
+    [1.0 + 2.0 ** -52, 2.0 ** -53],      # tie that rounds up to even
+    [1e16, 1.0, -1e16],
+    [1.0, -1.0],                         # an exact zero
+    [-0.0, -0.0],
+    [TINY, TINY, 3 * TINY],              # subnormals
+    [2.0 ** -1022, -TINY, 5 * TINY],
+    [1.0, TINY, -1.0],
+    [math.inf, 1.0],
+    [-math.inf, -1.0],
+    [math.inf, -math.inf],
+    [math.nan, 1.0],
+    [1.7e308, 1.7e308],                  # fsum overflows
+    [2.0 ** 1000, 1.0, -2.0 ** 1000],
+    [0.5],
+    [],
+], ids=repr)
+def test_fsum_array_hand_built_cases(values):
+    assert_same_as_fsum(values)
+    # The same values among enough zeros to take the extraction by default.
+    padded = np.zeros(3 * numutil._FSUM_DIRECT_MAX)
+    padded[::3][:len(values)] = values
+    assert_same_as_fsum(padded)
+
+
+def test_fsum_array_leftover_error_is_bounded():
+    # The sum 1 + 2^-53 of the extracted parts is a tie, and the leftover
+    # below 2^-122 sums to a positive amount, so the exact sum rounds up.
+    # numpy adds the leftover in eight lanes; lane 0 loses each 0.9 * 2^-177
+    # against 2^-124 and ends at -2^-176, the wrong sign.  Only the error
+    # bound delta keeps the rounding from being decided on that float sum.
+    xs = np.zeros(2048)
+    xs[1], xs[2] = 1.0, 2.0 ** -53
+    xs[0], xs[120] = 2.0 ** -124, -(2.0 ** -124) * (1 + 2.0 ** -52)
+    xs[8:120:8] = 0.9 * 2.0 ** -177
+    assert fsum_array(xs) == math.fsum(xs.tolist()) == 1.0 + 2.0 ** -52
+
+
+def test_fsum_array_float32_and_strided():
+    rng = np.random.default_rng(7)
+    xs = rng.standard_normal(5000) * 2.0 ** rng.integers(-40, 40, size=5000)
+    assert_same_as_fsum(xs.astype(np.float32))
+    assert_same_as_fsum(xs[::7])
+    assert_same_as_fsum(xs[::-1])
+    assert_same_as_fsum(xs.reshape(50, 100)[:, ::3])
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_fsum_array_property_any_floats(xs):
+    assert_same_as_fsum(xs)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 4000),
+       spread=st.integers(0, 200), center=st.integers(-850, 800),
+       cancel=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_fsum_array_property_mixed_magnitudes_and_signs(seed, n, spread, center, cancel):
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal(n) * 2.0 ** (center + rng.integers(-spread, spread + 1, size=n))
+    if cancel:  # each value with its negation, plus a residue far below them
+        xs = np.concatenate([xs, -xs[::-1], xs[:1] * 2.0 ** -60])
+        rng.shuffle(xs)
+    assert_same_as_fsum(xs)
 
 
 def test_neumaier_matches_fsum_on_cancelling_terms():

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mulcm import products
+from mulcm import numutil, products
 from mulcm.mertens import XI
+from mulcm.numutil import fsum_array
 from mulcm.products import (
     A_DEEP,
     H1_SHAPE,
@@ -308,6 +309,52 @@ def test_prime_power_tail_cross_cutoff():
         z2 = _prime_power_tails([e], 200_000, ps2)[e]
         mid = math.fsum(np.power(ps2[ps2 > 100_000.0], -e_f).tolist())
         assert z1.lo - z2.hi - 1e-12 <= mid <= z1.hi - z2.lo + 1e-12
+
+
+@pytest.fixture(scope="module")
+def h_cap_tail_exponents():
+    """The exponent pairs whose prime power tails check_h_caps(10^5) uses."""
+    seen = set()
+    real = products._prime_power_tails
+
+    def spy(exponents, cutoff, ps):
+        seen.update(exponents)
+        return real(exponents, cutoff, ps)
+
+    with pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(products, "_prime_power_tails", spy)
+        check_h_caps(100_000)
+    return sorted(seen, key=products._expo_float)
+
+
+def test_prime_power_tail_sums_take_the_fast_path(h_cap_tail_exponents, monkeypatch):
+    # Every tail partial is a sum of positive terms, so the extraction in
+    # fsum_array decides its rounding without the math.fsum fallback.
+    fallbacks = []
+    real = numutil._fsum
+    monkeypatch.setattr(numutil, "_fsum", lambda x: fallbacks.append(x.size) or real(x))
+    assert len(h_cap_tail_exponents) == 132
+    ps = _prime_context(100_000).ps
+    for e in h_cap_tail_exponents:
+        terms = np.power(ps, -products._expo_float(e))
+        assert fsum_array(terms) == math.fsum(terms.tolist()), e
+    assert fallbacks == []
+
+
+def test_prime_power_tail_pad_covers_the_float_partial(h_cap_tail_exponents):
+    # The float partial behind each tail enclosure is far inside the pad
+    # derived in _prime_power_tails: within 1e-3 of it of the 40-digit sum.
+    es = h_cap_tail_exponents
+    ps = _prime_context(100_000).ps
+    for e in (es[0], es[len(es) // 2], es[-1]):
+        assert min(e) >= 0, e
+        partial = fsum_array(np.power(ps, -products._expo_float(e)))
+        with mp.workdps(40):
+            e_mp = mp.mpf(e[0]) / 6 + e[1] * mp.mpf(XI)
+            exact = mp.fsum(mp.mpf(int(p)) ** -e_mp for p in ps)
+            z = mp.primezeta(e_mp) - exact
+            pad = 1e-12 * abs(z) + 1e-12
+            assert abs(mp.mpf(partial) - exact) <= 1e-3 * pad, e
 
 
 def test_h_caps_all_decided():
