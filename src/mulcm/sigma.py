@@ -5,8 +5,10 @@ S(X) = sum over d1, d2 <= X of mu(d1) mu(d2) / lcm(d1, d2).
 Three independent evaluation routes:
 
 * the definition itself (pairwise lcm sums, vectorized rows);
-* an exact rational incremental trace, using gcd = sum of phi over common
-  divisors, maintained through per-divisor accumulators;
+* an exact incremental trace, using gcd = sum of phi over common divisors,
+  maintained through per-divisor accumulators; it runs on integer
+  numerators over the primorial L = prod_{p <= X} p, which every lcm of
+  squarefree d, d' <= X divides;
 * the coprime-decomposition form S(X) = sum_d mu^2(d) phi(d)/d^2 m_d(X/d)^2,
   with m_d the d-coprime Mertens sum, maintained incrementally through its
   own bookkeeping.
@@ -26,6 +28,7 @@ import csv
 import math
 import os
 import shutil
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -84,53 +87,82 @@ def sigma_bruteforce(X: int, method: str = "auto") -> Fraction:
     raise ValueError(f"unknown method {method!r}")
 
 
-def sigma_trace_exact(X: int) -> list[Fraction]:
-    """Exact [S(1), ..., S(X)] by the incremental recursion.
+def _trace_numerators(X: int) -> tuple[int, Iterator[int]]:
+    """(L, iterator of L*S(d) for d = 1..X), L the primorial of X.
 
     S(d) - S(d-1) = mu^2(d)/d + (2 mu(d)/d) W(d) with
     W(d) = sum_{d' < d} mu(d') gcd(d, d') / d'
          = sum_{e | d} phi(e) U_e,   U_e = sum_{d' < d, e | d'} mu(d')/d',
-    using gcd(d, d') = sum of phi(e) over e dividing both.  The divisor
-    accumulators U_e are updated after each step.
+    using gcd(d, d') = sum of phi(e) over e dividing both.  Every lcm of
+    squarefree d, d' <= X divides L, so L U_e, L W(d)/d = sum_{d' < d}
+    mu(d') L/lcm(d, d') and L S(d) are integers, and the recursion runs on
+    them exactly.  The division of L W(d) by d is checked, so an L that
+    misses a prime raises rather than floors.
     """
     block = _table(X)
-    U: dict[int, Fraction] = {}
-    out: list[Fraction] = []
-    total = Fraction(0)
-    for d in range(1, X + 1):
-        mu_d = int(block.mu[d - 1])
-        if mu_d != 0:
-            divs = block.divisors(d)
-            W = Fraction(0)
-            for e in divs:
-                u = U.get(e)
-                if u is not None:
-                    W += int(block.phi[e - 1]) * u
-            total += Fraction(1, d) + Fraction(2 * mu_d, d) * W
-            delta = Fraction(mu_d, d)
-            for e in divs:
-                U[e] = U.get(e, Fraction(0)) + delta
-        out.append(total)
-    return out
+    mu, phi = block.mu.tolist(), block.phi.tolist()
+    L = math.prod(primes_upto(X).tolist())
+
+    def numerators():
+        U = [0] * (X + 1)  # U[e] = L U_e
+        total = 0
+        for d in range(1, X + 1):
+            mu_d = mu[d - 1]
+            if mu_d != 0:
+                divs = block.divisors(d)
+                W = 0
+                for e in divs:
+                    W += phi[e - 1] * U[e]
+                q, r = divmod(W, d)
+                if r:
+                    raise ArithmeticError(
+                        f"L W({d}) is not a multiple of {d}: L misses a prime")
+                Ld = L // d
+                total += Ld + 2 * mu_d * q
+                delta = mu_d * Ld
+                for e in divs:
+                    U[e] += delta
+            yield total
+
+    return L, numerators()
+
+
+def sigma_trace_exact(X: int) -> list[Fraction]:
+    """Exact [S(1), ..., S(X)] by the incremental recursion, carried as
+    integer numerators over the primorial (see _trace_numerators)."""
+    L, nums = _trace_numerators(X)
+    return [Fraction(n, L) for n in nums]
+
+
+def _gcd_row(g: np.ndarray, primes) -> np.ndarray:
+    """Fill g with gcd(n, d) for n = 1..len(g), d squarefree with the given
+    prime factors: the product of the primes p | d that divide n."""
+    g.fill(1)
+    for p in primes:
+        g[p - 1:: p] *= p
+    return g
 
 
 def sigma_pairs_trace(X: int) -> np.ndarray:
     """Float [S(1), ..., S(X)] by literal row sums of the definition.
 
     S(d) = S(d-1) + mu^2(d)/d + 2 mu(d) sum_{d' < d} mu(d')/lcm(d, d').
-    Vectorized per row; no identity beyond the definition is used.
+    Vectorized per row, the row's gcds built from the prime factors of d
+    (only squarefree d have a row); no identity beyond the definition is
+    used.
     """
-    mu = _table(X).mu  # mu[n - 1] = mu(n)
+    block = _table(X)
+    mu = block.mu  # mu[n - 1] = mu(n)
     out = np.zeros(X, dtype=np.float64)
     total = 1.0
     out[0] = 1.0
-    idx_all = np.arange(1, X + 1, dtype=np.int64)
+    idx_f = np.arange(1, X + 1, dtype=np.float64)
     muf = mu.astype(np.float64)
+    g_buf = np.empty(X, dtype=np.int64)
     for d in range(2, X + 1):
         if mu[d - 1] != 0:
-            prior = idx_all[: d - 1]
-            g = np.gcd(prior, d)
-            row = muf[: d - 1] * g / (prior.astype(np.float64) * d)
+            g = _gcd_row(g_buf[: d - 1], [p for p, _ in block.factor(d)])
+            row = muf[: d - 1] * g / (idx_f[: d - 1] * d)
             total += 1.0 / d + 2.0 * float(mu[d - 1]) * float(np.sum(row))
         out[d - 1] = total
     return out
@@ -443,11 +475,11 @@ def scan_report(X_max: int = 1_000_000, scan: ScanResult | None = None) -> dict:
 
     Checks (a) 0 <= S(d) everywhere, (b) S(d) <= 0.445 on [422, X_max],
     (c) S(d) <= 19/30 on [2, X_max], (d) some d in [1300, 1350] exceeds
-    0.44455, (e) S(d) >= 0.437 on [1000, X_max].
+    0.44455, (e) S(d) >= 0.437 on [1000, X_max].  A check whose window
+    starts past X_max is left out.
     """
     if scan is None:
         scan = sigma_scan(X_max)
-    v = scan.values
     reports: dict[str, BoundReport] = {}
 
     w_all = scan.window_extrema(1, X_max)
@@ -457,33 +489,38 @@ def scan_report(X_max: int = 1_000_000, scan: ScanResult | None = None) -> dict:
         worst_ratio=-w_all["min"],
         worst_arg=w_all["argmin"], bound=0.0, details=w_all)
 
-    w = scan.window_extrema(422, X_max)
-    reports["cap_0445"] = BoundReport(
-        name="sigma-cap-0.445", domain=f"d in [422, {X_max}]",
-        passed=w["max"] <= 0.445,
-        worst_ratio=w["max"] / 0.445,
-        worst_arg=w["argmax"], bound=0.445, details=w)
+    if X_max >= 422:
+        w = scan.window_extrema(422, X_max)
+        reports["cap_0445"] = BoundReport(
+            name="sigma-cap-0.445", domain=f"d in [422, {X_max}]",
+            passed=w["max"] <= 0.445,
+            worst_ratio=w["max"] / 0.445,
+            worst_arg=w["argmax"], bound=0.445, details=w)
 
-    w2 = scan.window_extrema(2, X_max)
-    reports["cap_19_30"] = BoundReport(
-        name="sigma-cap-19/30", domain=f"d in [2, {X_max}]",
-        passed=w2["max"] <= 19.0 / 30.0 + 1e-12,
-        worst_ratio=w2["max"] / (19.0 / 30.0),
-        worst_arg=w2["argmax"], bound=19.0 / 30.0, details=w2)
+    if X_max >= 2:
+        w2 = scan.window_extrema(2, X_max)
+        reports["cap_19_30"] = BoundReport(
+            name="sigma-cap-19/30", domain=f"d in [2, {X_max}]",
+            passed=w2["max"] <= 19.0 / 30.0 + 1e-12,
+            worst_ratio=w2["max"] / (19.0 / 30.0),
+            worst_arg=w2["argmax"], bound=19.0 / 30.0, details=w2)
 
-    w3 = scan.window_extrema(1300, 1350)
-    reports["bump_above_044455"] = BoundReport(
-        name="sigma-bump-[1300,1350]", domain="d in [1300, 1350]",
-        passed=w3["max"] > 0.44455,
-        worst_ratio=0.44455 / w3["max"] if w3["max"] > 0 else math.inf,
-        worst_arg=w3["argmax"], bound=0.44455, details=w3)
+    if X_max >= 1300:
+        w3 = scan.window_extrema(1300, 1350)
+        reports["bump_above_044455"] = BoundReport(
+            name="sigma-bump-[1300,1350]",
+            domain=f"d in [1300, {min(X_max, 1350)}]",
+            passed=w3["max"] > 0.44455,
+            worst_ratio=0.44455 / w3["max"] if w3["max"] > 0 else math.inf,
+            worst_arg=w3["argmax"], bound=0.44455, details=w3)
 
-    w4 = scan.window_extrema(1000, X_max)
-    reports["floor_0437"] = BoundReport(
-        name="sigma-floor-0.437", domain=f"d in [1000, {X_max}]",
-        passed=w4["min"] >= 0.437,
-        worst_ratio=0.437 / w4["min"] if w4["min"] > 0 else math.inf,
-        worst_arg=w4["argmin"], bound=0.437, details=w4)
+    if X_max >= 1000:
+        w4 = scan.window_extrema(1000, X_max)
+        reports["floor_0437"] = BoundReport(
+            name="sigma-floor-0.437", domain=f"d in [1000, {X_max}]",
+            passed=w4["min"] >= 0.437,
+            worst_ratio=0.437 / w4["min"] if w4["min"] > 0 else math.inf,
+            worst_arg=w4["argmin"], bound=0.437, details=w4)
 
     reports["float_drift"] = drift_report(scan)
     return reports
@@ -493,16 +530,18 @@ def drift_report(scan: ScanResult, shadow_to: int = 5000,
                  slack: float = 5e-4) -> BoundReport:
     """Bound the float accumulation error of a scan by an exact shadow.
 
-    The trace is recomputed in exact rationals up to shadow_to, the largest
+    The trace is recomputed exactly up to shadow_to as integer numerators
+    L S(d) over the primorial L, each streamed to the float n / L (int
+    true division rounds correctly, so this is float(S(d))).  The largest
     deviation is extrapolated linearly in d (the accumulation is a sum of
     per-step roundings), and the result is compared to the slack available
     in the window inequalities.
     """
     upto = min(shadow_to, scan.X_max)
-    exact = sigma_trace_exact(upto)
+    L, nums = _trace_numerators(upto)
     dev = 0.0
-    for d in range(1, upto + 1):
-        dev = max(dev, abs(float(scan.values[d]) - float(exact[d - 1])))
+    for d, n in enumerate(nums, start=1):
+        dev = max(dev, abs(float(scan.values[d]) - n / L))
     extrapolated = dev * (scan.X_max / upto)
     return BoundReport(
         name="scan-float-drift", domain=f"exact shadow to {upto}",

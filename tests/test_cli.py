@@ -44,6 +44,17 @@ def test_sigma_scan_window(capsys, tmp_path):
     assert code == 0  # no cap applies below 422
 
 
+def test_short_scan_reports_the_windows_it_reaches(capsys):
+    # A scan that ends before a report's window starts leaves that report
+    # out instead of refusing the whole run as an empty window.
+    assert main(["sigma-scan", "--to", "1000"]) == 1  # S(757) > 0.445
+    assert main(["sigma-scan", "--to", "400"]) == 0
+    assert main(["verify-lemma", "sigma-window", "--xmax", "1000"]) == 1
+    out, err = capsys.readouterr()
+    assert "empty window" not in out + err
+    assert "757" in out and "sigma-bump" not in out
+
+
 def test_sigma_scan_bad_window_usage(capsys):
     assert main(["sigma-scan", "--to", "100", "--window", "17"]) == 2
 

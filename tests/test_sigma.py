@@ -252,11 +252,143 @@ def test_malformed_checkpoint_rejected(tmp_path):
         sigma_scan(100, checkpoint_path=str(tmp_path / "new.csv"), checkpoint_every=0)
 
 
+def _trace_by_fractions(X):
+    """[S(1), ..., S(X)] by the divisor recursion in Fraction arithmetic,
+    one rational add per divisor, from a fresh sieve."""
+    block = sieve_range(1, X)
+    U = {}
+    out = []
+    total = Fraction(0)
+    for d in range(1, X + 1):
+        mu_d = int(block.mu[d - 1])
+        if mu_d != 0:
+            divs = block.divisors(d)
+            W = Fraction(0)
+            for e in divs:
+                if e in U:
+                    W += int(block.phi[e - 1]) * U[e]
+            total += Fraction(1, d) + Fraction(2 * mu_d, d) * W
+            for e in divs:
+                U[e] = U.get(e, Fraction(0)) + Fraction(mu_d, d)
+        out.append(total)
+    return out
+
+
+def test_trace_numerators_match_fraction_recursion():
+    exact = _trace_by_fractions(800)
+    for X in (1, 2, 3, 30, 210, 800):
+        L, nums = sigma._trace_numerators(X)
+        nums = list(nums)
+        want = exact[:X]
+        assert L == math.prod(p for p in range(2, X + 1) if factorize(p) == [(p, 1)])
+        assert [Fraction(n, L) for n in nums] == want, X
+        assert [n / L for n in nums] == [float(f) for f in want], X
+        assert sigma_trace_exact(X) == want, X
+
+
+def test_trace_numerators_pin_the_equality_case():
+    # S(5) = 19/30 exactly, and S(d) < 19/30 at every other d in [2, 5000];
+    # the 19/30 cap holds with equality, so no float can decide it.
+    L, nums = sigma._trace_numerators(5000)
+    nums = list(nums)
+    assert min(nums) >= 0
+    at_or_above = [d for d, n in enumerate(nums, start=1)
+                   if d >= 2 and 30 * n >= 19 * L]
+    assert at_or_above == [5]
+    assert 30 * nums[4] == 19 * L
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 47])
+def test_trace_numerators_refuse_a_wrong_primorial(monkeypatch, p):
+    real = sigma.primes_upto
+    monkeypatch.setattr(sigma, "primes_upto", lambda n: real(n)[real(n) != p])
+    L, nums = sigma._trace_numerators(50)
+    assert L % p != 0
+    got = []
+    with pytest.raises(ArithmeticError):
+        for n in nums:
+            got.append(n)
+    assert len(got) == p - 1  # raised at d = p, the first d that p divides
+
+
 def test_drift_report_tight():
     scan = sigma_scan(3000)
-    rep = drift_report(scan, shadow_to=3000)
-    assert rep.passed
-    assert rep.details["max_deviation"] < 1e-13
+    exact = _trace_by_fractions(3000)
+    for shadow_to in (3000, 1000):
+        dev = max(abs(float(scan.values[d]) - float(exact[d - 1]))
+                  for d in range(1, shadow_to + 1))
+        rep = drift_report(scan, shadow_to=shadow_to)
+        assert rep.passed
+        assert rep.details == {"max_deviation": dev,
+                               "extrapolated": dev * (3000 / shadow_to)}
+        assert rep.details["max_deviation"] < 1e-13
+
+
+def test_scan_report_builds_no_fraction(monkeypatch):
+    count = 0
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            nonlocal count
+            count += 1
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(sigma, "Fraction", CountingFraction)
+    sigma.sigma_trace_exact(5)
+    assert count == 5  # the counter sees the module's constructions
+    count = 0
+    reports = scan_report(20000)
+    assert count == 0
+    assert reports["float_drift"].passed
+
+
+def test_scan_report_leaves_out_windows_past_x_max():
+    full = ["nonnegative", "cap_0445", "cap_19_30", "bump_above_044455",
+            "floor_0437", "float_drift"]
+    for X, keys in ((1, ["nonnegative", "float_drift"]),
+                    (400, ["nonnegative", "cap_19_30", "float_drift"]),
+                    (1000, ["nonnegative", "cap_0445", "cap_19_30",
+                            "floor_0437", "float_drift"]),
+                    (1300, full), (1350, full)):
+        assert list(scan_report(X)) == keys, X
+    assert scan_report(1320)["bump_above_044455"].domain == "d in [1300, 1320]"
+    assert scan_report(2000)["bump_above_044455"].domain == "d in [1300, 1350]"
+    reports = scan_report(1000)
+    assert not reports["cap_0445"].passed
+    assert reports["cap_0445"].worst_arg == 757
+
+
+def _pairs_by_gcd_rows(X):
+    """The pairs oracle with each row's gcds from np.gcd."""
+    mu = sieve_range(1, X).mu
+    out = np.zeros(X, dtype=np.float64)
+    total = 1.0
+    out[0] = 1.0
+    idx_all = np.arange(1, X + 1, dtype=np.int64)
+    muf = mu.astype(np.float64)
+    for d in range(2, X + 1):
+        if mu[d - 1] != 0:
+            prior = idx_all[: d - 1]
+            g = np.gcd(prior, d)
+            row = muf[: d - 1] * g / (prior.astype(np.float64) * d)
+            total += 1.0 / d + 2.0 * float(mu[d - 1]) * float(np.sum(row))
+        out[d - 1] = total
+    return out
+
+
+def test_pairs_trace_matches_np_gcd_rows():
+    for X in (1, 2, 3, 30, 600):
+        assert np.array_equal(sigma_pairs_trace(X), _pairs_by_gcd_rows(X)), X
+
+
+def test_gcd_row_matches_np_gcd():
+    n = np.arange(1, 3001, dtype=np.int64)
+    buf = np.empty(3000, dtype=np.int64)
+    for d in range(1, 3001):
+        factors = factorize(d)
+        if all(e == 1 for _, e in factors):
+            got = sigma._gcd_row(buf, [p for p, _ in factors])
+            assert np.array_equal(got, np.gcd(n, d)), d
 
 
 def _increments_by_pair_loop(X, d_from):
