@@ -53,21 +53,27 @@ class AssemblyConfig:
 # ----------------------------------------------------------------------
 # Per-j tables over the divisors of the primorial of j.
 
-_j_table_cache: dict[int, dict] = {}
-# The arrays that depend only on the primes <= j, keyed by their count and
-# shared read-only by every j with that prime set.
-_prime_set_cache: dict[int, dict] = {}
-
 # Traced peak of one cold _j_table call: 32 B per divisor mask (measured at
 # j = 75, 2^21 masks: the 8 B weights and 8 B weights * sqrt(delta) while
 # log(delta) doubles, 16 B), plus room for the per-n and per-prime objects.
 _J_TABLE_BYTES_PER_MASK = 32
 _J_TABLE_FIXED_BYTES = 64 << 10
+# Traced peak of one cold _j_reduce call, its table build included: also
+# 32 B per mask (measured at j = 75, plus 1-2 kB).  The reduction drops the
+# 8 B weights before adding its own arrays (8 B coefficients, then the 1 B
+# `keep` mask and its compressed copy of at most 8 B), so it holds 25 B.
+_J_REDUCE_BYTES_PER_MASK = 32
+_J_REDUCE_FIXED_BYTES = 64 << 10
 
 
 def _j_table_bytes(n_masks: int) -> int:
     """Declared peak memory of building one _j_table over n_masks divisors."""
     return _J_TABLE_BYTES_PER_MASK * n_masks + _J_TABLE_FIXED_BYTES
+
+
+def _j_reduce_bytes(n_masks: int) -> int:
+    """Declared peak memory of one _j_reduce call over n_masks divisors."""
+    return _J_REDUCE_BYTES_PER_MASK * n_masks + _J_REDUCE_FIXED_BYTES
 
 
 def _doubled(start, ps, step) -> np.ndarray:
@@ -101,23 +107,10 @@ def _subset_sums(j: int, ps: list[int]) -> np.ndarray:
     return g
 
 
-def _prime_set_arrays(ps: list[int]) -> dict:
-    """log(delta) and the small-factor flag (all primes of delta below 30)
-    over the masks of the primes ps, built by doubling.  Both depend only on
-    the prime set, so each set is built once and shared read-only."""
-    arrays = _prime_set_cache.get(len(ps))
-    if arrays is None:
-        arrays = {"logd": _doubled(0.0, ps, lambda a, p: a + math.log(p)),
-                  "small": _doubled(True, ps, lambda a, p: a & (p < 30))}
-        for a in arrays.values():
-            a.setflags(write=False)
-        _prime_set_cache[len(ps)] = arrays
-    return arrays
-
-
 def _j_table(j: int) -> dict:
     """Arrays over delta | primorial(j): log(delta), phi(delta)/delta^2 *
-    m_delta(j)^2, the same times sqrt(delta), and a small-factor flag.
+    m_delta(j)^2, the same times sqrt(delta), and a small-factor flag (all
+    primes of delta below 30).
 
     A divisor delta is the bitmask of its primes, bit i for the i-th prime.
     m_delta(j) = sum_{n <= j, (n, delta) = 1} mu(n)/n is evaluated for all
@@ -128,23 +121,19 @@ def _j_table(j: int) -> dict:
     support, which is the mask array reversed.  log(delta), phi(delta)/delta^2
     and sqrt(delta) are built by doubling, prime by prime, so each entry is
     the same chain of float operations, in ascending prime order, as a
-    per-mask product.  log(delta) and the flag depend only on the primes
-    <= j (_prime_set_arrays): every j between two primes shares them, so the
-    j = 73, 74, 75 tables hold one copy, not three.  The declared memory
-    (_j_table_bytes) is the traced peak of one call that builds both the
-    table and its prime-set arrays.
+    per-mask product.  Nothing is cached: the table is the caller's, and at
+    j = 75 it is 2^21 masks at 25 B.  The declared memory (_j_table_bytes)
+    is the traced peak of one call.
     """
-    if j in _j_table_cache:
-        return _j_table_cache[j]
     ps = [int(p) for p in primes_upto(j)]
     check_allocation(_j_table_bytes(1 << len(ps)), f"primorial divisor table for j={j}")
     m_vals = _subset_sums(j, ps)[::-1]
     w = _doubled(1.0, ps, lambda a, p: a * ((p - 1.0) / (p * p))) * m_vals * m_vals
     del m_vals
     wsq = w * _doubled(1.0, ps, lambda a, p: a * math.sqrt(p))
-    table = {"w": w, "wsq": wsq, **_prime_set_arrays(ps)}
-    _j_table_cache[j] = table
-    return table
+    return {"w": w, "wsq": wsq,
+            "logd": _doubled(0.0, ps, lambda a, p: a + math.log(p)),
+            "small": _doubled(True, ps, lambda a, p: a & (p < 30))}
 
 
 def block_weight(j: int) -> float:
@@ -152,59 +141,111 @@ def block_weight(j: int) -> float:
     return float(_j_table(j)["w"].sum())
 
 
+_E1 = math.exp(EULER_GAMMA / 2.0) - 1.0
+_E2 = math.exp(-EULER_GAMMA / 2.0)
+
+
+def _j_reduce(j: int, R: float, j1: float, refine: bool,
+              log_bounds: list[float]) -> tuple[float, float, list[float]]:
+    """Build j's table and reduce it to scalars: W(j), the full remainder sum
+    sum_delta j1 * w(delta) sqrt(delta) * coef(delta), and that sum over the
+    delta with log(delta) <= b for each b in log_bounds.
+
+    coef(delta) = 2 C e1 (sqrt(R) + sqrt(j)) + 2 * 2.18 e2 (sqrt(R) - sqrt(j))
+    with C = 1.17 for small-factor delta under refine, else 2.18.  It takes
+    two values, computed as Python floats with the same operations an array
+    of C would see.  The remainder weights are formed in place in the
+    sqrt-weight array; no array outlives the call.
+    """
+    check_allocation(_j_reduce_bytes(1 << len(primes_upto(j))),
+                     f"primorial divisor reduction for j={j}")
+    t = _j_table(j)
+    W = float(t.pop("w").sum())
+    sR, sj = math.sqrt(R), math.sqrt(j)
+
+    def coef(C: float) -> float:
+        return 2.0 * C * _E1 * (sR + sj) + 2.0 * 2.18 * _E2 * (sR - sj)
+
+    errw = t.pop("wsq")
+    errw *= j1
+    errw *= np.where(t.pop("small"), coef(1.17 if refine else 2.18), coef(2.18))
+    logd = t.pop("logd")
+    return W, float(errw.sum()), [float(errw[logd <= b].sum()) for b in log_bounds]
+
+
 def theorem_bound(config: AssemblyConfig) -> dict:
     """Evaluate the assembled bound for sqrt(x) S(x), x >= x_min.
 
     Returns a dict with the main, remainder, and tail parts, per-j details,
-    and the localization window that realizes the remainder supremum.
+    the localization window that realizes the remainder supremum, how many
+    dyadic windows were evaluated (`windows`) and how many passes over the
+    primorial tables that took (`table_passes`).
+
+    Each j's table is built, reduced to scalars by _j_reduce and dropped
+    before the next j, so the peak memory is one reduction at j = int(ratio),
+    which is checked against the budget before any table is built.  Pass 1
+    reduces every table at Y = x_min.  Only when the supremum is not settled
+    there does pass 2 rebuild each table once and reduce it at every further
+    dyadic Y the search can reach.  Every sum is formed from the same floats
+    in the same order as over materialized tables.
     """
     x_min, ratio = config.x_min, config.ratio
     if not (x_min > 1 and ratio > 1):
         raise ValueError("need x_min > 1 and ratio > 1")
     jmax = int(ratio)
+    ps = primes_upto(jmax)
+    check_allocation(_j_reduce_bytes(1 << len(ps)),
+                     f"primorial divisor reductions up to j={jmax}")
+    primes = set(ps.tolist())
     A = A_DEEP.mid
-    e1 = math.exp(EULER_GAMMA / 2.0) - 1.0
-    e2 = math.exp(-EULER_GAMMA / 2.0)
     tail = 4.14 / ratio + 0.00205
+
+    def one_pass(Ys: list[float]) -> tuple[list[dict], list[float]]:
+        """Per-j rows, and the localized remainder sum at each Y: the
+        (j, delta) terms with j * delta <= 2Y, accumulated in j order."""
+        rows, Es = [], [0.0] * len(Ys)
+        prodw = 1.0
+        primorial = 1
+        for j in range(1, jmax + 1):
+            if j in primes:
+                prodw *= j * j / (j * j + j - 1.0)
+                primorial *= j
+            R = min(j + 1.0, ratio)
+            W, err_sum, parts = _j_reduce(
+                j, R, j1_star(primorial), config.refine_small_factors,
+                [math.log(2.0 * Y / j) for Y in Ys])
+            for k, part in enumerate(parts):
+                Es[k] += part
+            rows.append({"j": j, "main": A * prodw * math.log(R / j) * W,
+                         "W": W, "err_sum": err_sum})
+        return rows, Es
+
+    Y = float(x_min)
+    per_j, Es = one_pass([Y] if config.localize else [])
     main_total = 0.0
-    prodw = 1.0
-    primorial = 1
-    per_j = []
-    primes = set(primes_upto(jmax).tolist())
-    for j in range(1, jmax + 1):
-        if j in primes:
-            prodw *= j * j / (j * j + j - 1.0)
-            primorial *= j
-        R = min(j + 1.0, ratio)
-        t = _j_table(j)
-        W = float(t["w"].sum())
-        main_j = A * prodw * math.log(R / j) * W
-        main_total += main_j
-        if config.refine_small_factors:
-            C = np.where(t["small"], 1.17, 2.18)
-        else:
-            C = np.full(t["small"].shape, 2.18)
-        coef = 2.0 * C * e1 * (math.sqrt(R) + math.sqrt(j)) \
-            + 2.0 * 2.18 * e2 * (math.sqrt(R) - math.sqrt(j))
-        errw = j1_star(primorial) * t["wsq"] * coef
-        per_j.append({"j": j, "main": main_j, "W": W,
-                      "logd": t["logd"], "errw": errw})
+    for row in per_j:
+        main_total += row["main"]
     # Remainder: sup over x >= x_min of (1/sqrt(x)) sum of the (j, delta)
     # terms present at scale x.  With localization, x in [Y, 2Y) only sees
     # terms with j * delta <= 2Y and 1/sqrt(x) <= 1/sqrt(Y); the supremum
     # over dyadic Y terminates once even the full sum cannot beat the
     # current best.
-    E_full = sum(float(row["errw"].sum()) for row in per_j)
+    E_full = sum(row["err_sum"] for row in per_j)
+    E_at = {Y: Es[0]} if config.localize else {}
     best, best_Y = 0.0, None
-    Y = float(x_min)
+    windows, passes = 0, 1
     while True:
-        if config.localize:
-            E = 0.0
-            for row in per_j:
-                keep = row["logd"] <= math.log(2.0 * Y / row["j"])
-                E += float(row["errw"][keep].sum())
-        else:
-            E = E_full
+        if config.localize and Y not in E_at:
+            # Pass 2: every further Y up to the first where E_full meets the
+            # stop test with the current best.  best never falls, so the
+            # search stops there or earlier.
+            more = [Y]
+            while E_full / math.sqrt(2.0 * more[-1]) > best:
+                more.append(more[-1] * 2.0)
+            E_at.update(zip(more, one_pass(more)[1]))
+            passes += 1
+        E = E_at[Y] if config.localize else E_full
+        windows += 1
         cur = E / math.sqrt(Y)
         if cur > best:
             best, best_Y = cur, Y
@@ -224,8 +265,9 @@ def theorem_bound(config: AssemblyConfig) -> dict:
         "remainder_window": best_Y,
         "tail": tail,
         "bound": bound,
-        "per_j": [{"j": r["j"], "main": r["main"], "W": r["W"],
-                   "err_sum": float(r["errw"].sum())} for r in per_j],
+        "windows": windows,
+        "table_passes": passes,
+        "per_j": per_j,
     }
 
 

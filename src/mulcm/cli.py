@@ -391,6 +391,9 @@ def _cmd_bound(args) -> int:
     print(f"bound for x >= {args.x_min:g} at ratio {args.ratio:g}: "
           f"{res['bound']:.6f} (main {res['main']:.6f}, "
           f"remainder {res['remainder']:.6f}, tail {res['tail']:.6f})")
+    print(f"remainder sup at Y = {res['remainder_window']:g}: "
+          f"{res['windows']} dyadic window(s), "
+          f"{res['table_passes']} pass(es) over the primorial tables")
     _emit({"manifest": manifest.finish().to_dict(), "result": res}, args.out)
     return EXIT_PASS
 

@@ -17,7 +17,7 @@ from mulcm.assembly import (
     theorem_table,
 )
 from mulcm.numutil import BudgetError
-from mulcm.products import A_DEEP, EULER_GAMMA
+from mulcm.products import A_DEEP, EULER_GAMMA, j1_star
 from mulcm.sieve import factorize, primes_upto, sieve_range
 from mulcm.sigma import sigma_via_gstar_identity
 
@@ -76,44 +76,157 @@ def test_j_table_equals_mask_loop():
             assert np.array_equal(table[name], oracle[name]), (j, name)
 
 
-def test_j_tables_share_prime_set_arrays():
-    # j = 73, 74, 75 have the same primes: one read-only log(delta) and flag.
-    tables = [assembly._j_table(j) for j in (73, 74, 75)]
-    for name in ("logd", "small"):
-        assert tables[0][name] is tables[1][name] is tables[2][name]
-        assert not tables[0][name].flags.writeable
-    assert tables[0]["w"] is not tables[1]["w"]
+def _j_reduce_75():
+    """One cold _j_reduce at j = 75, the largest j of the reference rows."""
+    primorial = math.prod(int(p) for p in primes_upto(75))
+    assembly._j_reduce(75, 75.99, j1_star(primorial), True,
+                       [math.log(2.0 * 2.4e12 / 75)])
 
 
-def test_j_table_memory_within_declared_budget(monkeypatch):
-    j = 75  # the largest j of the reference rows: 2^21 divisor masks
-    monkeypatch.setattr(assembly, "_j_table_cache", {})
-    monkeypatch.setattr(assembly, "_prime_set_cache", {})
-    declared = assembly._j_table_bytes(1 << len(primes_upto(j)))
+def test_j_reduce_memory_within_declared_budget(monkeypatch):
+    declared = assembly._j_reduce_bytes(1 << len(primes_upto(75)))  # 2^21 masks
     monkeypatch.setenv("MULCM_MEMORY_BUDGET", str(declared))
     tracemalloc.start()
     try:
-        assembly._j_table(j)
+        _j_reduce_75()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= declared, (peak, declared)
 
 
-def test_j_table_refused_one_byte_below_declared(monkeypatch):
-    j = 75
-    monkeypatch.setattr(assembly, "_j_table_cache", {})
-    monkeypatch.setattr(assembly, "_prime_set_cache", {})
-    declared = assembly._j_table_bytes(1 << len(primes_upto(j)))
+def test_j_reduce_refused_one_byte_below_declared(monkeypatch):
+    declared = assembly._j_reduce_bytes(1 << len(primes_upto(75)))
     monkeypatch.setenv("MULCM_MEMORY_BUDGET", str(declared - 1))
     tracemalloc.start()
     try:
         with pytest.raises(BudgetError):
-            assembly._j_table(j)
+            _j_reduce_75()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 100_000  # refused before any array over the masks exists
+
+
+def _theorem_bound_materialized(config: AssemblyConfig) -> dict:
+    """The assembled bound over materialized tables: every j's remainder
+    weights and log(delta) held at once, one dyadic Y per loop."""
+    x_min, ratio = config.x_min, config.ratio
+    jmax = int(ratio)
+    A = A_DEEP.mid
+    e1 = math.exp(EULER_GAMMA / 2.0) - 1.0
+    e2 = math.exp(-EULER_GAMMA / 2.0)
+    tail = 4.14 / ratio + 0.00205
+    main_total = 0.0
+    prodw = 1.0
+    primorial = 1
+    per_j = []
+    primes = set(primes_upto(jmax).tolist())
+    for j in range(1, jmax + 1):
+        if j in primes:
+            prodw *= j * j / (j * j + j - 1.0)
+            primorial *= j
+        R = min(j + 1.0, ratio)
+        t = assembly._j_table(j)
+        W = float(t["w"].sum())
+        main_j = A * prodw * math.log(R / j) * W
+        main_total += main_j
+        if config.refine_small_factors:
+            C = np.where(t["small"], 1.17, 2.18)
+        else:
+            C = np.full(t["small"].shape, 2.18)
+        coef = 2.0 * C * e1 * (math.sqrt(R) + math.sqrt(j)) \
+            + 2.0 * 2.18 * e2 * (math.sqrt(R) - math.sqrt(j))
+        errw = j1_star(primorial) * t["wsq"] * coef
+        per_j.append({"j": j, "main": main_j, "W": W,
+                      "logd": t["logd"], "errw": errw})
+    E_full = sum(float(row["errw"].sum()) for row in per_j)
+    best, best_Y, windows = 0.0, None, 0
+    Y = float(x_min)
+    while True:
+        windows += 1
+        if config.localize:
+            E = 0.0
+            for row in per_j:
+                keep = row["logd"] <= math.log(2.0 * Y / row["j"])
+                E += float(row["errw"][keep].sum())
+        else:
+            E = E_full
+        cur = E / math.sqrt(Y)
+        if cur > best:
+            best, best_Y = cur, Y
+        if not config.localize:
+            break
+        if E_full / math.sqrt(2.0 * Y) <= best:
+            break
+        Y *= 2.0
+    return {
+        "x_min": x_min,
+        "ratio": ratio,
+        "refine_small_factors": config.refine_small_factors,
+        "localize": config.localize,
+        "main": main_total,
+        "remainder": best,
+        "remainder_window": best_Y,
+        "tail": tail,
+        "bound": main_total + best + tail,
+        "windows": windows,
+        "per_j": [{"j": r["j"], "main": r["main"], "W": r["W"],
+                   "err_sum": float(r["errw"].sum())} for r in per_j],
+    }
+
+
+def _assert_equals_materialized(res: dict) -> None:
+    config = AssemblyConfig(res["x_min"], res["ratio"],
+                            res["refine_small_factors"], res["localize"])
+    oracle = _theorem_bound_materialized(config)
+    for name, value in oracle.items():
+        assert res[name] == value, (config, name)
+    # A second pass over the tables happens exactly when x_min alone does
+    # not settle the remainder supremum.
+    assert res["table_passes"] == (2 if oracle["windows"] > 1 else 1), config
+
+
+@pytest.mark.parametrize("config", [
+    *(AssemblyConfig(1.1e7, 22.99, refine, localize)
+      for refine in (True, False) for localize in (True, False)),
+    AssemblyConfig(4.4e7, 22.99),
+    AssemblyConfig(1e9, 38.99),
+    AssemblyConfig(100.0, 22.99),
+    AssemblyConfig(1000.0, 38.99),
+])
+def test_theorem_bound_equals_materialized(config):
+    _assert_equals_materialized(theorem_bound(config))
+
+
+def test_theorem_table_equals_materialized():
+    for row in theorem_table()["rows"]:
+        _assert_equals_materialized(row)
+
+
+def test_theorem_table_keeps_no_table():
+    theorem_bound(AssemblyConfig(1.1e7, 22.99))  # module state outside the tables
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        theorem_table()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before <= 1 << 20, (before, after)
+
+
+def test_oversized_ratio_refused_before_any_table(monkeypatch):
+    # ratio 200 needs 2^46 divisor masks at j = 200: refused up front.
+    monkeypatch.delenv("MULCM_MEMORY_BUDGET", raising=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            theorem_bound(AssemblyConfig(1e7, 200.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_first_main_terms():

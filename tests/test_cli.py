@@ -120,3 +120,16 @@ def test_mertens_table_cli(tmp_path, capsys):
     assert all(c["agree"] for c in payload["reconstruction_checks"])
     digest = payload["manifest"]["outputs"]["table"]["sha256"]
     assert len(digest) == 64
+
+
+def test_bound_reports_windows_and_table_passes(capsys):
+    assert main(["bound", "--x-min", "1.1e7", "--ratio", "22.99"]) == 0
+    assert "1 dyadic window(s), 1 pass(es)" in capsys.readouterr().out
+    # A degenerate x_min needs more windows and a second pass over the tables.
+    assert main(["bound", "--x-min", "100", "--ratio", "22.99"]) == 0
+    assert "4 dyadic window(s), 2 pass(es)" in capsys.readouterr().out
+
+
+def test_bound_oversized_ratio_exits_budget(monkeypatch, capsys):
+    monkeypatch.delenv("MULCM_MEMORY_BUDGET", raising=False)
+    assert main(["bound", "--x-min", "1e7", "--ratio", "200"]) == 3
