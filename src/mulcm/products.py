@@ -7,8 +7,9 @@ theorem inequality with two validity modes; tails without the log weight go
 through f(t)/log t.
 
 Every product and weighted sum over the primes up to a cutoff reads one
-per-cutoff prime context (_prime_context): the primes as floats, sieved once,
-with the weights G(p) and the powers p^e evaluated as arrays.  Local terms are
+per-cutoff prime context (_prime_context): the primes as floats, sieved once
+per public call and freed when it returns, with the weights G(p) and the
+powers p^e evaluated as arrays.  Local terms are
 array expressions over that context, in the same float operations and order
 as a per-prime loop, so the partial products are bit-identical to one.
 
@@ -19,6 +20,8 @@ demand at documented cutoffs.
 
 from __future__ import annotations
 
+import bisect
+import contextlib
 import functools
 import math
 
@@ -27,7 +30,7 @@ import numpy as np
 
 from .numutil import NeumaierSum, fsum_array, quad_log
 from .report import BoundReport, CertifiedValue
-from .sieve import primes_upto, require_squarefree
+from .sieve import _squarefree_divisors, primes_upto, require_squarefree
 from .mertens import XI
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -201,10 +204,37 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# Two slots: check_h_caps and the registry each work at one cutoff at a time.
-@functools.lru_cache(maxsize=2)
+# The contexts of the public call in progress, by cutoff; None outside one.
+_open_contexts: dict[int, _PrimeContext] | None = None
+
+
 def _prime_context(cutoff: int) -> _PrimeContext:
-    return _PrimeContext(cutoff)
+    """The prime context at cutoff: shared inside a _shared_prime_contexts
+    call, built fresh (and freed with its caller's locals) outside one."""
+    if _open_contexts is None:
+        return _PrimeContext(cutoff)
+    if cutoff not in _open_contexts:
+        _open_contexts[cutoff] = _PrimeContext(cutoff)
+    return _open_contexts[cutoff]
+
+
+@contextlib.contextmanager
+def _shared_prime_contexts():
+    """Share one context per cutoff until the outermost such call returns.
+
+    Used as a decorator on the public calls that evaluate several products
+    at one cutoff (check_h_caps, build_registry), so the primes are sieved
+    and raised to each power once per call, and none of the arrays (about
+    40 MB at cutoff 10^7) outlives it.
+    """
+    global _open_contexts
+    outer = _open_contexts
+    if outer is None:
+        _open_contexts = {}
+    try:
+        yield
+    finally:
+        _open_contexts = outer
 
 
 def _partial_product(local, cutoff: int) -> tuple[np.ndarray, float]:
@@ -301,17 +331,108 @@ def _expo_add(e, f):
 _UP = 1.0 + 1e-12
 
 _prime_zeta_tail_cache: dict[tuple[int, int, int], CertifiedValue] = {}
-# primezeta(e) at 40 digits, keyed by the exponent pair alone: it does not
+# _prime_zeta(e) at 40 digits, keyed by the exponent pair alone: it does not
 # depend on the cutoff, and every cutoff asks for the same exponents.
 _primezeta_cache: dict[tuple[int, int], mp.mpf] = {}
+
+# _prime_zeta sums the primes p <= _PZ_SPLIT apart, at _PZ_GUARD bits past
+# the caller's precision.
+_PZ_SPLIT = 100
+_PZ_GUARD = 20
+
+
+@functools.cache
+def _split_primes(q: int) -> tuple[list[int], int]:
+    """(the primes p <= q, the first prime after q, which Bertrand puts in (q, 2q])."""
+    ps = primes_upto(2 * q).tolist()
+    i = bisect.bisect_right(ps, q)
+    return ps[:i], ps[i]
+
+
+def _moebius(k: int) -> int:
+    r, m = _squarefree_divisors(k)[-1]  # the radical of k, with its mu
+    return m if r == k else 0
+
+
+@functools.cache
+def _dropped_moebius(n: int, K: int) -> int:
+    """d_n = -sum_{k | n, k <= K} mu(k)."""
+    return -sum(m for r, m in _squarefree_divisors(n) if r <= K)
+
+
+def _prime_zeta(s: mp.mpf, split: int = _PZ_SPLIT, extra_k: int = 0) -> mp.mpf:
+    """P(s) = sum_p p^(-s) for real s > 1, rounded to the working precision.
+
+    By ln zeta(x) = sum_p sum_j p^(-jx)/j and Moebius inversion,
+    P(s) = sum_k mu(k)/k ln zeta(ks).  The primes p <= Q = split carry the
+    terms k > K exactly (Cohen, "High precision computation of
+    Hardy-Littlewood constants", 1998; Ettahri, Ramare and Surel, "Fast
+    multi-precision computation of some Euler products", 2021):
+
+        P(s) = sum_{k <= K} mu(k)/k ln zeta(ks)
+             + sum_{p <= Q} sum_{K < n <= N_p} d_n p^(-ns)/n  +  E_1 + E_2,
+
+    with d_n = -sum_{k | n, k <= K} mu(k).  Work at w = prec + 20 +
+    floor(s) + 1 bits and let tol = 2^(-w-1).  The two truncations are:
+
+    * E_1, the share of the primes p > Q in the terms k > K, is
+      sum_{k > K} mu(k)/k ln zeta_Q(ks) with zeta_Q the Euler product over
+      p > Q.  As ln y <= y - 1 and zeta_Q(x) - 1 <= sum_{n >= Q'} n^(-x)
+      <= Q'^(-x) (1 + Q'/(x - 1)), Q' the first prime after Q,
+
+          |E_1| <= Q'^(-(K+1)s) (1 + Q'/((K+1)s - 1)) / ((K+1)(1 - Q'^(-s))),
+
+      and K is the least integer that puts this under tol (plus extra_k).
+    * E_2, the terms n > N_p at each p <= Q.  |d_n| <= K, so
+
+          |E_2| <= sum_{p <= Q} K p^(-(N_p+1)s) / ((N_p+1)(1 - p^(-s))),
+
+      and each N_p is the least that puts its summand under tol/pi(Q).
+
+    Since P(s) > 2^(-s), |E_1| + |E_2| <= 2^(-w) is under 2^-(prec+20)
+    relative.  The sum takes under 2^10 additions at w bits (about 250 at
+    s = 7/6), each off by
+    at most 2^-w times a partial sum below 2 ln zeta(s) < 4 (s >= 7/6 in
+    the H tails), which adds under 2^-(prec+8) relative.  The result is
+    then rounded once to the caller's precision.
+    """
+    if s <= 1:
+        raise ValueError(f"prime zeta diverges at s = {s}")
+    small, q_next = _split_primes(split)
+    sf = float(s)
+    wp = mp.mp.prec + _PZ_GUARD + int(sf) + 1
+    tol = 2.0 ** (-wp - 1)
+    K = 1
+    while (q_next ** (-(K + 1) * sf) * (1.0 + q_next / ((K + 1) * sf - 1.0))
+           / ((K + 1) * (1.0 - q_next ** -sf))) > tol:
+        K += 1
+    K += extra_k
+    share = tol / len(small)
+    with mp.workprec(wp):
+        total = mp.mpf(0)
+        for k in range(1, K + 1):
+            mu = _moebius(k)
+            if mu:
+                total += mu * mp.ln(mp.zeta(k * s)) / k
+        for p in small:
+            x = mp.mpf(p) ** -s
+            term = x ** (K + 1)
+            n = K + 1
+            while K * p ** (-n * sf) / (n * (1.0 - p ** -sf)) > share:
+                d = _dropped_moebius(n, K)
+                if d:
+                    total += d * term / n
+                term *= x
+                n += 1
+    return +total
 
 
 def _prime_power_tails(exponents, cutoff: int, ps: np.ndarray) -> dict:
     """Enclosures of Z(e) = sum_{p > cutoff} p^(-e) for exponent pairs e.
 
-    Z(e) = primezeta(e) - (sieved partial sum over ps, the primes up to the
-    cutoff).  primezeta is evaluated at 40 digits with the exponent
-    reconstructed there (so the exponent seen by primezeta is exact to 40
+    Z(e) = P(e) - (sieved partial sum over ps, the primes up to the
+    cutoff).  P(e) = _prime_zeta(e) is evaluated at 40 digits with the
+    exponent reconstructed there (so the exponent it sees is exact to 40
     digits), once per exponent pair for the whole process, and the
     subtraction is done at that precision.  Enclosures are cached per
     (cutoff, e).
@@ -332,8 +453,10 @@ def _prime_power_tails(exponents, cutoff: int, ps: np.ndarray) -> dict:
     Schoenfeld), so e P < 6.4 for e < 2; for e >= 2, P <= 2^(2-e) P(2) with
     P(2) < 0.46 gives e P < 1.  The error is then at most
     u (9 * 3.2 + 3.1 * 18.5 * 6.4) < 400u < 4.5e-14.  Rounding z to a float
-    adds u |z|, and primezeta's 40 digits add under 1e-38.  The pad exceeds
-    that total more than 20-fold.
+    adds u |z|.  P(e) itself is off by under 2^-156 relative from the two
+    truncation bounds of _prime_zeta (its E_1 and E_2), plus 2^-136 from its
+    rounding to 40 digits; with P(e) < P(7/6) < 3 that is under 1e-40.  The
+    pad exceeds the total more than 20-fold.
     """
     out = {}
     for e in exponents:
@@ -348,7 +471,7 @@ def _prime_power_tails(exponents, cutoff: int, ps: np.ndarray) -> dict:
                 zeta = _primezeta_cache.get(e)
                 if zeta is None:
                     e_mp = mp.mpf(e[0]) / 6 + e[1] * mp.mpf(XI)
-                    zeta = _primezeta_cache[e] = mp.primezeta(e_mp)
+                    zeta = _primezeta_cache[e] = _prime_zeta(e_mp)
                 z = float(zeta - mp.mpf(partial))
             pad = 1e-12 * abs(z) + 1e-12
             hit = CertifiedValue(max(z - pad, 0.0), z + pad)
@@ -527,6 +650,7 @@ def h_twothirds(key: str, cutoff: int = 10_000_000) -> CertifiedValue:
     return _sharp_weight_product(key, *H23_SHAPE, cutoff, local)
 
 
+@_shared_prime_contexts()
 def check_h_caps(cutoff: int = 10_000_000) -> list[BoundReport]:
     """Verify the six asserted caps on H(1) and Hbar(2/3) at a deep cutoff.
 
@@ -781,6 +905,7 @@ def j5_star(q: int) -> float:
 # ----------------------------------------------------------------------
 # Registry.
 
+@_shared_prime_contexts()
 def build_registry(deep: bool = False) -> dict:
     """Assemble the constants registry as a plain dict.
 

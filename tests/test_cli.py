@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -86,6 +87,14 @@ def test_constants_roundtrip(tmp_path, capsys):
     reg.write_text(json.dumps(data))
     assert main(["constants", "--check", str(reg)]) == 1
     assert main(["constants", "--check", str(tmp_path / "missing.json")]) == 2
+
+
+def test_committed_registry_matches(capsys):
+    # data/constants.json is the frozen registry the benchmark also checks;
+    # any change to a registered enclosure (even 1 ulp of an H_q end moves
+    # its width by about 2.5e-7 relative) must come with a regenerated file.
+    committed = pathlib.Path(__file__).resolve().parents[1] / "data" / "constants.json"
+    assert main(["constants", "--check", str(committed)]) == 0, capsys.readouterr().out
 
 
 def test_bound_and_table(tmp_path, capsys):

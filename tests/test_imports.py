@@ -3,7 +3,8 @@
 Every name a module imports is used in it (the package's `__init__.py` is
 exempt: its imports are the public re-exports collected into `__all__`),
 only `sieve.py` runs the multiplicative sieve: every other module reads
-mu, phi, spf and the Mertens cumsum from the one arithmetic table, and
+mu, phi, spf and the Mertens cumsum from the one arithmetic table, prime
+zeta values come from `products._prime_zeta`, not mpmath's `primezeta`, and
 exact sums of arrays go through `numutil.fsum_array`, not `fsum` of a list
 nor `fsum` of a memoryview outside `numutil.py`.
 """
@@ -58,21 +59,26 @@ def test_package_attribute_is_the_module(name):
 SIEVE_ENTRY_POINTS = {"sieve_range"}
 
 
-def sieve_calls(source: str) -> list[str]:
-    """Imports of, and references to, the sieve's entry points."""
+def name_references(source: str, names) -> list[str]:
+    """Imports of, and references to, the given names."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
-            names = [alias.name for alias in node.names]
+            found_names = [alias.name for alias in node.names]
         elif isinstance(node, ast.Name):
-            names = [node.id]
+            found_names = [node.id]
         elif isinstance(node, ast.Attribute):
-            names = [node.attr]
+            found_names = [node.attr]
         else:
             continue
-        found += [f"{name} (line {node.lineno})" for name in names
-                  if name in SIEVE_ENTRY_POINTS]
+        found += [f"{name} (line {node.lineno})" for name in found_names
+                  if name in names]
     return sorted(set(found))
+
+
+def sieve_calls(source: str) -> list[str]:
+    """Imports of, and references to, the sieve's entry points."""
+    return name_references(source, SIEVE_ENTRY_POINTS)
 
 
 def test_sieve_detector_flags_calls_and_imports():
@@ -85,6 +91,20 @@ def test_sieve_detector_flags_calls_and_imports():
                          ids=lambda p: p.name)
 def test_only_the_sieve_module_sieves(path):
     assert sieve_calls(path.read_text()) == []
+
+
+# Prime zeta values come from products._prime_zeta alone; mpmath's primezeta
+# (about three times slower at 40 digits) is its oracle in the tests.
+def test_primezeta_detector_flags_calls_and_imports():
+    src = ("import mpmath as mp\nfrom mpmath import primezeta\n"
+           "a = mp.primezeta(2)\n_primezeta_cache = {}\nb = _prime_zeta(2)\n")
+    assert name_references(src, {"primezeta"}) == ["primezeta (line 2)",
+                                                   "primezeta (line 3)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_calls_mpmath_primezeta(path):
+    assert name_references(path.read_text(), {"primezeta"}) == []
 
 
 def fsum_of_arrays(source: str) -> list[str]:

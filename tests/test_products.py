@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -185,17 +186,17 @@ def test_partial_products_equal_scalar_loop(monkeypatch):
 
 
 def test_primezeta_evaluated_once_per_exponent(monkeypatch):
-    # primezeta(e) does not depend on the cutoff, so H caps at one cutoff and
-    # the registry at another (10^5) share one evaluation per exponent, and
-    # the registry's enclosures equal those from a cold cache.
+    # P(e) does not depend on the cutoff, so H caps at one cutoff and the
+    # registry at another (10^5) share one _prime_zeta evaluation per
+    # exponent, and the registry's enclosures equal those from a cold cache.
     calls = []
-    real = products.mp.primezeta
+    real = products._prime_zeta
 
     def counting(s):
         calls.append(s)
         return real(s)
 
-    monkeypatch.setattr(products.mp, "primezeta", counting)
+    monkeypatch.setattr(products, "_prime_zeta", counting)
     monkeypatch.setattr(products, "_primezeta_cache", {})
     monkeypatch.setattr(products, "_prime_zeta_tail_cache", {})
     check_h_caps(150_000)
@@ -205,6 +206,67 @@ def test_primezeta_evaluated_once_per_exponent(monkeypatch):
     monkeypatch.setattr(products, "_prime_zeta_tail_cache", {})
     assert build_registry()["h_constants"] == warm
     assert len(calls) == 264
+
+
+def test_h_caps_equal_the_mpmath_primezeta_path(monkeypatch):
+    # The six enclosures are bit-identical to those built on mpmath's
+    # primezeta, the evaluator _prime_zeta replaced.
+    monkeypatch.setattr(products, "_primezeta_cache", {})
+    monkeypatch.setattr(products, "_prime_zeta_tail_cache", {})
+    ours = [rep.details["enclosure"] for rep in check_h_caps(150_000)]
+    monkeypatch.setattr(products, "_prime_zeta", mp.primezeta)
+    monkeypatch.setattr(products, "_primezeta_cache", {})
+    monkeypatch.setattr(products, "_prime_zeta_tail_cache", {})
+    assert [rep.details["enclosure"] for rep in check_h_caps(150_000)] == ours
+
+
+def _h_cap_zeta_arguments(exponents):
+    with mp.workdps(40):
+        return [mp.mpf(e[0]) / 6 + e[1] * mp.mpf(XI) for e in exponents]
+
+
+def test_prime_zeta_equals_mpmath_primezeta(h_cap_tail_exponents):
+    # mpmath's primezeta sums mu(k)/k ln zeta(ks) for every k up to 2^-ks
+    # < 2^-prec; it is the oracle for the short series at every exponent.
+    with mp.workdps(40):
+        for e, s in zip(h_cap_tail_exponents, _h_cap_zeta_arguments(h_cap_tail_exponents)):
+            assert products._prime_zeta(s) == mp.primezeta(s), e
+
+
+def test_prime_zeta_is_settled_in_its_truncations(h_cap_tail_exponents):
+    # More primes summed apart and more log-zeta terms move no value: both
+    # truncation errors are far below the 40-digit rounding.
+    assert products._split_primes(products._PZ_SPLIT)[1] == 101
+    with mp.workdps(40):
+        for e, s in zip(h_cap_tail_exponents, _h_cap_zeta_arguments(h_cap_tail_exponents)):
+            base = products._prime_zeta(s)
+            assert products._prime_zeta(s, split=300) == base, e
+            assert products._prime_zeta(s, extra_k=3) == base, e
+
+
+def test_prime_zeta_rejects_the_pole():
+    with pytest.raises(ValueError):
+        products._prime_zeta(mp.mpf(1))
+
+
+@pytest.mark.parametrize("call", [lambda: check_h_caps(150_000), build_registry],
+                         ids=["check_h_caps", "build_registry"])
+def test_prime_contexts_are_shared_then_released(call, monkeypatch):
+    # One context per cutoff serves all six products of the call, and none
+    # outlives it: at cutoff 10^7 one holds about 40 MB.
+    built = []
+    real_init = products._PrimeContext.__init__
+
+    def recording(self, cutoff):
+        real_init(self, cutoff)
+        built.append((cutoff, weakref.ref(self)))
+
+    monkeypatch.setattr(products._PrimeContext, "__init__", recording)
+    call()
+    cutoffs = [c for c, _ in built]
+    assert len(cutoffs) == len(set(cutoffs)) >= 1
+    assert [c for c, ref in built if ref() is not None] == []
+    assert products._open_contexts is None
 
 
 def _aux_values_loop(key: str, D: int) -> np.ndarray:
