@@ -6,8 +6,8 @@ Layout:
 
 * sieve: segmented multiplicative sieves (mu, phi, smallest prime factor)
   and the one process-wide arithmetic table the other modules read;
-* mertens: weighted Moebius partial sums m(y), coprime variants, disk
-  tables, and their proven envelopes;
+* mertens: weighted Moebius partial sums m(y), coprime variants, and
+  their proven envelopes;
 * products: certified Euler products, prime tail estimates, and the named
   constants (A, H weights, shift constants c_q);
 * gstar: the coprime totient mean G*_q and its remainder terms r1*, r2*,
@@ -29,13 +29,10 @@ from .sieve import (
     squarefree_count,
 )
 from .mertens import (
-    MertensTable,
-    build_table,
     check_envelope_coprime,
     check_envelope_log,
     check_envelope_sqrt,
     envelope_coprime,
-    envelope_mixed,
     g0_factor,
     g1_factor,
     m,

@@ -25,12 +25,10 @@ import numpy as np
 
 from .numutil import check_allocation, quad_checked
 from .report import BoundReport
-from .mertens import g0_factor, g1_factor
+from .mertens import M_PARAMS, g0_factor, g1_factor
 from .products import A_DEEP, EULER_GAMMA, j1_star
 from .sieve import _table, primes_upto
 from .sigma import _coprime_decomposition_sum
-
-DEEP_SCALE = 1e12  # scale beyond which the logarithmic envelope term exists
 
 REFERENCE_ROWS = (
     (1.1e7, 22.99, 0.679),
@@ -198,7 +196,7 @@ def theorem_bound(config: AssemblyConfig) -> dict:
                      f"primorial divisor reductions up to j={jmax}")
     primes = set(ps.tolist())
     A = A_DEEP.mid
-    tail = 4.14 / ratio + 0.00205
+    tail = tail_bound(1.0, ratio)["flat"]
 
     def one_pass(Ys: list[float]) -> tuple[list[dict], list[float]]:
         """Per-j rows, and the localized remainder sum at each Y: the
@@ -306,7 +304,7 @@ _LEMMA_GRID = [(x, x / r) for x in (1e12, 1e13, 1e14, 1e15)
 
 def _squarefree_phi_sums(grid, term) -> list[float]:
     """Per (x, D) in grid: sum over squarefree d <= min(D, x/1e12) of term(phi(d), x, d)."""
-    caps = [int(min(D, x / DEEP_SCALE)) for x, D in grid]
+    caps = [int(min(D, x / M_PARAMS.deep)) for x, D in grid]
     block = _table(max(caps + [1]))
     sums = []
     for (x, _), cap in zip(grid, caps):
@@ -334,7 +332,7 @@ def le1_verify(grid=None, quad_tol: float = 1e-13) -> BoundReport:
     rows = []
     for (x, D), exact in zip(grid, sums):
         capval = 0.05 * math.sqrt(D)
-        lo_u = max(DEEP_SCALE, x / D)
+        lo_u = max(M_PARAMS.deep, x / D)
         integral, ierr = quad_checked(
             lambda u: (2.0 * math.log(u) - 1.0) / (u ** 1.5 * math.log(u) ** 2),
             lo_u, x, tol=quad_tol)
@@ -373,7 +371,7 @@ def le2_verify(grid=None, quad_tol: float = 1e-13) -> BoundReport:
     worst = (0.0, None)
     rows = []
     for (x, D), exact in zip(grid, sums):
-        lo_u = max(DEEP_SCALE, x / D)
+        lo_u = max(M_PARAMS.deep, x / D)
         integral, ierr = quad_checked(
             lambda u: (math.log(u) - 1.0) / (u * math.log(u) ** 3),
             lo_u, x, tol=quad_tol)
@@ -453,7 +451,8 @@ def tail_desk_check(x: int = 200_000, ratio: float = 23.0) -> BoundReport:
     """
     D = int(x / ratio)
     total = _coprime_decomposition_sum(x, D)
-    cap = 4.14 * D / x + 0.00205
+    bound = tail_bound(D, x)
+    cap = bound["flat"]
     return BoundReport(
         name="tail-envelope-desk",
         domain=f"x = {x}, D = {D}",
@@ -461,5 +460,5 @@ def tail_desk_check(x: int = 200_000, ratio: float = 23.0) -> BoundReport:
         worst_ratio=total / cap,
         worst_arg=(x, D),
         bound=cap,
-        details={"sum": total, "linear_part": 4.14 * D / x},
+        details={"sum": total, "linear_part": bound["linear"]},
     )

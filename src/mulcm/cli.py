@@ -219,31 +219,6 @@ def _cmd_sieve(args) -> int:
     return EXIT_PASS
 
 
-def _cmd_mertens_table(args) -> int:
-    from .mertens import build_table, m
-    manifest = RunManifest.start(
-        "mertens-table", {"limit": args.limit, "m0": args.m0})
-    table = build_table(args.limit, m0=args.m0)
-    outputs = {}
-    if args.out:
-        table.save(args.out)
-        outputs["table"] = args.out
-    checks = []
-    step = max(1, args.limit // 16)
-    for t in range(1, args.limit + 1, step):
-        direct = m(t)
-        recon = table.full_value(t)
-        checks.append({"t": t, "direct": direct, "reconstructed": recon,
-                       "agree": abs(direct - recon) <= 1e-12})
-    ok = all(c["agree"] for c in checks)
-    print(f"mertens-table m0={args.m0} limit={args.limit}: "
-          f"reconstruction {'pass' if ok else 'FAIL'} at {len(checks)} points")
-    _emit({"manifest": manifest.finish(outputs).to_dict(),
-           "reconstruction_checks": checks},
-          args.json_out)
-    return EXIT_PASS if ok else EXIT_FAIL
-
-
 def _parse_window(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep:
@@ -427,14 +402,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", type=int, required=True)
     p.add_argument("--out", help="JSON output path")
     p.set_defaults(func=_cmd_sieve)
-
-    p = sub.add_parser("mertens-table",
-                       help="build, save, and verify a residue-class table")
-    p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--m0", type=int, default=6)
-    p.add_argument("--out", help="binary table output path")
-    p.add_argument("--json-out", help="JSON report path")
-    p.set_defaults(func=_cmd_mertens_table)
 
     p = sub.add_parser("sigma-scan", help="scan S(d) and check window caps")
     p.add_argument("--to", type=int, required=True)

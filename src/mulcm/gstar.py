@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numutil import NeumaierSum, fsum_array
+from .numutil import fsum_array
 from .report import BoundReport, CertifiedValue
 from .sieve import (
     _coprime_mask, _squarefree_divisors, _table, prime_divisors,
@@ -712,15 +712,15 @@ def check_averaged_divisor_identity(D_values=(10, 100, 1000), q: int = 1,
         integral = fsum_array(step_terms)
         # Error budget of the identity: (1/D) int_1^eta sum_{m<=uD} |g| du/u,
         # stepwise exact in u.
-        err_budget = NeumaierSum()
+        err_budget = []
         u0 = 1.0
         m0 = math.floor(D)
         for m in range(m0 + 1, math.floor(eta * D) + 1):
             u1 = m / D
-            err_budget.add(float(absg[m - 1]) * math.log(u1 / u0))
+            err_budget.append(float(absg[m - 1]) * math.log(u1 / u0))
             u0 = u1
-        err_budget.add(float(absg[math.floor(eta * D)]) * math.log(eta / u0))
-        o_star = err_budget.total() / D
+        err_budget.append(float(absg[math.floor(eta * D)]) * math.log(eta / u0))
+        o_star = math.fsum(err_budget) / D
         resid = lhs - main - integral
         mass = (float(np.sum(np.abs(lhs_terms)))
                 + float(np.sum(np.abs(main_terms)))

@@ -1,34 +1,27 @@
 """Weighted Mertens sums m(y) = sum_{n<=y} mu(n)/n and their envelopes.
 
-Three layers:
+Two layers:
 
 * direct evaluation: exact rationals for small y, the arithmetic table's
   float cumsum (`sieve._mertens_cum`) for scan-scale y, and the coprime
   variants m_q;
-* MertensTable: residue-class tables mod a small modulus with a documented
-  binary checkpoint format, so long runs can persist and reload their state;
-* envelope machinery: the square-root and logarithmic decay bounds, their
-  combination, and the coprime generalization with multiplicative inflation
-  factors, each checkable against direct evaluation on a finite range.
+* envelope machinery: the square-root and logarithmic decay bounds and
+  their coprime generalization with multiplicative inflation factors, each
+  checkable against direct evaluation on a finite range.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .numutil import check_allocation
 from .report import BoundReport
-from .sieve import (
-    _coprime_mask, _mertens_cum, _squarefree_divisors, _table, prime_divisors,
-    radical,
-)
+from .sieve import _coprime_mask, _mertens_cum, _table, prime_divisors, radical
 
-# Exponent for the logarithmic-regime interpolation envelope.
+# Exponent of the log-envelope inflation factor g1(p) = p^XI / (p^XI - 1).
 XI = 1.0 - 1.0 / (12.0 * math.log(10.0))
 
 
@@ -38,7 +31,8 @@ class EnvelopeParams:
 
     sqrt_c: |m(x)| <= sqrt(sqrt_c / x) on [1, sqrt_range].
     log_c:  |m(x)| <= log_c / log x for x >= log_from.
-    deep:   scale beyond which the logarithmic term enters mixed envelopes.
+    deep:   scale from which the logarithmic term enters the coprime
+            envelope and the assembly's weighted-sum lemmas.
     """
 
     sqrt_c: float
@@ -92,101 +86,6 @@ def m_q_exact(y, q: int) -> Fraction:
         if v and math.gcd(n, q) == 1:
             total += Fraction(v, n)
     return total
-
-
-# ----------------------------------------------------------------------
-# Residue-class tables with a binary checkpoint format.
-
-_MAGIC = b"MULCMMT1"
-_VERSION = 1
-
-
-@dataclass
-class MertensTable:
-    """Cumulative sums m(t; u, m0) = sum_{n <= t, n = u mod m0} mu(n)/n.
-
-    rows has shape (m0, limit + 1); rows[u][t] is m(t; u, m0).  The full sum
-    and any coprime restriction m_q with rad(q) | m0 are linear combinations
-    of rows, so one table serves every modulus dividing m0.
-    """
-
-    m0: int
-    limit: int
-    rows: np.ndarray  # float64, shape (m0, limit + 1)
-
-    def coprime_value(self, y: float) -> float:
-        """m_{m0}(y): the sum restricted to n coprime to m0."""
-        k = int(math.floor(y))
-        if k < 1:
-            return 0.0
-        if k > self.limit:
-            raise ValueError(f"table limit {self.limit} < {k}")
-        total = 0.0
-        for u in range(self.m0):
-            if math.gcd(u, self.m0) == 1:
-                total += float(self.rows[u][k])
-        return total
-
-    def full_value(self, t: float) -> float:
-        """Reconstruct m(t) from residue rows.
-
-        Writing each squarefree n as a * b with a | rad(m0) and (b, m0) = 1
-        gives m(t) = sum_{a | rad(m0)} mu(a)/a * m_{m0}(t/a).
-        """
-        k = int(math.floor(t))
-        if k < 1:
-            return 0.0
-        if k > self.limit:
-            raise ValueError(f"table limit {self.limit} < {k}")
-        total = 0.0
-        for a, mu_a in _squarefree_divisors(self.m0):
-            total += mu_a / a * self.coprime_value(k // a)
-        return total
-
-    def save(self, path: str) -> None:
-        """Write the binary checkpoint.
-
-        Layout (little-endian): magic "MULCMMT1", u32 version, u32 m0,
-        u64 limit, then m0 rows of (limit+1) float64 values, residue-major
-        (row u first, each row indexed by t from 0).
-        """
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<IIQ", _VERSION, self.m0, self.limit))
-            fh.write(np.ascontiguousarray(self.rows, dtype="<f8").tobytes())
-
-    @staticmethod
-    def load(path: str) -> "MertensTable":
-        with open(path, "rb") as fh:
-            magic = fh.read(8)
-            if magic != _MAGIC:
-                raise ValueError(f"not a mertens table checkpoint: magic {magic!r}")
-            version, m0, limit = struct.unpack("<IIQ", fh.read(16))
-            if version != _VERSION:
-                raise ValueError(f"unsupported table version {version}")
-            count = m0 * (limit + 1)
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8")
-            if data.size != count:
-                raise ValueError("truncated mertens table checkpoint")
-        rows = data.reshape(m0, limit + 1).astype(np.float64)
-        return MertensTable(m0=m0, limit=int(limit), rows=rows)
-
-
-def build_table(limit: int, m0: int = 6) -> MertensTable:
-    """Build the residue-class table up to `limit` for modulus m0."""
-    if limit < 1 or m0 < 1:
-        raise ValueError("need limit >= 1 and m0 >= 1")
-    check_allocation((m0 + 3) * (limit + 1) * 8, f"mertens table {m0} x {limit}")
-    terms = np.zeros(limit + 1, dtype=np.float64)
-    terms[1:] = _table(limit).mu
-    terms[1:] /= np.arange(1, limit + 1, dtype=np.float64)
-    rows = np.zeros((m0, limit + 1), dtype=np.float64)
-    for u in range(m0):
-        sel = np.zeros(limit + 1, dtype=np.float64)
-        first = u if u >= 1 else m0
-        sel[first::m0] = terms[first::m0]
-        rows[u] = np.cumsum(sel)
-    return MertensTable(m0=m0, limit=limit, rows=rows)
 
 
 # ----------------------------------------------------------------------
@@ -249,24 +148,6 @@ def check_envelope_log(limit: int, q: int = 1) -> BoundReport:
         bound=params.log_c,
         details={"form": f"|m(x)| * log(x) <= {params.log_c} for x >= {start}"},
     )
-
-
-def envelope_mixed(t: float, y: float, q: int = 1) -> float:
-    """Envelope for |m(t)| valid for 1 <= t <= y, blending both regimes.
-
-    sqrt(c0/t) plus, once y reaches the deep threshold, a term that
-    interpolates the logarithmic bound from scale y down to t with exponent
-    1 - XI: c1 * y^(1-XI) / (log(y) * t^(1-XI)).
-    """
-    params = M_PARAMS if q == 1 else M2_PARAMS
-    if q not in (1, 2):
-        raise ValueError("mixed envelope is stated for q in {1, 2}")
-    if t < 1 or t > y:
-        raise ValueError("need 1 <= t <= y")
-    val = math.sqrt(params.sqrt_c / t)
-    if y >= params.deep:
-        val += params.log_c * (y / t) ** (1.0 - XI) / math.log(y)
-    return val
 
 
 def g0_factor(d: int) -> float:

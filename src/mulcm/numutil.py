@@ -1,8 +1,8 @@
-"""Numerical utilities: compensated summation, certified quadrature, budgets.
+"""Numerical utilities: correctly rounded summation, certified quadrature, budgets.
 
-Everything downstream that adds many floats goes through NeumaierSum or,
-for an array, the correctly rounded fsum_array, and every integral that
-feeds an inequality goes through adaptive_simpson so we always have an error
+Everything downstream that adds many floats goes through math.fsum or, for
+an array, the correctly rounded fsum_array, and every integral that feeds an
+inequality goes through adaptive_simpson so we always have an error
 estimate to fold into the verdict.
 
 fsum_array returns exactly what math.fsum returns.  It splits the array
@@ -50,43 +50,6 @@ def check_allocation(nbytes: int, what: str = "allocation") -> None:
         raise BudgetError(
             f"{what} needs {nbytes} bytes but MULCM_MEMORY_BUDGET allows {budget}"
         )
-
-
-class NeumaierSum:
-    """Compensated accumulator (Neumaier variant of Kahan summation).
-
-    Keeps a running correction term so that adding n floats loses O(eps)
-    rather than O(n*eps) accuracy.  total() folds the correction in.
-    """
-
-    __slots__ = ("_s", "_c")
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._s = float(start)
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        t = self._s + x
-        if abs(self._s) >= abs(x):
-            self._c += (self._s - t) + x
-        else:
-            self._c += (x - t) + self._s
-        self._s = t
-
-    def extend(self, xs) -> None:
-        for x in xs:
-            self.add(x)
-
-    def total(self) -> float:
-        return self._s + self._c
-
-
-def neumaier_sum(xs) -> float:
-    """Sum an iterable of floats with compensation."""
-    acc = NeumaierSum()
-    for x in xs:
-        acc.add(x)
-    return acc.total()
 
 
 # Up to this many values one fsum call is faster than the extraction.
@@ -223,17 +186,16 @@ def quad_log(f, a: float, b: float, tol: float = 1e-10) -> tuple[float, float]:
 
 
 def quad_checked(f, a: float, b: float, tol: float = 1e-8,
-                 agreement: float = 1e-5, log_transform: bool = True) -> tuple[float, float]:
-    """Integrate twice (tol and tol/100) and insist the results agree.
+                 agreement: float = 1e-5) -> tuple[float, float]:
+    """Integrate twice by quad_log (tol, tol/100); insist the results agree.
 
     Returns (value_at_finer_tol, error_bound) where the error bound is the
     larger of the finer run's estimate and the observed disagreement.  Raises
     ValueError if the two runs disagree by more than `agreement` relatively,
     which would mean the integrand defeats the quadrature.
     """
-    quad = quad_log if log_transform else adaptive_simpson
-    v1, _ = quad(f, a, b, tol)
-    v2, e2 = quad(f, a, b, tol / 100.0)
+    v1, _ = quad_log(f, a, b, tol)
+    v2, e2 = quad_log(f, a, b, tol / 100.0)
     scale = max(abs(v1), abs(v2), 1e-300)
     if abs(v1 - v2) / scale > agreement:
         raise ValueError(

@@ -28,7 +28,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from .numutil import NeumaierSum, fsum_array, quad_log
+from .numutil import fsum_array, quad_log
 from .report import BoundReport, CertifiedValue
 from .sieve import _squarefree_divisors, primes_upto, require_squarefree
 from .mertens import XI
@@ -88,14 +88,13 @@ def _integral_to_infinity(f, P: float, sigma: float) -> float:
     if sigma <= 1.0:
         raise ValueError("sigma must exceed 1 for a finite remainder")
     edges = [P, 10 * P, 100 * P, 1e4 * P, 1e6 * P]
-    total = NeumaierSum()
+    terms = []
     for a, b in zip(edges, edges[1:]):
         v, e = quad_log(f, a, b, tol=1e-13 * max(1.0, f(a) * a))
-        total.add(v)
-        total.add(abs(e))
+        terms += [v, abs(e)]
     Q = edges[-1]
-    total.add(f(Q) * Q / (sigma - 1.0))
-    return total.total()
+    terms.append(f(Q) * Q / (sigma - 1.0))
+    return math.fsum(terms)
 
 
 def tail_sum_over_primes(f, P: float, mode: str = "strong", sigma: float = 2.0) -> float:

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .mertens import m_q, m_q_exact
+from .mertens import m_q_exact
 from .numutil import check_allocation
 from .report import BoundReport
 from .sieve import _coprime_mask, _mertens_cum, _table, primes_upto, smooth_numbers
@@ -225,13 +225,12 @@ def _coprime_decomposition_sum(X: int, D: int) -> float:
 # ----------------------------------------------------------------------
 # Strict-cutoff coprime Mertens sums and their smooth-part expansion.
 
-def landau_coprime_m(d: int, y, exact: bool = True):
-    """sum_{n < y, (n, d) = 1} mu(n)/n, strict cutoff, exact by default.
+def landau_coprime_m(d: int, y) -> Fraction:
+    """sum_{n < y, (n, d) = 1} mu(n)/n, strict cutoff, as an exact rational.
 
     This is m_d at the cutoff ceil(y) - 1.
     """
-    limit = math.ceil(y) - 1
-    return m_q_exact(limit, d) if exact else m_q(limit, d)
+    return m_q_exact(math.ceil(y) - 1, d)
 
 
 def landau_smooth_expansion(d: int, y) -> Fraction:
@@ -266,7 +265,7 @@ def check_landau(d_max: int = 50, y_values=(2, 3, 10, 100, 1000)) -> BoundReport
     bad = []
     for d in range(1, d_max + 1):
         for y in y_values:
-            lhs = landau_coprime_m(d, y, exact=True)
+            lhs = landau_coprime_m(d, y)
             rhs = landau_smooth_expansion(d, y)
             if lhs != rhs:
                 bad.append((d, y, str(lhs), str(rhs)))

@@ -1,9 +1,11 @@
+import argparse
 import json
 import pathlib
+import re
 
 import pytest
 
-from mulcm.cli import main
+from mulcm.cli import _build_parser, main
 
 
 def test_verify_lemma_list(capsys):
@@ -62,8 +64,12 @@ def test_sigma_scan_bad_window_usage(capsys):
 
 def test_sigma_scan_resume_flow(tmp_path, capsys):
     ck = str(tmp_path / "ck.csv")
+    report = tmp_path / "scan.json"
     assert main(["sigma-scan", "--to", "1000", "--checkpoint", ck,
-                 "--checkpoint-every", "500", "--window", "2..1000"]) == 0
+                 "--checkpoint-every", "500", "--window", "2..1000",
+                 "--out", str(report)]) == 0
+    digest = json.loads(report.read_text())["manifest"]["outputs"]["checkpoint"]
+    assert digest["path"] == ck and len(digest["sha256"]) == 64
     assert main(["sigma-scan", "--to", "1500", "--checkpoint", ck,
                  "--resume"]) == 0
     out = capsys.readouterr().out
@@ -120,17 +126,6 @@ def test_sieve_summary(tmp_path, capsys):
     assert payload["summary"]["squarefree_count"] == 60794
 
 
-def test_mertens_table_cli(tmp_path, capsys):
-    bin_path = tmp_path / "m.bin"
-    json_path = tmp_path / "m.json"
-    assert main(["mertens-table", "--limit", "3000", "--m0", "6",
-                 "--out", str(bin_path), "--json-out", str(json_path)]) == 0
-    payload = json.loads(json_path.read_text())
-    assert all(c["agree"] for c in payload["reconstruction_checks"])
-    digest = payload["manifest"]["outputs"]["table"]["sha256"]
-    assert len(digest) == 64
-
-
 def test_bound_reports_windows_and_table_passes(capsys):
     assert main(["bound", "--x-min", "1.1e7", "--ratio", "22.99"]) == 0
     assert "1 dyadic window(s), 1 pass(es)" in capsys.readouterr().out
@@ -142,3 +137,13 @@ def test_bound_reports_windows_and_table_passes(capsys):
 def test_bound_oversized_ratio_exits_budget(monkeypatch, capsys):
     monkeypatch.delenv("MULCM_MEMORY_BUDGET", raising=False)
     assert main(["bound", "--x-min", "1e7", "--ratio", "200"]) == 3
+
+
+def test_readme_command_line_lists_every_subcommand():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    documented = set(re.findall(r"^mulcm ([a-z-]+)", block, re.M))
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert documented == set(subparsers.choices)

@@ -6,13 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mulcm.mertens import (
-    MertensTable,
-    build_table,
     check_envelope_coprime,
     check_envelope_log,
     check_envelope_sqrt,
     envelope_coprime,
-    envelope_mixed,
     g0_factor,
     g1_factor,
     m,
@@ -55,27 +52,6 @@ def test_m_q_restricts_to_coprime():
     assert m_q(10, 1) == pytest.approx(m(10), abs=1e-15)
 
 
-def test_table_roundtrip(tmp_path):
-    for m0 in (6, 30):
-        table = build_table(2000, m0=m0)
-        path = tmp_path / f"table{m0}.bin"
-        table.save(str(path))
-        loaded = MertensTable.load(str(path))
-        assert loaded.m0 == table.m0
-        assert loaded.limit == table.limit
-        # full_value sums mu(a)/a * m_{m0}(t/a) over squarefree a | m0.
-        for t in list(range(0, 100)) + [210, 999, 1999.5, 2000]:
-            assert loaded.full_value(t) == pytest.approx(m(t), abs=1e-12)
-            assert loaded.coprime_value(t) == pytest.approx(m_q(t, m0), abs=1e-12)
-
-
-def test_table_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOTATABLE" + b"\x00" * 64)
-    with pytest.raises(ValueError):
-        MertensTable.load(str(path))
-
-
 def test_g_factors():
     assert g0_factor(1) == 1.0
     assert g0_factor(2) == pytest.approx(math.sqrt(1.5))
@@ -86,13 +62,6 @@ def test_g_factors():
     # multiplicative over squarefree arguments
     assert g0_factor(6) == pytest.approx(g0_factor(2) * g0_factor(3))
     assert g1_factor(15) == pytest.approx(g1_factor(3) * g1_factor(5))
-
-
-def test_envelope_mixed_shape():
-    # below the deep scale only the sqrt part is active
-    assert envelope_mixed(100.0, 100.0, 1) == pytest.approx(math.sqrt(2 / 100.0))
-    deep = envelope_mixed(100.0, 2e12, 1)
-    assert deep > math.sqrt(2 / 100.0)
 
 
 def test_envelope_sqrt_desk():

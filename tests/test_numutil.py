@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from mulcm import numutil
 from mulcm.numutil import (
     BudgetError,
-    NeumaierSum,
     adaptive_simpson,
     check_allocation,
     fsum_array,
     memory_budget_bytes,
-    neumaier_sum,
     quad_checked,
     quad_log,
 )
@@ -121,26 +119,6 @@ def test_fsum_array_property_mixed_magnitudes_and_signs(seed, n, spread, center,
         xs = np.concatenate([xs, -xs[::-1], xs[:1] * 2.0 ** -60])
         rng.shuffle(xs)
     assert_same_as_fsum(xs)
-
-
-def test_neumaier_matches_fsum_on_cancelling_terms():
-    xs = [1e16, 1.0, -1e16, 1.0, 0.5, -0.25] * 100
-    assert neumaier_sum(xs) == math.fsum(xs)
-
-
-def test_neumaier_incremental_extend():
-    s = NeumaierSum()
-    s.add(1e100)
-    s.extend([1.0, -1e100])
-    assert s.total() == 1.0
-
-
-@given(st.lists(st.floats(min_value=-1e12, max_value=1e12,
-                          allow_nan=False, allow_infinity=False),
-                max_size=200))
-@settings(max_examples=200, deadline=None)
-def test_neumaier_property_matches_fsum(xs):
-    assert neumaier_sum(xs) == pytest.approx(math.fsum(xs), rel=1e-15, abs=1e-300)
 
 
 def test_simpson_polynomial_exact():

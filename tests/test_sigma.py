@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mulcm import sieve, sigma
-from mulcm.mertens import m_q, m_q_exact
+from mulcm.mertens import m_q_exact
 from mulcm.numutil import BudgetError
 from mulcm.sieve import factorize, sieve_range
 from mulcm.sigma import (
@@ -94,18 +94,14 @@ def test_landau_is_m_d_at_strict_cutoff():
     for d in range(1, 51):
         for y in (0.5, 1, 1.5, 2, 3, 10, 10.2, 100, 1000):
             cut = math.ceil(y) - 1
-            got = landau_coprime_m(d, y, exact=False)
-            assert got == m_q(cut, d), (d, y)
-            exact = landau_coprime_m(d, y, exact=True)
-            assert exact == m_q_exact(cut, d), (d, y)
-            assert got == pytest.approx(float(exact), abs=1e-12)
+            assert landau_coprime_m(d, y) == m_q_exact(cut, d), (d, y)
 
 
 def test_landau_formula_exact():
     rep = check_landau(d_max=20, y_values=(2, 3, 10, 100))
     assert rep.passed, rep.summary_line()
     # spot value: d = 2, strict cutoff y = 4 sums d' in {1, 3}
-    direct = landau_coprime_m(2, 4, exact=True)
+    direct = landau_coprime_m(2, 4)
     assert direct == Fraction(1) - Fraction(1, 3)
     assert landau_smooth_expansion(2, 4) == direct
 
