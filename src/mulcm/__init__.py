@@ -37,7 +37,6 @@ from .mertens import (
     g1_factor,
     m,
     m_exact,
-    m_q,
 )
 from .products import (
     A_DEEP,

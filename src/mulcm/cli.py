@@ -323,9 +323,8 @@ def _registry_diff(old: dict, new: dict, path: str = "") -> list[str]:
 def _cmd_constants(args) -> int:
     from .products import build_registry
     manifest = RunManifest.start(
-        "constants", {"deep": args.deep, "write": args.write,
-                      "check": args.check})
-    reg = build_registry(deep=args.deep)
+        "constants", {"write": args.write, "check": args.check})
+    reg = build_registry()
     if args.write:
         with open(args.write, "w") as fh:
             json.dump(reg, fh, indent=2, sort_keys=True)
@@ -430,8 +429,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="constants registry: print, "
                                          "write, or diff")
-    p.add_argument("--deep", action="store_true",
-                   help="recompute slow constants at full cutoffs")
     p.add_argument("--write", help="write registry JSON here")
     p.add_argument("--check", help="diff computed registry against this file")
     p.set_defaults(func=_cmd_constants)

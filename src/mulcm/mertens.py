@@ -2,9 +2,9 @@
 
 Two layers:
 
-* direct evaluation: exact rationals for small y, the arithmetic table's
-  float cumsum (`sieve._mertens_cum`) for scan-scale y, and the coprime
-  variants m_q;
+* direct evaluation: exact rationals for small y (with the coprime
+  variant m_q_exact) and the arithmetic table's float cumsum
+  (`sieve._mertens_cum`) for scan-scale y;
 * envelope machinery: the square-root and logarithmic decay bounds and
   their coprime generalization with multiplicative inflation factors, each
   checkable against direct evaluation on a finite range.
@@ -59,17 +59,6 @@ def m(y: float) -> float:
 def m_exact(y) -> Fraction:
     """Exact rational m(y) for y <= 100000 (guard against runaway cost)."""
     return m_q_exact(y, 1)
-
-
-def m_q(y: float, q: int) -> float:
-    """m_q(y) = sum_{n <= y, gcd(n, q) = 1} mu(n)/n, as a float."""
-    t = int(math.floor(y))
-    if t < 1:
-        return 0.0
-    block = _table(t)
-    n = np.arange(1, t + 1, dtype=np.float64)
-    terms = np.where(_coprime_mask(t, q), block.mu.astype(np.float64) / n, 0.0)
-    return float(np.sum(terms))
 
 
 def m_q_exact(y, q: int) -> Fraction:

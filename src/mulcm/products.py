@@ -13,9 +13,11 @@ powers p^e evaluated as arrays.  Local terms are
 array expressions over that context, in the same float operations and order
 as a per-prime loop, so the partial products are bit-identical to one.
 
-Deep constants (cutoff 1e8) are frozen here with their enclosures and can be
-regenerated with tools/deep_constants.py; everything else is recomputed on
-demand at documented cutoffs.
+Every product (A and P0 in _cubic_product, the weight products in
+_sharp_weight_product) is its partial product times the exponential of a
+log-tail enclosure, widened by FSLACK (_enclose).  A_DEEP and P0_DEEP, frozen
+here, are _cubic_product at cutoff 1e8, which a test recomputes; everything
+else is recomputed on demand at documented cutoffs.
 """
 
 from __future__ import annotations
@@ -43,11 +45,12 @@ STRONG_MIN_P = 3_600_000.0
 WEAK_MIN_P = 2.0
 
 # ----------------------------------------------------------------------
-# Frozen deep constants (cutoff 1e8, via tools/deep_constants.py).
-# A    = prod_p (1 - 2/p^2 + 1/p^3); the leading density constant.
+# Frozen deep constants, _cubic_product(c, 10**8) (about 2 s and 220 MB);
+# tests/test_products.py recomputes both and requires equality.
+# A    = prod_p (1 - 2/p^2 + 1/p^3) = constant_A(10**8); the leading density constant.
 # P0   = prod_p (1 - 1/p^2 + 1/p^3); the k-tail product over all primes.
-A_DEEP = CertifiedValue(0.428249505675819, 0.428249506119184)
-P0_DEEP = CertifiedValue(0.748535259681247, 0.748535260068727)
+A_DEEP = CertifiedValue(0.42824950567569925, 0.4282495061192267)
+P0_DEEP = CertifiedValue(0.7485352596811069, 0.7485352600688014)
 
 
 def prime_tail_bound(f, P: float, mode: str = "strong",
@@ -245,45 +248,53 @@ def _partial_product(local, cutoff: int) -> tuple[np.ndarray, float]:
     return primes.ps, math.exp(fsum_array(np.log1p(local(primes))))
 
 
-def product_over_primes(local, cutoff: int, tail_abs_bound: float,
-                        tail_sign: str) -> CertifiedValue:
-    """Certified enclosure of prod_p (1 + local(p)) over all primes.
+# Relative cushion on every product enclosure (_enclose) for the float error
+# of its partial product exp(fsum_array(log1p(x))).  If e_i u (u = 2^-53)
+# bounds the error of the computed local term x_i then, to first order,
+# log1p moves by e_i u / (1 + x_i) and rounds within 4 ulps (numpy's SIMD
+# log1p is not libm's), fsum_array rounds once, and the two exp (1 ulp
+# each), two products and 1 -/+ FSLACK add under 8u, so the relative error is
+#     u (sum_i e_i / (1 + x_i) + 9 sum_i |log1p x_i| + 8).
+# e_i is a few |x_i| for A and P0; the weight products cancel in
+# W = (p-1) G - p, where e_i is about 9 (p-1) G p^-s.  tests/test_products.py
+# evaluates e_i by running error analysis for every product of
+# check_h_caps(10^5) and (10^7), build_registry() and the frozen constants;
+# the largest bound, Hbar(2/3) of g0^2 at 10^7, is 6.9e-14.
+FSLACK = 1e-13
 
-    local maps a _PrimeContext to the local terms at every prime p <= cutoff
-    (see _partial_product); tail_abs_bound must bound
-    sum_{p > cutoff} |local(p)|, with every |local(p)| <= 1/2 there.
-    tail_sign describes the tail terms: "negative" (partial is an upper
-    bound), "positive" (partial is a lower bound), or "mixed".
+
+def _enclose(partial: float, log_lo: float, log_hi: float) -> CertifiedValue:
+    """[partial exp(log_lo), partial exp(log_hi)], widened by FSLACK."""
+    return CertifiedValue(partial * math.exp(log_lo) * (1.0 - FSLACK),
+                          partial * math.exp(log_hi) * (1.0 + FSLACK))
+
+
+def _cubic_product(c: float, cutoff: int) -> CertifiedValue:
+    """Enclosure of prod_p (1 - c/p^2 + 1/p^3) over all primes, c in {1, 2}.
+
+    Past the cutoff each factor is 1 - x_p with 0 < x_p < c/p^2 <= c/cutoff^2,
+    and -log(1 - x) <= x / (1 - x), so the tail factor lies in [exp(-T), 1]
+    with T the sum over p > cutoff of (c/p^2) / (1 - c/cutoff^2).  T is
+    bounded by tail_sum_over_primes, in strong mode from STRONG_MIN_P on and
+    in weak mode below it.
     """
+    def local(primes):
+        p = primes.ps
+        return (-c * p + 1.0) / (p * p * p)
+
     _, partial = _partial_product(local, cutoff)
-    # Float slack: fsum is exact to one rounding; log1p and exp each lose
-    # an ulp per operation, so allow a generous 1e-13 relative cushion.
-    fslack = 1e-13
-    # |log(1 + x)| <= |x| / (1 - |x|) <= 2 |x| for |x| <= 1/2.
-    t = 2.0 * tail_abs_bound
-    if tail_sign == "negative":
-        lo, hi = partial * math.exp(-t), partial
-    elif tail_sign == "positive":
-        lo, hi = partial, partial * math.exp(t)
-    elif tail_sign == "mixed":
-        lo, hi = partial * math.exp(-t), partial * math.exp(t)
-    else:
-        raise ValueError(f"unknown tail_sign {tail_sign!r}")
-    return CertifiedValue(lo * (1 - fslack), hi * (1 + fslack))
+    shrink = 1.0 - c / (cutoff * cutoff)
+    mode = "strong" if cutoff >= STRONG_MIN_P else "weak"
+    tail = tail_sum_over_primes(lambda t: c / (t * t) / shrink, float(cutoff), mode=mode)
+    return _enclose(partial, -tail, 0.0)
 
 
 def constant_A(cutoff: int = 2_000_000) -> CertifiedValue:
     """Enclosure of A = prod_p (1 - 2/p^2 + 1/p^3) at a chosen cutoff.
 
-    The tail of sum 2/p^2 is bounded in weak mode (valid from P = 2), so any
-    cutoff >= 100 works; larger cutoffs tighten the bracket.
+    Any cutoff >= 2 works; larger cutoffs tighten the bracket.
     """
-    def local(primes):
-        p = primes.ps
-        return (-2.0 * p + 1.0) / (p * p * p)
-
-    tail = tail_sum_over_primes(lambda t: 2.0 / (t * t), float(cutoff), mode="weak")
-    return product_over_primes(local, cutoff, tail, "negative")
+    return _cubic_product(2.0, cutoff)
 
 
 # ----------------------------------------------------------------------
@@ -612,9 +623,7 @@ def _sharp_weight_product(key: str, w_shifts, extra, cutoff: int,
         raise ValueError(f"cutoff must be >= {SHARP_TAIL_MIN_CUTOFF}")
     ps, partial = _partial_product(local, cutoff)
     tail = _local_log_tail(key, w_shifts, extra, cutoff, ps)
-    fslack = 1e-13
-    return CertifiedValue(partial * math.exp(tail.lo) * (1.0 - fslack),
-                          partial * math.exp(tail.hi) * (1.0 + fslack))
+    return _enclose(partial, tail.lo, tail.hi)
 
 
 def h_linear(key: str, cutoff: int = 10_000_000) -> CertifiedValue:
@@ -905,21 +914,19 @@ def j5_star(q: int) -> float:
 # Registry.
 
 @_shared_prime_contexts()
-def build_registry(deep: bool = False) -> dict:
+def build_registry() -> dict:
     """Assemble the constants registry as a plain dict.
 
-    With deep=False the cheap constants are recomputed at moderate cutoffs
-    and the expensive ones come from the frozen deep enclosures.  With
-    deep=True the H constants are recomputed at cutoff 1e7 (a few seconds;
-    the H enclosures are tight at either cutoff, deep mostly shrinks the
-    Hbar(2/3) widths from about 5e-6 to below 1e-8).
+    A and P0 are the frozen deep enclosures; the other constants are
+    recomputed at moderate cutoffs, the H products at 1e5.  (`mulcm
+    verify-lemma aux-caps --out FILE` writes the H enclosures at 1e7.)
     """
-    h_cut = 10_000_000 if deep else 100_000
+    h_cut = 100_000
     reg: dict = {
         "A": {"enclosure": A_DEEP.to_dict(), "cutoff": 100_000_000,
-              "source": "frozen; regenerate with tools/deep_constants.py"},
+              "source": "frozen products.A_DEEP = constant_A(10**8)"},
         "ktail_product": {"enclosure": P0_DEEP.to_dict(), "cutoff": 100_000_000,
-                          "source": "frozen; regenerate with tools/deep_constants.py"},
+                          "source": "frozen products.P0_DEEP = _cubic_product(1.0, 10**8)"},
         "A_check": {"enclosure": constant_A(200_000).to_dict(), "cutoff": 200_000},
         "euler_gamma": EULER_GAMMA,
         "xi": XI,

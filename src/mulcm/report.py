@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import platform
 import sys
 import time
@@ -74,17 +75,23 @@ class CertifiedValue:
 
     def scale(self, c: float) -> "CertifiedValue":
         if c >= 0:
-            return CertifiedValue(self.lo * c, self.hi * c)
-        return CertifiedValue(self.hi * c, self.lo * c)
+            return _outward(self.lo * c, self.hi * c)
+        return _outward(self.hi * c, self.lo * c)
 
     def __mul__(self, other: "CertifiedValue") -> "CertifiedValue":
         """Interval product, assuming both operands may straddle zero."""
         cands = (self.lo * other.lo, self.lo * other.hi,
                  self.hi * other.lo, self.hi * other.hi)
-        return CertifiedValue(min(cands), max(cands))
+        return _outward(min(cands), max(cands))
 
     def to_dict(self) -> dict:
         return {"lo": self.lo, "hi": self.hi, "mid": self.mid, "width": self.width}
+
+
+def _outward(lo: float, hi: float) -> CertifiedValue:
+    """[lo, hi] widened by one ulp at each end: lo and hi each come from one
+    operation rounded to nearest, so the exact results lie inside."""
+    return CertifiedValue(math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf))
 
 
 def sha256_file(path: str) -> str:

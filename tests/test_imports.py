@@ -4,7 +4,8 @@ Every name a module imports is used in it (the package's `__init__.py` is
 exempt: its imports are the public re-exports collected into `__all__`),
 only `sieve.py` runs the multiplicative sieve: every other module reads
 mu, phi, spf and the Mertens cumsum from the one arithmetic table, prime
-zeta values come from `products._prime_zeta`, not mpmath's `primezeta`, and
+zeta values come from `products._prime_zeta`, not mpmath's `primezeta`,
+every Euler product's logs are taken in `products._partial_product` alone, and
 exact sums of arrays go through `numutil.fsum_array`, not `fsum` of a list
 nor `fsum` of a memoryview outside `numutil.py`.
 """
@@ -59,10 +60,15 @@ def test_package_attribute_is_the_module(name):
 SIEVE_ENTRY_POINTS = {"sieve_range"}
 
 
-def name_references(source: str, names) -> list[str]:
-    """Imports of, and references to, the given names."""
+def name_references(source: str, names, outside: str | None = None) -> list[str]:
+    """Imports of, and references to, the given names; with `outside`, those
+    in the module-level function of that name are left out."""
+    tree = ast.parse(source)
+    if outside is not None:
+        tree.body = [node for node in tree.body
+                     if not (isinstance(node, ast.FunctionDef) and node.name == outside)]
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             found_names = [alias.name for alias in node.names]
         elif isinstance(node, ast.Name):
@@ -105,6 +111,22 @@ def test_primezeta_detector_flags_calls_and_imports():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_calls_mpmath_primezeta(path):
     assert name_references(path.read_text(), {"primezeta"}) == []
+
+
+# Euler products take their logs in products._partial_product, the one path
+# whose float error products.FSLACK is derived for.
+def test_log1p_detector_skips_only_the_named_function():
+    src = ("import numpy as np\nfrom math import log1p\n"
+           "def _partial_product(x):\n    return np.log1p(x)\n"
+           "def other(x):\n    return np.log1p(x)\n")
+    assert name_references(src, {"log1p"}, outside="_partial_product") == [
+        "log1p (line 2)", "log1p (line 6)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_log1p_only_in_the_partial_product(path):
+    outside = "_partial_product" if path.name == "products.py" else None
+    assert name_references(path.read_text(), {"log1p"}, outside=outside) == []
 
 
 def fsum_of_arrays(source: str) -> list[str]:

@@ -14,7 +14,6 @@ from mulcm.mertens import (
     g1_factor,
     m,
     m_exact,
-    m_q,
     m_q_exact,
 )
 from mulcm.sieve import factorize
@@ -48,8 +47,6 @@ def test_m_q_restricts_to_coprime():
     # m_2(y) sums mu(d)/d over odd d only.
     assert m_q_exact(10, 2) == Fraction(1) - Fraction(1, 3) - Fraction(1, 5) \
         - Fraction(1, 7)
-    assert m_q(10, 2) == pytest.approx(float(m_q_exact(10, 2)), abs=1e-15)
-    assert m_q(10, 1) == pytest.approx(m(10), abs=1e-15)
 
 
 def test_g_factors():

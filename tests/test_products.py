@@ -1,5 +1,6 @@
 import math
 import weakref
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from mulcm import numutil, products
 from mulcm.mertens import XI
 from mulcm.numutil import fsum_array
+from mulcm.report import CertifiedValue
 from mulcm.products import (
     A_DEEP,
     H1_SHAPE,
@@ -82,6 +84,158 @@ def test_constant_A_cross_cutoff():
     finer = constant_A(500_000)
     assert finer.lo <= A_DEEP.lo and A_DEEP.hi <= finer.hi
     assert finer.width < coarse.width
+
+
+U = 2.0 ** -53
+
+
+class _Bounded:
+    """Computed floats v with a first-order bound e on |v - exact value|.
+
+    Running error analysis (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2nd ed., section 3.3): each operation is done in floats as
+    the code does it, and adds u |result| for its rounding to the errors it
+    inherits.  Python float operands are exact constants.
+    """
+
+    __array_ufunc__ = None  # numpy defers to the reflected operators below
+
+    def __init__(self, v, e=0.0):
+        self.v, self.e = v, e
+
+    @staticmethod
+    def _of(x):
+        return x if isinstance(x, _Bounded) else _Bounded(x)
+
+    @staticmethod
+    def _rounded(v, e):
+        return _Bounded(v, e + U * np.abs(v))
+
+    def __add__(self, other):
+        o = self._of(other)
+        return self._rounded(self.v + o.v, self.e + o.e)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._of(other)
+        return self._rounded(self.v - o.v, self.e + o.e)
+
+    def __rsub__(self, other):
+        return self._of(other) - self
+
+    def __mul__(self, other):
+        o = self._of(other)
+        return self._rounded(self.v * o.v, np.abs(self.v) * o.e
+                             + np.abs(o.v) * self.e + self.e * o.e)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._of(other)
+        q = self.v / o.v
+        return self._rounded(q, (self.e + np.abs(q) * o.e) / (np.abs(o.v) - o.e))
+
+
+class _BoundedContext:
+    """The primes part of a _PrimeContext, with error bounds on its arrays.
+
+    The primes are exact and libm pow is within 1 ulp (2u).  For p >= 3,
+    g0 = s/(s - 1) from s = fl(sqrt p) is within (1/(sqrt 3 - 1) + 2) u
+    < 3.4u, and g1 = t/(t - 1) from t = p**XI within 2u is within
+    (2/(3**XI - 1) + 2) u < 3.1u; at p = 2 each is one rounded constant.  A
+    weight, the product of two of them, is then within 7.8u < 8u.
+    """
+
+    def __init__(self, primes, part: slice):
+        self.primes, self.part = primes, part
+        self.ps = _Bounded(primes.ps[part])
+
+    def power(self, e):
+        v = self.primes.power(e)[self.part]
+        return _Bounded(v, 2 * U * v)
+
+    def weight(self, key):
+        v = self.primes.weight(key)[self.part]
+        return _Bounded(v, 8 * U * v)
+
+
+def _float_error_bound(local, primes, terms, chunk=1 << 20) -> float:
+    """The bound derived at products.FSLACK on the relative float error of
+    exp(fsum_array(log1p(terms))), terms = local(primes), a chunk at a time."""
+    moved, logs = 0.0, 0.0
+    for start in range(0, len(terms), chunk):
+        x = local(_BoundedContext(primes, slice(start, start + chunk)))
+        assert np.array_equal(x.v, terms[start: start + chunk])
+        moved += float(np.sum(x.e / (1.0 + x.v)))
+        logs += float(np.sum(np.abs(np.log1p(x.v))))
+    return moved + U * (9.0 * logs + 8.0)
+
+
+def _record_float_error_bounds(mpatch) -> list:
+    """Patch products._partial_product to append (cutoff, bound) for every
+    product built while the patch holds."""
+    bounds = []
+    real = products._partial_product
+
+    def spy(local, cutoff):
+        seen = []
+
+        def recording(primes):
+            seen.append((primes, local(primes)))
+            return seen[0][1]
+
+        result = real(recording, cutoff)
+        bounds.append((cutoff, _float_error_bound(local, *seen[0])))
+        return result
+
+    mpatch.setattr(products, "_partial_product", spy)
+    return bounds
+
+
+@pytest.fixture(scope="module")
+def deep_products():
+    """A and P0 at cutoff 10^8 in one shared prime context (about 2 s and
+    220 MB), with the float error bound of each partial product."""
+    with pytest.MonkeyPatch.context() as mpatch:
+        bounds = _record_float_error_bounds(mpatch)
+        with products._shared_prime_contexts():
+            values = (constant_A(10 ** 8), products._cubic_product(1.0, 10 ** 8))
+    return values, bounds
+
+
+def test_deep_constants_are_the_product_path_at_1e8(deep_products):
+    a, p0 = deep_products[0]
+    assert a == A_DEEP
+    assert p0 == P0_DEEP
+
+
+def test_fslack_covers_every_partial_product(deep_products):
+    # The largest bound is Hbar(2/3) of g0^2 at 10^7: the weight products
+    # cancel in W = (p-1)G - p, so their errors exceed a few |x_i| each.
+    with pytest.MonkeyPatch.context() as mpatch:
+        bounds = _record_float_error_bounds(mpatch)
+        check_h_caps(10 ** 5)
+        check_h_caps(10 ** 7)
+        build_registry()
+    bounds += deep_products[1]
+    cutoffs = [10 ** 5] * 6 + [10 ** 7] * 6 + [200_000] + [10 ** 5] * 6 + [10 ** 8] * 2
+    assert [c for c, _ in bounds] == cutoffs
+    assert max(b for _, b in bounds) < products.FSLACK
+
+
+def test_scale_and_product_round_outward():
+    # The float products of these ends are inexact; the exact products of
+    # the ends must lie strictly inside the results.
+    v, w = CertifiedValue(0.1, 0.3), CertifiedValue(-0.7, 0.3)
+    for c in (3.0, -3.0, 0.7):
+        assert Fraction(v.lo * c) != Fraction(v.lo) * Fraction(c)
+        exact = sorted(Fraction(e) * Fraction(c) for e in (v.lo, v.hi))
+        r = v.scale(c)
+        assert Fraction(r.lo) < exact[0] and exact[1] < Fraction(r.hi), c
+    exact = [Fraction(a) * Fraction(b) for a in (v.lo, v.hi) for b in (w.lo, w.hi)]
+    r = v * w
+    assert Fraction(r.lo) < min(exact) and max(exact) < Fraction(r.hi)
 
 
 def test_universal_log_sum_cross_cutoff():
