@@ -14,8 +14,13 @@ array expressions over that context, in the same float operations and order
 as a per-prime loop, so the partial products are bit-identical to one.
 
 Every product (A and P0 in _cubic_product, the weight products in
-_sharp_weight_product) is its partial product times the exponential of a
-log-tail enclosure, widened by FSLACK (_enclose).  A_DEEP and P0_DEEP, frozen
+_h_product) is its partial product times the exponential of a
+log-tail enclosure, widened by FSLACK (_enclose).  The weight products'
+log-tails are sums of monomial tails Z(e) = sum_{p > cutoff} p^(-e)
+(_prime_power_tails): Z(e) is [0, B(e)] when the a-priori bound B(e) of
+prime_tail_bound is at most _TAIL_PAD, the absolute float allowance of the
+other route, and otherwise the 40-digit prime zeta value P(e) minus the
+sieved partial sum.  A_DEEP and P0_DEEP, frozen
 here, are _cubic_product at cutoff 1e8, which a test recomputes; everything
 else is recomputed on demand at documented cutoffs.
 """
@@ -25,7 +30,9 @@ from __future__ import annotations
 import bisect
 import contextlib
 import functools
+import itertools
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -161,7 +168,7 @@ class _PrimeContext:
         self._powers: dict[float, np.ndarray] = {}
 
     def power(self, e: float) -> np.ndarray:
-        """p ** e at every prime, with libm pow (Python's `**`).
+        """p ** e at every prime, with libm pow (math.pow, as Python's `**`).
 
         numpy's SIMD power is not always correctly rounded and differs from
         libm in the last ulp at some primes, so the local terms would no
@@ -171,7 +178,8 @@ class _PrimeContext:
         """
         if e not in self._powers:
             self._powers[e] = _read_only(np.fromiter(
-                (p ** e for p in memoryview(self.ps)), np.float64, len(self.ps)))
+                map(math.pow, memoryview(self.ps), itertools.repeat(e)),
+                np.float64, len(self.ps)))
         return self._powers[e]
 
     @functools.cached_property
@@ -308,8 +316,10 @@ H_CAPS = {"g0^2": (2.0004, 72.9), "g0*g1": (1.34, 23.4), "g1^2": (1.06, 9.20)}
 # far beyond what a monotone upper-bound tail can give (those shrink like
 # cutoff^(-1/6) for Hbar(2/3)).  Instead, for p past the cutoff the log of
 # each local factor is expanded into monomials c * p^(-e) with explicitly
-# bounded remainders, and each monomial is summed over p > cutoff exactly via
-# the prime zeta function.  The helpers below build that expansion.
+# bounded remainders, and each monomial is summed over p > cutoff via the
+# prime zeta function, or bounded a priori where that bound is already below
+# the prime zeta route's float allowance.  The helpers below build that
+# expansion.
 
 # Remainder monomials are truncated no shallower than this exponent; every
 # remainder then lands at exponent >= 3 after the worst shift below, so the
@@ -340,9 +350,13 @@ def _expo_add(e, f):
 # so a last-ulp rounding down cannot understate a bound.
 _UP = 1.0 + 1e-12
 
+# Absolute part of the pad on a sieved prime-power tail (_prime_power_tails);
+# a tail whose a-priori bound is no larger skips the sieved route.
+_TAIL_PAD = 1e-12
+
 _prime_zeta_tail_cache: dict[tuple[int, int, int], CertifiedValue] = {}
 # _prime_zeta(e) at 40 digits, keyed by the exponent pair alone: it does not
-# depend on the cutoff, and every cutoff asks for the same exponents.
+# depend on the cutoff, so the cutoffs that take the sieved route at e share it.
 _primezeta_cache: dict[tuple[int, int], mp.mpf] = {}
 
 # _prime_zeta sums the primes p <= _PZ_SPLIT apart, at _PZ_GUARD bits past
@@ -437,22 +451,50 @@ def _prime_zeta(s: mp.mpf, split: int = _PZ_SPLIT, extra_k: int = 0) -> mp.mpf:
     return +total
 
 
-def _prime_power_tails(exponents, cutoff: int, ps: np.ndarray) -> dict:
+def _a_priori_tail(e_f: float, cutoff: int) -> float:
+    """_UP times the effective bound on sum_{p >= cutoff} p^(-e_f); see
+    _prime_power_tails."""
+    n = float(cutoff)
+    mode = "strong" if n >= STRONG_MIN_P else "weak"
+    return _UP * prime_tail_bound(
+        lambda t: t ** -e_f / math.log(t), n, mode,
+        integral=n ** (1.0 - e_f) / ((e_f - 1.0) * math.log(n)))
+
+
+def _prime_power_tails(exponents, cutoff: int, ps: np.ndarray) -> tuple[dict, dict]:
     """Enclosures of Z(e) = sum_{p > cutoff} p^(-e) for exponent pairs e.
 
-    Z(e) = P(e) - (sieved partial sum over ps, the primes up to the
-    cutoff).  P(e) = _prime_zeta(e) is evaluated at 40 digits with the
-    exponent reconstructed there (so the exponent it sees is exact to 40
-    digits), once per exponent pair for the whole process, and the
-    subtraction is done at that precision.  Enclosures are cached per
+    Returns (enclosures by e, {"prime_zeta": n1, "a_priori": n2}), the
+    number of exponents that took each of the two routes below.
+
+    A-priori route.  With f(t) = t^(-e)/log t, nonnegative and decreasing,
+    prime_tail_bound bounds sum_{p >= N} f(p) log p, which is at least Z(e)
+    (N = cutoff; strong mode from STRONG_MIN_P on, weak mode below, as in
+    _cubic_product).  Its integral int_N^inf t^(-e)/log t dt is at most
+    N^(1-e)/((e-1) log N), since log t >= log N, so no quadrature runs.
+    The bound is evaluated at e_f = fl(fl(m/6) + fl(n * XI)) in place of
+    the exact e = m/6 + n * XI, |e_f - e| <= 3u e (u = 2^-53), which moves
+    N^(1-e) by at most 3.1 u e ln N and 1/(e-1) by at most 3u e/(e-1)
+    relative, and rounding in the float evaluation (chiefly fl(1 - e_f) in
+    the power) adds under 200u; for e <= 11 and N <= 1e8 that is under
+    900u < 1e-13 in all, so B(e), the float bound times _UP = 1 + 1e-12,
+    is at least the bound at the exact e (_a_priori_tail).  When
+    B(e) <= _TAIL_PAD the enclosure is [0, B(e)] and nothing is sieved or
+    summed.
+
+    Sieved route, for the rest: Z(e) = P(e) - (sieved partial sum over ps,
+    the primes up to the cutoff).  P(e) = _prime_zeta(e) is evaluated at 40
+    digits with the exponent reconstructed there (so the exponent it sees is
+    exact to 40 digits), once per exponent pair for the whole process, and
+    the subtraction is done at that precision.  Enclosures are cached per
     (cutoff, e).
 
-    The pad of 1e-12 relative plus 1e-12 absolute covers the float partial.
-    Write u = 2^-53, N = cutoff <= 1e8 and P = sum_{p <= N} p^(-e) for the
-    exact e = m/6 + n * XI (m, n >= 0 for every pair the H products use):
+    The pad of 1e-12 relative plus _TAIL_PAD absolute covers the float
+    partial.  Write P = sum_{p <= N} p^(-e) for the exact e (m, n >= 0 for
+    every pair the H products use):
 
-    * e_f = fl(fl(m/6) + fl(n * XI)) has |e_f - e| <= 3u e, which scales
-      each term by p^(e - e_f), a relative change of at most 3.1 u e ln N;
+    * e_f scales each term by p^(e - e_f), a relative change of at most
+      3.1 u e ln N;
     * np.power is taken to be within 4 ulps (8u relative) per term;
       glibc's pow is within 1 ulp, and 0.64 ulp is the worst seen for
       five exponents at every seventh prime below 10^5;
@@ -467,12 +509,26 @@ def _prime_power_tails(exponents, cutoff: int, ps: np.ndarray) -> dict:
     truncation bounds of _prime_zeta (its E_1 and E_2), plus 2^-136 from its
     rounding to 40 digits; with P(e) < P(7/6) < 3 that is under 1e-40.  The
     pad exceeds the total more than 20-fold.
+
+    Why [0, B] nests in the sieved enclosure [max(z - pad, 0), z + pad]
+    whenever B <= _TAIL_PAD: z lies within 5e-14 of Z, so z - pad < 0 once
+    Z < _TAIL_PAD - 5e-14, and z + pad >= Z + _TAIL_PAD - 5e-14 >= B once
+    Z >= 5e-14 or B <= _TAIL_PAD - 5e-14.  Both hold unless B overstates Z
+    by under 5 % or over twentyfold; tests/test_products.py finds Z/B
+    between 0.05 and 0.95 at every a-priori exponent it checks.
     """
     out = {}
+    routes = {"prime_zeta": 0, "a_priori": 0}
     for e in exponents:
         e_f = _expo_float(e)
         if e_f <= 1.0 + 1e-9:
             raise ValueError(f"prime power tail diverges at exponent {e_f}")
+        bound = _a_priori_tail(e_f, cutoff)
+        if bound <= _TAIL_PAD:
+            out[e] = CertifiedValue(0.0, bound)
+            routes["a_priori"] += 1
+            continue
+        routes["prime_zeta"] += 1
         key = (cutoff, e[0], e[1])
         hit = _prime_zeta_tail_cache.get(key)
         if hit is None:
@@ -483,11 +539,11 @@ def _prime_power_tails(exponents, cutoff: int, ps: np.ndarray) -> dict:
                     e_mp = mp.mpf(e[0]) / 6 + e[1] * mp.mpf(XI)
                     zeta = _primezeta_cache[e] = _prime_zeta(e_mp)
                 z = float(zeta - mp.mpf(partial))
-            pad = 1e-12 * abs(z) + 1e-12
+            pad = 1e-12 * abs(z) + _TAIL_PAD
             hit = CertifiedValue(max(z - pad, 0.0), z + pad)
             _prime_zeta_tail_cache[key] = hit
         out[e] = hit
-    return out
+    return out, routes
 
 
 def _truncated_geometric(step, p_min: float):
@@ -567,12 +623,13 @@ def _local_monomials(key: str, w_shifts, extra, p_min: float):
 
 
 def _local_log_tail(key: str, w_shifts, extra, cutoff: int,
-                    ps: np.ndarray) -> CertifiedValue:
-    """Enclosure of sum_{p > cutoff} log(1 + a(p)) past the cutoff.
+                    ps: np.ndarray) -> tuple[CertifiedValue, dict]:
+    """Enclosure of sum_{p > cutoff} log(1 + a(p)) past the cutoff, with the
+    route counts of its prime power tails (_prime_power_tails).
 
     a is expanded into monomials by _local_monomials, log(1 + a) is
     linearized with a two-sided quadratic remainder, and every monomial tail
-    is then a prime zeta value.
+    is then a prime power tail.
     """
     p_min = float(cutoff)
     a_terms, a_rems = _local_monomials(key, w_shifts, extra, p_min)
@@ -591,7 +648,7 @@ def _local_log_tail(key: str, w_shifts, extra, cutoff: int,
         raise AssertionError("local terms too large past cutoff for log expansion")
     a_rems.append((_UP * c_a * c_a / (2.0 * (1.0 - a0)),
                    (2 * e_min[0], 2 * e_min[1])))
-    zs = _prime_power_tails(set(a_terms) | {e for _, e in a_rems}, cutoff, ps)
+    zs, routes = _prime_power_tails(set(a_terms) | {e for _, e in a_rems}, cutoff, ps)
     lo_parts, hi_parts = [], []
     for e, c in a_terms.items():
         z = zs[e]
@@ -602,7 +659,7 @@ def _local_log_tail(key: str, w_shifts, extra, cutoff: int,
         lo_parts.append(-bound)
         hi_parts.append(bound)
     pad = 1e-15 * math.fsum(abs(v) for v in lo_parts + hi_parts) + 1e-18
-    return CertifiedValue(math.fsum(lo_parts) - pad, math.fsum(hi_parts) + pad)
+    return CertifiedValue(math.fsum(lo_parts) - pad, math.fsum(hi_parts) + pad), routes
 
 
 # Local-term shapes for the two H products, as (coef, W shift) and plain
@@ -612,18 +669,28 @@ H1_SHAPE = (((1.0, (12, 0)), (-1.0, (18, 0))), ((-1.0, (12, 0)),))
 H23_SHAPE = (((1.0, (10, 0)), (1.0, (14, 0))), ((1.0, (8, 0)),))
 
 
-def _sharp_weight_product(key: str, w_shifts, extra, cutoff: int,
-                          local) -> CertifiedValue:
-    """prod_p (1 + local(p)) with the monomial tail for p > cutoff.
+def _h_product(label: str, key: str, cutoff: int) -> tuple[CertifiedValue, dict]:
+    """(enclosure, tail route counts) of H(1) for label "H1" or of Hbar(2/3)
+    for "H23", with weight key: prod_p (1 + a(p)), a(p) as in H1_SHAPE or
+    H23_SHAPE.
 
-    local(p) must equal a(p) from _local_log_tail for odd primes; p = 2 is
-    covered by the partial product, the tail handles only p > cutoff.
+    The partial product covers p <= cutoff (p = 2 included); the monomial
+    tail of _local_log_tail covers p > cutoff.
     """
     if cutoff < SHARP_TAIL_MIN_CUTOFF:
         raise ValueError(f"cutoff must be >= {SHARP_TAIL_MIN_CUTOFF}")
+
+    def local(primes):
+        p, G = primes.ps, primes.weight(key)
+        if label == "H1":
+            return ((p - 1.0) * G - p) / (p * p) - (p - 1.0) * G / (p * p * p)
+        return (((p - 1.0) * G - p) / primes.power(5.0 / 3.0)
+                + (p - 1.0) * G / primes.power(7.0 / 3.0))
+
+    shape = {"H1": H1_SHAPE, "H23": H23_SHAPE}[label]
     ps, partial = _partial_product(local, cutoff)
-    tail = _local_log_tail(key, w_shifts, extra, cutoff, ps)
-    return _enclose(partial, tail.lo, tail.hi)
+    tail, routes = _local_log_tail(key, *shape, cutoff, ps)
+    return _enclose(partial, tail.lo, tail.hi), routes
 
 
 def h_linear(key: str, cutoff: int = 10_000_000) -> CertifiedValue:
@@ -632,13 +699,9 @@ def h_linear(key: str, cutoff: int = 10_000_000) -> CertifiedValue:
     This is the value of the Dirichlet series sum mu^2(d) phi(d) G(d) / d^s
     at s = 1 after removing the zeta factor.  With W = (p-1)G - p the local
     term is W/p^2 - W/p^3 - 1/p^2, which the sharp tail expands past the
-    cutoff; widths land near 1e-9 at the default cutoff.
+    cutoff; widths land near 1e-11 at the default cutoff.
     """
-    def local(primes):
-        p, G = primes.ps, primes.weight(key)
-        return ((p - 1.0) * G - p) / (p * p) - (p - 1.0) * G / (p * p * p)
-
-    return _sharp_weight_product(key, *H1_SHAPE, cutoff, local)
+    return _h_product("H1", key, cutoff)[0]
 
 
 def h_twothirds(key: str, cutoff: int = 10_000_000) -> CertifiedValue:
@@ -650,12 +713,7 @@ def h_twothirds(key: str, cutoff: int = 10_000_000) -> CertifiedValue:
     would shrink only like cutoff^(-1/6), while the prime zeta route gives
     widths near 1e-8 at the default cutoff.
     """
-    def local(primes):
-        p, G = primes.ps, primes.weight(key)
-        return (((p - 1.0) * G - p) / primes.power(5.0 / 3.0)
-                + (p - 1.0) * G / primes.power(7.0 / 3.0))
-
-    return _sharp_weight_product(key, *H23_SHAPE, cutoff, local)
+    return _h_product("H23", key, cutoff)[0]
 
 
 @_shared_prime_contexts()
@@ -663,14 +721,14 @@ def check_h_caps(cutoff: int = 10_000_000) -> list[BoundReport]:
     """Verify the six asserted caps on H(1) and Hbar(2/3) at a deep cutoff.
 
     A cap passes only if the entire certified enclosure sits below it, so a
-    true value above the cap cannot be waved through by rounding.
+    true value above the cap cannot be waved through by rounding.  Each
+    report's details["tails"] counts the exponents of its prime power tails
+    by route (_prime_power_tails): "prime_zeta" (sieved) or "a_priori".
     """
     reports = []
-    for key, (cap1, cap23) in H_CAPS.items():
-        for label, cap, enc in (
-            ("H1", cap1, h_linear(key, cutoff)),
-            ("H23", cap23, h_twothirds(key, cutoff)),
-        ):
+    for key, caps in H_CAPS.items():
+        for label, cap in zip(("H1", "H23"), caps):
+            enc, tails = _h_product(label, key, cutoff)
             reports.append(BoundReport(
                 name=f"h-cap-{label}({key})",
                 domain=f"primes <= {cutoff} + certified tail",
@@ -678,7 +736,8 @@ def check_h_caps(cutoff: int = 10_000_000) -> list[BoundReport]:
                 worst_ratio=enc.hi / cap,
                 worst_arg=None,
                 bound=cap,
-                details={"enclosure": enc.to_dict(), "cutoff": cutoff},
+                details={"enclosure": enc.to_dict(), "cutoff": cutoff,
+                         "tails": tails},
             ))
     return reports
 
@@ -869,12 +928,11 @@ def check_cq_forms(qs=(1, 2, 6), tol: float = 1e-9) -> BoundReport:
     )
 
 
-def local_ratio(q: int) -> float:
-    """prod_{p | q} p^2 / (p^2 + p - 1); scales A into the q-coprime constant."""
-    val = 1.0
-    for p in require_squarefree(q):
-        val *= p * p / (p * p + p - 1.0)
-    return val
+def local_ratio(q: int) -> Fraction:
+    """prod_{p | q} p^2 / (p^2 + p - 1), exactly; scales A into the
+    q-coprime constant."""
+    return math.prod((Fraction(p * p, p * p + p - 1) for p in require_squarefree(q)),
+                     start=Fraction(1))
 
 
 def h_q(q: int, A: CertifiedValue = A_DEEP) -> CertifiedValue:
@@ -882,8 +940,14 @@ def h_q(q: int, A: CertifiedValue = A_DEEP) -> CertifiedValue:
 
     This is the mean value of the q-coprime squarefree totient weight, and
     equals the full sum over m of the cancellation coefficients g_q(m)/m.
+    The exact ratio is rounded outward to the floats on either side of it,
+    and the interval product rounds outward again.
     """
-    return A.scale(local_ratio(q))
+    r = local_ratio(q)
+    f = float(r)  # correctly rounded: r lies between f and one neighbour
+    lo = f if Fraction(f) <= r else math.nextafter(f, -math.inf)
+    hi = f if Fraction(f) >= r else math.nextafter(f, math.inf)
+    return A * CertifiedValue(lo, hi)
 
 
 def gq_constants(q: int, A: CertifiedValue = A_DEEP) -> tuple[CertifiedValue, float]:

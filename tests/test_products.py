@@ -1,3 +1,4 @@
+import bisect
 import math
 import weakref
 from fractions import Fraction
@@ -259,8 +260,8 @@ def test_cq_known_structure():
 
 
 def test_h_q_and_local_ratio():
-    assert local_ratio(1) == 1.0
-    assert local_ratio(2) == pytest.approx(4.0 / 5.0)
+    assert local_ratio(1) == 1
+    assert local_ratio(2) == Fraction(4, 5)
     h2 = h_q(2)
     assert h2.mid == pytest.approx(A_DEEP.mid * 0.8, rel=1e-12)
     hq, cq = gq_constants(6)
@@ -268,6 +269,19 @@ def test_h_q_and_local_ratio():
     assert cq == pytest.approx(c_q(6))
     with pytest.raises(ValueError):
         h_q(4)  # not squarefree
+
+
+@pytest.mark.parametrize("q", [2, 6, 30, 210, 2310, 30030, 510510])
+def test_h_q_contains_a_times_the_exact_ratio(q):
+    # Both ends of A, times the exact prod p^2/(p^2+p-1), lie inside h_q(q);
+    # a float ratio rounded high once put h_q(6).lo above A.lo times it.
+    ratio = Fraction(1)
+    for p in (2, 3, 5, 7, 11, 13, 17):
+        if q % p == 0:
+            ratio *= Fraction(p * p, p * p + p - 1)
+    h = h_q(q)
+    assert Fraction(h.lo) <= Fraction(A_DEEP.lo) * ratio
+    assert Fraction(A_DEEP.hi) * ratio <= Fraction(h.hi)
 
 
 def test_weights():
@@ -339,10 +353,14 @@ def test_partial_products_equal_scalar_loop(monkeypatch):
         assert partial == oracle, label
 
 
-def test_primezeta_evaluated_once_per_exponent(monkeypatch):
+def test_primezeta_evaluated_once_per_exponent(h_cap_tail_exponents, monkeypatch):
     # P(e) does not depend on the cutoff, so H caps at one cutoff and the
     # registry at another (10^5) share one _prime_zeta evaluation per
-    # exponent, and the registry's enclosures equal those from a cold cache.
+    # exponent that takes the sieved route at either cutoff, and the
+    # registry's enclosures equal those from a cold cache.
+    sieved = [e for e in h_cap_tail_exponents
+              if not all(_is_a_priori(e, c) for c in (150_000, 100_000))]
+    assert len(sieved) == 23
     calls = []
     real = products._prime_zeta
 
@@ -355,11 +373,11 @@ def test_primezeta_evaluated_once_per_exponent(monkeypatch):
     monkeypatch.setattr(products, "_prime_zeta_tail_cache", {})
     check_h_caps(150_000)
     warm = build_registry()["h_constants"]
-    assert len(calls) == 132
+    assert len(calls) == len(sieved)
     monkeypatch.setattr(products, "_primezeta_cache", {})
     monkeypatch.setattr(products, "_prime_zeta_tail_cache", {})
     assert build_registry()["h_constants"] == warm
-    assert len(calls) == 264
+    assert len(calls) == 2 * len(sieved)
 
 
 def test_h_caps_equal_the_mpmath_primezeta_path(monkeypatch):
@@ -521,26 +539,141 @@ def test_prime_power_tail_cross_cutoff():
     ps2 = primes_upto(200_000).astype(np.float64)
     for e in ((7, 0), (9, 0), (10, 1)):
         e_f = e[0] / 6.0 + e[1] * XI
-        z1 = _prime_power_tails([e], 100_000, ps1)[e]
-        z2 = _prime_power_tails([e], 200_000, ps2)[e]
+        z1 = _prime_power_tails([e], 100_000, ps1)[0][e]
+        z2 = _prime_power_tails([e], 200_000, ps2)[0][e]
         mid = math.fsum(np.power(ps2[ps2 > 100_000.0], -e_f).tolist())
         assert z1.lo - z2.hi - 1e-12 <= mid <= z1.hi - z2.lo + 1e-12
 
 
 @pytest.fixture(scope="module")
-def h_cap_tail_exponents():
-    """The exponent pairs whose prime power tails check_h_caps(10^5) uses."""
-    seen = set()
+def h_caps_with_tail_exponents():
+    """check_h_caps at 10^5, 1.5 * 10^5 and 10^7, by cutoff: a list of
+    (report, the exponent pairs of its prime power tails)."""
     real = products._prime_power_tails
-
-    def spy(exponents, cutoff, ps):
-        seen.update(exponents)
-        return real(exponents, cutoff, ps)
-
+    out = {}
     with pytest.MonkeyPatch.context() as mpatch:
-        mpatch.setattr(products, "_prime_power_tails", spy)
-        check_h_caps(100_000)
+        for cutoff in (100_000, 150_000, 10_000_000):
+            seen = []
+
+            def spy(exponents, cut, ps):
+                seen.append(sorted(exponents, key=products._expo_float))
+                return real(exponents, cut, ps)
+
+            mpatch.setattr(products, "_prime_power_tails", spy)
+            out[cutoff] = list(zip(check_h_caps(cutoff), seen, strict=True))
+    return out
+
+
+@pytest.fixture(scope="module")
+def h_cap_tail_exponents(h_caps_with_tail_exponents):
+    """The exponent pairs whose prime power tails check_h_caps(10^5) uses."""
+    seen = {e for _, es in h_caps_with_tail_exponents[100_000] for e in es}
     return sorted(seen, key=products._expo_float)
+
+
+# check_h_caps enclosures with every prime power tail on the sieved route,
+# as float.hex (lo, hi) in report order; the a-priori route only narrows them.
+_SIEVED_ONLY_ENCLOSURES = {
+    100_000: [
+        ("0x1.000aa32ccde31p+1", "0x1.000aa32d1339cp+1"),
+        ("0x1.235926de18203p+6", "0x1.23592809c3f2bp+6"),
+        ("0x1.55e9e49edec2ep+0", "0x1.55e9e49f41f93p+0"),
+        ("0x1.74acac678782bp+4", "0x1.74acacd56e1ecp+4"),
+        ("0x1.1024d2dd19b12p+0", "0x1.1024d2dd9a846p+0"),
+        ("0x1.26411c8282c81p+3", "0x1.26411c8459f71p+3"),
+    ],
+    150_000: [
+        ("0x1.000aa32ccde86p+1", "0x1.000aa32d08c0dp+1"),
+        ("0x1.235926df433b6p+6", "0x1.23592786bc580p+6"),
+        ("0x1.55e9e49eded2fp+0", "0x1.55e9e49f3e6dfp+0"),
+        ("0x1.74acac684b890p+4", "0x1.74acaca553f06p+4"),
+        ("0x1.1024d2dd19c48p+0", "0x1.1024d2dd9a712p+0"),
+        ("0x1.26411c828be91p+3", "0x1.26411c83b1178p+3"),
+    ],
+    10_000_000: [
+        ("0x1.000aa32ccdf9cp+1", "0x1.000aa32d00cd0p+1"),
+        ("0x1.235926e087ebbp+6", "0x1.235926e15e317p+6"),
+        ("0x1.55e9e49ee05e2p+0", "0x1.55e9e49f3a41cp+0"),
+        ("0x1.74acac692117cp+4", "0x1.74acac69ab2fdp+4"),
+        ("0x1.1024d2dd1f207p+0", "0x1.1024d2dd9514ep+0"),
+        ("0x1.26411c8295940p+3", "0x1.26411c830f64dp+3"),
+    ],
+}
+
+
+def test_h_caps_nest_in_the_sieved_only_enclosures(h_caps_with_tail_exponents):
+    for cutoff, pins in _SIEVED_ONLY_ENCLOSURES.items():
+        reports = [rep for rep, _ in h_caps_with_tail_exponents[cutoff]]
+        assert [rep.passed for rep in reports] == [True] * 4 + [False, True]
+        for rep, (lo, hi) in zip(reports, pins, strict=True):
+            enc = rep.details["enclosure"]
+            assert float.fromhex(lo) <= enc["lo"], (cutoff, rep.name)
+            assert enc["hi"] <= float.fromhex(hi), (cutoff, rep.name)
+
+
+def _is_a_priori(e, cutoff: int) -> bool:
+    return products._a_priori_tail(products._expo_float(e), cutoff) <= products._TAIL_PAD
+
+
+def test_h_cap_reports_count_the_tail_routes(h_caps_with_tail_exponents):
+    # details["tails"] splits each product's exponents by the route rule.
+    for cutoff, rows in h_caps_with_tail_exponents.items():
+        for rep, es in rows:
+            n = sum(_is_a_priori(e, cutoff) for e in es)
+            assert rep.details["tails"] == {"prime_zeta": len(es) - n, "a_priori": n}
+    every = {e for _, es in h_caps_with_tail_exponents[10_000_000] for e in es}
+    assert len(every) == 132
+    assert sum(not _is_a_priori(e, 10_000_000) for e in every) == 14
+
+
+@pytest.mark.parametrize("cutoff", [100_000, 150_000])
+def test_a_priori_tails_sum_nothing(cutoff, h_cap_tail_exponents, monkeypatch):
+    # An exponent whose a-priori bound is under the pad reaches neither
+    # _prime_zeta nor the sieved partial sum; every other one reaches both.
+    monkeypatch.setattr(products, "_primezeta_cache", {})
+    monkeypatch.setattr(products, "_prime_zeta_tail_cache", {})
+    calls = []
+    for name in ("_prime_zeta", "fsum_array"):
+        real = getattr(products, name)
+        monkeypatch.setattr(products, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    ps = _prime_context(cutoff).ps
+    for e in h_cap_tail_exponents:
+        calls.clear()
+        tails, routes = _prime_power_tails([e], cutoff, ps)
+        bound = products._a_priori_tail(products._expo_float(e), cutoff)
+        if bound <= products._TAIL_PAD:
+            assert tails[e] == CertifiedValue(0.0, bound) and calls == [], e
+            assert routes == {"prime_zeta": 0, "a_priori": 1}
+        else:
+            assert sorted(calls) == ["_prime_zeta", "fsum_array"], e
+            assert routes == {"prime_zeta": 1, "a_priori": 0}
+
+
+@pytest.mark.parametrize("cutoff", [100_000, 150_000])
+def test_a_priori_tails_contain_the_prime_zeta_tail(cutoff, h_cap_tail_exponents):
+    # Z(e) = P(e) - sum_{p <= N} p^(-e) from mpmath's primezeta at 40 digits.
+    # The primes up to N/100 are summed at 40 digits too; the rest, each
+    # under (N/100)^(-e), in floats at the float nearest e, within
+    # 2u (1 + e ln N) of their sum.  Z/B between 0.05 and 0.95 is what
+    # nests [0, B] in the sieved enclosure (_prime_power_tails).
+    ps = primes_upto(cutoff).tolist()
+    split = bisect.bisect_right(ps, cutoff // 100)
+    checked = 0
+    with mp.workdps(40):
+        for e in h_cap_tail_exponents:
+            e_mp = mp.mpf(e[0]) / 6 + e[1] * mp.mpf(XI)
+            if e_mp > 6 or not _is_a_priori(e, cutoff):
+                continue
+            e_near = float(e_mp)
+            rest = math.fsum(math.pow(p, -e_near) for p in ps[split:])
+            err = 2.0 * 2.0 ** -53 * (1.0 + e_near * math.log(cutoff)) * rest
+            z = mp.primezeta(e_mp) - mp.fsum(mp.mpf(p) ** -e_mp for p in ps[:split]) - rest
+            hi = _prime_power_tails([e], cutoff, None)[0][e].hi
+            assert z + err <= hi, e
+            assert 0.05 <= z / hi <= 0.95, e
+            checked += 1
+    assert checked >= 50
 
 
 def test_prime_power_tail_sums_take_the_fast_path(h_cap_tail_exponents, monkeypatch):
