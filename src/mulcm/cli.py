@@ -202,9 +202,12 @@ def _cmd_sieve(args) -> int:
     manifest = RunManifest.start("sieve", {"to": args.to})
     n = args.to
     block = _table(n)
-    mu = block.mu.astype(np.int64)
-    pi_n = int(np.count_nonzero(block.spf == np.arange(1, n + 1))) - 1
-    mertens = int(mu.sum())
+    pi_n = -1  # n is prime iff spf(n) = n, which also holds at n = 1
+    for a in range(0, n, 1 << 16):
+        b = min(a + (1 << 16), n)
+        ns = np.arange(a + 1, b + 1, dtype=block.spf.dtype)
+        pi_n += int(np.count_nonzero(block.spf[a:b] == ns))
+    mertens = int(block.mu.sum(dtype=np.int64))
     q_n = squarefree_count(n)
     summary = {
         "n": n,

@@ -1,12 +1,28 @@
 """Segmented sieves for multiplicative data and the one arithmetic table.
 
 A MultiplicativeBlock holds mu, phi and spf (smallest prime factor) over
-[lo, hi]; sieve_range fills one segment by segment, with results that do
-not depend on the segmentation.  No other module sieves [1, n]: _table(n)
-gives read-only views over [1, n] of the process-wide table, which keeps
-9 bytes per n (int8 mu, int32 phi and spf) for the life of the process, and
-_mertens_cum(n) its cumsum of mu(k)/k, 8 more bytes per n once asked for.
-primes_upto stays its own 1-byte-per-n sieve.
+[lo, hi]; sieve_range fills one segment by segment.  No other module sieves
+[1, n]: _table(n) gives read-only views over [1, n] of the process-wide
+table, which keeps 9 bytes per n (int8 mu, int32 phi and spf) for the life
+of the process, and _mertens_cum(n) its cumsum of mu(k)/k, 8 more bytes per
+n once asked for.  primes_upto stays its own 1-byte-per-n sieve.
+
+The segment kernel builds no index arrays.  Each step is one in-place ufunc
+on the strided view arr[(-lo) % m :: m] of the multiples of m in the
+segment, and a modulus with no multiple there is skipped.  Each prime
+p <= isqrt(hi) negates mu and multiplies phi by p - 1 on the multiples of p,
+zeroes mu on those of p^2, and multiplies phi by p on those of each higher
+power of p.  A working array done takes the same factors of p, so it ends as
+the part of n made of the sieving primes; it divides n, so it fits phi's
+dtype.  The primes run in descending order and each writes spf on its
+multiples, so the smallest prime dividing n writes spf(n) last and no test
+for an unset spf is needed.  big = n // done is then 1 or the one prime
+factor of n above isqrt(hi) (two such would exceed hi); where it exceeds 1
+it negates mu and multiplies phi by big - 1, and it is spf(n) wherever no
+sieving prime divides n (spf(1) = 1 this way).  So every segment yields
+the true mu(n), phi(n) and spf(n) whatever its bounds, and the output does
+not depend on the segmentation.  The transient is done and big: 8 bytes per
+n of one segment below 2^31 and 16 from there on.
 """
 
 from __future__ import annotations
@@ -19,11 +35,7 @@ import numpy as np
 from .numutil import check_allocation
 
 DEFAULT_SEGMENT = 1 << 22
-# sieve_range memory, measured with tracemalloc: the outputs (int8 mu plus
-# phi and spf, int32 below 2^31), 22.5 bytes per n of one segment (the
-# unfactored parts and the index arrays of p = 2; 24 declared), the prime
-# sieve to sqrt(hi) and up to 64 KiB of small per-segment arrays.
-_SIEVE_WORK_BYTES_PER_N = 24
+# Room for the array headers and Python scalars of one sieve_range call.
 _SIEVE_FIXED_BYTES = 1 << 16
 
 
@@ -70,65 +82,68 @@ class MultiplicativeBlock:
         return divs
 
 
+def _primes_bytes(n: int) -> int:
+    """Peak memory of primes_upto(n): the n + 1 byte mask and the int64
+    index of its primes, at most 1.25506 n / ln n of them (Rosser and
+    Schoenfeld, Illinois J. Math. 6, 1962, valid for n > 1)."""
+    return n + 1 + 8 * math.ceil(1.25506 * n / math.log(n))
+
+
 def primes_upto(n: int) -> np.ndarray:
     """All primes <= n as an int64 array (empty for n < 2)."""
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    check_allocation(n + 1, f"prime sieve to {n}")
+    check_allocation(_primes_bytes(n), f"prime sieve to {n}")
     mask = np.ones(n + 1, dtype=bool)
     mask[:2] = False
     for p in range(2, int(n ** 0.5) + 1):
         if mask[p]:
             mask[p * p:: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    return np.nonzero(mask)[0].astype(np.int64, copy=False)
 
 
 def _sieve_segment(lo: int, hi: int, primes: np.ndarray, mu, phi, spf) -> None:
     """Sieve one segment [lo, hi] into mu, phi, spf (filled with 1, 1, 0).
 
-    primes must cover sqrt(hi).
+    primes must cover sqrt(hi).  Works in place on strided views, with two
+    working arrays in phi's dtype: done, the part of each n made of the
+    sieving primes p <= isqrt(hi), and then big = n // done.
     """
     n = hi - lo + 1
-    rem = np.arange(lo, hi + 1, dtype=np.int64)  # unfactored part of each n
-    for p in primes:
-        p = int(p)
-        if p * p > hi:
-            break
-        start = ((lo + p - 1) // p) * p
-        idx = np.arange(start - lo, n, p, dtype=np.int64)
-        if idx.size == 0:
+    done = np.ones(n, dtype=phi.dtype)
+    for p in map(int, primes[: np.searchsorted(primes, math.isqrt(hi), "right")][::-1]):
+        if (s := -lo % p) >= n:
             continue
-        unset = spf[idx] == 0
-        spf[idx[unset]] = p
-        # Divide out p completely, tracking exponent effects on mu and phi.
-        r = rem[idx]
-        r //= p
-        phi[idx] *= p - 1
-        mu[idx] = -mu[idx]
-        again = np.flatnonzero(r % p == 0)  # positions in idx of p^2 | n
-        mu[idx[again]] = 0
-        while again.size:
-            phi[idx[again]] *= p
-            r[again] //= p
-            again = again[r[again] % p == 0]
-        rem[idx] = r
-    # Leftover factor > sqrt(hi) is prime (appears to the first power).
-    left = rem > 1
-    phi[left] *= rem[left] - 1
-    mu[left] = -mu[left]
-    no_spf = left & (spf == 0)
-    spf[no_spf] = rem[no_spf]
-    if lo == 1:
-        mu[0], phi[0], spf[0] = 1, 1, 1
+        spf[s::p] = p
+        mu[s::p] *= -1
+        phi[s::p] *= p - 1
+        done[s::p] *= p
+        q = p * p
+        if (s := -lo % q) < n:
+            mu[s::q] = 0
+        while s < n:
+            phi[s::q] *= p
+            done[s::q] *= p
+            q *= p
+            s = -lo % q
+    big = np.arange(lo, hi + 1, dtype=done.dtype)
+    big //= done
+    del done
+    np.copyto(spf, big, where=spf == 0)
+    left = big > 1
+    np.negative(mu, out=mu, where=left)
+    big -= 1
+    np.multiply(phi, big, out=phi, where=left)
 
 
 def _sieve_bytes(lo: int, hi: int, segment: int = DEFAULT_SEGMENT) -> int:
-    """Peak memory of sieve_range(lo, hi, segment): the outputs, the
-    working arrays of one segment and the primes to sqrt(hi)."""
+    """Peak memory of sieve_range(lo, hi, segment): the outputs, the two
+    working arrays of one segment (done and big, in phi's dtype), the
+    primes to sqrt(hi) and a few small arrays."""
     n = hi - lo + 1
-    out = 1 + 2 * np.dtype(_wide(hi)).itemsize
-    return (n * out + min(n, segment) * _SIEVE_WORK_BYTES_PER_N
-            + 3 * math.isqrt(hi) + _SIEVE_FIXED_BYTES)
+    wide = np.dtype(_wide(hi)).itemsize
+    return (n * (1 + 2 * wide) + min(n, segment) * 2 * wide
+            + _primes_bytes(int(hi ** 0.5) + 1) + _SIEVE_FIXED_BYTES)
 
 
 def _wide(hi: int):

@@ -2,9 +2,11 @@ import argparse
 import json
 import pathlib
 import re
+import tracemalloc
 
 import pytest
 
+from mulcm import sieve
 from mulcm.cli import _build_parser, main
 
 
@@ -124,6 +126,27 @@ def test_sieve_summary(tmp_path, capsys):
     assert payload["summary"]["pi"] == 9592
     assert payload["summary"]["mertens"] == -48
     assert payload["summary"]["squarefree_count"] == 60794
+
+
+def test_sieve_summary_reads_the_table_in_place(monkeypatch, tmp_path, capsys):
+    # On a prebuilt table the command allocates no array over n: its traced
+    # peak stays below 2 bytes per n.
+    monkeypatch.setattr(sieve, "_table_block", None)
+    monkeypatch.setattr(sieve, "_table_cum", None)
+    n = 10 ** 6
+    sieve._table(n)
+    out = tmp_path / "sieve.json"
+    tracemalloc.start()
+    try:
+        assert main(["sieve", "--to", str(n), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n, peak
+    assert capsys.readouterr().out == "sieve to 1000000: pi=78498 mertens=212 squarefree=607926\n"
+    summary = json.loads(out.read_text())["summary"]
+    assert summary == {"n": n, "pi": 78498, "mertens": 212, "squarefree_count": 607926,
+                       "squarefree_excess_over_sqrt": -0.0011018540266668423}
 
 
 def test_bound_reports_windows_and_table_passes(capsys):
