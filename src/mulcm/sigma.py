@@ -16,10 +16,14 @@ Three independent evaluation routes:
 The batched scan evaluates the trace recursion in floats for millions of d:
 the recursion's smooth-part contributions are indexed by their smooth factor
 k (coefficient prod_{p | k}(1-p) per unit k, looked up against the arithmetic
-table's Mertens cumsum), and all (k, d) pairs are expanded in bounded chunks
-and scatter-added in ascending k, so the result does not depend on the chunk
-size.  Scans checkpoint to CSV, replacing the file atomically, and resume
-from the last checkpointed d.
+table's Mertens cumsum) and walked in ascending k.  A k that reaches many d
+adds its terms to its stride of d as one strided slice; the (k, d) pairs of
+the other k are expanded in bounded chunks and scatter-added in order.  Each
+S(d) increment thus sums its terms one by one in ascending k on either path,
+so the result, to the bit, depends neither on the chunk size nor on where
+the dense/sparse threshold lies.  Scans checkpoint to CSV, replacing the
+file atomically, resume from the last checkpointed d, and refuse a
+checkpoint row that no scan could have written.
 """
 
 from __future__ import annotations
@@ -39,11 +43,23 @@ from .numutil import check_allocation
 from .report import BoundReport
 from .sieve import _coprime_mask, _mertens_cum, _table, primes_upto, smooth_numbers
 
-# (k, d) pairs expanded per scatter-add in the scan; bounds its transient memory.
+# (k, d) pairs expanded per scatter-add, and d per strided block, in the scan;
+# bounds its transient memory.
 _SCAN_CHUNK = 1 << 17
-# Scan memory, measured with tracemalloc: 56 bytes per d (seven 8-byte arrays
-# over d or k; mu and the Mertens cumsum are views of the arithmetic table)
-# and 40-44 bytes per expanded pair.
+# A k that reaches at least this many d is added as strided slices rather
+# than through the pair expansion.  A slice costs 6-10 ns per d against
+# 25-35 ns per scattered pair, plus some 10 us of numpy calls per k, so a k
+# with only a few hundred d is as cheap in the batched scatter-add.  At
+# X = 10^5 the 943 k past the threshold carry 72% of the pairs; at 10^6,
+# 9978 k carry 84%.
+_SCAN_STRIDE_MIN = 1024
+# Scan memory per d, checked with tracemalloc (mu and the Mertens cumsum are
+# views of the arithmetic table): while k is walked, six 8-byte arrays over k
+# or d (rad and c_num, under the views R and w; start; first, in cnt's
+# buffer; ends; inner) and the indices of the dense k, 8 bytes each, so up to
+# 56 bytes per d when every k is dense; at the end, inner, inc, 1..X, mu as
+# floats and two temporaries, 48 bytes.  Per expanded pair, 40-44 bytes; a
+# strided block holds 16 bytes per d, within the same chunk.
 _SCAN_BYTES_PER_D = 64
 _SCAN_BYTES_PER_PAIR = 48
 
@@ -317,12 +333,26 @@ class ScanResult:
 def _radical_and_coeffs(X: int) -> tuple[np.ndarray, np.ndarray]:
     """rad[k] = prod_{p | k} p (int64) and c_num[k] = prod_{p | k} (1 - p)
     (float64, multiplied in ascending p) for k = 0..X, from one pass over
-    the primes."""
+    the primes.
+
+    Primes up to isqrt(X) are applied by strided slices.  A larger p divides
+    each k <= X at most once and is then its largest prime factor, so those
+    are applied last, as in the ascending pass, one cofactor m = k/p at a
+    time (the same split as products._aux_values).
+    """
     rad = np.ones(X + 1, dtype=np.int64)
     cn = np.ones(X + 1, dtype=np.float64)
-    for p in primes_upto(X).tolist():
+    ps = primes_upto(X)
+    r = math.isqrt(X)
+    small = int(np.searchsorted(ps, r, side="right"))
+    for p in ps[: small].tolist():
         rad[p:: p] *= p
         cn[p:: p] *= 1.0 - p
+    big = ps[small:]
+    for m in range(1, X // (r + 1) + 1):
+        p = big[: np.searchsorted(big, X // m, side="right")]
+        rad[m * p] *= p
+        cn[m * p] *= 1.0 - p
     return rad, cn
 
 
@@ -332,9 +362,14 @@ def _scan_increments(X: int, d_from: int) -> np.ndarray:
     The recursion's weighted history W(d) is expanded over the d-smooth
     factor k of the inner variable: each k with radical R dividing d
     contributes (prod_{p|k}(1-p)/k) * m((d-1) // k), m being the cumulative
-    Mertens sum.  All (k, d) pairs are expanded k-ascending in chunks of at
-    most _SCAN_CHUNK pairs and scatter-added with np.add.at, which applies
-    the adds in array order: every inner[d] is summed in ascending k.
+    Mertens sum.  The k are walked in ascending order.  A dense k, one that
+    reaches at least _SCAN_STRIDE_MIN values of d, adds its terms to the
+    stride d = start, start + R, ... as one strided slice, in blocks of at
+    most _SCAN_CHUNK values of d.  The (k, d) pairs of each run of sparse k
+    between two dense k are expanded in chunks of at most _SCAN_CHUNK pairs
+    and scatter-added with np.add.at, which applies the adds in array order.
+    Either way every inner[d] receives its terms one at a time in ascending
+    k, so the result is bitwise the same for any threshold and chunk size.
     """
     M = _mertens_cum(X)
     k = np.arange(1, X, dtype=np.int64)
@@ -342,19 +377,20 @@ def _scan_increments(X: int, d_from: int) -> np.ndarray:
     R = rad[1: X]
     w = np.divide(cn[1: X], k, out=cn[1: X])
     start = (np.maximum(k, d_from - 1) // R + 1) * R
+    del k  # k = i + 1 from here on
     cnt = np.maximum((X - start) // R + 1, 0)
+    dense = np.flatnonzero(cnt >= _SCAN_STRIDE_MIN)
     ends = np.cumsum(cnt)
     first = np.subtract(ends, cnt, out=cnt)  # reuses cnt's buffer
     n_pairs = int(ends[-1]) if X > 1 else 0
     inner = np.zeros(X + 1, dtype=np.float64)
-    for a in range(0, n_pairs, _SCAN_CHUNK):
-        b = min(a + _SCAN_CHUNK, n_pairs)
-        i0, i1 = np.searchsorted(ends, [a, b - 1], side="right")
-        c = np.minimum(ends[i0: i1 + 1], b) - np.maximum(first[i0: i1 + 1], a)
-        rep = np.repeat(np.arange(i0, i1 + 1), c)
-        d = start[rep] + (np.arange(a, b) - first[rep]) * R[rep]
-        np.add.at(inner, d, w[rep] * M[(d - 1) // k[rep]])
-    del k, R, w, rad, cn, start, cnt, ends, first
+    done = 0  # pairs before this index are added
+    for i in dense:
+        _scatter_pairs(inner, M, R, w, start, first, ends, done, int(first[i]))
+        done = int(ends[i])
+        _add_stride(inner, M, int(i) + 1, int(R[i]), int(start[i]), w[i])
+    _scatter_pairs(inner, M, R, w, start, first, ends, done, n_pairs)
+    del R, w, rad, cn, start, cnt, ends, first, dense
     inc = np.zeros(X + 1, dtype=np.float64)
     dd = np.arange(1, X + 1, dtype=np.float64)
     muf = _table(X).mu.astype(np.float64)
@@ -362,6 +398,33 @@ def _scan_increments(X: int, d_from: int) -> np.ndarray:
     if d_from > 1:
         inc[: d_from] = 0.0
     return inc
+
+
+def _add_stride(inner: np.ndarray, M: np.ndarray, k: int, r: int, s: int,
+                w_k: float) -> None:
+    """Add w_k * m((d-1) // k) to inner[d] for d = s, s + r, ... <= X, in
+    strided blocks of at most _SCAN_CHUNK values of d."""
+    X = inner.size - 1
+    step = _SCAN_CHUNK * r
+    for a in range(s, X + 1, step):
+        b = min(a + step, X + 1)
+        g = M[np.arange(a - 1, b - 1, r) // k]
+        inner[a: b: r] += np.multiply(g, w_k, out=g)
+
+
+def _scatter_pairs(inner: np.ndarray, M: np.ndarray, R: np.ndarray,
+                   w: np.ndarray, start: np.ndarray, first: np.ndarray,
+                   ends: np.ndarray, lo: int, hi: int) -> None:
+    """Add the terms of the (k, d) pairs with index in [lo, hi) to inner,
+    k-ascending, in chunks of at most _SCAN_CHUNK pairs (pair j belongs to
+    k = i + 1 for first[i] <= j < ends[i])."""
+    for a in range(lo, hi, _SCAN_CHUNK):
+        b = min(a + _SCAN_CHUNK, hi)
+        i0, i1 = np.searchsorted(ends, [a, b - 1], side="right")
+        c = np.minimum(ends[i0: i1 + 1], b) - np.maximum(first[i0: i1 + 1], a)
+        rep = np.repeat(np.arange(i0, i1 + 1), c)
+        d = start[rep] + (np.arange(a, b) - first[rep]) * R[rep]
+        np.add.at(inner, d, w[rep] * M[(d - 1) // (rep + 1)])
 
 
 def _scan_bytes(X: int) -> int:
@@ -373,7 +436,12 @@ CHECKPOINT_HEADER = ["d", "sigma", "running_max_arg", "running_max"]
 
 
 def _read_checkpoint(path: str) -> tuple[int, float, int, float]:
-    """Return the last row (d, sigma, running_max_arg, running_max)."""
+    """Return the last row (d, sigma, running_max_arg, running_max).
+
+    Every row must be one a scan can write: d >= 2, strictly increasing
+    from row to row, sigma and running_max finite, and running_max_arg in
+    [2, d].  Anything else raises ValueError rather than resuming from it.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -383,10 +451,19 @@ def _read_checkpoint(path: str) -> tuple[int, float, int, float]:
         for row in reader:
             if len(row) != 4:
                 raise ValueError(f"malformed checkpoint row {row}")
-            last = row
+            d, value, arg, mx = int(row[0]), float(row[1]), int(row[2]), float(row[3])
+            if d < 2 or (last is not None and d <= last[0]):
+                raise ValueError(f"checkpoint row {row}: d must be >= 2 and "
+                                 f"increase strictly from row to row")
+            if not (math.isfinite(value) and math.isfinite(mx)):
+                raise ValueError(f"checkpoint row {row}: non-finite value")
+            if not 2 <= arg <= d:
+                raise ValueError(f"checkpoint row {row}: running_max_arg "
+                                 f"outside [2, {d}]")
+            last = d, value, arg, mx
     if last is None:
         raise ValueError(f"checkpoint {path} has no data rows")
-    return int(last[0]), float(last[1]), int(last[2]), float(last[3])
+    return last
 
 
 def sigma_scan(X_max: int, checkpoint_path: str | None = None,

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import math
 import tracemalloc
@@ -248,6 +249,25 @@ def test_malformed_checkpoint_rejected(tmp_path):
         sigma_scan(100, checkpoint_path=str(tmp_path / "new.csv"), checkpoint_every=0)
 
 
+@pytest.mark.parametrize("rows", [
+    ["-5,0.5,2,1.0"],                 # d < 2: would zero all but four values
+    ["0,0.5,2,1.0"],                  # d < 2: a "resume" from nothing
+    ["500,nan,2,1.0"],                # sigma not finite
+    ["500,0.44,2,inf"],               # running max not finite
+    ["500,0.44,900,0.5"],             # running max argument past d
+    ["500,0.44,2,0.5", "500,0.44,2,0.5"],   # d repeated
+    ["500,0.44,2,0.5", "400,0.44,2,0.5"],   # d decreasing
+], ids=["d-negative", "d-zero", "sigma-nan", "max-inf", "arg-past-d",
+        "d-repeated", "d-decreasing"])
+def test_impossible_checkpoint_rejected(tmp_path, rows):
+    path = tmp_path / "scan.csv"
+    path.write_text("\n".join(["d,sigma,running_max_arg,running_max", *rows]) + "\n")
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        sigma_scan(1000, checkpoint_path=str(path), resume=True)
+    assert path.read_bytes() == before
+
+
 def _trace_by_fractions(X):
     """[S(1), ..., S(X)] by the divisor recursion in Fraction arithmetic,
     one rational add per divisor, from a fresh sieve."""
@@ -413,14 +433,43 @@ def _increments_by_pair_loop(X, d_from):
 @pytest.mark.parametrize("chunk", [1, 7, sigma._SCAN_CHUNK])
 def test_scan_increments_match_pair_loop(monkeypatch, chunk):
     # Chunks of 1 and 7 pairs put chunk boundaries inside the runs of d of
-    # most k; the chunked scatter-add must still sum each d in k order.
+    # most k, and inside the strided blocks of every dense k; the kernel must
+    # still sum each d in k order.  A threshold of 1 makes every k dense,
+    # X + 1 makes none dense, and 3 interleaves both paths.
     monkeypatch.setattr(sigma, "_SCAN_CHUNK", chunk)
     for X in (1, 2, 3, 997, 5000):
         for d_from in sorted({1, 2, X // 2, X} - {0}):
-            got = sigma._scan_increments(X, d_from)
             want = _increments_by_pair_loop(X, d_from)
-            assert got.shape == want.shape == (X + 1,)
-            assert (got == want).all(), (X, d_from, chunk)
+            for stride_min in (1, 3, sigma._SCAN_STRIDE_MIN, X + 1):
+                monkeypatch.setattr(sigma, "_SCAN_STRIDE_MIN", stride_min)
+                got = sigma._scan_increments(X, d_from)
+                assert got.shape == want.shape == (X + 1,)
+                assert (got == want).all(), (X, d_from, chunk, stride_min)
+
+
+@pytest.mark.parametrize("d_from, digest", [
+    (1, "9d21037c0e5a80471b7b8e0db1e5dd5f7e248a5aad4866d2b9b747e73494fe03"),
+    (50_001, "e71a6d20f2e54cb91e0382ca40803972e3374edfca3add19319cffcb96955c4e"),
+])
+def test_scan_increments_digest_pinned(d_from, digest):
+    # Taken from the kernel that scatter-added every (k, d) pair in one
+    # ascending-k stream; the dense/sparse split must not move a bit.
+    got = sigma._scan_increments(10**5, d_from)
+    assert hashlib.sha256(got.tobytes()).hexdigest() == digest
+
+
+def test_radical_and_coeffs_match_trial_division():
+    # Primes above sqrt(X) go in batches per cofactor; each k must still get
+    # the same radical and the same product, multiplied in ascending p.
+    for X in (0, 1, 2, 3, 4, 48, 49, 50, 997, 3000):
+        rad, cn = sigma._radical_and_coeffs(X)
+        assert rad.shape == cn.shape == (X + 1,)
+        for k in range(1, X + 1):
+            R, c = 1, 1.0
+            for p, _ in factorize(k):
+                R *= p
+                c *= 1.0 - p
+            assert (int(rad[k]), float(cn[k])) == (R, c), (X, k)
 
 
 def test_scan_memory_within_declared_budget(monkeypatch):
@@ -440,6 +489,16 @@ def test_scan_memory_within_declared_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= declared, (peak, declared)
+
+
+def test_scan_memory_within_declared_budget_all_dense(monkeypatch):
+    # Every k dense, so k = 1's stride covers all of d.  With a chunk of
+    # 2^10 the declared bytes leave some 11 per d over the traced peak, which
+    # is reached while k is walked: a stride taken unblocked (16 bytes per d)
+    # would break the budget.
+    monkeypatch.setattr(sigma, "_SCAN_STRIDE_MIN", 1)
+    monkeypatch.setattr(sigma, "_SCAN_CHUNK", 1 << 10)
+    test_scan_memory_within_declared_budget(monkeypatch)
 
 
 def test_scan_refused_one_byte_below_declared(monkeypatch):
