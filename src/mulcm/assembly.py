@@ -49,24 +49,18 @@ class AssemblyConfig:
 
 
 # ----------------------------------------------------------------------
-# Per-j tables over the divisors of the primorial of j.
+# Per-j reductions over the divisors of the primorial of j.
 
-# Traced peak of one cold _j_table call: 32 B per divisor mask (measured at
-# j = 75, 2^21 masks: the 8 B weights and 8 B weights * sqrt(delta) while
-# log(delta) doubles, 16 B), plus room for the per-n and per-prime objects.
-_J_TABLE_BYTES_PER_MASK = 32
-_J_TABLE_FIXED_BYTES = 64 << 10
-# Traced peak of one cold _j_reduce call, its table build included: also
-# 32 B per mask (measured at j = 75, plus 1-2 kB).  The reduction drops the
-# 8 B weights before adding its own arrays (8 B coefficients, then the 1 B
-# `keep` mask and its compressed copy of at most 8 B), so it holds 25 B.
-_J_REDUCE_BYTES_PER_MASK = 32
+# Traced peak of one cold _j_reduce call that keeps every mask in a localized
+# sum: 25 B per divisor mask, the 8 B remainder weights and 8 B log(delta),
+# then the 1 B `keep` mask and its compressed copy of the weights, 8 B at
+# most.  Before that it holds two 8 B arrays at a time.  The fixed part covers
+# the per-n and per-prime objects.
+_J_REDUCE_BYTES_PER_MASK = 25
 _J_REDUCE_FIXED_BYTES = 64 << 10
-
-
-def _j_table_bytes(n_masks: int) -> int:
-    """Declared peak memory of building one _j_table over n_masks divisors."""
-    return _J_TABLE_BYTES_PER_MASK * n_masks + _J_TABLE_FIXED_BYTES
+# A divisor mask below this has all its primes below 30: the ten primes 2..29
+# are bits 0..9.
+_SMALL_MASKS = 1 << 10
 
 
 def _j_reduce_bytes(n_masks: int) -> int:
@@ -74,22 +68,43 @@ def _j_reduce_bytes(n_masks: int) -> int:
     return _J_REDUCE_BYTES_PER_MASK * n_masks + _J_REDUCE_FIXED_BYTES
 
 
-def _doubled(start, ps, step) -> np.ndarray:
-    """Array over the 2^len(ps) prime masks: entry `mask` is start with
-    step(., p) applied for each prime p in mask, in ascending order."""
-    a = np.array([start])
-    for p in ps:
-        a = np.concatenate((a, step(a, p)))
+def _double(a: np.ndarray, k: int, op, consts) -> np.ndarray:
+    """Fill a[2^k:] from a[:2^k] in place: the i-th constant c, in order,
+    sets a[h:2h] = op(a[:h], c) with h = 2^(k+i)."""
+    for i, c in enumerate(consts, k):
+        h = 1 << i
+        op(a[:h], c, out=a[h:2 * h])
     return a
 
 
-def _subset_sums(j: int, ps: list[int]) -> np.ndarray:
-    """g[T] = sum of mu(n)/n over the squarefree n <= j whose primes all lie
-    in the prime mask T (bit i for ps[i])."""
+def _doubled(start: float, op, consts) -> np.ndarray:
+    """Array over the 2^len(consts) prime masks: entry `mask` is start with
+    op(., c) applied for the constant c of each prime in mask, ascending."""
+    a = np.empty(1 << len(consts), dtype=np.float64)
+    a[0] = start
+    return _double(a, 0, op, consts)
+
+
+def _m_values(j: int, ps: list[int]) -> np.ndarray:
+    """m_delta(j) = sum_{n <= j, (n, delta) = 1} mu(n)/n for every divisor
+    mask delta of the primorial of j (bit i for ps[i]), as a reversed view.
+
+    Point masses mu(n)/n go on the prime subset of each squarefree n <= j
+    whose primes p all have 2p <= j, and an in-place subset-sum transform
+    (one vectorized pass per such prime) gives g[T], the sum over the n
+    supported inside T.  A prime p > j/2 divides no n <= j but p itself, so
+    each of those primes, ascending, doubles g: g[T + p] = g[T] - 1/p.  That
+    is bit for bit the full transform over all primes: there, the block of
+    such a p holds exactly -1/p before p's pass (its other entries only ever
+    add +0.0), and the pass adds it to the entry below.  m_delta(j) is g at
+    the complement of delta, which is the array reversed.
+    """
+    k = sum(2 * p <= j for p in ps)
+    low = ps[:k]
     g = np.zeros(1 << len(ps), dtype=np.float64)
     for n in range(1, j + 1):
         x, mask, mu, ok = n, 0, 1, True
-        for i, p in enumerate(ps):
+        for i, p in enumerate(low):
             if x % p == 0:
                 x //= p
                 if x % p == 0:
@@ -99,44 +114,10 @@ def _subset_sums(j: int, ps: list[int]) -> np.ndarray:
                 mu = -mu
         if ok and x == 1:
             g[mask] += mu / n
-    for i in range(len(ps)):
-        v = g.reshape(-1, 2, 1 << i)
+    for i in range(k):
+        v = g[: 1 << k].reshape(-1, 2, 1 << i)
         v[:, 1, :] += v[:, 0, :]
-    return g
-
-
-def _j_table(j: int) -> dict:
-    """Arrays over delta | primorial(j): log(delta), phi(delta)/delta^2 *
-    m_delta(j)^2, the same times sqrt(delta), and a small-factor flag (all
-    primes of delta below 30).
-
-    A divisor delta is the bitmask of its primes, bit i for the i-th prime.
-    m_delta(j) = sum_{n <= j, (n, delta) = 1} mu(n)/n is evaluated for all
-    2^pi(j) divisors at once: point masses mu(n)/n are placed on the prime
-    subset of each squarefree n <= j, an in-place subset-sum transform (one
-    vectorized pass per prime) gives the sum over all n supported inside any
-    prime set T, and m_delta(j) is the value at the complement of delta's
-    support, which is the mask array reversed.  log(delta), phi(delta)/delta^2
-    and sqrt(delta) are built by doubling, prime by prime, so each entry is
-    the same chain of float operations, in ascending prime order, as a
-    per-mask product.  Nothing is cached: the table is the caller's, and at
-    j = 75 it is 2^21 masks at 25 B.  The declared memory (_j_table_bytes)
-    is the traced peak of one call.
-    """
-    ps = [int(p) for p in primes_upto(j)]
-    check_allocation(_j_table_bytes(1 << len(ps)), f"primorial divisor table for j={j}")
-    m_vals = _subset_sums(j, ps)[::-1]
-    w = _doubled(1.0, ps, lambda a, p: a * ((p - 1.0) / (p * p))) * m_vals * m_vals
-    del m_vals
-    wsq = w * _doubled(1.0, ps, lambda a, p: a * math.sqrt(p))
-    return {"w": w, "wsq": wsq,
-            "logd": _doubled(0.0, ps, lambda a, p: a + math.log(p)),
-            "small": _doubled(True, ps, lambda a, p: a & (p < 30))}
-
-
-def block_weight(j: int) -> float:
-    """W(j) = sum over delta | primorial(j) of phi(delta)/delta^2 m_delta(j)^2."""
-    return float(_j_table(j)["w"].sum())
+    return _double(g, k, np.add, [-1 / p for p in ps[k:]])[::-1]
 
 
 _E1 = math.exp(EULER_GAMMA / 2.0) - 1.0
@@ -145,30 +126,45 @@ _E2 = math.exp(-EULER_GAMMA / 2.0)
 
 def _j_reduce(j: int, R: float, j1: float, refine: bool,
               log_bounds: list[float]) -> tuple[float, float, list[float]]:
-    """Build j's table and reduce it to scalars: W(j), the full remainder sum
-    sum_delta j1 * w(delta) sqrt(delta) * coef(delta), and that sum over the
+    """Reduce j's divisor table to scalars: W(j), the sum over delta of
+    phi(delta)/delta^2 m_delta(j)^2; the full remainder sum
+    sum_delta j1 * w(delta) sqrt(delta) * coef(delta); and that sum over the
     delta with log(delta) <= b for each b in log_bounds.
 
     coef(delta) = 2 C e1 (sqrt(R) + sqrt(j)) + 2 * 2.18 e2 (sqrt(R) - sqrt(j))
-    with C = 1.17 for small-factor delta under refine, else 2.18.  It takes
-    two values, computed as Python floats with the same operations an array
-    of C would see.  The remainder weights are formed in place in the
-    sqrt-weight array; no array outlives the call.
+    with C = 1.17 for delta with all primes below 30 (the masks below
+    _SMALL_MASKS) under refine, else 2.18.  It takes two values, computed as
+    Python floats with the same operations an array of C would see.
+
+    A divisor delta is the bitmask of its primes.  phi(delta)/delta^2,
+    sqrt(delta) and log(delta) are built by doubling, prime by prime in
+    ascending order, so each entry is the same chain of float operations as
+    a per-mask product.  One weight array is formed in place, times m twice,
+    then times sqrt(delta), j1 and coef; each other array is built only when
+    it is needed and dropped after use, and no array outlives the call.
     """
-    check_allocation(_j_reduce_bytes(1 << len(primes_upto(j))),
+    ps = [int(p) for p in primes_upto(j)]
+    check_allocation(_j_reduce_bytes(1 << len(ps)),
                      f"primorial divisor reduction for j={j}")
-    t = _j_table(j)
-    W = float(t.pop("w").sum())
+    m = _m_values(j, ps)
+    w = _doubled(1.0, np.multiply, [(p - 1.0) / (p * p) for p in ps])
+    w *= m
+    w *= m
+    del m
+    W = float(w.sum())
+    sq = _doubled(1.0, np.multiply, [math.sqrt(p) for p in ps])
+    w *= sq
+    del sq
     sR, sj = math.sqrt(R), math.sqrt(j)
 
     def coef(C: float) -> float:
         return 2.0 * C * _E1 * (sR + sj) + 2.0 * 2.18 * _E2 * (sR - sj)
 
-    errw = t.pop("wsq")
-    errw *= j1
-    errw *= np.where(t.pop("small"), coef(1.17 if refine else 2.18), coef(2.18))
-    logd = t.pop("logd")
-    return W, float(errw.sum()), [float(errw[logd <= b].sum()) for b in log_bounds]
+    w *= j1
+    w[:_SMALL_MASKS] *= coef(1.17 if refine else 2.18)
+    w[_SMALL_MASKS:] *= coef(2.18)
+    logd = _doubled(0.0, np.add, [math.log(p) for p in ps])
+    return W, float(w.sum()), [float(w[logd <= b].sum()) for b in log_bounds]
 
 
 def theorem_bound(config: AssemblyConfig) -> dict:

@@ -58,9 +58,12 @@ _SCAN_STRIDE_MIN = 1024
 # or d (rad and c_num, under the views R and w; start; first, in cnt's
 # buffer; ends; inner) and the indices of the dense k, 8 bytes each, so up to
 # 56 bytes per d when every k is dense; at the end, inner, inc, 1..X, mu as
-# floats and two temporaries, 48 bytes.  Per expanded pair, 40-44 bytes; a
-# strided block holds 16 bytes per d, within the same chunk.
-_SCAN_BYTES_PER_D = 64
+# floats and two temporaries, 48 bytes.  The traced peak is about 53 bytes per
+# d with every k dense (X = 50 000 and 200 000), the worst case declared here
+# with a byte to spare, and 45 bytes per d besides the pair chunk with the
+# default threshold (X = 10^6).  Per expanded pair, 40-44 bytes; a strided
+# block holds 16 bytes per d, within the same chunk.
+_SCAN_BYTES_PER_D = 54
 _SCAN_BYTES_PER_PAIR = 48
 
 

@@ -397,20 +397,31 @@ def _h_cap_zeta_arguments(exponents):
         return [mp.mpf(e[0]) / 6 + e[1] * mp.mpf(XI) for e in exponents]
 
 
-def test_prime_zeta_equals_mpmath_primezeta(h_cap_tail_exponents):
+@pytest.fixture(scope="module")
+def prime_zeta_exponents(h_cap_tail_exponents):
+    """The exponent pairs that reach _prime_zeta at a cutoff the package
+    uses (every one not a-priori at 10^5, the smallest), then every eighth
+    of the others."""
+    sieved = [e for e in h_cap_tail_exponents if not _is_a_priori(e, 100_000)]
+    rest = [e for e in h_cap_tail_exponents if _is_a_priori(e, 100_000)]
+    assert len(sieved) == 23
+    return sieved + rest[::8]
+
+
+def test_prime_zeta_equals_mpmath_primezeta(prime_zeta_exponents):
     # mpmath's primezeta sums mu(k)/k ln zeta(ks) for every k up to 2^-ks
-    # < 2^-prec; it is the oracle for the short series at every exponent.
+    # < 2^-prec; it is the oracle for the short series.
     with mp.workdps(40):
-        for e, s in zip(h_cap_tail_exponents, _h_cap_zeta_arguments(h_cap_tail_exponents)):
+        for e, s in zip(prime_zeta_exponents, _h_cap_zeta_arguments(prime_zeta_exponents)):
             assert products._prime_zeta(s) == mp.primezeta(s), e
 
 
-def test_prime_zeta_is_settled_in_its_truncations(h_cap_tail_exponents):
+def test_prime_zeta_is_settled_in_its_truncations(prime_zeta_exponents):
     # More primes summed apart and more log-zeta terms move no value: both
     # truncation errors are far below the 40-digit rounding.
     assert products._split_primes(products._PZ_SPLIT)[1] == 101
     with mp.workdps(40):
-        for e, s in zip(h_cap_tail_exponents, _h_cap_zeta_arguments(h_cap_tail_exponents)):
+        for e, s in zip(prime_zeta_exponents, _h_cap_zeta_arguments(prime_zeta_exponents)):
             base = products._prime_zeta(s)
             assert products._prime_zeta(s, split=300) == base, e
             assert products._prime_zeta(s, extra_k=3) == base, e

@@ -472,8 +472,8 @@ def test_radical_and_coeffs_match_trial_division():
             assert (int(rad[k]), float(cn[k])) == (R, c), (X, k)
 
 
-def test_scan_memory_within_declared_budget(monkeypatch):
-    X = 200_000
+def _scan_peak(monkeypatch, X: int) -> tuple[int, int]:
+    """Traced peak of sigma_scan(X) under a budget of its declared bytes."""
     # The scan reads mu and m(t) from the arithmetic table; build both to
     # exactly X first, so the trace holds the scan's own arrays whatever ran
     # before.
@@ -488,17 +488,24 @@ def test_scan_memory_within_declared_budget(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak, declared
+
+
+def test_scan_memory_within_declared_budget(monkeypatch):
+    peak, declared = _scan_peak(monkeypatch, 200_000)
     assert peak <= declared, (peak, declared)
 
 
 def test_scan_memory_within_declared_budget_all_dense(monkeypatch):
-    # Every k dense, so k = 1's stride covers all of d.  With a chunk of
-    # 2^10 the declared bytes leave some 11 per d over the traced peak, which
-    # is reached while k is walked: a stride taken unblocked (16 bytes per d)
-    # would break the budget.
+    # Every k dense, so k = 1's stride covers all of d: the worst case per d,
+    # which the declaration holds, not a loose ceiling.  With a chunk of 2^8
+    # the traced peak is about 53.3 bytes per d at X = 50 000, reached while
+    # k is walked, against 54 declared (the chunk adds 0.25 per d).  A stride
+    # taken unblocked (16 bytes per d more) would break the budget.
     monkeypatch.setattr(sigma, "_SCAN_STRIDE_MIN", 1)
-    monkeypatch.setattr(sigma, "_SCAN_CHUNK", 1 << 10)
-    test_scan_memory_within_declared_budget(monkeypatch)
+    monkeypatch.setattr(sigma, "_SCAN_CHUNK", 1 << 8)
+    peak, declared = _scan_peak(monkeypatch, 50_000)
+    assert 0.9 * declared <= peak <= declared, (peak, declared)
 
 
 def test_scan_refused_one_byte_below_declared(monkeypatch):
