@@ -76,7 +76,6 @@ from .gstar import (
     init_bound_check,
     moebius_square_table_check,
     r1_star,
-    r2_star,
     scan_majorstar,
 )
 from .sigma import (

@@ -28,7 +28,7 @@ from .report import BoundReport
 from .mertens import M_PARAMS, g0_factor, g1_factor
 from .products import A_DEEP, EULER_GAMMA, j1_star
 from .sieve import _table, primes_upto
-from .sigma import _coprime_decomposition_sum
+from .sigma import SCAN_CAP, _coprime_decomposition_sum
 
 REFERENCE_ROWS = (
     (1.1e7, 22.99, 0.679),
@@ -265,12 +265,12 @@ def theorem_bound(config: AssemblyConfig) -> dict:
     }
 
 
-def theorem_table(scan_cap: float = 19.0 / 30.0) -> dict:
+def theorem_table() -> dict:
     """All reference rows plus the combined first row, both refinements on.
 
     Each row reports the computed bound next to its reference value and
     whether it lands within (-TOL_BELOW, +TOL_ABOVE) of it.  The combined row is
-    max(first assembled bound, scan_cap) and is checked against 17/25.
+    max(first assembled bound, sigma.SCAN_CAP) and is checked against 17/25.
     A row out of tolerance is reported, not raised; only failure to compute
     is an error.
     """
@@ -280,10 +280,10 @@ def theorem_table(scan_cap: float = 19.0 / 30.0) -> dict:
         res["reference"] = ref
         res["within_tolerance"] = bool(ref - TOL_BELOW <= res["bound"] <= ref + TOL_ABOVE)
         rows.append(res)
-    combined = max(rows[0]["bound"], scan_cap)
+    combined = max(rows[0]["bound"], SCAN_CAP)
     return {
         "rows": rows,
-        "scan_cap": scan_cap,
+        "scan_cap": SCAN_CAP,
         "combined_first_row": combined,
         "combined_cap": 17.0 / 25.0,
         "combined_ok": bool(combined <= 17.0 / 25.0),

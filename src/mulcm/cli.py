@@ -11,8 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
+import numpy as np
+
+from . import assembly, gstar, mertens, products, sieve, sigma
 from .numutil import BudgetError
 from .report import BoundReport, RunManifest
 
@@ -50,8 +54,7 @@ def _emit(payload: dict, out_path: str | None) -> None:
 # verify-lemma target table.
 
 def _major1starter(xmax: int) -> BoundReport:
-    from .gstar import scan_majorstar
-    rep = scan_majorstar(X_max=xmax)
+    rep = gstar.scan_majorstar(X_max=xmax)
     d = rep.details["1.17"]
     return BoundReport(
         name="r1-envelope-1.17",
@@ -64,129 +67,39 @@ def _major1starter(xmax: int) -> BoundReport:
     )
 
 
+def _aux(key: str, dmax: int) -> list[BoundReport]:
+    return [products.aux_ratio_scan(key, dmax), products.aux_asymptotic_check(key, dmax)]
+
+
 def _lemma_targets(args) -> dict:
-    """Map each verify-lemma target to a zero-argument callable.
-
-    Callables are resolved lazily so `--list` stays instant and each target
-    imports only what it needs.
-    """
-    limit = args.limit
-    dmax = args.dmax
-    xmax = args.xmax
-    n = args.n
-
-    def mertens_sqrt_1():
-        from .mertens import check_envelope_sqrt
-        return check_envelope_sqrt(limit, q=1)
-
-    def mertens_log_1():
-        from .mertens import check_envelope_log
-        return check_envelope_log(limit, q=1)
-
-    def mertens_pair_2():
-        from .mertens import check_envelope_log, check_envelope_sqrt
-        return [check_envelope_sqrt(limit, q=2), check_envelope_log(limit, q=2)]
-
-    def mertens_coprime():
-        from .mertens import check_envelope_coprime
-        return check_envelope_coprime()
-
-    def prime_tail():
-        from .products import check_prime_tail
-        return check_prime_tail()
-
-    def aux(key):
-        from .products import aux_asymptotic_check, aux_ratio_scan
-        return [aux_ratio_scan(key, dmax), aux_asymptotic_check(key, dmax)]
-
-    def aux_caps():
-        from .products import check_h_caps
-        return check_h_caps()
-
-    def init_bound():
-        from .gstar import init_bound_check
-        return init_bound_check(xmax)
-
-    def msq():
-        from .gstar import moebius_square_table_check
-        return moebius_square_table_check(X_max=xmax)
-
-    def majorstar1():
-        from .gstar import scan_majorstar
-        return scan_majorstar(X_max=xmax)
-
-    def majorstar2():
-        from .gstar import check_majorstar2
-        return check_majorstar2()
-
-    def auxmajorstar2():
-        from .gstar import aux_k_band, check_aux_k
-        return [check_aux_k(), aux_k_band()]
-
-    def getgstarq():
-        from .gstar import (check_g_mean, check_gstar_contract,
-                            check_gstar_difference)
-        from .products import check_cq_forms
-        return [check_gstar_contract(), check_gstar_difference(),
-                check_cq_forms(), check_g_mean()]
-
-    def convol0():
-        from .gstar import check_convol0
-        return check_convol0(n)
-
-    def convol():
-        from .gstar import check_convol
-        return check_convol(n)
-
-    def landau():
-        from .sigma import check_landau
-        return check_landau()
-
-    def keyb():
-        from .gstar import check_averaged_divisor_identity
-        return check_averaged_divisor_identity()
-
-    def le1():
-        from .assembly import le1_verify
-        return le1_verify()
-
-    def le2():
-        from .assembly import le2_verify
-        return le2_verify()
-
-    def tail():
-        from .assembly import tail_audit, tail_desk_check
-        return [tail_audit(), tail_desk_check()]
-
-    def sigma_window():
-        from .sigma import scan_report
-        return scan_report(xmax)
-
+    """Map each verify-lemma target to a zero-argument callable."""
     return {
-        "m1": mertens_sqrt_1,
-        "m2": mertens_log_1,
-        "m3": mertens_pair_2,
-        "m4": mertens_coprime,
-        "spe": prime_tail,
-        "aux1": lambda: aux("g0^2"),
-        "aux2": lambda: aux("g0*g1"),
-        "aux3": lambda: aux("g1^2"),
-        "aux-caps": aux_caps,
-        "init": init_bound,
-        "moebius-square": msq,
-        "majorstar1": majorstar1,
-        "major1starter": lambda: _major1starter(xmax),
-        "majorstar2": majorstar2,
-        "auxmajorstar2": auxmajorstar2,
-        "getgstarq": getgstarq,
-        "convol0": convol0,
-        "convol": convol,
-        "landau": landau,
-        "keyb": keyb,
-        "le1": le1,
-        "le2": le2,
-        "tail": tail,
-        "sigma-window": sigma_window,
+        "m1": lambda: mertens.check_envelope_sqrt(args.limit, q=1),
+        "m2": lambda: mertens.check_envelope_log(args.limit, q=1),
+        "m3": lambda: [mertens.check_envelope_sqrt(args.limit, q=2),
+                       mertens.check_envelope_log(args.limit, q=2)],
+        "m4": mertens.check_envelope_coprime,
+        "spe": products.check_prime_tail,
+        "aux1": lambda: _aux("g0^2", args.dmax),
+        "aux2": lambda: _aux("g0*g1", args.dmax),
+        "aux3": lambda: _aux("g1^2", args.dmax),
+        "aux-caps": products.check_h_caps,
+        "init": lambda: gstar.init_bound_check(args.xmax),
+        "moebius-square": lambda: gstar.moebius_square_table_check(X_max=args.xmax),
+        "majorstar1": lambda: gstar.scan_majorstar(X_max=args.xmax),
+        "major1starter": lambda: _major1starter(args.xmax),
+        "majorstar2": gstar.check_majorstar2,
+        "auxmajorstar2": lambda: [gstar.check_aux_k(), gstar.aux_k_band()],
+        "getgstarq": lambda: [gstar.check_gstar_contract(), gstar.check_gstar_difference(),
+                              products.check_cq_forms(), gstar.check_g_mean()],
+        "convol0": lambda: gstar.check_convol0(args.n),
+        "convol": lambda: gstar.check_convol(args.n),
+        "landau": sigma.check_landau,
+        "keyb": gstar.check_averaged_divisor_identity,
+        "le1": assembly.le1_verify,
+        "le2": assembly.le2_verify,
+        "tail": lambda: [assembly.tail_audit(), assembly.tail_desk_check()],
+        "sigma-window": lambda: sigma.scan_report(args.xmax),
     }
 
 
@@ -194,21 +107,16 @@ def _lemma_targets(args) -> dict:
 # Subcommand handlers.
 
 def _cmd_sieve(args) -> int:
-    import math
-
-    import numpy as np
-
-    from .sieve import _table, squarefree_count
     manifest = RunManifest.start("sieve", {"to": args.to})
     n = args.to
-    block = _table(n)
+    block = sieve._table(n)
     pi_n = -1  # n is prime iff spf(n) = n, which also holds at n = 1
     for a in range(0, n, 1 << 16):
         b = min(a + (1 << 16), n)
         ns = np.arange(a + 1, b + 1, dtype=block.spf.dtype)
         pi_n += int(np.count_nonzero(block.spf[a:b] == ns))
     mertens = int(block.mu.sum(dtype=np.int64))
-    q_n = squarefree_count(n)
+    q_n = sieve.squarefree_count(n)
     summary = {
         "n": n,
         "pi": pi_n,
@@ -230,15 +138,14 @@ def _parse_window(text: str) -> tuple[int, int]:
 
 
 def _cmd_sigma_scan(args) -> int:
-    from .sigma import scan_report, sigma_scan
     config = {"to": args.to, "window": args.window,
               "checkpoint": args.checkpoint,
               "checkpoint_every": args.checkpoint_every,
               "resume": args.resume}
     manifest = RunManifest.start("sigma-scan", config)
-    scan = sigma_scan(args.to, checkpoint_path=args.checkpoint,
-                      checkpoint_every=args.checkpoint_every,
-                      resume=args.resume)
+    scan = sigma.sigma_scan(args.to, checkpoint_path=args.checkpoint,
+                            checkpoint_every=args.checkpoint_every,
+                            resume=args.resume)
     outputs = {}
     if args.checkpoint:
         outputs["checkpoint"] = args.checkpoint
@@ -255,8 +162,7 @@ def _cmd_sigma_scan(args) -> int:
             line += f" -> cap 0.445 {'pass' if ok else 'FAIL'}"
         print(line)
     elif scan.resumed_from:
-        cap = 19.0 / 30.0
-        ok = scan.running_max <= cap + 1e-12
+        ok = scan.running_max <= sigma.SCAN_CAP + 1e-12
         payload["running_max"] = {"value": scan.running_max,
                                   "arg": scan.running_max_arg}
         print(f"resumed at {scan.resumed_from}: running max over [2, {args.to}] "
@@ -265,7 +171,7 @@ def _cmd_sigma_scan(args) -> int:
         print("(windowed statistics need an unresumed scan or a --window "
               "after the resume point)")
     else:
-        reports = scan_report(args.to, scan=scan)
+        reports = sigma.scan_report(args.to, scan=scan)
         payload["reports"] = {k: r.to_dict() for k, r in reports.items()}
         for k, r in reports.items():
             print(r.summary_line())
@@ -324,10 +230,9 @@ def _registry_diff(old: dict, new: dict, path: str = "") -> list[str]:
 
 
 def _cmd_constants(args) -> int:
-    from .products import build_registry
     manifest = RunManifest.start(
         "constants", {"write": args.write, "check": args.check})
-    reg = build_registry()
+    reg = products.build_registry()
     if args.write:
         with open(args.write, "w") as fh:
             json.dump(reg, fh, indent=2, sort_keys=True)
@@ -355,8 +260,7 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    from .assembly import AssemblyConfig, theorem_bound
-    config = AssemblyConfig(
+    config = assembly.AssemblyConfig(
         x_min=args.x_min, ratio=args.ratio,
         refine_small_factors=not args.no_refine_30,
         localize=not args.no_localize)
@@ -364,7 +268,7 @@ def _cmd_bound(args) -> int:
         "x_min": args.x_min, "ratio": args.ratio,
         "refine_30": not args.no_refine_30,
         "localize": not args.no_localize})
-    res = theorem_bound(config)
+    res = assembly.theorem_bound(config)
     print(f"bound for x >= {args.x_min:g} at ratio {args.ratio:g}: "
           f"{res['bound']:.6f} (main {res['main']:.6f}, "
           f"remainder {res['remainder']:.6f}, tail {res['tail']:.6f})")
@@ -376,9 +280,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_theorem_table(args) -> int:
-    from .assembly import theorem_table
-    manifest = RunManifest.start("theorem-table", {"scan_cap": args.scan_cap})
-    table = theorem_table(scan_cap=args.scan_cap)
+    manifest = RunManifest.start("theorem-table", {})
+    table = assembly.theorem_table()
     for row in table["rows"]:
         mark = "pass" if row["within_tolerance"] else "FAIL"
         print(f"x >= {row['x_min']:<12g} ratio {row['ratio']:<6g} "
@@ -445,8 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("theorem-table", help="all reference rows")
-    p.add_argument("--scan-cap", type=float, default=19.0 / 30.0,
-                   help="direct-scan maximum used in the combined row")
     p.add_argument("--out", help="JSON output path")
     p.set_defaults(func=_cmd_theorem_table)
 

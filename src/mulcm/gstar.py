@@ -238,26 +238,6 @@ def r1_star(X: float, q: int = 1) -> Fraction:
     return total
 
 
-def r2_star(X: float, q: int = 1) -> tuple[float, float]:
-    """(value, error_bound) for r2*(X; q) = sum_{k^2 l r > X} mu(rkl) phi(k)/(r k^3 l^2).
-
-    Grouping the triple sum by m = k^2 l r shows r2*(X) is the tail beyond X
-    of the convergent series sum g_q(m)/m, whose full value is H_q(1).  So
-    r2*(X) = H_q(1) - sum_{m <= X} g_q(m)/m exactly, and the error bound is
-    the H_q enclosure width plus a float-summation cushion.
-    """
-    if X < 0:
-        raise ValueError("need X >= 0")
-    t = int(math.floor(X))
-    hq = h_q(q)
-    if t < 1:
-        return hq.mid, 0.5 * hq.width
-    g = g_coefficients(t, q)
-    partial = fsum_array(g * _inverses(t))
-    err = 0.5 * hq.width + 1e-12
-    return hq.mid - partial, err
-
-
 def check_majorstar2(q_set=(1, 2, 6, 30), X_max: int = 100_000) -> BoundReport:
     """Check |r2*(X; q)| <= 2.18 j1*(q) / sqrt(X) at every jump point X <= X_max.
 

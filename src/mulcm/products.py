@@ -3,15 +3,16 @@
 The tail machinery turns a finite product or sum over primes into a certified
 enclosure: the partial value plus an explicit bound on everything beyond the
 cutoff.  Tail bounds on sums of f(p) log p use an effective prime number
-theorem inequality with two validity modes; tails without the log weight go
-through f(t)/log t.
+theorem inequality whose constant depends on where the tail starts; tails
+without the log weight go through f(t)/log t.
 
-Every product and weighted sum over the primes up to a cutoff reads one
-per-cutoff prime context (_prime_context): the primes as floats, sieved once
-per public call and freed when it returns, with the weights G(p) and the
-powers p^e evaluated as arrays.  Local terms are
-array expressions over that context, in the same float operations and order
-as a per-prime loop, so the partial products are bit-identical to one.
+Every product and weighted sum over the primes up to a cutoff reads a prime
+context (_PrimeContext): the primes as floats, with the weights G(p) and the
+powers p^e evaluated as arrays.  Each public call builds the one context per
+cutoff it needs as a local, so the primes are sieved once per call and freed
+when it returns.  Local terms are array expressions over that context, in the
+same float operations and order as a per-prime loop, so the partial products
+are bit-identical to one.
 
 Every product (A and P0 in _cubic_product, the weight products in
 _h_product) is its partial product times the exponential of a
@@ -28,7 +29,6 @@ else is recomputed on demand at documented cutoffs.
 from __future__ import annotations
 
 import bisect
-import contextlib
 import functools
 import itertools
 import math
@@ -44,44 +44,38 @@ from .mertens import XI
 
 EULER_GAMMA = float(np.euler_gamma)
 
-# Effective bound: for admissible P, sum_{p >= P} f(p) log p
+# Effective bound: for P >= 2, sum_{p >= P} f(p) log p
 #   <= (1 + EPS) * int_P^inf f + EPS * P f(P) + C * P f(P) / log^2 P
-# with (mode, C, minimum P) = ("strong", 1/5, 3.6e6) or ("weak", 4, 2).
+# with C = 1/5 from STRONG_MIN_P on ("strong" mode) and C = 4 below it ("weak").
 EPS_PNT = 1.0 / 914.0
 STRONG_MIN_P = 3_600_000.0
 WEAK_MIN_P = 2.0
+# Decay exponent assumed past the last quadrature window (_integral_to_infinity).
+_TAIL_SIGMA = 2.0
 
 # ----------------------------------------------------------------------
-# Frozen deep constants, _cubic_product(c, 10**8) (about 2 s and 220 MB);
-# tests/test_products.py recomputes both and requires equality.
+# Frozen deep constants, _cubic_product(c, _PrimeContext(10**8)) (about 2 s
+# and 220 MB); tests/test_products.py recomputes both and requires equality.
 # A    = prod_p (1 - 2/p^2 + 1/p^3) = constant_A(10**8); the leading density constant.
 # P0   = prod_p (1 - 1/p^2 + 1/p^3); the k-tail product over all primes.
 A_DEEP = CertifiedValue(0.42824950567569925, 0.4282495061192267)
 P0_DEEP = CertifiedValue(0.7485352596811069, 0.7485352600688014)
 
 
-def prime_tail_bound(f, P: float, mode: str = "strong",
-                     integral: float | None = None, sigma: float = 2.0) -> float:
-    """Upper bound for sum over primes p >= P of f(p) log p.
+def prime_tail_bound(f, P: float, integral: float | None = None) -> float:
+    """Upper bound for sum over primes p >= P of f(p) log p, for P >= 2.
 
     f must be nonnegative and decreasing on [P, infinity).  `integral` may
     supply the exact value of int_P^inf f(t) dt; otherwise it is computed by
     windowed quadrature plus a power-law remainder that assumes
-    f(t) <= f(Q) (Q/t)^sigma beyond the last window edge Q (sigma > 1).
-    Mode "strong" requires P >= 3.6e6; mode "weak" requires P >= 2.
+    f(t) <= f(Q) (Q/t)^2 beyond the last window edge Q.  The strong-mode
+    constant applies from P = STRONG_MIN_P on, the weak-mode one below it.
     """
-    if mode == "strong":
-        if P < STRONG_MIN_P:
-            raise ValueError(f"strong mode needs P >= {STRONG_MIN_P:.2g}, got {P}")
-        c_last = 0.2
-    elif mode == "weak":
-        if P < WEAK_MIN_P:
-            raise ValueError(f"weak mode needs P >= {WEAK_MIN_P}, got {P}")
-        c_last = 4.0
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    if P < WEAK_MIN_P:
+        raise ValueError(f"the prime tail bound needs P >= {WEAK_MIN_P}, got {P}")
+    c_last = 0.2 if P >= STRONG_MIN_P else 4.0
     if integral is None:
-        integral = _integral_to_infinity(f, P, sigma)
+        integral = _integral_to_infinity(f, P)
     fP = f(P)
     if fP < 0:
         raise ValueError("f must be nonnegative at P")
@@ -89,32 +83,30 @@ def prime_tail_bound(f, P: float, mode: str = "strong",
     return (1.0 + EPS_PNT) * integral + EPS_PNT * P * fP + c_last * P * fP / (logP * logP)
 
 
-def _integral_to_infinity(f, P: float, sigma: float) -> float:
+def _integral_to_infinity(f, P: float) -> float:
     """Upper estimate of int_P^inf f, by windowed quadrature plus remainder.
 
-    The remainder past Q = 1e6 * P assumes f(t) <= f(Q) (Q/t)^sigma there,
-    which holds for the power-times-slowly-varying integrands used here.
+    The remainder past Q = 1e6 * P assumes f(t) <= f(Q) (Q/t)^_TAIL_SIGMA
+    there, which holds for the power-times-slowly-varying integrands used here.
     """
-    if sigma <= 1.0:
-        raise ValueError("sigma must exceed 1 for a finite remainder")
     edges = [P, 10 * P, 100 * P, 1e4 * P, 1e6 * P]
     terms = []
     for a, b in zip(edges, edges[1:]):
         v, e = quad_log(f, a, b, tol=1e-13 * max(1.0, f(a) * a))
         terms += [v, abs(e)]
     Q = edges[-1]
-    terms.append(f(Q) * Q / (sigma - 1.0))
+    terms.append(f(Q) * Q / (_TAIL_SIGMA - 1.0))
     return math.fsum(terms)
 
 
-def tail_sum_over_primes(f, P: float, mode: str = "strong", sigma: float = 2.0) -> float:
+def tail_sum_over_primes(f, P: float) -> float:
     """Upper bound for sum over primes p >= P of f(p) (no log weight).
 
     Writes f(p) = (f(p)/log p) * log p and applies prime_tail_bound to
     h(t) = f(t)/log t, which is still nonnegative decreasing when f is.
     """
     h = lambda t: f(t) / math.log(t)
-    return prime_tail_bound(h, P, mode=mode, sigma=sigma)
+    return prime_tail_bound(h, P)
 
 
 def check_prime_tail(cutoff: int = 30_000_000) -> BoundReport:
@@ -129,21 +121,20 @@ def check_prime_tail(cutoff: int = 30_000_000) -> BoundReport:
     """
     ps = primes_upto(cutoff).astype(np.float64)
     logs = np.log(ps)
-    grid = [(10.0, "weak"), (1e3, "weak"), (1e5, "weak"),
-            (3.7e6, "strong"), (1e7, "strong")]
+    grid = [10.0, 1e3, 1e5, 3.7e6, 1e7]
     worst = (0.0, None)
     rows = []
     for a in (1.5, 2.0):
         weighted = logs / ps ** a
         suffix = np.cumsum(weighted[::-1])[::-1]
-        for P, mode in grid:
+        for P in grid:
             i = int(np.searchsorted(ps, P, side="left"))
             partial = float(suffix[i]) if i < len(ps) else 0.0
             exact_integral = P ** (1.0 - a) / (a - 1.0)
-            bound = prime_tail_bound(lambda t: t ** -a, P, mode=mode,
-                                     integral=exact_integral)
+            bound = prime_tail_bound(lambda t: t ** -a, P, integral=exact_integral)
             captured = 1.0 - (cutoff / P) ** (1.0 - a)
             ratio = partial / bound
+            mode = "strong" if P >= STRONG_MIN_P else "weak"
             rows.append({"a": a, "P": P, "mode": mode, "partial": partial,
                          "bound": bound, "ratio": ratio,
                          "captured_integral_fraction": captured})
@@ -161,9 +152,16 @@ def check_prime_tail(cutoff: int = 30_000_000) -> BoundReport:
 
 
 class _PrimeContext:
-    """The primes p <= cutoff as floats, with per-prime arrays built once."""
+    """The primes p <= cutoff as floats, with per-prime arrays built once.
+
+    A public call that evaluates several products at one cutoff builds one
+    context and passes it to each, so the primes are sieved and raised to
+    each power once per call, and none of the arrays (about 40 MB at cutoff
+    10^7) outlives it.
+    """
 
     def __init__(self, cutoff: int):
+        self.cutoff = cutoff
         self.ps = _read_only(primes_upto(cutoff).astype(np.float64))
         self._powers: dict[float, np.ndarray] = {}
 
@@ -214,46 +212,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# The contexts of the public call in progress, by cutoff; None outside one.
-_open_contexts: dict[int, _PrimeContext] | None = None
-
-
-def _prime_context(cutoff: int) -> _PrimeContext:
-    """The prime context at cutoff: shared inside a _shared_prime_contexts
-    call, built fresh (and freed with its caller's locals) outside one."""
-    if _open_contexts is None:
-        return _PrimeContext(cutoff)
-    if cutoff not in _open_contexts:
-        _open_contexts[cutoff] = _PrimeContext(cutoff)
-    return _open_contexts[cutoff]
-
-
-@contextlib.contextmanager
-def _shared_prime_contexts():
-    """Share one context per cutoff until the outermost such call returns.
-
-    Used as a decorator on the public calls that evaluate several products
-    at one cutoff (check_h_caps, build_registry), so the primes are sieved
-    and raised to each power once per call, and none of the arrays (about
-    40 MB at cutoff 10^7) outlives it.
-    """
-    global _open_contexts
-    outer = _open_contexts
-    if outer is None:
-        _open_contexts = {}
-    try:
-        yield
-    finally:
-        _open_contexts = outer
-
-
-def _partial_product(local, cutoff: int) -> tuple[np.ndarray, float]:
-    """(primes p <= cutoff as floats, prod_{p <= cutoff} (1 + local(p))).
+def _partial_product(local, primes: _PrimeContext) -> float:
+    """prod_{p <= primes.cutoff} (1 + local(p)).
 
     local maps a _PrimeContext to the array of local terms at its primes.
     """
-    primes = _prime_context(cutoff)
-    return primes.ps, math.exp(fsum_array(np.log1p(local(primes))))
+    return math.exp(fsum_array(np.log1p(local(primes))))
 
 
 # Relative cushion on every product enclosure (_enclose) for the float error
@@ -277,23 +241,22 @@ def _enclose(partial: float, log_lo: float, log_hi: float) -> CertifiedValue:
                           partial * math.exp(log_hi) * (1.0 + FSLACK))
 
 
-def _cubic_product(c: float, cutoff: int) -> CertifiedValue:
+def _cubic_product(c: float, primes: _PrimeContext) -> CertifiedValue:
     """Enclosure of prod_p (1 - c/p^2 + 1/p^3) over all primes, c in {1, 2}.
 
     Past the cutoff each factor is 1 - x_p with 0 < x_p < c/p^2 <= c/cutoff^2,
     and -log(1 - x) <= x / (1 - x), so the tail factor lies in [exp(-T), 1]
-    with T the sum over p > cutoff of (c/p^2) / (1 - c/cutoff^2).  T is
-    bounded by tail_sum_over_primes, in strong mode from STRONG_MIN_P on and
-    in weak mode below it.
+    with T the sum over p > cutoff of (c/p^2) / (1 - c/cutoff^2), bounded by
+    tail_sum_over_primes.
     """
     def local(primes):
         p = primes.ps
         return (-c * p + 1.0) / (p * p * p)
 
-    _, partial = _partial_product(local, cutoff)
+    cutoff = primes.cutoff
+    partial = _partial_product(local, primes)
     shrink = 1.0 - c / (cutoff * cutoff)
-    mode = "strong" if cutoff >= STRONG_MIN_P else "weak"
-    tail = tail_sum_over_primes(lambda t: c / (t * t) / shrink, float(cutoff), mode=mode)
+    tail = tail_sum_over_primes(lambda t: c / (t * t) / shrink, float(cutoff))
     return _enclose(partial, -tail, 0.0)
 
 
@@ -302,7 +265,7 @@ def constant_A(cutoff: int = 2_000_000) -> CertifiedValue:
 
     Any cutoff >= 2 works; larger cutoffs tighten the bracket.
     """
-    return _cubic_product(2.0, cutoff)
+    return _cubic_product(2.0, _PrimeContext(cutoff))
 
 
 # ----------------------------------------------------------------------
@@ -455,9 +418,8 @@ def _a_priori_tail(e_f: float, cutoff: int) -> float:
     """_UP times the effective bound on sum_{p >= cutoff} p^(-e_f); see
     _prime_power_tails."""
     n = float(cutoff)
-    mode = "strong" if n >= STRONG_MIN_P else "weak"
     return _UP * prime_tail_bound(
-        lambda t: t ** -e_f / math.log(t), n, mode,
+        lambda t: t ** -e_f / math.log(t), n,
         integral=n ** (1.0 - e_f) / ((e_f - 1.0) * math.log(n)))
 
 
@@ -469,8 +431,7 @@ def _prime_power_tails(exponents, cutoff: int, ps: np.ndarray) -> tuple[dict, di
 
     A-priori route.  With f(t) = t^(-e)/log t, nonnegative and decreasing,
     prime_tail_bound bounds sum_{p >= N} f(p) log p, which is at least Z(e)
-    (N = cutoff; strong mode from STRONG_MIN_P on, weak mode below, as in
-    _cubic_product).  Its integral int_N^inf t^(-e)/log t dt is at most
+    (N = cutoff).  Its integral int_N^inf t^(-e)/log t dt is at most
     N^(1-e)/((e-1) log N), since log t >= log N, so no quadrature runs.
     The bound is evaluated at e_f = fl(fl(m/6) + fl(n * XI)) in place of
     the exact e = m/6 + n * XI, |e_f - e| <= 3u e (u = 2^-53), which moves
@@ -669,14 +630,16 @@ H1_SHAPE = (((1.0, (12, 0)), (-1.0, (18, 0))), ((-1.0, (12, 0)),))
 H23_SHAPE = (((1.0, (10, 0)), (1.0, (14, 0))), ((1.0, (8, 0)),))
 
 
-def _h_product(label: str, key: str, cutoff: int) -> tuple[CertifiedValue, dict]:
+def _h_product(label: str, key: str,
+               primes: _PrimeContext) -> tuple[CertifiedValue, dict]:
     """(enclosure, tail route counts) of H(1) for label "H1" or of Hbar(2/3)
     for "H23", with weight key: prod_p (1 + a(p)), a(p) as in H1_SHAPE or
     H23_SHAPE.
 
-    The partial product covers p <= cutoff (p = 2 included); the monomial
-    tail of _local_log_tail covers p > cutoff.
+    The partial product covers p <= primes.cutoff (p = 2 included); the
+    monomial tail of _local_log_tail covers p > primes.cutoff.
     """
+    cutoff = primes.cutoff
     if cutoff < SHARP_TAIL_MIN_CUTOFF:
         raise ValueError(f"cutoff must be >= {SHARP_TAIL_MIN_CUTOFF}")
 
@@ -688,8 +651,8 @@ def _h_product(label: str, key: str, cutoff: int) -> tuple[CertifiedValue, dict]
                 + (p - 1.0) * G / primes.power(7.0 / 3.0))
 
     shape = {"H1": H1_SHAPE, "H23": H23_SHAPE}[label]
-    ps, partial = _partial_product(local, cutoff)
-    tail, routes = _local_log_tail(key, *shape, cutoff, ps)
+    partial = _partial_product(local, primes)
+    tail, routes = _local_log_tail(key, *shape, cutoff, primes.ps)
     return _enclose(partial, tail.lo, tail.hi), routes
 
 
@@ -701,7 +664,7 @@ def h_linear(key: str, cutoff: int = 10_000_000) -> CertifiedValue:
     term is W/p^2 - W/p^3 - 1/p^2, which the sharp tail expands past the
     cutoff; widths land near 1e-11 at the default cutoff.
     """
-    return _h_product("H1", key, cutoff)[0]
+    return _h_product("H1", key, _PrimeContext(cutoff))[0]
 
 
 def h_twothirds(key: str, cutoff: int = 10_000_000) -> CertifiedValue:
@@ -713,10 +676,9 @@ def h_twothirds(key: str, cutoff: int = 10_000_000) -> CertifiedValue:
     would shrink only like cutoff^(-1/6), while the prime zeta route gives
     widths near 1e-8 at the default cutoff.
     """
-    return _h_product("H23", key, cutoff)[0]
+    return _h_product("H23", key, _PrimeContext(cutoff))[0]
 
 
-@_shared_prime_contexts()
 def check_h_caps(cutoff: int = 10_000_000) -> list[BoundReport]:
     """Verify the six asserted caps on H(1) and Hbar(2/3) at a deep cutoff.
 
@@ -725,10 +687,11 @@ def check_h_caps(cutoff: int = 10_000_000) -> list[BoundReport]:
     report's details["tails"] counts the exponents of its prime power tails
     by route (_prime_power_tails): "prime_zeta" (sieved) or "a_priori".
     """
+    primes = _PrimeContext(cutoff)
     reports = []
     for key, caps in H_CAPS.items():
         for label, cap in zip(("H1", "H23"), caps):
-            enc, tails = _h_product(label, key, cutoff)
+            enc, tails = _h_product(label, key, primes)
             reports.append(BoundReport(
                 name=f"h-cap-{label}({key})",
                 domain=f"primes <= {cutoff} + certified tail",
@@ -762,7 +725,7 @@ def _aux_values(key: str, D: int) -> np.ndarray:
     vals[0] = 0.0
     square_free = np.ones(D + 1, dtype=bool)
     square_free[0] = False
-    primes = _PrimeContext(D)  # uncached: its arrays are freed on return
+    primes = _PrimeContext(D)
     ps = primes.ps.astype(np.int64)
     w = (primes.ps - 1.0) / primes.ps * primes.weight(key)
     r = math.isqrt(D)
@@ -850,7 +813,7 @@ def universal_log_sum(cutoff: int = 1_000_000) -> CertifiedValue:
     ps = primes_upto(cutoff).astype(np.float64)
     terms = (3.0 * ps - 2.0) * np.log(ps) / ((ps - 1.0) * (ps * ps + ps - 1.0))
     partial = fsum_array(terms)
-    tail = prime_tail_bound(lambda t: 3.2 / (t * t), float(cutoff), mode="weak")
+    tail = prime_tail_bound(lambda t: 3.2 / (t * t), float(cutoff))
     enc = CertifiedValue(partial, partial + tail)
     if cutoff == 1_000_000:
         _universal_log_sum = enc
@@ -892,7 +855,7 @@ def c_q_prerewrite(q: int, cutoff: int = 1_000_000) -> CertifiedValue:
             mask &= ps != float(p)
         terms = terms[mask]
     partial = fsum_array(terms)
-    tail = prime_tail_bound(lambda t: 3.2 / (t * t), float(cutoff), mode="weak")
+    tail = prime_tail_bound(lambda t: 3.2 / (t * t), float(cutoff))
     base = EULER_GAMMA + loc + partial
     return CertifiedValue(base, base + tail)
 
@@ -977,7 +940,6 @@ def j5_star(q: int) -> float:
 # ----------------------------------------------------------------------
 # Registry.
 
-@_shared_prime_contexts()
 def build_registry() -> dict:
     """Assemble the constants registry as a plain dict.
 
@@ -1006,10 +968,11 @@ def build_registry() -> dict:
         "j5_star": {str(q): j5_star(q) for q in (1, 2, 3, 6, 30, 210)},
         "H_q": {str(q): h_q(q).to_dict() for q in (1, 2, 6, 30, 210)},
     }
+    primes = _PrimeContext(h_cut)
     for key in H_CAPS:
         reg["h_constants"][key] = {
-            "H1": h_linear(key, h_cut).to_dict(),
-            "H23": h_twothirds(key, h_cut).to_dict(),
+            "H1": _h_product("H1", key, primes)[0].to_dict(),
+            "H23": _h_product("H23", key, primes)[0].to_dict(),
             "caps": list(H_CAPS[key]),
             "cutoff": h_cut,
         }

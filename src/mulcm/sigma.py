@@ -43,6 +43,10 @@ from .numutil import check_allocation
 from .report import BoundReport
 from .sieve import _coprime_mask, _mertens_cum, _table, primes_upto, smooth_numbers
 
+# The direct-computation cap S(d) <= 19/30 for d >= 2, which the scan checks
+# and the theorem table's combined first row takes as the scan maximum.
+SCAN_CAP = 19.0 / 30.0
+
 # (k, d) pairs expanded per scatter-add, and d per strided block, in the scan;
 # bounds its transient memory.
 _SCAN_CHUNK = 1 << 17
@@ -477,8 +481,9 @@ def sigma_scan(X_max: int, checkpoint_path: str | None = None,
     running_max) every checkpoint_every values of d, after the checkpoint's
     earlier rows when resuming, and atomically replaces the checkpoint once
     all rows are written.  With resume=True the scan restarts from the last
-    checkpointed d, recomputing only the remaining increments.  The running
-    max tracks d >= 2 (d = 1 has the trivial value 1).
+    checkpointed d, recomputing only the remaining increments, and its values
+    equal a fresh scan's bit for bit.  The running max tracks d >= 2 (d = 1
+    has the trivial value 1).
     """
     if checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
@@ -494,10 +499,10 @@ def sigma_scan(X_max: int, checkpoint_path: str | None = None,
             raise ValueError(f"checkpoint already covers {d0} >= {X_max}")
         d_from = d0 + 1
     inc = _scan_increments(X_max, d_from)
+    # Seeded with S(d0), the cumsum adds the same floats in the same order as
+    # a fresh scan's.
+    inc[d_from - 1] = base
     values = np.cumsum(inc)
-    if resume:
-        values += base
-        values[: d_from] = 0.0
     # The d at which the running max is reported: the multiples of
     # checkpoint_every when checkpointing, and X_max for the result.
     lo = max(2, d_from)
@@ -580,9 +585,9 @@ def scan_report(X_max: int = 1_000_000, scan: ScanResult | None = None) -> dict:
         w2 = scan.window_extrema(2, X_max)
         reports["cap_19_30"] = BoundReport(
             name="sigma-cap-19/30", domain=f"d in [2, {X_max}]",
-            passed=w2["max"] <= 19.0 / 30.0 + 1e-12,
-            worst_ratio=w2["max"] / (19.0 / 30.0),
-            worst_arg=w2["argmax"], bound=19.0 / 30.0, details=w2)
+            passed=w2["max"] <= SCAN_CAP + 1e-12,
+            worst_ratio=w2["max"] / SCAN_CAP,
+            worst_arg=w2["argmax"], bound=SCAN_CAP, details=w2)
 
     if X_max >= 1300:
         w3 = scan.window_extrema(1300, 1350)

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -16,7 +15,6 @@ from mulcm.gstar import (
     check_gstar_contract,
     check_gstar_difference,
     check_majorstar2,
-    g_coefficients,
     gstar,
     gstar_asymptotic,
     gstar_exact,
@@ -24,10 +22,9 @@ from mulcm.gstar import (
     moebius_square_table_check,
     r1_star,
     r1_values,
-    r2_star,
     scan_majorstar,
 )
-from mulcm.products import P0_DEEP, h_q
+from mulcm.products import P0_DEEP
 
 
 def test_gstar_exact_small():
@@ -67,16 +64,6 @@ def test_r1_star_frozen():
     assert r1_star(4, 1) == Fraction(7, 3)
     vals = r1_values(50, 1)
     assert float(vals[4]) == pytest.approx(7.0 / 3.0, abs=1e-12)
-
-
-def test_r2_star_complement_identity():
-    # r2*(X) = H_q(1) - sum_{m <= X} g_q(m)/m; cross-check with a direct
-    # partial sum of the coefficients.
-    for q in (1, 2):
-        g = g_coefficients(2000, q)
-        partial = math.fsum(g[m] / m for m in range(1, 2001))
-        val, err = r2_star(2000, q)
-        assert val == pytest.approx(h_q(q).mid - partial, abs=1e-9 + err)
 
 
 def test_majorstar2_envelope():

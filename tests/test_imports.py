@@ -7,7 +7,8 @@ mu, phi, spf and the Mertens cumsum from the one arithmetic table, prime
 zeta values come from `products._prime_zeta`, not mpmath's `primezeta`,
 every Euler product's logs are taken in `products._partial_product` alone, and
 exact sums of arrays go through `numutil.fsum_array`, not `fsum` of a list
-nor `fsum` of a memoryview outside `numutil.py`.
+nor `fsum` of a memoryview outside `numutil.py`.  The command-line module
+imports everything it uses at its top.
 """
 
 import ast
@@ -47,6 +48,27 @@ def test_detector_flags_unused_and_accepts_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def function_imports(source: str) -> list[str]:
+    """Import statements inside a function, by the function's name."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [f"{fn.name} (line {node.lineno})" for node in ast.walk(fn)
+                      if isinstance(node, (ast.Import, ast.ImportFrom))]
+    return sorted(set(found))
+
+
+def test_function_import_detector():
+    src = "import os\ndef f():\n    def g():\n        import re\n    return os\n"
+    assert function_imports(src) == ["f (line 4)", "g (line 4)"]
+
+
+def test_cli_imports_at_module_level():
+    # The package __init__ loads every layer module anyway, so an import
+    # deferred into a command or target saves nothing.
+    assert function_imports((SRC / "cli.py").read_text()) == []
 
 
 @pytest.mark.parametrize("name", [p.stem for p in MODULES])

@@ -20,8 +20,8 @@ from mulcm.products import (
     H_CAPS,
     P0_DEEP,
     _aux_values,
+    _PrimeContext,
     _local_monomials,
-    _prime_context,
     _prime_power_tails,
     aux_asymptotic_check,
     aux_ratio_scan,
@@ -47,28 +47,22 @@ from mulcm.sieve import primes_upto
 
 
 def test_prime_tail_spec_example():
-    # f(t) = 1/t^2 at P = 1e7 in strong mode: about 1.01e-7.
-    bound = prime_tail_bound(lambda t: t ** -2, 1e7, mode="strong",
-                             integral=1e-7)
+    # f(t) = 1/t^2 at P = 1e7, past STRONG_MIN_P: about 1.01e-7.
+    bound = prime_tail_bound(lambda t: t ** -2, 1e7, integral=1e-7)
     assert bound == pytest.approx(1.003e-7, rel=1e-3)
     assert bound < 1.01e-7
 
 
 def test_prime_tail_mode_preconditions():
     with pytest.raises(ValueError):
-        prime_tail_bound(lambda t: t ** -2, 1e6, mode="strong")
-    with pytest.raises(ValueError):
-        prime_tail_bound(lambda t: t ** -2, 1.0, mode="weak")
-    with pytest.raises(ValueError):
-        prime_tail_bound(lambda t: t ** -2, 10.0, mode="nope")
+        prime_tail_bound(lambda t: t ** -2, 1.0)
 
 
 @pytest.mark.parametrize("a", [1.5, 5.0 / 3.0, 2.0])
 def test_prime_tail_monotone_in_P(a):
     f = lambda t: t ** -a
     grid = [10.0, 100.0, 1e3, 1e4, 1e5, 1e6]
-    bounds = [prime_tail_bound(f, P, mode="weak",
-                               integral=P ** (1 - a) / (a - 1)) for P in grid]
+    bounds = [prime_tail_bound(f, P, integral=P ** (1 - a) / (a - 1)) for P in grid]
     assert all(x > y for x, y in zip(bounds, bounds[1:]))
 
 
@@ -179,15 +173,15 @@ def _record_float_error_bounds(mpatch) -> list:
     bounds = []
     real = products._partial_product
 
-    def spy(local, cutoff):
+    def spy(local, primes):
         seen = []
 
         def recording(primes):
             seen.append((primes, local(primes)))
             return seen[0][1]
 
-        result = real(recording, cutoff)
-        bounds.append((cutoff, _float_error_bound(local, *seen[0])))
+        result = real(recording, primes)
+        bounds.append((primes.cutoff, _float_error_bound(local, *seen[0])))
         return result
 
     mpatch.setattr(products, "_partial_product", spy)
@@ -200,8 +194,8 @@ def deep_products():
     220 MB), with the float error bound of each partial product."""
     with pytest.MonkeyPatch.context() as mpatch:
         bounds = _record_float_error_bounds(mpatch)
-        with products._shared_prime_contexts():
-            values = (constant_A(10 ** 8), products._cubic_product(1.0, 10 ** 8))
+        primes = _PrimeContext(10 ** 8)
+        values = (products._cubic_product(2.0, primes), products._cubic_product(1.0, primes))
     return values, bounds
 
 
@@ -285,7 +279,7 @@ def test_h_q_contains_a_times_the_exact_ratio(q):
 
 
 def test_weights():
-    primes = _prime_context(2)
+    primes = _PrimeContext(2)
     assert primes.weight("g0^2")[0] == pytest.approx(1.5)
     assert primes.weight("g0*g1")[0] == pytest.approx(math.sqrt(1.5) * 2.06)
     assert primes.weight("g1^2")[0] == pytest.approx(2.06 ** 2)
@@ -327,16 +321,16 @@ def test_partial_products_equal_scalar_loop(monkeypatch):
     seen = []
     real = products._partial_product
 
-    def spy(local, cut):
+    def spy(local, primes):
         terms = []
 
         def recording(primes):
             terms.append(local(primes))
             return terms[0]
 
-        ps, partial = real(recording, cut)
+        partial = real(recording, primes)
         seen.append((terms[0], partial))
-        return ps, partial
+        return partial
 
     monkeypatch.setattr(products, "_partial_product", spy)
     constant_A(cutoff)
@@ -449,7 +443,6 @@ def test_prime_contexts_are_shared_then_released(call, monkeypatch):
     cutoffs = [c for c, _ in built]
     assert len(cutoffs) == len(set(cutoffs)) >= 1
     assert [c for c, ref in built if ref() is not None] == []
-    assert products._open_contexts is None
 
 
 def _aux_values_loop(key: str, D: int) -> np.ndarray:
@@ -648,7 +641,7 @@ def test_a_priori_tails_sum_nothing(cutoff, h_cap_tail_exponents, monkeypatch):
         real = getattr(products, name)
         monkeypatch.setattr(products, name,
                             lambda *a, real=real, name=name: calls.append(name) or real(*a))
-    ps = _prime_context(cutoff).ps
+    ps = _PrimeContext(cutoff).ps
     for e in h_cap_tail_exponents:
         calls.clear()
         tails, routes = _prime_power_tails([e], cutoff, ps)
@@ -694,7 +687,7 @@ def test_prime_power_tail_sums_take_the_fast_path(h_cap_tail_exponents, monkeypa
     real = numutil._fsum
     monkeypatch.setattr(numutil, "_fsum", lambda x: fallbacks.append(x.size) or real(x))
     assert len(h_cap_tail_exponents) == 132
-    ps = _prime_context(100_000).ps
+    ps = _PrimeContext(100_000).ps
     for e in h_cap_tail_exponents:
         terms = np.power(ps, -products._expo_float(e))
         assert fsum_array(terms) == math.fsum(terms.tolist()), e
@@ -705,7 +698,7 @@ def test_prime_power_tail_pad_covers_the_float_partial(h_cap_tail_exponents):
     # The float partial behind each tail enclosure is far inside the pad
     # derived in _prime_power_tails: within 1e-3 of it of the 40-digit sum.
     es = h_cap_tail_exponents
-    ps = _prime_context(100_000).ps
+    ps = _PrimeContext(100_000).ps
     for e in (es[0], es[len(es) // 2], es[-1]):
         assert min(e) >= 0, e
         partial = fsum_array(np.power(ps, -products._expo_float(e)))
