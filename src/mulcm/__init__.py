@@ -36,14 +36,12 @@ from .mertens import (
     g0_factor,
     g1_factor,
     m,
-    m_exact,
 )
 from .products import (
     A_DEEP,
     P0_DEEP,
     aux_asymptotic_check,
     aux_ratio_scan,
-    aux_sum,
     build_registry,
     c_q,
     c_q_prerewrite,
@@ -51,7 +49,6 @@ from .products import (
     check_h_caps,
     check_prime_tail,
     constant_A,
-    gq_constants,
     h_linear,
     h_q,
     h_twothirds,

@@ -25,6 +25,7 @@ import numpy as np
 
 from .numutil import check_allocation, quad_checked
 from .report import BoundReport
+from .gstar import _R1_SMALL, _R_ENVELOPE, _SMALL_PRIMES_BELOW
 from .mertens import M_PARAMS, g0_factor, g1_factor
 from .products import A_DEEP, EULER_GAMMA, j1_star
 from .sieve import _table, primes_upto
@@ -58,9 +59,9 @@ class AssemblyConfig:
 # the per-n and per-prime objects.
 _J_REDUCE_BYTES_PER_MASK = 25
 _J_REDUCE_FIXED_BYTES = 64 << 10
-# A divisor mask below this has all its primes below 30: the ten primes 2..29
-# are bits 0..9.
-_SMALL_MASKS = 1 << 10
+# A divisor mask below this has all its primes below _SMALL_PRIMES_BELOW
+# (30): the ten primes 2..29 are bits 0..9.
+_SMALL_MASKS = 1 << len(primes_upto(_SMALL_PRIMES_BELOW - 1))
 
 
 def _j_reduce_bytes(n_masks: int) -> int:
@@ -158,11 +159,11 @@ def _j_reduce(j: int, R: float, j1: float, refine: bool,
     sR, sj = math.sqrt(R), math.sqrt(j)
 
     def coef(C: float) -> float:
-        return 2.0 * C * _E1 * (sR + sj) + 2.0 * 2.18 * _E2 * (sR - sj)
+        return 2.0 * C * _E1 * (sR + sj) + 2.0 * _R_ENVELOPE * _E2 * (sR - sj)
 
     w *= j1
-    w[:_SMALL_MASKS] *= coef(1.17 if refine else 2.18)
-    w[_SMALL_MASKS:] *= coef(2.18)
+    w[:_SMALL_MASKS] *= coef(_R1_SMALL if refine else _R_ENVELOPE)
+    w[_SMALL_MASKS:] *= coef(_R_ENVELOPE)
     logd = _doubled(0.0, np.add, [math.log(p) for p in ps])
     return W, float(w.sum()), [float(w[logd <= b].sum()) for b in log_bounds]
 
@@ -181,7 +182,8 @@ def theorem_bound(config: AssemblyConfig) -> dict:
     reduces every table at Y = x_min.  Only when the supremum is not settled
     there does pass 2 rebuild each table once and reduce it at every further
     dyadic Y the search can reach.  Every sum is formed from the same floats
-    in the same order as over materialized tables.
+    in the same order as over materialized tables.  Without localization a
+    window reaches every term, so the search stops after the first.
     """
     x_min, ratio = config.x_min, config.ratio
     if not (x_min > 1 and ratio > 1):
@@ -193,6 +195,7 @@ def theorem_bound(config: AssemblyConfig) -> dict:
     primes = set(ps.tolist())
     A = A_DEEP.mid
     tail = tail_bound(1.0, ratio)["flat"]
+    reach = 2.0 if config.localize else math.inf  # window [Y, 2Y) sees j delta <= reach Y
 
     def one_pass(Ys: list[float]) -> tuple[list[dict], list[float]]:
         """Per-j rows, and the localized remainder sum at each Y: the
@@ -207,7 +210,7 @@ def theorem_bound(config: AssemblyConfig) -> dict:
             R = min(j + 1.0, ratio)
             W, err_sum, parts = _j_reduce(
                 j, R, j1_star(primorial), config.refine_small_factors,
-                [math.log(2.0 * Y / j) for Y in Ys])
+                [math.log(reach * Y / j) for Y in Ys])
             for k, part in enumerate(parts):
                 Es[k] += part
             rows.append({"j": j, "main": A * prodw * math.log(R / j) * W,
@@ -215,7 +218,7 @@ def theorem_bound(config: AssemblyConfig) -> dict:
         return rows, Es
 
     Y = float(x_min)
-    per_j, Es = one_pass([Y] if config.localize else [])
+    per_j, Es = one_pass([Y])
     main_total = 0.0
     for row in per_j:
         main_total += row["main"]
@@ -225,11 +228,11 @@ def theorem_bound(config: AssemblyConfig) -> dict:
     # over dyadic Y terminates once even the full sum cannot beat the
     # current best.
     E_full = sum(row["err_sum"] for row in per_j)
-    E_at = {Y: Es[0]} if config.localize else {}
+    E_at = {Y: Es[0]}
     best, best_Y = 0.0, None
     windows, passes = 0, 1
     while True:
-        if config.localize and Y not in E_at:
+        if Y not in E_at:
             # Pass 2: every further Y up to the first where E_full meets the
             # stop test with the current best.  best never falls, so the
             # search stops there or earlier.
@@ -238,13 +241,10 @@ def theorem_bound(config: AssemblyConfig) -> dict:
                 more.append(more[-1] * 2.0)
             E_at.update(zip(more, one_pass(more)[1]))
             passes += 1
-        E = E_at[Y] if config.localize else E_full
         windows += 1
-        cur = E / math.sqrt(Y)
+        cur = E_at[Y] / math.sqrt(Y)
         if cur > best:
             best, best_Y = cur, Y
-        if not config.localize:
-            break
         if E_full / math.sqrt(2.0 * Y) <= best:
             break
         Y *= 2.0
@@ -312,6 +312,34 @@ def _squarefree_phi_sums(grid, term) -> list[float]:
     return sums
 
 
+def _weighted_sum_lemma(name: str, grid, term, integrand, majorant, cap,
+                        quad_tol: float) -> BoundReport:
+    """Check, for (x, D) in the grid, that the sum over squarefree
+    d <= min(D, x/1e12) of term(phi(d), x, d) is at most cap(D), and that the
+    proof's majorant(x, D, I) lies between the sum and the cap, I bounding the
+    integral of integrand over [max(1e12, x/D), x] from above."""
+    worst = (0.0, None)
+    rows = []
+    for (x, D), exact in zip(grid, _squarefree_phi_sums(grid, term)):
+        integral, ierr = quad_checked(integrand, max(M_PARAMS.deep, x / D), x, tol=quad_tol)
+        bound, capval = majorant(x, D, integral + ierr), cap(D)
+        rows.append({"x": x, "D": D, "exact": exact, "majorant": bound,
+                     "exact_le_majorant": exact <= bound,
+                     "majorant_le_cap": bound <= capval})
+        if exact / capval > worst[0]:
+            worst = (exact / capval, (x, D))
+    ok = all(r["exact_le_majorant"] and r["majorant_le_cap"] for r in rows)
+    return BoundReport(
+        name=name,
+        domain=f"{len(rows)} grid points, x in [1e12, 1e15]",
+        passed=ok and worst[0] <= 1.0,
+        worst_ratio=worst[0],
+        worst_arg=worst[1],
+        bound=1.0,
+        details={"rows": rows},
+    )
+
+
 def le1_verify(grid=None, quad_tol: float = 1e-13) -> BoundReport:
     """Check the cross-term lemma: for (x, D) in the grid,
 
@@ -321,34 +349,15 @@ def le1_verify(grid=None, quad_tol: float = 1e-13) -> BoundReport:
     and that the proof's majorant (an explicit integral plus 0.0497 sqrt(D))
     also stays below the cap and above the exact sum.
     """
-    grid = _LEMMA_GRID if grid is None else grid
-    sums = _squarefree_phi_sums(grid, lambda phi, x, d: (
-        phi * g0_factor(d) * g1_factor(d) / (d ** 1.5 * math.log(x / d))))
-    worst = (0.0, None)
-    rows = []
-    for (x, D), exact in zip(grid, sums):
-        capval = 0.05 * math.sqrt(D)
-        lo_u = max(M_PARAMS.deep, x / D)
-        integral, ierr = quad_checked(
-            lambda u: (2.0 * math.log(u) - 1.0) / (u ** 1.5 * math.log(u) ** 2),
-            lo_u, x, tol=quad_tol)
-        majorant = 0.80 * math.sqrt(x) * (integral + ierr) + 0.0497 * math.sqrt(D)
-        ratio = exact / capval
-        rows.append({"x": x, "D": D, "exact": exact, "majorant": majorant,
-                     "cap": capval, "exact_le_majorant": exact <= majorant,
-                     "majorant_le_cap": majorant <= capval})
-        if ratio > worst[0]:
-            worst = (ratio, (x, D))
-    ok = all(r["exact_le_majorant"] and r["majorant_le_cap"] for r in rows)
-    return BoundReport(
-        name="cross-term-weighted-sum",
-        domain=f"{len(rows)} grid points, x in [1e12, 1e15]",
-        passed=ok and worst[0] <= 1.0,
-        worst_ratio=worst[0],
-        worst_arg=worst[1],
-        bound=1.0,
-        details={"rows": rows},
-    )
+    rep = _weighted_sum_lemma(
+        "cross-term-weighted-sum", _LEMMA_GRID if grid is None else grid,
+        lambda phi, x, d: phi * g0_factor(d) * g1_factor(d) / (d ** 1.5 * math.log(x / d)),
+        lambda u: (2.0 * math.log(u) - 1.0) / (u ** 1.5 * math.log(u) ** 2),
+        lambda x, D, i: 0.80 * math.sqrt(x) * i + 0.0497 * math.sqrt(D),
+        lambda D: 0.05 * math.sqrt(D), quad_tol)
+    for row in rep.details["rows"]:
+        row["cap"] = 0.05 * math.sqrt(row["D"])
+    return rep
 
 
 def le2_verify(grid=None, quad_tol: float = 1e-13) -> BoundReport:
@@ -362,32 +371,11 @@ def le2_verify(grid=None, quad_tol: float = 1e-13) -> BoundReport:
         g1 = g1_factor(d)
         return phi * g1 * g1 / (d * d * math.log(x / d) ** 2)
 
-    grid = _LEMMA_GRID if grid is None else grid
-    sums = _squarefree_phi_sums(grid, term)
-    worst = (0.0, None)
-    rows = []
-    for (x, D), exact in zip(grid, sums):
-        lo_u = max(M_PARAMS.deep, x / D)
-        integral, ierr = quad_checked(
-            lambda u: (math.log(u) - 1.0) / (u * math.log(u) ** 3),
-            lo_u, x, tol=quad_tol)
-        majorant = 1.57 * (integral + ierr) + 0.00152
-        ratio = exact / 0.047
-        rows.append({"x": x, "D": D, "exact": exact, "majorant": majorant,
-                     "exact_le_majorant": exact <= majorant,
-                     "majorant_le_cap": majorant <= 0.047})
-        if ratio > worst[0]:
-            worst = (ratio, (x, D))
-    ok = all(r["exact_le_majorant"] and r["majorant_le_cap"] for r in rows)
-    return BoundReport(
-        name="square-term-weighted-sum",
-        domain=f"{len(rows)} grid points, x in [1e12, 1e15]",
-        passed=ok and worst[0] <= 1.0,
-        worst_ratio=worst[0],
-        worst_arg=worst[1],
-        bound=1.0,
-        details={"rows": rows},
-    )
+    return _weighted_sum_lemma(
+        "square-term-weighted-sum", _LEMMA_GRID if grid is None else grid, term,
+        lambda u: (math.log(u) - 1.0) / (u * math.log(u) ** 3),
+        lambda x, D, i: 1.57 * i + 0.00152,
+        lambda D: 0.047, quad_tol)
 
 
 def tail_bound(D: float, x: float) -> dict:
@@ -401,8 +389,8 @@ def tail_bound(D: float, x: float) -> dict:
     if not (0 < D <= x):
         raise ValueError("need 0 < D <= x")
     linear = 4.14 * D / x
-    cross = 2.0 * math.sqrt(2.0) * 0.0144 * 0.05 * math.sqrt(D / x)
-    square = 0.0144 ** 2 * 0.047
+    cross = 2.0 * math.sqrt(2.0) * M_PARAMS.log_c * 0.05 * math.sqrt(D / x)
+    square = M_PARAMS.log_c ** 2 * 0.047
     return {
         "linear": linear,
         "cross": cross,

@@ -31,15 +31,9 @@ def _flatten(obj) -> list[BoundReport]:
     if isinstance(obj, BoundReport):
         return [obj]
     if isinstance(obj, dict):
-        out = []
-        for v in obj.values():
-            out.extend(_flatten(v))
-        return out
+        obj = list(obj.values())
     if isinstance(obj, (list, tuple)):
-        out = []
-        for v in obj:
-            out.extend(_flatten(v))
-        return out
+        return [r for v in obj for r in _flatten(v)]
     raise TypeError(f"not a report container: {type(obj)!r}")
 
 
@@ -55,10 +49,10 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 def _major1starter(xmax: int) -> BoundReport:
     rep = gstar.scan_majorstar(X_max=xmax)
-    d = rep.details["1.17"]
+    d = rep.details[f"{gstar._R1_SMALL}"]
     return BoundReport(
-        name="r1-envelope-1.17",
-        domain=rep.domain + ", moduli with all prime factors below 30",
+        name=f"r1-envelope-{gstar._R1_SMALL}",
+        domain=rep.domain + f", moduli with all prime factors below {gstar._SMALL_PRIMES_BELOW}",
         passed=d["worst_ratio"] <= 1.0,
         worst_ratio=d["worst_ratio"],
         worst_arg=d["worst_arg"],
@@ -157,12 +151,12 @@ def _cmd_sigma_scan(args) -> int:
         payload["window"] = w
         line = (f"window [{a}, {b}]: max={w['max']:.9f} at {w['argmax']}, "
                 f"min={w['min']:.9f} at {w['argmin']}")
-        if a >= 422:
-            ok = w["max"] <= 0.445
-            line += f" -> cap 0.445 {'pass' if ok else 'FAIL'}"
+        if a >= sigma._WINDOW_FROM:
+            ok = w["max"] <= sigma._WINDOW_CAP
+            line += f" -> cap {sigma._WINDOW_CAP} {'pass' if ok else 'FAIL'}"
         print(line)
     elif scan.resumed_from:
-        ok = scan.running_max <= sigma.SCAN_CAP + 1e-12
+        ok = scan.running_max <= sigma.SCAN_CAP + sigma._SCAN_CAP_SLACK
         payload["running_max"] = {"value": scan.running_max,
                                   "arg": scan.running_max_arg}
         print(f"resumed at {scan.resumed_from}: running max over [2, {args.to}] "

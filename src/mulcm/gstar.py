@@ -28,6 +28,10 @@ from .products import (
 
 _AUX_K_CUTOFF = 200_000
 
+# C in r1*(X; q) <= C sqrt(X) j1*(q) and |r2*(X; q)| <= C j1*(q)/sqrt(X), and
+# the sharper r1* constant when every prime of q lies below the third value.
+_R_ENVELOPE, _R1_SMALL, _SMALL_PRIMES_BELOW = 2.18, 1.17, 30
+
 
 def _inverses(limit: int) -> np.ndarray:
     """1/n for n = 0..limit, with 0 at n = 0."""
@@ -92,7 +96,7 @@ def gstar_difference_bound(q: int, X: float, Y: float) -> float:
         raise ValueError("need X >= Y > 0")
     eg2 = math.exp(EULER_GAMMA / 2.0) - 1.0
     emg2 = math.exp(-EULER_GAMMA / 2.0)
-    return 2.18 * j1_star(q) * (
+    return _R_ENVELOPE * j1_star(q) * (
         2.0 * eg2 / math.sqrt(X) + 2.0 * eg2 / math.sqrt(Y)
         + 2.0 * emg2 / math.sqrt(Y) - 2.0 * emg2 / math.sqrt(X)
     )
@@ -251,7 +255,7 @@ def check_majorstar2(q_set=(1, 2, 6, 30), X_max: int = 100_000) -> BoundReport:
         n = np.arange(0, X_max + 1, dtype=np.float64)
         n[0] = 1.0
         r2_abs = np.abs(hq.mid - partials) + 0.5 * hq.width
-        envelope = 2.18 * j1_star(q) / np.sqrt(n)
+        envelope = _R_ENVELOPE * j1_star(q) / np.sqrt(n)
         ratios = r2_abs / envelope
         ratios[0] = 0.0
         j = int(np.argmax(ratios))
@@ -264,13 +268,13 @@ def check_majorstar2(q_set=(1, 2, 6, 30), X_max: int = 100_000) -> BoundReport:
         worst_ratio=worst[0],
         worst_arg=worst[1],
         bound=1.0,
-        details={"form": "|r2*(X;q)| <= 2.18 j1*(q)/sqrt(X)"},
+        details={"form": f"|r2*(X;q)| <= {_R_ENVELOPE} j1*(q)/sqrt(X)"},
     )
 
 
 def scan_majorstar(X_max: int = 1_000_000,
                    q_set=(1, 2, 3, 6, 30, 210),
-                   small_factor_cap: int = 30) -> BoundReport:
+                   small_factor_cap: int = _SMALL_PRIMES_BELOW) -> BoundReport:
     """Sweep the r1* envelopes over all jump points.
 
     Checks, for each q: r1*(X) <= 2.18 sqrt(X) j1*(q) for X <= X_max;
@@ -279,7 +283,8 @@ def scan_majorstar(X_max: int = 1_000_000,
     r1* jumps up only at integers and the envelopes increase, so integer
     arguments are the extremal real points.
     """
-    worst = {"2.18": (0.0, None), "0.931+1.96": (0.0, None), "1.17": (0.0, None)}
+    general, sharp = f"{_R_ENVELOPE}", f"{_R1_SMALL}"
+    worst = {general: (0.0, None), "0.931+1.96": (0.0, None), sharp: (0.0, None)}
     for q in q_set:
         limit = X_max if q < 100 else min(X_max, 100_000)
         r1 = r1_values(limit, q)
@@ -289,7 +294,7 @@ def scan_majorstar(X_max: int = 1_000_000,
         j1 = j1_star(q)
         j5 = j5_star(q)
         for label, env in (
-            ("2.18", 2.18 * sq * j1),
+            (general, _R_ENVELOPE * sq * j1),
             ("0.931+1.96", 0.931 * sq * j1 + 1.96 * n ** 0.25 * j5),
         ):
             ratios = r1 / env
@@ -298,11 +303,11 @@ def scan_majorstar(X_max: int = 1_000_000,
             if ratios[j] > worst[label][0]:
                 worst[label] = (float(ratios[j]), (q, j))
         if all(p < small_factor_cap for p in prime_divisors(q)):
-            ratios = r1 / (1.17 * sq * j1)
+            ratios = r1 / (_R1_SMALL * sq * j1)
             ratios[0] = 0.0
             j = int(np.argmax(ratios))
-            if ratios[j] > worst["1.17"][0]:
-                worst["1.17"] = (float(ratios[j]), (q, j))
+            if ratios[j] > worst[sharp][0]:
+                worst[sharp] = (float(ratios[j]), (q, j))
     passed = all(v[0] <= 1.0 for v in worst.values())
     overall = max(worst.values(), key=lambda v: v[0])
     return BoundReport(
@@ -319,6 +324,15 @@ def scan_majorstar(X_max: int = 1_000_000,
 # ----------------------------------------------------------------------
 # The cubic tail sum sum_{k >= K, (k, M) = 1} mu(k) phi(k) / k^3.
 
+def _cubic_terms(cutoff: int, M: int) -> np.ndarray:
+    """mu(k) phi(k) / k^3 for k = 1..cutoff (index k - 1), 0 unless (k, M) = 1;
+    k * k * k is exact while k^3 < 2^53, which holds up to _AUX_K_CUTOFF."""
+    block = _table(cutoff)
+    k = np.arange(1, cutoff + 1, dtype=np.float64)
+    keep = (block.mu != 0) & _coprime_mask(cutoff, M)
+    return np.where(keep, block.mu * block.phi.astype(np.float64) / (k * k * k), 0.0)
+
+
 def aux_k_sum(K: float, M: int = 1, cutoff: int = _AUX_K_CUTOFF) -> CertifiedValue:
     """Certified S(K, M) = sum_{k >= K, (k,M)=1} mu(k) phi(k) / k^3.
 
@@ -333,11 +347,8 @@ def aux_k_sum(K: float, M: int = 1, cutoff: int = _AUX_K_CUTOFF) -> CertifiedVal
         # Everything is in the tail regime; bound by the integral comparison.
         bound = 1.0 / (kmin - 1)
         return CertifiedValue(-bound, bound)
-    block = _table(cutoff)
-    k = np.arange(1, cutoff + 1, dtype=np.float64)
-    keep = (block.mu != 0) & _coprime_mask(cutoff, M)
-    keep[: kmin - 1] = False
-    terms = np.where(keep, block.mu * block.phi.astype(np.float64) / (k * k * k), 0.0)
+    terms = _cubic_terms(cutoff, M)
+    terms[: kmin - 1] = 0.0
     partial = fsum_array(terms)
     tail = 1.0 / cutoff
     return CertifiedValue(partial - tail, partial + tail)
@@ -351,12 +362,9 @@ def check_aux_k(K_step: float = 0.25, K_max: float = 200.0,
     exceed it (modulo the certified tail slack).
     """
     cutoff = _AUX_K_CUTOFF
-    block = _table(cutoff)
-    k = np.arange(1, cutoff + 1, dtype=np.float64)
     worst = (0.0, None)
     for M in M_set:
-        keep = (block.mu != 0) & _coprime_mask(cutoff, M)
-        terms = np.where(keep, block.mu * block.phi.astype(np.float64) / (k ** 3), 0.0)
+        terms = _cubic_terms(cutoff, M)
         # suffix[j] = sum over k >= j, for j = 1..cutoff+1
         suffix = np.concatenate([np.cumsum(terms[::-1])[::-1], [0.0]])
         steps = int(round(K_max / K_step))
@@ -523,7 +531,7 @@ def check_g_mean(limit: int = 1_000_000, q_set=(1, 2, 6)) -> BoundReport:
         partial = fsum_array(g_coefficients(limit, q) * _inverses(limit))
         hq = h_q(q)
         err = abs(partial - hq.mid) + 0.5 * hq.width
-        env = 2.18 * j1_star(q) / math.sqrt(limit)
+        env = _R_ENVELOPE * j1_star(q) / math.sqrt(limit)
         rows.append({"q": q, "partial": partial, "H_q": hq.to_dict(), "envelope": env})
         ratio = err / env
         if ratio > worst[0]:

@@ -2,9 +2,9 @@
 
 Two layers:
 
-* direct evaluation: exact rationals for small y (with the coprime
-  variant m_q_exact) and the arithmetic table's float cumsum
-  (`sieve._mertens_cum`) for scan-scale y;
+* direct evaluation: exact rationals for small y (m_q_exact, whose q = 1
+  case is m itself) and the float cumsums of the arithmetic table
+  (`sieve._mertens_cum`) and of its q-coprime terms for scan-scale y;
 * envelope machinery: the square-root and logarithmic decay bounds and
   their coprime generalization with multiplicative inflation factors, each
   checkable against direct evaluation on a finite range.
@@ -56,11 +56,6 @@ def m(y: float) -> float:
     return float(_mertens_cum(t)[t])
 
 
-def m_exact(y) -> Fraction:
-    """Exact rational m(y) for y <= 100000 (guard against runaway cost)."""
-    return m_q_exact(y, 1)
-
-
 def m_q_exact(y, q: int) -> Fraction:
     """Exact rational m_q(y) for y <= 100000."""
     t = int(math.floor(y))
@@ -80,15 +75,39 @@ def m_q_exact(y, q: int) -> Fraction:
 # ----------------------------------------------------------------------
 # Envelopes.
 
+def _coprime_cum(limit: int, q: int) -> np.ndarray:
+    """cum[n] = m_q(n) = sum_{k <= n, (k, q) = 1} mu(k)/k, n = 0..limit, in floats."""
+    terms = np.zeros(limit + 1, dtype=np.float64)
+    terms[1:] = np.where(_coprime_mask(limit, q), _table(limit).mu
+                         / np.arange(1, limit + 1, dtype=np.float64), 0.0)
+    return np.cumsum(terms, out=terms)
+
+
 def _envelope_cum(limit: int, q: int, form: str):
-    """(params, cum) for the q-envelope, cum[n] = m_q(n) for n <= limit."""
-    if q == 1:
-        return M_PARAMS, _mertens_cum(limit)
-    if q == 2:
-        vals = np.zeros(limit + 1, dtype=np.float64)
-        vals[1::2] = _table(limit).mu[::2] / np.arange(1, limit + 1, 2)
-        return M2_PARAMS, np.cumsum(vals)
-    raise ValueError(f"{form} envelope is stated for q in {{1, 2}}")
+    """(params, |m_q(n)|, n + 1) over n = 0..limit for the q-envelope: m_q is
+    constant on [n, n + 1), and n + 1 is the right end of that interval."""
+    if q not in (1, 2):
+        raise ValueError(f"{form} envelope is stated for q in {{1, 2}}")
+    cum = _mertens_cum(limit) if q == 1 else _coprime_cum(limit, 2)
+    return ({1: M_PARAMS, 2: M2_PARAMS}[q], np.abs(cum[: limit + 1]),
+            np.arange(1, limit + 2, dtype=np.float64))
+
+
+def _envelope_report(form: str, q: int, limit: int, ratios: np.ndarray,
+                     start: int, bound: float, details: dict) -> BoundReport:
+    """The worst of ratios over real x in [start, limit + 1), ratios[n]
+    covering [n, n + 1)."""
+    ratios[:start] = 0.0
+    worst = int(np.argmax(ratios))
+    return BoundReport(
+        name=f"mertens-{form}-envelope(q={q})",
+        domain=f"real x in [{start}, {limit + 1})",
+        passed=bool(ratios[worst] <= 1.0 + 1e-12),
+        worst_ratio=float(ratios[worst]),
+        worst_arg=worst,
+        bound=bound,
+        details=details,
+    )
 
 
 def check_envelope_sqrt(limit: int, q: int = 1) -> BoundReport:
@@ -98,86 +117,62 @@ def check_envelope_sqrt(limit: int, q: int = 1) -> BoundReport:
     |m_2(x)| <= sqrt(3/x).  m is constant on [n, n+1), so the supremum over
     real x of |m(x)| sqrt(x) on that interval is |m(n)| sqrt(n+1).
     """
-    params, cum = _envelope_cum(limit, q, "square-root")
-    n = np.arange(0, limit + 1, dtype=np.float64)
-    n[0] = 1.0
-    ratios = np.abs(cum[: limit + 1]) * np.sqrt(n + 1.0) / math.sqrt(params.sqrt_c)
-    ratios[0] = 0.0
-    worst = int(np.argmax(ratios))
-    return BoundReport(
-        name=f"mertens-sqrt-envelope(q={q})",
-        domain=f"real x in [1, {limit + 1})",
-        passed=bool(ratios[worst] <= 1.0 + 1e-12),
-        worst_ratio=float(ratios[worst]),
-        worst_arg=worst,
-        bound=math.sqrt(params.sqrt_c),
-        details={"form": f"|m(x)| * sqrt(x) <= sqrt({params.sqrt_c})",
-                 "claimed_range": params.sqrt_range},
-    )
+    params, abs_m, x = _envelope_cum(limit, q, "square-root")
+    ratios = abs_m * np.sqrt(x) / math.sqrt(params.sqrt_c)
+    return _envelope_report(
+        "sqrt", q, limit, ratios, 1, math.sqrt(params.sqrt_c),
+        {"form": f"|m(x)| * sqrt(x) <= sqrt({params.sqrt_c})",
+         "claimed_range": params.sqrt_range})
 
 
 def check_envelope_log(limit: int, q: int = 1) -> BoundReport:
     """Sweep the logarithmic envelope |m(x)| <= c / log x for x >= threshold."""
-    params, cum = _envelope_cum(limit, q, "log")
+    params, abs_m, x = _envelope_cum(limit, q, "log")
     start = params.log_from
     if limit < start:
         raise ValueError(f"limit {limit} below threshold {start}")
-    n = np.arange(0, limit + 1, dtype=np.float64)
-    n[0] = 1.0
     # sup over [n, n+1) uses log(n+1), since 1/log x decreases.
-    ratios = np.abs(cum[: limit + 1]) * np.log(n + 1.0) / params.log_c
-    ratios[:start] = 0.0
-    worst = int(np.argmax(ratios))
-    return BoundReport(
-        name=f"mertens-log-envelope(q={q})",
-        domain=f"real x in [{start}, {limit + 1})",
-        passed=bool(ratios[worst] <= 1.0 + 1e-12),
-        worst_ratio=float(ratios[worst]),
-        worst_arg=worst,
-        bound=params.log_c,
-        details={"form": f"|m(x)| * log(x) <= {params.log_c} for x >= {start}"},
-    )
+    ratios = abs_m * np.log(x) / params.log_c
+    return _envelope_report(
+        "log", q, limit, ratios, start, params.log_c,
+        {"form": f"|m(x)| * log(x) <= {params.log_c} for x >= {start}"})
+
+
+def _g0_at(ps: np.ndarray) -> np.ndarray:
+    """g0(p) = sqrt(p)/(sqrt(p) - 1) at each prime of ps, sqrt(3/2) at p = 2."""
+    sp = np.sqrt(ps)
+    return np.where(ps == 2.0, math.sqrt(1.5), sp / (sp - 1.0))
+
+
+def _g1_at(ps: np.ndarray, pe: np.ndarray) -> np.ndarray:
+    """g1(p) = p^XI/(p^XI - 1) at each prime of ps, pe = p^XI by libm pow;
+    2.06 at p = 2."""
+    return np.where(ps == 2.0, 2.06, pe / (pe - 1.0))
 
 
 def g0_factor(d: int) -> float:
-    """Multiplicative inflation for the sqrt envelope under coprimality.
-
-    g0(2) = sqrt(3/2); g0(p) = sqrt(p)/(sqrt(p) - 1) for odd p; g0(1) = 1.
-    Defined on squarefree d.
-    """
-    val = 1.0
-    for p in prime_divisors(d):
-        if p == 2:
-            val *= math.sqrt(1.5)
-        else:
-            sp = math.sqrt(p)
-            val *= sp / (sp - 1.0)
-    return val
+    """Inflation of the sqrt envelope under coprimality, prod_{p | d} g0(p)
+    in ascending p (1 at d = 1), for squarefree d."""
+    ps = np.array(prime_divisors(d), dtype=np.float64)
+    return math.prod(_g0_at(ps).tolist(), start=1.0)
 
 
 def g1_factor(d: int) -> float:
-    """Multiplicative inflation for the log envelope under coprimality.
-
-    g1(2) = 2.06; g1(p) = p^XI / (p^XI - 1) for odd p; g1(1) = 1.
-    """
-    val = 1.0
-    for p in prime_divisors(d):
-        if p == 2:
-            val *= 2.06
-        else:
-            pe = p ** XI
-            val *= pe / (pe - 1.0)
-    return val
+    """Inflation of the log envelope under coprimality, prod_{p | d} g1(p)."""
+    ps = np.array(prime_divisors(d), dtype=np.float64)
+    pe = np.array([p ** XI for p in ps.tolist()], dtype=np.float64)
+    return math.prod(_g1_at(ps, pe).tolist(), start=1.0)
 
 
-def envelope_coprime(d: int, y: float) -> float:
-    """Envelope for |m_d(y)|: g0(d) sqrt(2/y) + 0.0144 g1(d) [y >= 1e12] / log y."""
-    if y < 1:
+def envelope_coprime(d: int, y):
+    """Envelope for |m_d(y)| at a float y >= 1 or at each entry of an array:
+    g0(d) sqrt(2/y) + 0.0144 g1(d) [y >= 1e12] / log y."""
+    y = np.asarray(y, dtype=np.float64)
+    if (y < 1).any():
         raise ValueError("need y >= 1")
-    val = g0_factor(d) * math.sqrt(2.0 / y)
-    if y >= M_PARAMS.deep:
-        val += M_PARAMS.log_c * g1_factor(d) / math.log(y)
-    return val
+    deep = M_PARAMS.log_c * g1_factor(d) / np.log(np.maximum(y, M_PARAMS.deep))
+    val = g0_factor(d) * np.sqrt(2.0 / y) + np.where(y >= M_PARAMS.deep, deep, 0.0)
+    return val if val.ndim else float(val)
 
 
 def check_envelope_coprime(d_limit: int = 100, y_limit: int = 10_000) -> BoundReport:
@@ -186,15 +181,12 @@ def check_envelope_coprime(d_limit: int = 100, y_limit: int = 10_000) -> BoundRe
     Compares |m_d(y)| directly against envelope_coprime(d, y) for every
     squarefree d <= d_limit and every integer y <= y_limit.
     """
-    block = _table(y_limit)
     n = np.arange(1, y_limit + 1, dtype=np.float64)
-    base_terms = block.mu.astype(np.float64) / n
     worst = (0.0, None)
     for d in range(1, d_limit + 1):
         if radical(d) != d:
             continue
-        md = np.cumsum(np.where(_coprime_mask(y_limit, d), base_terms, 0.0))
-        ratios = np.abs(md) / (g0_factor(d) * np.sqrt(2.0 / n))
+        ratios = np.abs(_coprime_cum(y_limit, d)[1:]) / envelope_coprime(d, n)
         j = int(np.argmax(ratios))
         if ratios[j] > worst[0]:
             worst = (float(ratios[j]), (d, j + 1))

@@ -39,8 +39,11 @@ import numpy as np
 
 from .numutil import fsum_array, quad_log
 from .report import BoundReport, CertifiedValue
-from .sieve import _squarefree_divisors, primes_upto, require_squarefree
-from .mertens import XI
+from .sieve import (
+    _prime_factor_product, _squarefree_divisors, primes_upto,
+    require_squarefree,
+)
+from .mertens import XI, _g0_at, _g1_at
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -156,14 +159,16 @@ class _PrimeContext:
 
     A public call that evaluates several products at one cutoff builds one
     context and passes it to each, so the primes are sieved and raised to
-    each power once per call, and none of the arrays (about 40 MB at cutoff
-    10^7) outlives it.
+    each power once per call, each sieved prime power tail past the cutoff
+    is enclosed once per call (_prime_power_tails), and none of the arrays
+    (about 40 MB at cutoff 10^7) outlives it.
     """
 
     def __init__(self, cutoff: int):
         self.cutoff = cutoff
         self.ps = _read_only(primes_upto(cutoff).astype(np.float64))
         self._powers: dict[float, np.ndarray] = {}
+        self._tails: dict[tuple[int, int], CertifiedValue] = {}
 
     def power(self, e: float) -> np.ndarray:
         """p ** e at every prime, with libm pow (math.pow, as Python's `**`).
@@ -182,19 +187,13 @@ class _PrimeContext:
 
     @functools.cached_property
     def g0(self) -> np.ndarray:
-        """g0(p) = sqrt(p)/(sqrt(p)-1) for odd p, sqrt(3/2) at p = 2."""
-        sp = np.sqrt(self.ps)
-        g = sp / (sp - 1.0)
-        g[:1] = math.sqrt(1.5)
-        return _read_only(g)
+        """The envelope factor g0(p) (mertens._g0_at) at every prime."""
+        return _read_only(_g0_at(self.ps))
 
     @functools.cached_property
     def g1(self) -> np.ndarray:
-        """g1(p) = p^XI/(p^XI - 1) for odd p, 2.06 at p = 2."""
-        pe = self.power(XI)
-        g = pe / (pe - 1.0)
-        g[:1] = 2.06
-        return _read_only(g)
+        """The envelope factor g1(p) (mertens._g1_at) at every prime."""
+        return _read_only(_g1_at(self.ps, self.power(XI)))
 
     def weight(self, key: str) -> np.ndarray:
         """G(p) at every prime for the weight named by key: "g0^2", "g0*g1", or "g1^2"."""
@@ -317,7 +316,6 @@ _UP = 1.0 + 1e-12
 # a tail whose a-priori bound is no larger skips the sieved route.
 _TAIL_PAD = 1e-12
 
-_prime_zeta_tail_cache: dict[tuple[int, int, int], CertifiedValue] = {}
 # _prime_zeta(e) at 40 digits, keyed by the exponent pair alone: it does not
 # depend on the cutoff, so the cutoffs that take the sieved route at e share it.
 _primezeta_cache: dict[tuple[int, int], mp.mpf] = {}
@@ -423,8 +421,9 @@ def _a_priori_tail(e_f: float, cutoff: int) -> float:
         integral=n ** (1.0 - e_f) / ((e_f - 1.0) * math.log(n)))
 
 
-def _prime_power_tails(exponents, cutoff: int, ps: np.ndarray) -> tuple[dict, dict]:
-    """Enclosures of Z(e) = sum_{p > cutoff} p^(-e) for exponent pairs e.
+def _prime_power_tails(exponents, primes: _PrimeContext) -> tuple[dict, dict]:
+    """Enclosures of Z(e) = sum_{p > cutoff} p^(-e) for exponent pairs e,
+    cutoff = primes.cutoff.
 
     Returns (enclosures by e, {"prime_zeta": n1, "a_priori": n2}), the
     number of exponents that took each of the two routes below.
@@ -443,12 +442,12 @@ def _prime_power_tails(exponents, cutoff: int, ps: np.ndarray) -> tuple[dict, di
     B(e) <= _TAIL_PAD the enclosure is [0, B(e)] and nothing is sieved or
     summed.
 
-    Sieved route, for the rest: Z(e) = P(e) - (sieved partial sum over ps,
-    the primes up to the cutoff).  P(e) = _prime_zeta(e) is evaluated at 40
-    digits with the exponent reconstructed there (so the exponent it sees is
-    exact to 40 digits), once per exponent pair for the whole process, and
-    the subtraction is done at that precision.  Enclosures are cached per
-    (cutoff, e).
+    Sieved route, for the rest: Z(e) = P(e) - (sieved partial sum over
+    primes.ps, the primes up to the cutoff).  P(e) = _prime_zeta(e) is
+    evaluated at 40 digits with the exponent reconstructed there (so the
+    exponent it sees is exact to 40 digits), once per exponent pair for the
+    whole process, and the subtraction is done at that precision.
+    Enclosures are kept on the context, per e.
 
     The pad of 1e-12 relative plus _TAIL_PAD absolute covers the float
     partial.  Write P = sum_{p <= N} p^(-e) for the exact e (m, n >= 0 for
@@ -484,16 +483,15 @@ def _prime_power_tails(exponents, cutoff: int, ps: np.ndarray) -> tuple[dict, di
         e_f = _expo_float(e)
         if e_f <= 1.0 + 1e-9:
             raise ValueError(f"prime power tail diverges at exponent {e_f}")
-        bound = _a_priori_tail(e_f, cutoff)
+        bound = _a_priori_tail(e_f, primes.cutoff)
         if bound <= _TAIL_PAD:
             out[e] = CertifiedValue(0.0, bound)
             routes["a_priori"] += 1
             continue
         routes["prime_zeta"] += 1
-        key = (cutoff, e[0], e[1])
-        hit = _prime_zeta_tail_cache.get(key)
+        hit = primes._tails.get(e)
         if hit is None:
-            partial = fsum_array(np.power(ps, -e_f))
+            partial = fsum_array(np.power(primes.ps, -e_f))
             with mp.workdps(40):
                 zeta = _primezeta_cache.get(e)
                 if zeta is None:
@@ -502,7 +500,7 @@ def _prime_power_tails(exponents, cutoff: int, ps: np.ndarray) -> tuple[dict, di
                 z = float(zeta - mp.mpf(partial))
             pad = 1e-12 * abs(z) + _TAIL_PAD
             hit = CertifiedValue(max(z - pad, 0.0), z + pad)
-            _prime_zeta_tail_cache[key] = hit
+            primes._tails[e] = hit
         out[e] = hit
     return out, routes
 
@@ -583,16 +581,16 @@ def _local_monomials(key: str, w_shifts, extra, p_min: float):
     return a_terms, a_rems
 
 
-def _local_log_tail(key: str, w_shifts, extra, cutoff: int,
-                    ps: np.ndarray) -> tuple[CertifiedValue, dict]:
-    """Enclosure of sum_{p > cutoff} log(1 + a(p)) past the cutoff, with the
-    route counts of its prime power tails (_prime_power_tails).
+def _local_log_tail(key: str, w_shifts, extra,
+                    primes: _PrimeContext) -> tuple[CertifiedValue, dict]:
+    """Enclosure of sum_{p > cutoff} log(1 + a(p)) past cutoff = primes.cutoff,
+    with the route counts of its prime power tails (_prime_power_tails).
 
     a is expanded into monomials by _local_monomials, log(1 + a) is
     linearized with a two-sided quadratic remainder, and every monomial tail
     is then a prime power tail.
     """
-    p_min = float(cutoff)
+    p_min = float(primes.cutoff)
     a_terms, a_rems = _local_monomials(key, w_shifts, extra, p_min)
     all_expos = list(a_terms) + [e for _, e in a_rems]
     e_min = min(all_expos, key=_expo_float)
@@ -609,7 +607,7 @@ def _local_log_tail(key: str, w_shifts, extra, cutoff: int,
         raise AssertionError("local terms too large past cutoff for log expansion")
     a_rems.append((_UP * c_a * c_a / (2.0 * (1.0 - a0)),
                    (2 * e_min[0], 2 * e_min[1])))
-    zs, routes = _prime_power_tails(set(a_terms) | {e for _, e in a_rems}, cutoff, ps)
+    zs, routes = _prime_power_tails(set(a_terms) | {e for _, e in a_rems}, primes)
     lo_parts, hi_parts = [], []
     for e, c in a_terms.items():
         z = zs[e]
@@ -652,7 +650,7 @@ def _h_product(label: str, key: str,
 
     shape = {"H1": H1_SHAPE, "H23": H23_SHAPE}[label]
     partial = _partial_product(local, primes)
-    tail, routes = _local_log_tail(key, *shape, cutoff, primes.ps)
+    tail, routes = _local_log_tail(key, *shape, primes)
     return _enclose(partial, tail.lo, tail.hi), routes
 
 
@@ -695,7 +693,7 @@ def check_h_caps(cutoff: int = 10_000_000) -> list[BoundReport]:
             reports.append(BoundReport(
                 name=f"h-cap-{label}({key})",
                 domain=f"primes <= {cutoff} + certified tail",
-                passed=enc.entirely_below(cap),
+                passed=enc.hi <= cap,
                 worst_ratio=enc.hi / cap,
                 worst_arg=None,
                 bound=cap,
@@ -717,33 +715,24 @@ def _aux_values(key: str, D: int) -> np.ndarray:
     """values[d] = mu^2(d) phi(d) G(d) / d for d = 0..D (0 at d=0).
 
     Each d is multiplied by (p-1)/p G(p) for its primes p in ascending
-    order.  Primes up to isqrt(D) are applied by strided slices; a
-    squarefree d has at most one prime above isqrt(D), its largest, so those
-    are applied last, one multiplier m = d/p at a time.
+    order (sieve._prime_factor_product), and the multiples of each p^2
+    are then zeroed.
     """
-    vals = np.ones(D + 1, dtype=np.float64)
-    vals[0] = 0.0
-    square_free = np.ones(D + 1, dtype=bool)
-    square_free[0] = False
     primes = _PrimeContext(D)
     ps = primes.ps.astype(np.int64)
-    w = (primes.ps - 1.0) / primes.ps * primes.weight(key)
-    r = math.isqrt(D)
-    small = int(np.searchsorted(ps, r, side="right"))
-    for p, wp in zip(ps[:small].tolist(), w[:small]):
-        vals[p:: p] *= wp
-        square_free[p * p:: p * p] = False
-    big, w_big = ps[small:], w[small:]
-    for m in range(1, D // (r + 1) + 1):
-        n = int(np.searchsorted(big, D // m, side="right"))
-        vals[m * big[:n]] *= w_big[:n]
-    vals[~square_free] = 0.0
+    vals = _prime_factor_product(D, ps, (primes.ps - 1.0) / primes.ps * primes.weight(key))
+    vals[0] = 0.0
+    for p in ps[: np.searchsorted(ps, math.isqrt(D), side="right")].tolist():
+        vals[p * p:: p * p] = 0.0
     return vals
 
 
-def aux_sum(key: str, D: int) -> float:
-    """sum_{d <= D} mu^2(d) phi(d) G(d) / d."""
-    return float(np.sum(_aux_values(key, D)))
+def _aux_sums(key: str, D: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sums, d) over D' = 0..D: the partial sums of _aux_values and D' as
+    floats, with 1 at D' = 0."""
+    d = np.arange(0, D + 1, dtype=np.float64)
+    d[0] = 1.0
+    return np.cumsum(_aux_values(key, D)), d
 
 
 def aux_ratio_scan(key: str, D_max: int = 1_000_000) -> BoundReport:
@@ -752,9 +741,7 @@ def aux_ratio_scan(key: str, D_max: int = 1_000_000) -> BoundReport:
     Also records where the ratio peaks; the expected peak location is part
     of the frozen table.
     """
-    sums = np.cumsum(_aux_values(key, D_max))
-    d = np.arange(0, D_max + 1, dtype=np.float64)
-    d[0] = 1.0
+    sums, d = _aux_sums(key, D_max)
     ratios = sums / d
     ratios[0] = 0.0
     cap = AUX_RATIO_CAP[key]
@@ -774,9 +761,7 @@ def aux_ratio_scan(key: str, D_max: int = 1_000_000) -> BoundReport:
 
 def aux_asymptotic_check(key: str, D_max: int = 1_000_000) -> BoundReport:
     """Check sum_{d <= D} mu^2 phi G / d <= c1 D + c2 D^(2/3) for D <= D_max."""
-    sums = np.cumsum(_aux_values(key, D_max))
-    d = np.arange(0, D_max + 1, dtype=np.float64)
-    d[0] = 1.0
+    sums, d = _aux_sums(key, D_max)
     c1, c2 = AUX_ASYMPTOTIC[key]
     rhs = c1 * d + c2 * d ** (2.0 / 3.0)
     ratios = sums / rhs
@@ -796,28 +781,26 @@ def aux_asymptotic_check(key: str, D_max: int = 1_000_000) -> BoundReport:
 # ----------------------------------------------------------------------
 # Constants attached to a coprimality modulus q.
 
-_universal_log_sum: CertifiedValue | None = None
+def _universal_terms(cutoff: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(the primes p <= cutoff as floats, the terms (3p-2) log p /
+    ((p-1)(p^2+p-1)) of the universal sum at them, a bound on its tail).
 
-
-def universal_log_sum(cutoff: int = 1_000_000) -> CertifiedValue:
-    """Enclosure of sum over all primes of (3p-2) log p / ((p-1)(p^2+p-1)).
-
-    Appears in the logarithmic shift constant c_q.  Stripping the log p
-    that the prime-tail lemma carries, the remaining factor satisfies
-    (3t-2)/((t-1)(t^2+t-1)) < 3.2/t^2 for t >= 3, so the tail beyond the
-    cutoff is about 3.3/cutoff (3.3e-6 at the default).
+    Stripping the log p that the prime-tail lemma carries, the remaining
+    factor satisfies (3t-2)/((t-1)(t^2+t-1)) < 3.2/t^2 for t >= 3, so the
+    tail beyond the cutoff is about 3.3/cutoff (3.3e-6 at 10^6).
     """
-    global _universal_log_sum
-    if _universal_log_sum is not None and cutoff == 1_000_000:
-        return _universal_log_sum
     ps = primes_upto(cutoff).astype(np.float64)
     terms = (3.0 * ps - 2.0) * np.log(ps) / ((ps - 1.0) * (ps * ps + ps - 1.0))
+    return ps, terms, prime_tail_bound(lambda t: 3.2 / (t * t), float(cutoff))
+
+
+@functools.cache
+def universal_log_sum(cutoff: int = 1_000_000) -> CertifiedValue:
+    """Enclosure of sum over all primes of (3p-2) log p / ((p-1)(p^2+p-1)),
+    which appears in the logarithmic shift constant c_q."""
+    _, terms, tail = _universal_terms(cutoff)
     partial = fsum_array(terms)
-    tail = prime_tail_bound(lambda t: 3.2 / (t * t), float(cutoff))
-    enc = CertifiedValue(partial, partial + tail)
-    if cutoff == 1_000_000:
-        _universal_log_sum = enc
-    return enc
+    return CertifiedValue(partial, partial + tail)
 
 
 def c_q(q: int) -> float:
@@ -847,16 +830,8 @@ def c_q_prerewrite(q: int, cutoff: int = 1_000_000) -> CertifiedValue:
     loc = 0.0
     for p in qps:
         loc += math.log(p) / (p - 1.0)
-    ps = primes_upto(cutoff).astype(np.float64)
-    terms = (3.0 * ps - 2.0) * np.log(ps) / ((ps - 1.0) * (ps * ps + ps - 1.0))
-    if qps:
-        mask = np.ones(ps.shape, dtype=bool)
-        for p in qps:
-            mask &= ps != float(p)
-        terms = terms[mask]
-    partial = fsum_array(terms)
-    tail = prime_tail_bound(lambda t: 3.2 / (t * t), float(cutoff))
-    base = EULER_GAMMA + loc + partial
+    ps, terms, tail = _universal_terms(cutoff)
+    base = EULER_GAMMA + loc + fsum_array(terms[~np.isin(ps, list(qps))])
     return CertifiedValue(base, base + tail)
 
 
@@ -913,14 +888,6 @@ def h_q(q: int, A: CertifiedValue = A_DEEP) -> CertifiedValue:
     return A * CertifiedValue(lo, hi)
 
 
-def gq_constants(q: int, A: CertifiedValue = A_DEEP) -> tuple[CertifiedValue, float]:
-    """The pair (H_q(1), c_q) governing the mean of the q-coprime weight:
-
-    sum_{m <= X, (m, q) = 1} mu^2(m) phi(m)/m^2 = H_q(1)(log X + c_q) + O(1/sqrt(X)).
-    """
-    return h_q(q, A), c_q(q)
-
-
 def j1_star(q: int) -> float:
     """prod_{p | q} (p^(3/2) + p) / (p^(3/2) + 1); inflation for sqrt-scale remainders."""
     val = 1.0
@@ -951,8 +918,9 @@ def build_registry() -> dict:
     reg: dict = {
         "A": {"enclosure": A_DEEP.to_dict(), "cutoff": 100_000_000,
               "source": "frozen products.A_DEEP = constant_A(10**8)"},
-        "ktail_product": {"enclosure": P0_DEEP.to_dict(), "cutoff": 100_000_000,
-                          "source": "frozen products.P0_DEEP = _cubic_product(1.0, 10**8)"},
+        "ktail_product": {
+            "enclosure": P0_DEEP.to_dict(), "cutoff": 100_000_000,
+            "source": "frozen products.P0_DEEP = _cubic_product(1.0, _PrimeContext(10**8))"},
         "A_check": {"enclosure": constant_A(200_000).to_dict(), "cutoff": 200_000},
         "euler_gamma": EULER_GAMMA,
         "xi": XI,

@@ -69,10 +69,6 @@ class CertifiedValue:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def entirely_below(self, cap: float) -> bool:
-        """True if every value in the enclosure is <= cap."""
-        return self.hi <= cap
-
     def scale(self, c: float) -> "CertifiedValue":
         if c >= 0:
             return _outward(self.lo * c, self.hi * c)

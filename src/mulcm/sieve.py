@@ -271,6 +271,26 @@ def _coprime_mask(limit: int, q: int) -> np.ndarray:
     return keep
 
 
+def _prime_factor_product(n: int, ps: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """out[k] = prod_{p | k} f(p) for k = 0..n, multiplied in ascending p
+    (out[0] = 1), with f(ps[i]) = f[i] and ps the primes up to n, ascending.
+
+    Primes up to r = isqrt(n) are applied by strided slices.  A larger p
+    divides each k <= n at most once and is then its largest prime factor,
+    so those come last, one cofactor m = k/p at a time.
+    """
+    out = np.ones(n + 1, dtype=f.dtype)
+    r = math.isqrt(n)
+    small = int(np.searchsorted(ps, r, side="right"))
+    for p, fp in zip(ps[:small].tolist(), f[:small]):
+        out[p:: p] *= fp
+    big, f_big = ps[small:], f[small:]
+    ends = np.searchsorted(big, n // np.arange(1, n // (r + 1) + 1), side="right")
+    for m, j in enumerate(ends.tolist(), 1):
+        out[m * big[:j]] *= f_big[:j]
+    return out
+
+
 def smooth_numbers(d: int, limit: int) -> list[int]:
     """Sorted integers <= limit whose prime factors all divide d.
 

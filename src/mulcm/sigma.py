@@ -41,11 +41,16 @@ import numpy as np
 from .mertens import m_q_exact
 from .numutil import check_allocation
 from .report import BoundReport
-from .sieve import _coprime_mask, _mertens_cum, _table, primes_upto, smooth_numbers
+from .sieve import (
+    _coprime_mask, _mertens_cum, _prime_factor_product, _table, primes_upto,
+    smooth_numbers,
+)
 
 # The direct-computation cap S(d) <= 19/30 for d >= 2, which the scan checks
 # and the theorem table's combined first row takes as the scan maximum.
 SCAN_CAP = 19.0 / 30.0
+# The float allowance on that cap, and the window cap S(d) <= 0.445 for d >= 422.
+_SCAN_CAP_SLACK, _WINDOW_CAP, _WINDOW_FROM = 1e-12, 0.445, 422
 
 # (k, d) pairs expanded per scatter-add, and d per strided block, in the scan;
 # bounds its transient memory.
@@ -339,28 +344,10 @@ class ScanResult:
 
 def _radical_and_coeffs(X: int) -> tuple[np.ndarray, np.ndarray]:
     """rad[k] = prod_{p | k} p (int64) and c_num[k] = prod_{p | k} (1 - p)
-    (float64, multiplied in ascending p) for k = 0..X, from one pass over
-    the primes.
-
-    Primes up to isqrt(X) are applied by strided slices.  A larger p divides
-    each k <= X at most once and is then its largest prime factor, so those
-    are applied last, as in the ascending pass, one cofactor m = k/p at a
-    time (the same split as products._aux_values).
-    """
-    rad = np.ones(X + 1, dtype=np.int64)
-    cn = np.ones(X + 1, dtype=np.float64)
+    (float64, multiplied in ascending p) for k = 0..X, each from one pass
+    over the primes (sieve._prime_factor_product)."""
     ps = primes_upto(X)
-    r = math.isqrt(X)
-    small = int(np.searchsorted(ps, r, side="right"))
-    for p in ps[: small].tolist():
-        rad[p:: p] *= p
-        cn[p:: p] *= 1.0 - p
-    big = ps[small:]
-    for m in range(1, X // (r + 1) + 1):
-        p = big[: np.searchsorted(big, X // m, side="right")]
-        rad[m * p] *= p
-        cn[m * p] *= 1.0 - p
-    return rad, cn
+    return _prime_factor_product(X, ps, ps), _prime_factor_product(X, ps, 1.0 - ps)
 
 
 def _scan_increments(X: int, d_from: int) -> np.ndarray:
@@ -573,19 +560,19 @@ def scan_report(X_max: int = 1_000_000, scan: ScanResult | None = None) -> dict:
         worst_ratio=-w_all["min"],
         worst_arg=w_all["argmin"], bound=0.0, details=w_all)
 
-    if X_max >= 422:
-        w = scan.window_extrema(422, X_max)
+    if X_max >= _WINDOW_FROM:
+        w = scan.window_extrema(_WINDOW_FROM, X_max)
         reports["cap_0445"] = BoundReport(
-            name="sigma-cap-0.445", domain=f"d in [422, {X_max}]",
-            passed=w["max"] <= 0.445,
-            worst_ratio=w["max"] / 0.445,
-            worst_arg=w["argmax"], bound=0.445, details=w)
+            name=f"sigma-cap-{_WINDOW_CAP}", domain=f"d in [{_WINDOW_FROM}, {X_max}]",
+            passed=w["max"] <= _WINDOW_CAP,
+            worst_ratio=w["max"] / _WINDOW_CAP,
+            worst_arg=w["argmax"], bound=_WINDOW_CAP, details=w)
 
     if X_max >= 2:
         w2 = scan.window_extrema(2, X_max)
         reports["cap_19_30"] = BoundReport(
             name="sigma-cap-19/30", domain=f"d in [2, {X_max}]",
-            passed=w2["max"] <= SCAN_CAP + 1e-12,
+            passed=w2["max"] <= SCAN_CAP + _SCAN_CAP_SLACK,
             worst_ratio=w2["max"] / SCAN_CAP,
             worst_arg=w2["argmax"], bound=SCAN_CAP, details=w2)
 

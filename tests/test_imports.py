@@ -8,7 +8,9 @@ zeta values come from `products._prime_zeta`, not mpmath's `primezeta`,
 every Euler product's logs are taken in `products._partial_product` alone, and
 exact sums of arrays go through `numutil.fsum_array`, not `fsum` of a list
 nor `fsum` of a memoryview outside `numutil.py`.  The command-line module
-imports everything it uses at its top.
+imports everything it uses at its top.  Every name in `mulcm.__all__` is
+called by the package or by the benchmark's workloads, or is an oracle or
+test API listed with its reason.
 """
 
 import ast
@@ -191,3 +193,60 @@ def test_exact_sums_read_arrays_directly(path):
     if path.name == "numutil.py":
         found = [f for f in found if "memoryview" not in f]
     assert found == []
+
+
+# Public names that no module and no benchmark workload calls: the reference
+# oracles, which stay in the package so the tests and the command line read
+# one copy, and the single-product API the tests compare across cutoffs.
+PUBLIC_FOR_TESTS = {
+    "sigma_bruteforce": "exact S(X) from the definition, the oracle of every S route",
+    "sigma_trace_exact": "exact S(1..X) by the divisor recursion, the scan's oracle",
+    "sigma_via_gstar_identity": "S(X) by the coprime decomposition, the tail check's oracle",
+    "gstar_exact": "exact G*_q(X), the oracle of the float gstar",
+    "r1_star": "exact r1*(X; q) by triple enumeration, the oracle of r1_values",
+    "h_linear": "H(1) at one cutoff, which the tests compare across cutoffs",
+    "h_twothirds": "Hbar(2/3) at one cutoff, which the tests compare across cutoffs",
+}
+WORKLOADS = SRC.parents[1] / "bench" / "workloads.py"
+
+
+def referenced_names(tree) -> set[str]:
+    """Names, attributes, imported names and imported module names in tree."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+            found.add((node.module or "").rpartition(".")[2])
+    return found
+
+
+def names_used_by_the_package() -> set[str]:
+    """Names referenced in src/mulcm outside __init__.py, leaving out what a
+    top-level def or class says of its own name."""
+    used = set()
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            names = referenced_names(node)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(node.name)
+            used |= names
+    return used
+
+
+def test_public_name_detector_skips_a_defs_own_name():
+    tree = ast.parse("def f(n):\n    return f(n - 1) + g.h\nfrom .m import k\n")
+    assert referenced_names(tree.body[0]) == {"f", "n", "g", "h"}
+    assert referenced_names(tree.body[1]) == {"k", "m"}
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    used = names_used_by_the_package()
+    bench = referenced_names(ast.parse(WORKLOADS.read_text()))
+    idle = {name for name in mulcm.__all__ if name not in used | bench}
+    assert sorted(idle - set(PUBLIC_FOR_TESTS)) == []
+    # Every allowlisted name is still public and still needs the allowance.
+    assert sorted(set(PUBLIC_FOR_TESTS) - idle) == []

@@ -13,19 +13,18 @@ from mulcm.mertens import (
     g0_factor,
     g1_factor,
     m,
-    m_exact,
     m_q_exact,
 )
 from mulcm.sieve import factorize
 
 
 def test_m_small_values():
-    assert m_exact(1) == 1
-    assert m_exact(2) == Fraction(1, 2)
-    assert m_exact(3) == Fraction(1, 6)
-    assert m_exact(4) == Fraction(1, 6)
-    assert m_exact(10) == Fraction(19, 210)
-    assert m(10.0) == pytest.approx(float(m_exact(10)), abs=1e-15)
+    assert m_q_exact(1, 1) == 1
+    assert m_q_exact(2, 1) == Fraction(1, 2)
+    assert m_q_exact(3, 1) == Fraction(1, 6)
+    assert m_q_exact(4, 1) == Fraction(1, 6)
+    assert m_q_exact(10, 1) == Fraction(19, 210)
+    assert m(10.0) == pytest.approx(float(m_q_exact(10, 1)), abs=1e-15)
     # real argument floors
     assert m(10.9) == m(10.0)
     assert m(0.5) == 0.0

@@ -1,4 +1,5 @@
 import bisect
+import hashlib
 import math
 import weakref
 from fractions import Fraction
@@ -25,7 +26,6 @@ from mulcm.products import (
     _prime_power_tails,
     aux_asymptotic_check,
     aux_ratio_scan,
-    aux_sum,
     build_registry,
     c_q,
     c_q_prerewrite,
@@ -33,7 +33,6 @@ from mulcm.products import (
     check_h_caps,
     check_prime_tail,
     constant_A,
-    gq_constants,
     h_linear,
     h_q,
     h_twothirds,
@@ -258,7 +257,7 @@ def test_h_q_and_local_ratio():
     assert local_ratio(2) == Fraction(4, 5)
     h2 = h_q(2)
     assert h2.mid == pytest.approx(A_DEEP.mid * 0.8, rel=1e-12)
-    hq, cq = gq_constants(6)
+    hq, cq = h_q(6), c_q(6)
     assert hq.mid == pytest.approx(A_DEEP.mid * local_ratio(6), rel=1e-12)
     assert cq == pytest.approx(c_q(6))
     with pytest.raises(ValueError):
@@ -364,12 +363,10 @@ def test_primezeta_evaluated_once_per_exponent(h_cap_tail_exponents, monkeypatch
 
     monkeypatch.setattr(products, "_prime_zeta", counting)
     monkeypatch.setattr(products, "_primezeta_cache", {})
-    monkeypatch.setattr(products, "_prime_zeta_tail_cache", {})
     check_h_caps(150_000)
     warm = build_registry()["h_constants"]
     assert len(calls) == len(sieved)
     monkeypatch.setattr(products, "_primezeta_cache", {})
-    monkeypatch.setattr(products, "_prime_zeta_tail_cache", {})
     assert build_registry()["h_constants"] == warm
     assert len(calls) == 2 * len(sieved)
 
@@ -378,11 +375,9 @@ def test_h_caps_equal_the_mpmath_primezeta_path(monkeypatch):
     # The six enclosures are bit-identical to those built on mpmath's
     # primezeta, the evaluator _prime_zeta replaced.
     monkeypatch.setattr(products, "_primezeta_cache", {})
-    monkeypatch.setattr(products, "_prime_zeta_tail_cache", {})
     ours = [rep.details["enclosure"] for rep in check_h_caps(150_000)]
     monkeypatch.setattr(products, "_prime_zeta", mp.primezeta)
     monkeypatch.setattr(products, "_primezeta_cache", {})
-    monkeypatch.setattr(products, "_prime_zeta_tail_cache", {})
     assert [rep.details["enclosure"] for rep in check_h_caps(150_000)] == ours
 
 
@@ -464,10 +459,22 @@ def test_aux_values_equal_prime_loop(D):
         assert np.array_equal(_aux_values(key, D), _aux_values_loop(key, D)), key
 
 
+@pytest.mark.parametrize("key, digest", [
+    ("g0^2", "21e69a84404042fd0df9001454e521220a3d7e113983321fa9d703bf24d997b6"),
+    ("g0*g1", "7258982bb0453602f2c4e744148a0fbed74d6d199f92363e74969aa0fbf38ed9"),
+    ("g1^2", "829f92e1166bbf19083bdd8a55d818d7584d0dcae427b64f49cdd54f82faabf1"),
+])
+def test_aux_values_digest_pinned(key, digest):
+    # Taken from the pass that products ran itself, before the values came
+    # from the shared prime-factor kernel in sieve.
+    got = _aux_values(key, 2 * 10**5)
+    assert hashlib.sha256(got.tobytes()).hexdigest() == digest
+
+
 def test_aux_sum_small():
-    assert aux_sum("g0^2", 0) == 0.0
-    assert aux_sum("g0^2", 1) == pytest.approx(1.0)
-    assert aux_sum("g0^2", 2) == pytest.approx(1.75)  # 1 + (1/2) * 1.5
+    assert _aux_values("g0^2", 0).sum() == 0.0
+    assert _aux_values("g0^2", 1).sum() == pytest.approx(1.0)
+    assert _aux_values("g0^2", 2).sum() == pytest.approx(1.75)  # 1 + (1/2) * 1.5
 
 
 def test_aux_ratio_argmaxes():
@@ -539,12 +546,12 @@ def test_h_local_expansion_encloses_truth():
 
 def test_prime_power_tail_cross_cutoff():
     # Z(e, P1) - Z(e, P2) must equal the sieved sum over P1 < p <= P2.
-    ps1 = primes_upto(100_000).astype(np.float64)
-    ps2 = primes_upto(200_000).astype(np.float64)
+    primes1, primes2 = _PrimeContext(100_000), _PrimeContext(200_000)
+    ps2 = primes2.ps
     for e in ((7, 0), (9, 0), (10, 1)):
         e_f = e[0] / 6.0 + e[1] * XI
-        z1 = _prime_power_tails([e], 100_000, ps1)[0][e]
-        z2 = _prime_power_tails([e], 200_000, ps2)[0][e]
+        z1 = _prime_power_tails([e], primes1)[0][e]
+        z2 = _prime_power_tails([e], primes2)[0][e]
         mid = math.fsum(np.power(ps2[ps2 > 100_000.0], -e_f).tolist())
         assert z1.lo - z2.hi - 1e-12 <= mid <= z1.hi - z2.lo + 1e-12
 
@@ -559,9 +566,9 @@ def h_caps_with_tail_exponents():
         for cutoff in (100_000, 150_000, 10_000_000):
             seen = []
 
-            def spy(exponents, cut, ps):
+            def spy(exponents, primes):
                 seen.append(sorted(exponents, key=products._expo_float))
-                return real(exponents, cut, ps)
+                return real(exponents, primes)
 
             mpatch.setattr(products, "_prime_power_tails", spy)
             out[cutoff] = list(zip(check_h_caps(cutoff), seen, strict=True))
@@ -635,16 +642,14 @@ def test_a_priori_tails_sum_nothing(cutoff, h_cap_tail_exponents, monkeypatch):
     # An exponent whose a-priori bound is under the pad reaches neither
     # _prime_zeta nor the sieved partial sum; every other one reaches both.
     monkeypatch.setattr(products, "_primezeta_cache", {})
-    monkeypatch.setattr(products, "_prime_zeta_tail_cache", {})
     calls = []
     for name in ("_prime_zeta", "fsum_array"):
         real = getattr(products, name)
         monkeypatch.setattr(products, name,
                             lambda *a, real=real, name=name: calls.append(name) or real(*a))
-    ps = _PrimeContext(cutoff).ps
     for e in h_cap_tail_exponents:
         calls.clear()
-        tails, routes = _prime_power_tails([e], cutoff, ps)
+        tails, routes = _prime_power_tails([e], _PrimeContext(cutoff))
         bound = products._a_priori_tail(products._expo_float(e), cutoff)
         if bound <= products._TAIL_PAD:
             assert tails[e] == CertifiedValue(0.0, bound) and calls == [], e
@@ -663,6 +668,7 @@ def test_a_priori_tails_contain_the_prime_zeta_tail(cutoff, h_cap_tail_exponents
     # nests [0, B] in the sieved enclosure (_prime_power_tails).
     ps = primes_upto(cutoff).tolist()
     split = bisect.bisect_right(ps, cutoff // 100)
+    primes = _PrimeContext(cutoff)
     checked = 0
     with mp.workdps(40):
         for e in h_cap_tail_exponents:
@@ -673,7 +679,7 @@ def test_a_priori_tails_contain_the_prime_zeta_tail(cutoff, h_cap_tail_exponents
             rest = math.fsum(math.pow(p, -e_near) for p in ps[split:])
             err = 2.0 * 2.0 ** -53 * (1.0 + e_near * math.log(cutoff)) * rest
             z = mp.primezeta(e_mp) - mp.fsum(mp.mpf(p) ** -e_mp for p in ps[:split]) - rest
-            hi = _prime_power_tails([e], cutoff, None)[0][e].hi
+            hi = _prime_power_tails([e], primes)[0][e].hi
             assert z + err <= hi, e
             assert 0.05 <= z / hi <= 0.95, e
             checked += 1

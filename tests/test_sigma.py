@@ -489,6 +489,14 @@ def test_radical_and_coeffs_match_trial_division():
             assert (int(rad[k]), float(cn[k])) == (R, c), (X, k)
 
 
+def test_radical_and_coeffs_digest_pinned():
+    # Taken from the pass that sigma ran itself, before both arrays came from
+    # the shared prime-factor kernel in sieve.
+    rad, cn = sigma._radical_and_coeffs(10**5)
+    digest = hashlib.sha256(rad.tobytes() + cn.tobytes()).hexdigest()
+    assert digest == "ac8a0d3f5677dfb891a77974d3cd863ce413010eaf12148677b9d51ad2672298"
+
+
 def _scan_peak(monkeypatch, X: int) -> tuple[int, int]:
     """Traced peak of sigma_scan(X) under a budget of its declared bytes."""
     # The scan reads mu and m(t) from the arithmetic table; build both to
