@@ -164,8 +164,12 @@ def _j_reduce(j: int, R: float, j1: float, refine: bool,
     w *= j1
     w[:_SMALL_MASKS] *= coef(_R1_SMALL if refine else _R_ENVELOPE)
     w[_SMALL_MASKS:] *= coef(_R_ENVELOPE)
+    total = float(w.sum())
+    if all(b == math.inf for b in log_bounds):
+        # Every delta is in reach, and w[logd <= inf] is w in the same order.
+        return W, total, [total] * len(log_bounds)
     logd = _doubled(0.0, np.add, [math.log(p) for p in ps])
-    return W, float(w.sum()), [float(w[logd <= b].sum()) for b in log_bounds]
+    return W, total, [float(w[logd <= b].sum()) for b in log_bounds]
 
 
 def theorem_bound(config: AssemblyConfig) -> dict:

@@ -7,6 +7,11 @@ the supporting cast: the cancellation coefficients g_q(m), the remainder
 sums r1*/r2* with their square-root envelopes, the convolution identities
 that generate them, the squarefree counting table, and the averaged-divisor
 identity used to prove the asymptotic.
+
+The envelope, counting-table and starting-bound checks sweep their range in
+blocks (`numutil._blocks`), carrying running sums and the worst ratio with
+its first argument; the only arrays over the range they hold are the table's
+and, in the r1*/r2* checks, the 1/n array and one q's sums.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numutil import fsum_array
+from .numutil import _RunningMax, _RunningSum, _blocks, fsum_array
 from .report import BoundReport, CertifiedValue
 from .sieve import (
     _coprime_mask, _squarefree_divisors, _table, prime_divisors,
@@ -167,16 +172,17 @@ def check_gstar_difference(q_set=(1, 2, 6, 30),
 #   r2*(X; q) = sum_{k^2 l r > X} mu(r k l) phi(k)/(r k^3 l^2)
 #             = H_q(1) - sum_{m <= X} g_q(m)/m.
 
-def _triple_accumulate(limit: int, q: int, signed: bool) -> np.ndarray:
+def _triple_accumulate(limit: int, q: int, signed: bool, inv: np.ndarray) -> np.ndarray:
     """Accumulate the (k, l, r) triple weights into an array indexed by k^2 l r.
 
     signed=True gives g_q(m) (weights mu(rkl) phi(k)/(kl)); signed=False
-    gives the jump weights of r1* (mu^2(rkl) phi(k)/(kl)).
+    gives the jump weights of r1* (mu^2(rkl) phi(k)/(kl)).  inv is
+    _inverses(limit) or a longer one; a caller that runs several q builds it
+    once.
     """
     require_squarefree(q)
     block = _table(limit)
     mu = block.mu  # mu[n - 1] = mu(n)
-    inv = _inverses(limit)
     out = np.zeros(limit + 1, dtype=np.float64)
     r_divs = _squarefree_divisors(q)
     for k in range(1, int(math.isqrt(limit)) + 1):
@@ -206,12 +212,13 @@ def _triple_accumulate(limit: int, q: int, signed: bool) -> np.ndarray:
 
 def g_coefficients(limit: int, q: int = 1) -> np.ndarray:
     """g_q(m) for m = 0..limit (g[0] = 0), as floats."""
-    return _triple_accumulate(limit, q, signed=True)
+    return _triple_accumulate(limit, q, True, _inverses(limit))
 
 
 def r1_values(limit: int, q: int = 1) -> np.ndarray:
     """Cumulative r1*(n; q) for n = 0..limit, as floats."""
-    return np.cumsum(_triple_accumulate(limit, q, signed=False))
+    r1 = _triple_accumulate(limit, q, False, _inverses(limit))
+    return np.cumsum(r1, out=r1)
 
 
 def r1_star(X: float, q: int = 1) -> Fraction:
@@ -248,25 +255,24 @@ def check_majorstar2(q_set=(1, 2, 6, 30), X_max: int = 100_000) -> BoundReport:
     r2* is a step function of X, and the envelope decreases, so checking at
     integers from the left endpoint covers all real X >= 1.
     """
-    worst = (0.0, None)
+    inv = _inverses(X_max)
+    worst = _RunningMax(0.0)
     for q in q_set:
-        partials = np.cumsum(g_coefficients(X_max, q) * _inverses(X_max))
+        partials = _triple_accumulate(X_max, q, True, inv)
+        partials *= inv
+        np.cumsum(partials, out=partials)
         hq = h_q(q)
-        n = np.arange(0, X_max + 1, dtype=np.float64)
-        n[0] = 1.0
-        r2_abs = np.abs(hq.mid - partials) + 0.5 * hq.width
-        envelope = _R_ENVELOPE * j1_star(q) / np.sqrt(n)
-        ratios = r2_abs / envelope
-        ratios[0] = 0.0
-        j = int(np.argmax(ratios))
-        if ratios[j] > worst[0]:
-            worst = (float(ratios[j]), (q, j))
+        scale = _R_ENVELOPE * j1_star(q)
+        for lo, hi in _blocks(1, X_max + 1):
+            r2_abs = np.abs(hq.mid - partials[lo:hi]) + 0.5 * hq.width
+            envelope = scale / np.sqrt(np.arange(lo, hi, dtype=np.float64))
+            worst.feed(r2_abs / envelope, lo, q)
     return BoundReport(
         name="r2-envelope",
         domain=f"q in {tuple(q_set)}, X <= {X_max}",
-        passed=worst[0] <= 1.0,
-        worst_ratio=worst[0],
-        worst_arg=worst[1],
+        passed=worst.value <= 1.0,
+        worst_ratio=worst.value,
+        worst_arg=worst.arg,
         bound=1.0,
         details={"form": f"|r2*(X;q)| <= {_R_ENVELOPE} j1*(q)/sqrt(X)"},
     )
@@ -284,40 +290,34 @@ def scan_majorstar(X_max: int = 1_000_000,
     arguments are the extremal real points.
     """
     general, sharp = f"{_R_ENVELOPE}", f"{_R1_SMALL}"
-    worst = {general: (0.0, None), "0.931+1.96": (0.0, None), sharp: (0.0, None)}
+    worst = {general: _RunningMax(0.0), "0.931+1.96": _RunningMax(0.0),
+             sharp: _RunningMax(0.0)}
+    inv = _inverses(X_max)
     for q in q_set:
         limit = X_max if q < 100 else min(X_max, 100_000)
-        r1 = r1_values(limit, q)
-        n = np.arange(0, limit + 1, dtype=np.float64)
-        n[0] = 1.0
-        sq = np.sqrt(n)
+        r1 = _triple_accumulate(limit, q, False, inv[: limit + 1])
+        np.cumsum(r1, out=r1)
         j1 = j1_star(q)
         j5 = j5_star(q)
-        for label, env in (
-            (general, _R_ENVELOPE * sq * j1),
-            ("0.931+1.96", 0.931 * sq * j1 + 1.96 * n ** 0.25 * j5),
-        ):
-            ratios = r1 / env
-            ratios[0] = 0.0
-            j = int(np.argmax(ratios))
-            if ratios[j] > worst[label][0]:
-                worst[label] = (float(ratios[j]), (q, j))
-        if all(p < small_factor_cap for p in prime_divisors(q)):
-            ratios = r1 / (_R1_SMALL * sq * j1)
-            ratios[0] = 0.0
-            j = int(np.argmax(ratios))
-            if ratios[j] > worst[sharp][0]:
-                worst[sharp] = (float(ratios[j]), (q, j))
-    passed = all(v[0] <= 1.0 for v in worst.values())
-    overall = max(worst.values(), key=lambda v: v[0])
+        small = all(p < small_factor_cap for p in prime_divisors(q))
+        for lo, hi in _blocks(1, limit + 1):
+            n = np.arange(lo, hi, dtype=np.float64)
+            sq = np.sqrt(n)
+            r = r1[lo:hi]
+            worst[general].feed(r / (_R_ENVELOPE * sq * j1), lo, q)
+            worst["0.931+1.96"].feed(r / (0.931 * sq * j1 + 1.96 * n ** 0.25 * j5), lo, q)
+            if small:
+                worst[sharp].feed(r / (_R1_SMALL * sq * j1), lo, q)
+    passed = all(v.value <= 1.0 for v in worst.values())
+    overall = max(worst.values(), key=lambda v: v.value)
     return BoundReport(
         name="r1-envelopes",
         domain=f"q in {tuple(q_set)}, X <= {X_max} (1e5 for q > 100)",
         passed=passed,
-        worst_ratio=overall[0],
-        worst_arg=overall[1],
+        worst_ratio=overall.value,
+        worst_arg=overall.arg,
         bound=1.0,
-        details={k: {"worst_ratio": v[0], "worst_arg": v[1]} for k, v in worst.items()},
+        details={k: {"worst_ratio": v.value, "worst_arg": v.arg} for k, v in worst.items()},
     )
 
 
@@ -527,8 +527,11 @@ def check_g_mean(limit: int = 1_000_000, q_set=(1, 2, 6)) -> BoundReport:
     """
     worst = (0.0, None)
     rows = []
+    inv = _inverses(limit)
     for q in q_set:
-        partial = fsum_array(g_coefficients(limit, q) * _inverses(limit))
+        g = _triple_accumulate(limit, q, True, inv)
+        g *= inv
+        partial = fsum_array(g)
         hq = h_q(q)
         err = abs(partial - hq.mid) + 0.5 * hq.width
         env = _R_ENVELOPE * j1_star(q) / math.sqrt(limit)
@@ -561,43 +564,51 @@ def moebius_square_table_check(rows=MSQ_ROWS, X_max: int = 1_000_000) -> BoundRe
     contributes two endpoint tests.
     """
     dens = 6.0 / math.pi ** 2
-    Q = np.zeros(X_max + 1, dtype=np.float64)
-    np.cumsum(_table(X_max).mu != 0, dtype=np.float64, out=Q[1:])
-    # Row-invariant arrays over n = 0..X_max: sqrt(max(n, 1)) is root[:-1]
-    # and sqrt(n + 1) is root[1:]; over = Q - dens n, under = dens (n + 1) - Q.
-    x = np.arange(0, X_max + 2, dtype=np.float64)
-    root = np.sqrt(x)
-    root[0] = 1.0
-    x *= dens
-    over = Q - x[:-1]
-    under = x[1:] - Q
-    del x, Q
-    excess, deficit, ratios = (np.empty(X_max + 1, dtype=np.float64) for _ in range(3))
+    mu = _table(X_max).mu
+    # One running maximum per row whose [X0, X_max + 1) holds an integer,
+    # and the side that sets it.
+    worst = {i: _RunningMax() for i, (X0, _) in enumerate(rows) if int(X0) <= X_max}
+    side = {}
+    count = _RunningSum()
+    for lo, hi in _blocks(0, X_max + 1):
+        # Over n in [lo, hi): Q = Q(n), root[i] = sqrt(max(n, 1)) and
+        # root[i + 1] = sqrt(n + 1); over = Q - dens n, under = dens (n + 1) - Q.
+        Q = np.zeros(hi - lo, dtype=np.float64)
+        a = max(lo, 1)
+        Q[a - lo:] = mu[a - 1: hi - 1] != 0
+        count.cumsum(Q)
+        x = np.arange(lo, hi + 1, dtype=np.float64)
+        root = np.sqrt(x)
+        if lo == 0:
+            root[0] = 1.0
+        x *= dens
+        over = Q - x[:-1]
+        under = x[1:] - Q
+        for i, top in worst.items():
+            X0, c = int(rows[i][0]), rows[i][1]
+            excess = over / (root[:-1] * c)
+            deficit = under / (root[1:] * c)
+            excess[: max(X0 + 1 - lo, 0)] = 0.0  # excess side applies from x = n >= X0
+            deficit[: max(X0 - lo, 0)] = 0.0     # deficit side applies once n + 1 > X0
+            if top.feed(np.maximum(excess, deficit), lo):
+                j = top.arg - lo
+                side[i] = "excess" if excess[j] >= deficit[j] else "deficit"
     results = []
     all_pass = True
     worst_overall = (0.0, None)
-    for X0, c in rows:
-        lo = int(X0)
-        if lo > X_max:
+    for i, (X0, c) in enumerate(rows):
+        if i not in worst:
             # [X0, X_max + 1) holds no integer: nothing is checked.
             results.append({"X0": X0, "c": c, "checked": False, "passed": False})
             all_pass = False
             continue
-        np.divide(over, np.multiply(root[:-1], c, out=excess), out=excess)
-        np.divide(under, np.multiply(root[1:], c, out=deficit), out=deficit)
-        excess[: lo + 1] = 0.0   # excess side applies from x = n >= X0
-        if lo == 0:
-            excess[0] = 0.0
-        deficit[: lo] = 0.0      # deficit side applies once n + 1 > X0
-        np.maximum(excess, deficit, out=ratios)
-        j = int(np.argmax(ratios))
-        row_pass = bool(ratios[j] <= 1.0)
-        side = "excess" if excess[j] >= deficit[j] else "deficit"
-        results.append({"X0": X0, "c": c, "checked": True, "worst_ratio": float(ratios[j]),
-                        "worst_arg": j, "side": side, "passed": row_pass})
+        top = worst[i]
+        row_pass = bool(top.value <= 1.0)
+        results.append({"X0": X0, "c": c, "checked": True, "worst_ratio": top.value,
+                        "worst_arg": top.arg, "side": side[i], "passed": row_pass})
         all_pass = all_pass and row_pass
-        if ratios[j] > worst_overall[0]:
-            worst_overall = (float(ratios[j]), (X0, j))
+        if top.value > worst_overall[0]:
+            worst_overall = (top.value, (X0, top.arg))
     unchecked = [r["X0"] for r in results if not r["checked"]]
     return BoundReport(
         name="squarefree-count-table",
@@ -623,25 +634,32 @@ def init_bound_check(X_max: int = 1_000_000) -> BoundReport:
     known only to an interval.
     """
     block = _table(X_max)
-    d = np.arange(1, X_max + 1, dtype=np.float64)
-    keep = block.mu != 0
-    S = np.cumsum(np.where(keep, block.phi.astype(np.float64) / d, 0.0))
-    # Rigorous upper bound on (S - A X)/((1-A) sqrt(X)) for the true A.
-    ratios = (S - A_DEEP.lo * d) / ((1.0 - A_DEEP.hi) * np.sqrt(d))
-    j = int(np.argmax(ratios))
-    attained = float((S[0] - A_DEEP.mid) / (1.0 - A_DEEP.mid))
+    S_run = _RunningSum()
+    worst = _RunningMax()
+    at_2 = None
+    for lo, hi in _blocks(1, X_max + 1):
+        d = np.arange(lo, hi, dtype=np.float64)
+        S = S_run.cumsum(np.where(block.mu[lo - 1: hi - 1] != 0,
+                                  block.phi[lo - 1: hi - 1].astype(np.float64) / d, 0.0))
+        # Rigorous upper bound on (S - A X)/((1-A) sqrt(X)) for the true A.
+        ratios = (S - A_DEEP.lo * d) / ((1.0 - A_DEEP.hi) * np.sqrt(d))
+        worst.feed(ratios, lo)
+        if lo == 1:
+            attained = float((S[0] - A_DEEP.mid) / (1.0 - A_DEEP.mid))
+        if lo <= 2 < hi:
+            at_2 = float(ratios[2 - lo])
     return BoundReport(
         name="totient-sum-start-bound",
         domain=f"integer X <= {X_max}",
-        passed=bool(ratios[j] <= 1.0 + 1e-8) and j == 0,
-        worst_ratio=float(ratios[j]),
-        worst_arg=j + 1,
+        passed=bool(worst.value <= 1.0 + 1e-8) and worst.arg == 1,
+        worst_ratio=worst.value,
+        worst_arg=worst.arg,
         bound=1.0,
-        details={"max_location": j + 1,
+        details={"max_location": worst.arg,
                  "value_at_1": attained,
                  "one_minus_A_cap": 0.572,
                  "cap_holds": bool(1.0 - A_DEEP.lo <= 0.572),
-                 "ratio_at_2": float(ratios[1])},
+                 "ratio_at_2": at_2},
     )
 
 

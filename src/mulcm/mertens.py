@@ -3,11 +3,15 @@
 Two layers:
 
 * direct evaluation: exact rationals for small y (m_q_exact, whose q = 1
-  case is m itself) and the float cumsums of the arithmetic table
-  (`sieve._mertens_cum`) and of its q-coprime terms for scan-scale y;
+  case is m itself), the float cumsum of the arithmetic table
+  (`sieve._mertens_cum`) and, block by block, that of its q-coprime terms
+  for scan-scale y;
 * envelope machinery: the square-root and logarithmic decay bounds and
   their coprime generalization with multiplicative inflation factors, each
-  checkable against direct evaluation on a finite range.
+  checkable against direct evaluation on a finite range.  The checks sweep
+  the range in blocks (`numutil._blocks`), carrying the q-coprime cumsum
+  and the worst ratio with its first argument, so a sweep holds no array
+  over the range besides the table's cumsum.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .numutil import _RunningMax, _RunningSum, _blocks
 from .report import BoundReport
 from .sieve import _coprime_mask, _mertens_cum, _table, prime_divisors, radical
 
@@ -75,36 +80,50 @@ def m_q_exact(y, q: int) -> Fraction:
 # ----------------------------------------------------------------------
 # Envelopes.
 
-def _coprime_cum(limit: int, q: int) -> np.ndarray:
-    """cum[n] = m_q(n) = sum_{k <= n, (k, q) = 1} mu(k)/k, n = 0..limit, in floats."""
-    terms = np.zeros(limit + 1, dtype=np.float64)
-    terms[1:] = np.where(_coprime_mask(limit, q), _table(limit).mu
-                         / np.arange(1, limit + 1, dtype=np.float64), 0.0)
-    return np.cumsum(terms, out=terms)
+def _coprime_cum(limit: int, q: int, start: int = 1):
+    """(lo, cum) for consecutive blocks covering n = start..limit, with
+    cum[i] = m_q(lo + i) = sum_{k <= lo + i, (k, q) = 1} mu(k)/k in floats.
+
+    The cumsum runs block by block from m_q(0) = 0, as one np.cumsum over
+    0..limit would, and yields only the blocks' parts from start on.
+    """
+    mu = _table(limit).mu
+    run = _RunningSum(0.0)
+    for lo, hi in _blocks(1, limit + 1):
+        terms = np.where(_coprime_mask(hi - 1, q, lo),
+                         mu[lo - 1: hi - 1] / np.arange(lo, hi, dtype=np.float64), 0.0)
+        cum = run.cumsum(terms)
+        if hi > start:
+            s = max(start - lo, 0)
+            yield lo + s, cum[s:]
 
 
-def _envelope_cum(limit: int, q: int, form: str):
-    """(params, |m_q(n)|, n + 1) over n = 0..limit for the q-envelope: m_q is
-    constant on [n, n + 1), and n + 1 is the right end of that interval."""
+def _envelope_params(q: int, form: str) -> EnvelopeParams:
     if q not in (1, 2):
         raise ValueError(f"{form} envelope is stated for q in {{1, 2}}")
-    cum = _mertens_cum(limit) if q == 1 else _coprime_cum(limit, 2)
-    return ({1: M_PARAMS, 2: M2_PARAMS}[q], np.abs(cum[: limit + 1]),
-            np.arange(1, limit + 2, dtype=np.float64))
+    return {1: M_PARAMS, 2: M2_PARAMS}[q]
 
 
-def _envelope_report(form: str, q: int, limit: int, ratios: np.ndarray,
-                     start: int, bound: float, details: dict) -> BoundReport:
-    """The worst of ratios over real x in [start, limit + 1), ratios[n]
-    covering [n, n + 1)."""
-    ratios[:start] = 0.0
-    worst = int(np.argmax(ratios))
+def _envelope_report(form: str, q: int, limit: int, start: int, ratio,
+                     bound: float, details: dict) -> BoundReport:
+    """The worst of ratio(|m_q(n)|, n + 1) over n = start..limit, which is
+    the worst over real x in [start, limit + 1): m_q is constant on
+    [n, n + 1), and n + 1 is the right end of that interval."""
+    if q == 1:
+        cum = _mertens_cum(limit)
+        blocks = ((lo, cum[lo:hi]) for lo, hi in _blocks(start, limit + 1))
+    else:
+        blocks = _coprime_cum(limit, q, start)
+    worst = _RunningMax(0.0, 0)
+    for lo, m_q in blocks:
+        x = np.arange(lo + 1, lo + m_q.size + 1, dtype=np.float64)
+        worst.feed(ratio(np.abs(m_q), x), lo)
     return BoundReport(
         name=f"mertens-{form}-envelope(q={q})",
         domain=f"real x in [{start}, {limit + 1})",
-        passed=bool(ratios[worst] <= 1.0 + 1e-12),
-        worst_ratio=float(ratios[worst]),
-        worst_arg=worst,
+        passed=bool(worst.value <= 1.0 + 1e-12),
+        worst_ratio=worst.value,
+        worst_arg=worst.arg,
         bound=bound,
         details=details,
     )
@@ -117,24 +136,24 @@ def check_envelope_sqrt(limit: int, q: int = 1) -> BoundReport:
     |m_2(x)| <= sqrt(3/x).  m is constant on [n, n+1), so the supremum over
     real x of |m(x)| sqrt(x) on that interval is |m(n)| sqrt(n+1).
     """
-    params, abs_m, x = _envelope_cum(limit, q, "square-root")
-    ratios = abs_m * np.sqrt(x) / math.sqrt(params.sqrt_c)
+    params = _envelope_params(q, "square-root")
+    root_c = math.sqrt(params.sqrt_c)
     return _envelope_report(
-        "sqrt", q, limit, ratios, 1, math.sqrt(params.sqrt_c),
+        "sqrt", q, limit, 1, lambda abs_m, x: abs_m * np.sqrt(x) / root_c, root_c,
         {"form": f"|m(x)| * sqrt(x) <= sqrt({params.sqrt_c})",
          "claimed_range": params.sqrt_range})
 
 
 def check_envelope_log(limit: int, q: int = 1) -> BoundReport:
     """Sweep the logarithmic envelope |m(x)| <= c / log x for x >= threshold."""
-    params, abs_m, x = _envelope_cum(limit, q, "log")
+    params = _envelope_params(q, "log")
     start = params.log_from
     if limit < start:
         raise ValueError(f"limit {limit} below threshold {start}")
     # sup over [n, n+1) uses log(n+1), since 1/log x decreases.
-    ratios = abs_m * np.log(x) / params.log_c
     return _envelope_report(
-        "log", q, limit, ratios, start, params.log_c,
+        "log", q, limit, start, lambda abs_m, x: abs_m * np.log(x) / params.log_c,
+        params.log_c,
         {"form": f"|m(x)| * log(x) <= {params.log_c} for x >= {start}"})
 
 
@@ -181,21 +200,19 @@ def check_envelope_coprime(d_limit: int = 100, y_limit: int = 10_000) -> BoundRe
     Compares |m_d(y)| directly against envelope_coprime(d, y) for every
     squarefree d <= d_limit and every integer y <= y_limit.
     """
-    n = np.arange(1, y_limit + 1, dtype=np.float64)
-    worst = (0.0, None)
+    worst = _RunningMax(0.0)
     for d in range(1, d_limit + 1):
         if radical(d) != d:
             continue
-        ratios = np.abs(_coprime_cum(y_limit, d)[1:]) / envelope_coprime(d, n)
-        j = int(np.argmax(ratios))
-        if ratios[j] > worst[0]:
-            worst = (float(ratios[j]), (d, j + 1))
+        for lo, m_d in _coprime_cum(y_limit, d):
+            y = np.arange(lo, lo + m_d.size, dtype=np.float64)
+            worst.feed(np.abs(m_d) / envelope_coprime(d, y), lo, d)
     return BoundReport(
         name="mertens-coprime-envelope",
         domain=f"squarefree d <= {d_limit}, integer y <= {y_limit}",
-        passed=worst[0] <= 1.0 + 1e-12,
-        worst_ratio=worst[0],
-        worst_arg=worst[1],
+        passed=worst.value <= 1.0 + 1e-12,
+        worst_ratio=worst.value,
+        worst_arg=worst.arg,
         bound=1.0,
         details={"form": "|m_d(y)| <= g0(d) sqrt(2/y) + 0.0144 g1(d) [y>=1e12]/log y"},
     )

@@ -11,6 +11,11 @@ error-free extraction of Rump, Ogita and Oishi, 2008), bounds the error of
 the leftover's float sum by gamma_{n-1} (Higham, ch. 4), and accepts the
 rounding only if both ends of that bound round to the same float; otherwise
 it calls math.fsum on the array.
+
+The table checks sweep a range [0, N] in blocks of _SWEEP_BLOCK indices
+(_blocks).  Between blocks they carry a running sum (_RunningSum) and a
+running maximum with its first index (_RunningMax), which reproduce
+np.cumsum and np.argmax over the whole range bit for bit.
 """
 
 from __future__ import annotations
@@ -133,6 +138,62 @@ def fsum_array(values) -> float:
     if lo == hi:
         return lo
     return _fsum(x)
+
+
+# Indices per block of a blocked sweep: a block's temporaries stay in the L2
+# cache, and a sweep over [0, N] holds no array over [0, N] of its own.
+_SWEEP_BLOCK = 1 << 16
+
+
+def _blocks(start: int, stop: int):
+    """(lo, hi) of the consecutive blocks of at most _SWEEP_BLOCK indices
+    that cover [start, stop), in order."""
+    step = _SWEEP_BLOCK
+    return ((lo, min(lo + step, stop)) for lo in range(start, stop, step))
+
+
+class _RunningSum:
+    """np.cumsum of a sequence that arrives block by block.
+
+    cumsum(terms) turns one block of terms into running sums in place,
+    after adding the last running sum so far (carry; a seed stands for a
+    term before the first block) to its first term.  np.cumsum adds in
+    sequence, so the blocks equal one np.cumsum over the whole sequence
+    bit for bit.
+    """
+
+    def __init__(self, carry: float | None = None):
+        self.carry = carry
+
+    def cumsum(self, terms: np.ndarray) -> np.ndarray:
+        if self.carry is not None:
+            terms[0] += self.carry
+        np.cumsum(terms, out=terms)
+        self.carry = terms[-1]
+        return terms
+
+
+class _RunningMax:
+    """The largest value offered so far and where it first occurs.
+
+    feed(values, lo, tag) offers values[i] at index lo + i (the pair
+    (tag, lo + i) when tag is given) and returns whether one of them became
+    the maximum.  Only a strictly larger value replaces the maximum, so
+    over blocks fed in index order the result is np.argmax's first maximum
+    over them all.  value and arg start at the given floor and its index:
+    _RunningMax(0.0, 0) sweeps as if index 0 and any skipped prefix held 0.
+    """
+
+    def __init__(self, value: float = -math.inf, arg=None):
+        self.value, self.arg = value, arg
+
+    def feed(self, values: np.ndarray, lo: int = 0, tag=None) -> bool:
+        j = int(np.argmax(values))
+        if not values[j] > self.value:
+            return False
+        self.value = float(values[j])
+        self.arg = lo + j if tag is None else (tag, lo + j)
+        return True
 
 
 def _simpson(f, a: float, b: float, fa: float, fm: float, fb: float) -> float:

@@ -37,7 +37,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .numutil import fsum_array, quad_log
+from .numutil import _RunningMax, _blocks, fsum_array, quad_log
 from .report import BoundReport, CertifiedValue
 from .sieve import (
     _prime_factor_product, _squarefree_divisors, primes_upto,
@@ -727,12 +727,16 @@ def _aux_values(key: str, D: int) -> np.ndarray:
     return vals
 
 
-def _aux_sums(key: str, D: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sums, d) over D' = 0..D: the partial sums of _aux_values and D' as
-    floats, with 1 at D' = 0."""
-    d = np.arange(0, D + 1, dtype=np.float64)
-    d[0] = 1.0
-    return np.cumsum(_aux_values(key, D)), d
+def _aux_sweep(key: str, D: int, ratio) -> _RunningMax:
+    """The worst of ratio(sum_{d <= D'} values[d], D') over D' = 1..D, with
+    values = _aux_values(key, D), as a running maximum from 0 at D' = 0.
+    The partial sums are taken in place."""
+    sums = _aux_values(key, D)
+    np.cumsum(sums, out=sums)
+    worst = _RunningMax(0.0, 0)
+    for lo, hi in _blocks(1, D + 1):
+        worst.feed(ratio(sums[lo:hi], np.arange(lo, hi, dtype=np.float64)), lo)
+    return worst
 
 
 def aux_ratio_scan(key: str, D_max: int = 1_000_000) -> BoundReport:
@@ -741,38 +745,31 @@ def aux_ratio_scan(key: str, D_max: int = 1_000_000) -> BoundReport:
     Also records where the ratio peaks; the expected peak location is part
     of the frozen table.
     """
-    sums, d = _aux_sums(key, D_max)
-    ratios = sums / d
-    ratios[0] = 0.0
+    worst = _aux_sweep(key, D_max, lambda sums, d: sums / d)
     cap = AUX_RATIO_CAP[key]
-    worst = int(np.argmax(ratios))
     return BoundReport(
         name=f"aux-ratio({key})",
         domain=f"integer D <= {D_max}",
-        passed=bool(ratios[worst] <= cap),
-        worst_ratio=float(ratios[worst]) / cap,
-        worst_arg=worst,
+        passed=bool(worst.value <= cap),
+        worst_ratio=worst.value / cap,
+        worst_arg=worst.arg,
         bound=cap,
-        details={"max_ratio": float(ratios[worst]),
+        details={"max_ratio": worst.value,
                  "expected_argmax": AUX_RATIO_ARGMAX[key],
-                 "argmax_matches": worst == AUX_RATIO_ARGMAX[key]},
+                 "argmax_matches": worst.arg == AUX_RATIO_ARGMAX[key]},
     )
 
 
 def aux_asymptotic_check(key: str, D_max: int = 1_000_000) -> BoundReport:
     """Check sum_{d <= D} mu^2 phi G / d <= c1 D + c2 D^(2/3) for D <= D_max."""
-    sums, d = _aux_sums(key, D_max)
     c1, c2 = AUX_ASYMPTOTIC[key]
-    rhs = c1 * d + c2 * d ** (2.0 / 3.0)
-    ratios = sums / rhs
-    ratios[0] = 0.0
-    worst = int(np.argmax(ratios))
+    worst = _aux_sweep(key, D_max, lambda sums, d: sums / (c1 * d + c2 * d ** (2.0 / 3.0)))
     return BoundReport(
         name=f"aux-asymptotic({key})",
         domain=f"integer D <= {D_max}",
-        passed=bool(ratios[worst] <= 1.0),
-        worst_ratio=float(ratios[worst]),
-        worst_arg=worst,
+        passed=bool(worst.value <= 1.0),
+        worst_ratio=worst.value,
+        worst_arg=worst.arg,
         bound=1.0,
         details={"c1": c1, "c2": c2},
     )

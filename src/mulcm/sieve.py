@@ -5,7 +5,10 @@ A MultiplicativeBlock holds mu, phi and spf (smallest prime factor) over
 [1, n]: _table(n) gives read-only views over [1, n] of the process-wide
 table, which keeps 9 bytes per n (int8 mu, int32 phi and spf) for the life
 of the process, and _mertens_cum(n) its cumsum of mu(k)/k, 8 more bytes per
-n once asked for.  primes_upto stays its own 1-byte-per-n sieve.
+n once asked for.  A request past the table's end sieves only the range
+past it and appends that; the cumsum is built, and later continued, block
+by block with no array over [1, n] besides itself.  primes_upto stays its
+own 1-byte-per-n sieve.
 
 The segment kernel builds no index arrays.  Each step is one in-place ufunc
 on the strided view arr[(-lo) % m :: m] of the multiples of m in the
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numutil import check_allocation
+from .numutil import _SWEEP_BLOCK, _RunningSum, _blocks, check_allocation
 
 DEFAULT_SEGMENT = 1 << 22
 # Room for the array headers and Python scalars of one sieve_range call.
@@ -178,36 +181,65 @@ _table_cum: np.ndarray | None = None
 def _table(n: int) -> MultiplicativeBlock:
     """mu, phi, spf over [1, n] as read-only views of the process-wide table.
 
-    A request past the table's end sieves [1, max(n, _TABLE_MIN)] once and
-    replaces the table; every smaller request reads views of it.  The
-    build declares sieve_range's peak, which holds the retained arrays.
+    The first request sieves [1, max(n, _TABLE_MIN)].  A request past the
+    table's end hi sieves only (hi, n] and appends it; every other request
+    reads views of the table.  sieve_range's output does not depend on the
+    segmentation, so the table holds the same values whatever the order of
+    the requests.  Growth declares its peak (_growth_bytes) before it sieves.
     """
-    global _table_block, _table_cum
+    global _table_block
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if _table_block is None or _table_block.hi < n:
-        _table_block = _table_cum = None  # let the old table go first
+    if _table_block is None:
         _table_block = sieve_range(1, max(n, _TABLE_MIN))
+    elif _table_block.hi < n:
+        old = _table_block
+        check_allocation(_growth_bytes(old.hi, n), f"arithmetic table growth to {n}")
+        new = sieve_range(old.hi + 1, n)
+        arrays = [np.concatenate((getattr(old, k), getattr(new, k)))
+                  for k in ("mu", "phi", "spf")]
+        for arr in arrays:
+            arr.setflags(write=False)
+        _table_block = MultiplicativeBlock(1, n, *arrays)
     t = _table_block
     return MultiplicativeBlock(lo=1, hi=n, mu=t.mu[:n], phi=t.phi[:n], spf=t.spf[:n])
+
+
+def _growth_bytes(hi: int, n: int) -> int:
+    """Peak memory of growing the table from [1, hi] to [1, n]: the old
+    arrays, then sieve_range's peak over (hi, n], or its output and the
+    joined arrays, whichever is larger."""
+    per_n = 1 + 2 * np.dtype(_wide(n)).itemsize
+    return (hi * (1 + 2 * np.dtype(_wide(hi)).itemsize)
+            + max(_sieve_bytes(hi + 1, n), (n - hi + n) * per_n + _SIEVE_FIXED_BYTES))
 
 
 def _mertens_cum(n: int) -> np.ndarray:
     """cum[t] = m(t) = sum_{k <= t} mu(k)/k for t = 0..n, a read-only view.
 
-    The cumsum runs once over the whole table, in index order, so cum[t]
-    does not depend on the table's size.
+    The cumsum covers the whole table.  It is built block by block from
+    cum[0] = 0 in index order, and when the table has grown, the old cumsum
+    is copied and continued from its last value; np.cumsum adds in
+    sequence, so cum[t] does not depend on the table's size or history.
     """
     global _table_cum
     _table(max(n, 1))
-    if _table_cum is None:
-        size = _table_block.hi
-        check_allocation((size + 1) * 16, f"mertens cumsum to {size}")
-        cum = np.zeros(size + 1, dtype=np.float64)
-        cum[1:] = _table_block.mu
-        cum[1:] /= np.arange(1, size + 1, dtype=np.float64)
-        _table_cum = np.cumsum(cum, out=cum)
-        _table_cum.setflags(write=False)
+    size = _table_block.hi
+    old = np.zeros(1) if _table_cum is None else _table_cum  # m(0) = 0
+    have = old.size - 1
+    if have < size:
+        check_allocation((have + 1 + size + 1) * 8 + _SWEEP_BLOCK * 8,
+                         f"mertens cumsum to {size}")
+        cum = np.empty(size + 1, dtype=np.float64)
+        cum[: have + 1] = old
+        run = _RunningSum(cum[have])
+        for lo, hi in _blocks(have + 1, size + 1):
+            part = cum[lo:hi]
+            np.divide(_table_block.mu[lo - 1: hi - 1], np.arange(lo, hi, dtype=np.float64),
+                      out=part)
+            run.cumsum(part)
+        cum.setflags(write=False)
+        _table_cum = cum
     return _table_cum[: n + 1]
 
 
@@ -263,11 +295,11 @@ def _squarefree_divisors(q: int) -> list[tuple[int, int]]:
     return sorted(divs)
 
 
-def _coprime_mask(limit: int, q: int) -> np.ndarray:
-    """Boolean mask over n = 1..limit (index n - 1) of gcd(n, q) = 1."""
-    keep = np.ones(limit, dtype=bool)
+def _coprime_mask(limit: int, q: int, lo: int = 1) -> np.ndarray:
+    """Boolean mask over n = lo..limit (index n - lo) of gcd(n, q) = 1."""
+    keep = np.ones(limit - lo + 1, dtype=bool)
     for p in prime_divisors(q):
-        keep[p - 1:: p] = False
+        keep[-lo % p:: p] = False
     return keep
 
 

@@ -155,9 +155,10 @@ def test_j_reduce_arrays_equal_the_oracle_table():
 
 def _j_reduce_75():
     """One cold _j_reduce at j = 75, the largest j of the reference rows,
-    with a log bound that keeps every mask in the localized sum."""
+    with a log bound that keeps every mask in the localized sum (finite, so
+    the masked sum is built: an infinite bound skips it)."""
     primorial = math.prod(int(p) for p in primes_upto(75))
-    assembly._j_reduce(75, 75.99, j1_star(primorial), True, [math.inf])
+    assembly._j_reduce(75, 75.99, j1_star(primorial), True, [math.log(primorial) + 1.0])
 
 
 def test_j_reduce_memory_within_declared_budget(monkeypatch):

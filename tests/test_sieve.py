@@ -101,8 +101,11 @@ def test_mertens_cum_is_the_sequential_cumsum(empty_table):
     cum = sieve._mertens_cum(n)
     assert cum.shape == (n + 1,) and (cum == want).all()
     assert not cum.flags.writeable
-    # A larger table rebuilds the cumsum; its prefix is unchanged.
-    assert (sieve._mertens_cum(3 * n)[: n + 1] == want).all()
+    # A larger table continues the cumsum from its last value: the whole
+    # is still the one sequential cumsum.
+    mu = sieve_range(1, 3 * n).mu
+    want = np.cumsum(np.concatenate(([0.0], mu / np.arange(1, 3 * n + 1, dtype=np.float64))))
+    assert (sieve._mertens_cum(3 * n) == want).all()
     assert (sieve._mertens_cum(10) == want[:11]).all()
 
 
@@ -127,11 +130,17 @@ def test_table_grows_only_past_its_end(sieved):
     sieve._table(100_000)
     sieve._mertens_cum(70_000)
     sieve._table(99_999)
-    assert sieved == [(1, sieve._TABLE_MIN), (1, 100_000)]
+    assert sieved == [(1, sieve._TABLE_MIN), (sieve._TABLE_MIN + 1, 100_000)]
+    grown, fresh = sieve._table(100_000), sieve.sieve_range(1, 100_000)
+    for name in ("mu", "phi", "spf"):
+        got, want = getattr(grown, name), getattr(fresh, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert not got.flags.writeable
 
 
 def test_checks_share_one_sieve(sieved):
-    # A run of checks sieves [1, n] once per new maximum n, not once per check.
+    # A run of checks sieves each n once: a new maximum n sieves only the
+    # range past the table's end.
     N = 200_000
     for q in (1, 2):
         mertens.check_envelope_sqrt(N, q=q)
@@ -142,7 +151,7 @@ def test_checks_share_one_sieve(sieved):
     assert mertens.m(N) == float(sieve._mertens_cum(N)[N])
     assert sieved == [(1, N)]
     gstar.scan_majorstar(300_000, q_set=(1,))
-    assert sieved == [(1, N), (1, 300_000)]
+    assert sieved == [(1, N), (N + 1, 300_000)]
 
 
 @pytest.mark.parametrize("lo, hi, segment", [
@@ -162,6 +171,23 @@ def test_sieve_memory_within_declared_budget(monkeypatch, lo, hi, segment):
         tracemalloc.stop()
     # The declaration holds what the kernel allocates, not a loose ceiling.
     assert 0.9 * declared <= peak <= declared, (peak, declared)
+
+
+def test_table_growth_within_declared_budget(monkeypatch, empty_table):
+    sieve._table(100_000)
+    declared = sieve._growth_bytes(100_000, 300_000)
+    monkeypatch.setenv("MULCM_MEMORY_BUDGET", str(declared - 1))
+    with pytest.raises(BudgetError):
+        sieve._table(300_000)
+    monkeypatch.setenv("MULCM_MEMORY_BUDGET", str(declared))
+    tracemalloc.start()
+    try:
+        sieve._table(300_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The old table (9 bytes per n) was allocated before tracing started.
+    assert 0.9 * declared <= peak + 9 * 100_000 <= declared, (peak, declared)
 
 
 def test_sieve_refused_one_byte_below_declared(monkeypatch):
