@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import assembly, gstar, mertens, products, sieve, sigma
-from .numutil import BudgetError
+from .numutil import BudgetError, _blocks
 from .report import BoundReport, RunManifest
 
 EXIT_PASS = 0
@@ -105,8 +105,7 @@ def _cmd_sieve(args) -> int:
     n = args.to
     block = sieve._table(n)
     pi_n = -1  # n is prime iff spf(n) = n, which also holds at n = 1
-    for a in range(0, n, 1 << 16):
-        b = min(a + (1 << 16), n)
+    for a, b in _blocks(0, n):
         ns = np.arange(a + 1, b + 1, dtype=block.spf.dtype)
         pi_n += int(np.count_nonzero(block.spf[a:b] == ns))
     mertens = int(block.mu.sum(dtype=np.int64))

@@ -11,7 +11,8 @@ identity used to prove the asymptotic.
 The envelope, counting-table and starting-bound checks sweep their range in
 blocks (`numutil._blocks`), carrying running sums and the worst ratio with
 its first argument; the only arrays over the range they hold are the table's
-and, in the r1*/r2* checks, the 1/n array and one q's sums.
+and, in the r1*/r2* checks, one q-free table of cube-free weights from which
+every q copies its g_q and r1* weights block by block.
 """
 
 from __future__ import annotations
@@ -172,53 +173,75 @@ def check_gstar_difference(q_set=(1, 2, 6, 30),
 #   r2*(X; q) = sum_{k^2 l r > X} mu(r k l) phi(k)/(r k^3 l^2)
 #             = H_q(1) - sum_{m <= X} g_q(m)/m.
 
-def _triple_accumulate(limit: int, q: int, signed: bool, inv: np.ndarray) -> np.ndarray:
-    """Accumulate the (k, l, r) triple weights into an array indexed by k^2 l r.
+def _cubefree_weights(limit: int) -> np.ndarray:
+    """w(n) = mu(k) mu(l) phi(k)/(k l) for n = k^2 l <= limit cube-free, else 0.
 
-    signed=True gives g_q(m) (weights mu(rkl) phi(k)/(kl)); signed=False
-    gives the jump weights of r1* (mu^2(rkl) phi(k)/(kl)).  inv is
-    _inverses(limit) or a longer one; a caller that runs several q builds it
-    once.
+    A cube-free n is k^2 l in exactly one way with k, l squarefree and
+    coprime (k takes the primes to exponent 2, l those to exponent 1), so
+    each n is written once.  w is indexed by n = 0..limit, w[0] = 0, and
+    w(n) is the float (mu(k) phi(k)/k) mu(l) times the float 1/l.
     """
-    require_squarefree(q)
     block = _table(limit)
     mu = block.mu  # mu[n - 1] = mu(n)
-    out = np.zeros(limit + 1, dtype=np.float64)
-    r_divs = _squarefree_divisors(q)
-    for k in range(1, int(math.isqrt(limit)) + 1):
+    w = np.zeros(limit + 1, dtype=np.float64)
+    for k in range(1, math.isqrt(limit) + 1):
         mu_k = int(mu[k - 1])
-        if mu_k == 0 or math.gcd(k, q) != 1:
+        if mu_k == 0:
             continue
-        phi_k = int(block.phi[k - 1])
-        # ok[l - 1]: l squarefree and coprime to q k, for l <= limit / k^2.
-        L_k = limit // (k * k)
-        ok = (mu[:L_k] != 0) & _coprime_mask(L_k, q * k)
-        for r, mu_r in r_divs:
-            base = k * k * r
-            if base > limit:
-                continue
-            ell = np.flatnonzero(ok[: limit // base]) + 1
-            if ell.size == 0:
-                continue
-            if signed:
-                w = mu_r * mu_k * phi_k / k
-                vals = w * mu[ell - 1].astype(np.float64) * inv[ell]
-            else:
-                w = phi_k / k
-                vals = w * inv[ell]
-            np.add.at(out, base * ell, vals)
+        c, k2 = mu_k * int(block.phi[k - 1]) / k, k * k
+        for lo, hi in _blocks(1, limit // k2 + 1):
+            # l = lo..hi-1, kept when squarefree and coprime to k.
+            mu_l = mu[lo - 1: hi - 1]
+            ok = (mu_l != 0) & _coprime_mask(hi - 1, k, lo)
+            vals = c * mu_l * (1.0 / np.arange(lo, hi, dtype=np.float64))
+            np.copyto(w[k2 * lo: k2 * (hi - 1) + 1: k2], vals, where=ok)
+    return w
+
+
+def _q_weights(w: np.ndarray, q: int, lo: int, hi: int, signed: bool) -> np.ndarray:
+    """q's weights at m = lo..hi-1 from _cubefree_weights w (covering hi - 1).
+
+    m = k^2 l r with r | q and (kl, q) = 1 has r the q-part of m, so each m
+    takes one term: w(m/r) times mu(r) for g_q(m) (signed=True) and |w(m/r)|
+    for the jump of r1* at m (signed=False), and 0 when m/r shares a prime
+    with q.  Both are the triple weight mu(rkl) phi(k)/(kl) or its absolute
+    value bit for bit: floats round symmetrically in sign.
+    """
+    out = np.zeros(hi - lo, dtype=np.float64)
+    for r, mu_r in _squarefree_divisors(q):
+        j0, j1 = -(-lo // r), (hi - 1) // r
+        if j0 > j1:
+            continue
+        src = w[j0: j1 + 1]
+        if not signed:
+            src = np.abs(src)
+        elif mu_r < 0:
+            src = 0.0 - src  # -w, with +0.0 where w is 0
+        np.copyto(out[j0 * r - lo:: r], src, where=_coprime_mask(j1, q, j0))
     return out
 
 
 def g_coefficients(limit: int, q: int = 1) -> np.ndarray:
     """g_q(m) for m = 0..limit (g[0] = 0), as floats."""
-    return _triple_accumulate(limit, q, True, _inverses(limit))
+    require_squarefree(q)
+    return _q_weights(_cubefree_weights(limit), q, 0, limit + 1, True)
 
 
 def r1_values(limit: int, q: int = 1) -> np.ndarray:
     """Cumulative r1*(n; q) for n = 0..limit, as floats."""
-    r1 = _triple_accumulate(limit, q, False, _inverses(limit))
+    require_squarefree(q)
+    r1 = _q_weights(_cubefree_weights(limit), q, 0, limit + 1, False)
     return np.cumsum(r1, out=r1)
+
+
+def _first_max(tops) -> _RunningMax:
+    """The first strictly largest of running maxima taken in order, floored
+    at 0: what one _RunningMax(0.0) fed their sweeps in that order holds."""
+    best = _RunningMax(0.0)
+    for top in tops:
+        if top.value > best.value:
+            best = top
+    return best
 
 
 def r1_star(X: float, q: int = 1) -> Fraction:
@@ -255,18 +278,20 @@ def check_majorstar2(q_set=(1, 2, 6, 30), X_max: int = 100_000) -> BoundReport:
     r2* is a step function of X, and the envelope decreases, so checking at
     integers from the left endpoint covers all real X >= 1.
     """
-    inv = _inverses(X_max)
-    worst = _RunningMax(0.0)
     for q in q_set:
-        partials = _triple_accumulate(X_max, q, True, inv)
-        partials *= inv
-        np.cumsum(partials, out=partials)
-        hq = h_q(q)
-        scale = _R_ENVELOPE * j1_star(q)
-        for lo, hi in _blocks(1, X_max + 1):
-            r2_abs = np.abs(hq.mid - partials[lo:hi]) + 0.5 * hq.width
-            envelope = scale / np.sqrt(np.arange(lo, hi, dtype=np.float64))
-            worst.feed(r2_abs / envelope, lo, q)
+        require_squarefree(q)
+    w = _cubefree_weights(X_max)
+    # Per q: H_q(1), the envelope's scale, sum g_q(m)/m so far, the worst ratio.
+    sweeps = [(q, h_q(q), _R_ENVELOPE * j1_star(q), _RunningSum(), _RunningMax(0.0))
+              for q in q_set]
+    for lo, hi in _blocks(1, X_max + 1):
+        n = np.arange(lo, hi, dtype=np.float64)
+        inv, root = 1.0 / n, np.sqrt(n)
+        for q, hq, scale, partial, top in sweeps:
+            partials = partial.cumsum(_q_weights(w, q, lo, hi, True) * inv)
+            r2_abs = np.abs(hq.mid - partials) + 0.5 * hq.width
+            top.feed(r2_abs / (scale / root), lo, q)
+    worst = _first_max(s[-1] for s in sweeps)
     return BoundReport(
         name="r2-envelope",
         domain=f"q in {tuple(q_set)}, X <= {X_max}",
@@ -288,26 +313,36 @@ def scan_majorstar(X_max: int = 1_000_000,
     r1*(X) <= 1.17 sqrt(X) j1*(q) when all prime factors of q are below 30.
     r1* jumps up only at integers and the envelopes increase, so integer
     arguments are the extremal real points.
+
+    One block of X serves every q.  Each (form, q) keeps its own worst
+    ratio, and the forms' worst are the first maxima in q order, as if the
+    q were swept one after another.
     """
-    general, sharp = f"{_R_ENVELOPE}", f"{_R1_SMALL}"
-    worst = {general: _RunningMax(0.0), "0.931+1.96": _RunningMax(0.0),
-             sharp: _RunningMax(0.0)}
-    inv = _inverses(X_max)
+    general, mixed, sharp = f"{_R_ENVELOPE}", "0.931+1.96", f"{_R1_SMALL}"
     for q in q_set:
-        limit = X_max if q < 100 else min(X_max, 100_000)
-        r1 = _triple_accumulate(limit, q, False, inv[: limit + 1])
-        np.cumsum(r1, out=r1)
-        j1 = j1_star(q)
-        j5 = j5_star(q)
-        small = all(p < small_factor_cap for p in prime_divisors(q))
-        for lo, hi in _blocks(1, limit + 1):
-            n = np.arange(lo, hi, dtype=np.float64)
-            sq = np.sqrt(n)
-            r = r1[lo:hi]
-            worst[general].feed(r / (_R_ENVELOPE * sq * j1), lo, q)
-            worst["0.931+1.96"].feed(r / (0.931 * sq * j1 + 1.96 * n ** 0.25 * j5), lo, q)
+        require_squarefree(q)
+    w = _cubefree_weights(X_max)
+    # Per q: its last X, j1*, j5*, whether the sharp form applies, r1* so far,
+    # and the worst ratio of each form.
+    sweeps = [(q, X_max if q < 100 else min(X_max, 100_000), j1_star(q), j5_star(q),
+               all(p < small_factor_cap for p in prime_divisors(q)), _RunningSum(),
+               {form: _RunningMax(0.0) for form in (general, mixed, sharp)})
+              for q in q_set]
+    for lo, hi in _blocks(1, X_max + 1):
+        n = np.arange(lo, hi, dtype=np.float64)
+        sq = np.sqrt(n)
+        env_general, env_sharp = _R_ENVELOPE * sq, _R1_SMALL * sq
+        env_sqrt, env_quart = 0.931 * sq, 1.96 * n ** 0.25
+        for q, limit, j1, j5, small, r1, top in sweeps:
+            b = min(hi, limit + 1) - lo
+            if b <= 0:
+                continue
+            r = r1.cumsum(_q_weights(w, q, lo, lo + b, False))
+            top[general].feed(r / (env_general[:b] * j1), lo, q)
+            top[mixed].feed(r / (env_sqrt[:b] * j1 + env_quart[:b] * j5), lo, q)
             if small:
-                worst[sharp].feed(r / (_R1_SMALL * sq * j1), lo, q)
+                top[sharp].feed(r / (env_sharp[:b] * j1), lo, q)
+    worst = {form: _first_max(s[-1][form] for s in sweeps) for form in (general, mixed, sharp)}
     passed = all(v.value <= 1.0 for v in worst.values())
     overall = max(worst.values(), key=lambda v: v.value)
     return BoundReport(
@@ -527,9 +562,10 @@ def check_g_mean(limit: int = 1_000_000, q_set=(1, 2, 6)) -> BoundReport:
     """
     worst = (0.0, None)
     rows = []
-    inv = _inverses(limit)
+    w, inv = _cubefree_weights(limit), _inverses(limit)
     for q in q_set:
-        g = _triple_accumulate(limit, q, True, inv)
+        require_squarefree(q)
+        g = _q_weights(w, q, 0, limit + 1, True)
         g *= inv
         partial = fsum_array(g)
         hq = h_q(q)

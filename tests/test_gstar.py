@@ -1,5 +1,9 @@
+import hashlib
+import math
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +19,7 @@ from mulcm.gstar import (
     check_gstar_contract,
     check_gstar_difference,
     check_majorstar2,
+    g_coefficients,
     gstar,
     gstar_asymptotic,
     gstar_exact,
@@ -24,6 +29,7 @@ from mulcm.gstar import (
     r1_values,
     scan_majorstar,
 )
+from mulcm import gstar as gstar_module
 from mulcm.products import P0_DEEP
 
 
@@ -64,6 +70,141 @@ def test_r1_star_frozen():
     assert r1_star(4, 1) == Fraction(7, 3)
     vals = r1_values(50, 1)
     assert float(vals[4]) == pytest.approx(7.0 / 3.0, abs=1e-12)
+
+
+def test_r1_values_match_the_exact_oracle():
+    X_set = (1, 2, 3, 4, 8, 9, 27, 97, 210, 1000, 2047, 3000)
+    for q in (1, 2, 6, 30):
+        vals = r1_values(3000, q)
+        for X in X_set:
+            exact = r1_star(X, q)
+            assert float(vals[X]) == pytest.approx(float(exact), rel=1e-12, abs=0), (q, X)
+
+
+def _squarefree_upto(n: int) -> list[bool]:
+    sqf = [True] * (n + 1)
+    for p in range(2, math.isqrt(n) + 1):
+        sqf[p * p:: p * p] = [False] * len(range(p * p, n + 1, p * p))
+    return sqf
+
+
+def _phi(k: int) -> int:
+    return sum(1 for a in range(1, k + 1) if math.gcd(a, k) == 1)
+
+
+def _mu(n: int) -> int:
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+@pytest.mark.parametrize("q", [1, 2, 6, 30, 210])
+def test_each_m_has_at_most_one_triple(q):
+    # m = k^2 l r with r | q, (kl, q) = 1, k and l squarefree and coprime:
+    # brute force over every triple up to N, independent of mulcm.
+    N = 5000
+    sqf = _squarefree_upto(N)
+    triples, count = {}, Counter()
+    for k in range(1, math.isqrt(N) + 1):
+        if not sqf[k] or math.gcd(k, q) != 1:
+            continue
+        for r in (r for r in range(1, q + 1) if q % r == 0):
+            for l in range(1, N // (k * k * r) + 1):
+                if sqf[l] and math.gcd(l, q * k) == 1:
+                    m = k * k * l * r
+                    count[m] += 1
+                    triples[m] = (k, l, r)
+    assert max(count.values()) == 1
+    # g_q holds that one term at m and 0 elsewhere; |g_q| is r1*'s jump.
+    g = g_coefficients(N, q)
+    jumps = gstar_module._q_weights(gstar_module._cubefree_weights(N), q, 0, N + 1, False)
+    assert np.array_equal(np.abs(g), jumps)
+    assert np.array_equal(np.cumsum(jumps), r1_values(N, q))
+    assert set(np.flatnonzero(g).tolist()) == set(triples)
+    for m, (k, l, r) in triples.items():
+        exact = Fraction(_mu(r * k * l) * _phi(k), k * l)
+        assert g[m] == pytest.approx(float(exact), rel=1e-15, abs=0), (m, q)
+
+
+# sha256 (first 16 hex digits) of g_coefficients(n, q).tobytes() ("g@n,q"),
+# r1_values(n, q).tobytes() ("r1@n,q") and the repr of three default
+# reports, taken from the per-triple accumulation the weight table replaced.
+WEIGHT_PINS = {
+    "g-mean": "ab5b74815bfe33c6",
+    "g@1,1": "fc62429c3e69001d",
+    "g@1,2": "fc62429c3e69001d",
+    "g@1,210": "fc62429c3e69001d",
+    "g@1,30": "fc62429c3e69001d",
+    "g@1,6": "fc62429c3e69001d",
+    "g@1000000,1": "67ac61faa04cc712",
+    "g@1000000,2": "21f8dcd05dbb6570",
+    "g@1000000,210": "cfaa097cd07b1fb8",
+    "g@1000000,30": "e443a9c545c64d85",
+    "g@1000000,6": "6e8f5026e6584b0c",
+    "g@2,1": "fb101de89fde81b7",
+    "g@2,2": "4e32ebf8795fb0d6",
+    "g@2,210": "4e32ebf8795fb0d6",
+    "g@2,30": "4e32ebf8795fb0d6",
+    "g@2,6": "4e32ebf8795fb0d6",
+    "g@65537,1": "08a7170abf3cf2a0",
+    "g@65537,2": "d66e876a1246b1b5",
+    "g@65537,210": "b827f2fcd6fabe25",
+    "g@65537,30": "638d58bcd34668a8",
+    "g@65537,6": "1ee38a43c5711b54",
+    "g@97,1": "a26db0a6a4c49cab",
+    "g@97,2": "5a024eb1a97c9389",
+    "g@97,210": "7b3ea427a4914703",
+    "g@97,30": "2454b497af225062",
+    "g@97,6": "67f001f5a5539a8d",
+    "keyb": "ab24f8d7bdb249b4",
+    "majorstar2": "0e2ed2a400e2288d",
+    "r1@1,1": "fc62429c3e69001d",
+    "r1@1,2": "fc62429c3e69001d",
+    "r1@1,210": "fc62429c3e69001d",
+    "r1@1,30": "fc62429c3e69001d",
+    "r1@1,6": "fc62429c3e69001d",
+    "r1@1000000,1": "19e149fa4ee2483e",
+    "r1@1000000,2": "2fe147619ea12a5d",
+    "r1@1000000,210": "7dabae8b0b2fb596",
+    "r1@1000000,30": "dbd4aeb026d6059f",
+    "r1@1000000,6": "8bca0e820107f92f",
+    "r1@2,1": "279d180b519c4452",
+    "r1@2,2": "b0c45303f7f11848",
+    "r1@2,210": "b0c45303f7f11848",
+    "r1@2,30": "b0c45303f7f11848",
+    "r1@2,6": "b0c45303f7f11848",
+    "r1@65537,1": "ad67401f30d6af77",
+    "r1@65537,2": "32cf41076cbf22f1",
+    "r1@65537,210": "6c38bb77594fe192",
+    "r1@65537,30": "621997c6f891e593",
+    "r1@65537,6": "18853ef7e64aa351",
+    "r1@97,1": "8b2b161b1f95070c",
+    "r1@97,2": "f17347aa13cf4431",
+    "r1@97,210": "316242f17a0ec488",
+    "r1@97,30": "7d9952343e826ab3",
+    "r1@97,6": "f5d27d1ce1a2a2a8",
+}
+
+
+def test_weights_and_reports_match_the_triple_accumulation():
+    def digest(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()[:16]
+
+    got = {}
+    for q in (1, 2, 6, 30, 210):
+        for n in (1, 2, 97, 65_537, 10**6):
+            got[f"g@{n},{q}"] = digest(g_coefficients(n, q).tobytes())
+            got[f"r1@{n},{q}"] = digest(r1_values(n, q).tobytes())
+    for name, check in (("majorstar2", check_majorstar2), ("g-mean", check_g_mean),
+                        ("keyb", check_averaged_divisor_identity)):
+        got[name] = digest(repr(check()).encode())
+    assert got == WEIGHT_PINS
 
 
 def test_majorstar2_envelope():

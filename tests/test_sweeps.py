@@ -222,7 +222,13 @@ def test_aux_sweeps_keep_one_array(check):
 
 
 def test_majorstar_sweep_memory():
-    # The 1/n array shared by every q, one q's r1* (cumsum in place) and the
-    # transients of _triple_accumulate.
+    # The q-free cube-free weight table (8 B per n), shared by every q, and
+    # the blocks each q's r1* jumps are copied into and summed in.
     sieve._table(D)
-    assert _traced_peak(lambda: gstar.scan_majorstar(D)) <= 40 * D
+    assert _traced_peak(lambda: gstar.scan_majorstar(D)) <= 16 * D
+
+
+def test_majorstar2_sweep_memory():
+    # The same weight table, and per block each q's signed weights over n.
+    sieve._table(D)
+    assert _traced_peak(lambda: gstar.check_majorstar2(X_max=D)) <= 16 * D
