@@ -52,21 +52,37 @@ class AssemblyConfig:
 # ----------------------------------------------------------------------
 # Per-j reductions over the divisors of the primorial of j.
 
+# A _j_reduce call walks its 2^n divisor masks in blocks of 2^b (_j_shape):
+# b = _J_BLOCK_BITS, 256 KiB per float64 block, or the number k of primes
+# with 2p <= j if larger, so that the subset-sum transform of m runs inside
+# one block; b is capped at n.
+_J_BLOCK_BITS = 15
 # Traced peak of one cold _j_reduce call that keeps every mask in a localized
-# sum: 25 B per divisor mask, the 8 B remainder weights and 8 B log(delta),
-# then the 1 B `keep` mask and its compressed copy of the weights, 8 B at
-# most.  Before that it holds two 8 B arrays at a time.  The fixed part covers
-# the per-n and per-prime objects.
-_J_REDUCE_BYTES_PER_MASK = 25
+# sum: 8 B per divisor mask for the buffer its kept weights are compacted
+# into, and 73 B per mask of a block: the four low tables, one block's
+# weights, m, sqrt(delta) and log(delta), 8 B each, then its 1 B `keep`
+# mask and the 8 B kept weights.  The fixed part covers the per-n and
+# per-prime objects.
+_J_REDUCE_BYTES_PER_MASK = 8
+_J_REDUCE_BYTES_PER_BLOCK_MASK = 73
 _J_REDUCE_FIXED_BYTES = 64 << 10
 # A divisor mask below this has all its primes below _SMALL_PRIMES_BELOW
 # (30): the ten primes 2..29 are bits 0..9.
 _SMALL_MASKS = 1 << len(primes_upto(_SMALL_PRIMES_BELOW - 1))
 
 
-def _j_reduce_bytes(n_masks: int) -> int:
-    """Declared peak memory of one _j_reduce call over n_masks divisors."""
-    return _J_REDUCE_BYTES_PER_MASK * n_masks + _J_REDUCE_FIXED_BYTES
+def _j_shape(j: int) -> tuple[list[int], int, int]:
+    """(the primes p <= j, the number k of them with 2p <= j, the block bits b)."""
+    ps = [int(p) for p in primes_upto(j)]
+    k = sum(2 * p <= j for p in ps)
+    return ps, k, min(len(ps), max(_J_BLOCK_BITS, k))
+
+
+def _j_reduce_bytes(j: int) -> int:
+    """Declared peak memory of one _j_reduce call at j."""
+    ps, _, b = _j_shape(j)
+    return ((_J_REDUCE_BYTES_PER_MASK << len(ps))
+            + (_J_REDUCE_BYTES_PER_BLOCK_MASK << b) + _J_REDUCE_FIXED_BYTES)
 
 
 def _double(a: np.ndarray, k: int, op, consts) -> np.ndarray:
@@ -86,9 +102,35 @@ def _doubled(start: float, op, consts) -> np.ndarray:
     return _double(a, 0, op, consts)
 
 
-def _m_values(j: int, ps: list[int]) -> np.ndarray:
-    """m_delta(j) = sum_{n <= j, (n, delta) = 1} mu(n)/n for every divisor
-    mask delta of the primorial of j (bit i for ps[i]), as a reversed view.
+def _block(low: np.ndarray, op, consts, t: int) -> np.ndarray:
+    """Block t of a doubled array whose first 2^b entries are low, where
+    consts are the constants of the primes past the first b: low with
+    op(., c) applied for the constant of each set bit of t, ascending.
+    Doubling applies that same chain to the masks t 2^b + i, so the block
+    equals the slice of the whole doubled array bit for bit."""
+    out = low.copy()
+    for i, c in enumerate(consts):
+        if t >> i & 1:
+            op(out, c, out=out)
+    return out
+
+
+def _tree_sum(sums: list) -> float:
+    """The sum of 2^r values, added as a balanced binary tree.
+
+    Given the sums of the aligned 2^b-value blocks of a contiguous float64
+    array of 2^n values, with b >= 7 or b = n, this equals numpy's pairwise
+    a.sum() bit for bit: that sum halves every range longer than 128 values.
+    """
+    while len(sums) > 1:
+        sums = [x + y for x, y in zip(sums[::2], sums[1::2])]
+    return float(sums[0])
+
+
+def _subset_sums(j: int, ps: list[int], k: int) -> np.ndarray:
+    """g[T], the sum of mu(n)/n over the squarefree n <= j whose primes all
+    lie in T, for every prime mask T of ps (bit i for ps[i]); ps are the
+    first primes up to j, and the first k of them have 2p <= j.
 
     Point masses mu(n)/n go on the prime subset of each squarefree n <= j
     whose primes p all have 2p <= j, and an in-place subset-sum transform
@@ -97,10 +139,9 @@ def _m_values(j: int, ps: list[int]) -> np.ndarray:
     each of those primes, ascending, doubles g: g[T + p] = g[T] - 1/p.  That
     is bit for bit the full transform over all primes: there, the block of
     such a p holds exactly -1/p before p's pass (its other entries only ever
-    add +0.0), and the pass adds it to the entry below.  m_delta(j) is g at
-    the complement of delta, which is the array reversed.
+    add +0.0), and the pass adds it to the entry below.  Over all the primes
+    up to j, m_delta(j) is g at the complement of delta.
     """
-    k = sum(2 * p <= j for p in ps)
     low = ps[:k]
     g = np.zeros(1 << len(ps), dtype=np.float64)
     for n in range(1, j + 1):
@@ -118,7 +159,39 @@ def _m_values(j: int, ps: list[int]) -> np.ndarray:
     for i in range(k):
         v = g[: 1 << k].reshape(-1, 2, 1 << i)
         v[:, 1, :] += v[:, 0, :]
-    return _double(g, k, np.add, [-1 / p for p in ps[k:]])[::-1]
+    return _double(g, k, np.add, [-1 / p for p in ps[k:]])
+
+
+def _j_blocks(j: int, logs: bool):
+    """The per-mask arrays of j's divisor table, block by block.
+
+    A divisor delta is the bitmask of its primes (bit i for the i-th prime
+    up to j), and the 2^n masks are cut into blocks of 2^b (_j_shape).
+    Yields, for each block t in order, (t, m, phi(delta)/delta^2,
+    sqrt(delta), log(delta) or None unless logs) over the masks t 2^b to
+    (t + 1) 2^b - 1, as fresh arrays; m is m_delta(j).
+
+    phi(delta)/delta^2, sqrt(delta), log(delta) and g (_subset_sums) are
+    built once over the low 2^b masks.  Block t of each is that low table
+    doubled on by the primes of t's bits (_block), and m's block t is g's
+    block 2^(n-b) - 1 - t reversed, as m is g at the complement.  So each
+    entry is the same chain of float operations as over the whole table.
+    """
+    ps, k, b = _j_shape(j)
+    phi = [(p - 1.0) / (p * p) for p in ps]
+    root = [math.sqrt(p) for p in ps]
+    log = [math.log(p) for p in ps]
+    neg = [-1 / p for p in ps]
+    g = _subset_sums(j, ps[:b], k)
+    phi_low = _doubled(1.0, np.multiply, phi[:b])
+    root_low = _doubled(1.0, np.multiply, root[:b])
+    log_low = _doubled(0.0, np.add, log[:b]) if logs else None
+    last = (1 << (len(ps) - b)) - 1
+    for t in range(last + 1):
+        yield (t, _block(g, np.add, neg[b:], last - t)[::-1],
+               _block(phi_low, np.multiply, phi[b:], t),
+               _block(root_low, np.multiply, root[b:], t),
+               _block(log_low, np.add, log[b:], t) if logs else None)
 
 
 _E1 = math.exp(EULER_GAMMA / 2.0) - 1.0
@@ -137,39 +210,52 @@ def _j_reduce(j: int, R: float, j1: float, refine: bool,
     _SMALL_MASKS) under refine, else 2.18.  It takes two values, computed as
     Python floats with the same operations an array of C would see.
 
-    A divisor delta is the bitmask of its primes.  phi(delta)/delta^2,
-    sqrt(delta) and log(delta) are built by doubling, prime by prime in
-    ascending order, so each entry is the same chain of float operations as
-    a per-mask product.  One weight array is formed in place, times m twice,
-    then times sqrt(delta), j1 and coef; each other array is built only when
-    it is needed and dropped after use, and no array outlives the call.
+    The table is walked block by block (_j_blocks).  A block's weights are
+    formed in place, times m twice, then times sqrt(delta), j1 and coef.
+    W and the full sum add the block sums in a balanced tree (_tree_sum),
+    which is numpy's pairwise sum over the whole table.  Each finite bound
+    takes one walk, which compacts the kept weights, in order, into one
+    buffer over the masks and sums it once: the same array as
+    w[logd <= b].  An infinite bound keeps every mask, so its sum is the
+    full one.  No array outlives the call.
     """
-    ps = [int(p) for p in primes_upto(j)]
-    check_allocation(_j_reduce_bytes(1 << len(ps)),
-                     f"primorial divisor reduction for j={j}")
-    m = _m_values(j, ps)
-    w = _doubled(1.0, np.multiply, [(p - 1.0) / (p * p) for p in ps])
-    w *= m
-    w *= m
-    del m
-    W = float(w.sum())
-    sq = _doubled(1.0, np.multiply, [math.sqrt(p) for p in ps])
-    w *= sq
-    del sq
+    ps, _, b = _j_shape(j)
+    check_allocation(_j_reduce_bytes(j), f"primorial divisor reduction for j={j}")
+    finite = list(dict.fromkeys(x for x in log_bounds if x != math.inf))
+    kept = np.empty(1 << len(ps), dtype=np.float64) if finite else None
     sR, sj = math.sqrt(R), math.sqrt(j)
 
     def coef(C: float) -> float:
         return 2.0 * C * _E1 * (sR + sj) + 2.0 * _R_ENVELOPE * _E2 * (sR - sj)
 
-    w *= j1
-    w[:_SMALL_MASKS] *= coef(_R1_SMALL if refine else _R_ENVELOPE)
-    w[_SMALL_MASKS:] *= coef(_R_ENVELOPE)
-    total = float(w.sum())
-    if all(b == math.inf for b in log_bounds):
-        # Every delta is in reach, and w[logd <= inf] is w in the same order.
-        return W, total, [total] * len(log_bounds)
-    logd = _doubled(0.0, np.add, [math.log(p) for p in ps])
-    return W, total, [float(w[logd <= b].sum()) for b in log_bounds]
+    c_small, c_rest = coef(_R1_SMALL if refine else _R_ENVELOPE), coef(_R_ENVELOPE)
+
+    def walk(bound: float) -> tuple[float, float, float]:
+        """(W, the full sum, the sum over the delta with log(delta) <= bound)."""
+        W_sums, sums, size = [], [], 0
+        for t, m, w, sq, logd in _j_blocks(j, bound != math.inf):
+            w *= m
+            w *= m
+            W_sums.append(w.sum())
+            w *= sq
+            w *= j1
+            small = max(_SMALL_MASKS - (t << b), 0)
+            w[:small] *= c_small
+            w[small:] *= c_rest
+            sums.append(w.sum())
+            if logd is not None:
+                w = w[logd <= bound]  # the block's kept weights, in order
+                kept[size:size + w.size] = w
+                size += w.size
+            del m, w, sq, logd  # before the next block is built
+        total = _tree_sum(sums)
+        return _tree_sum(W_sums), total, (
+            total if bound == math.inf else float(kept[:size].sum()))
+
+    part = {}
+    for bound in finite or [math.inf]:
+        W, total, part[bound] = walk(bound)
+    return W, total, [total if x == math.inf else part[x] for x in log_bounds]
 
 
 def theorem_bound(config: AssemblyConfig) -> dict:
@@ -180,23 +266,25 @@ def theorem_bound(config: AssemblyConfig) -> dict:
     dyadic windows were evaluated (`windows`) and how many passes over the
     primorial tables that took (`table_passes`).
 
-    Each j's table is built, reduced to scalars by _j_reduce and dropped
-    before the next j, so the peak memory is one reduction at j = int(ratio),
-    which is checked against the budget before any table is built.  Pass 1
-    reduces every table at Y = x_min.  Only when the supremum is not settled
-    there does pass 2 rebuild each table once and reduce it at every further
-    dyadic Y the search can reach.  Every sum is formed from the same floats
-    in the same order as over materialized tables.  Without localization a
-    window reaches every term, so the search stops after the first.
+    Each j's table is reduced to scalars by _j_reduce, block by block, and
+    nothing of it is kept for the next j.  So the peak memory is one
+    reduction at j = int(ratio): 8 B per divisor mask for its compaction
+    buffer, plus its blocks (_j_reduce_bytes), which is checked against the
+    budget before any table is built.  Pass 1 reduces every table at
+    Y = x_min.  Only when the supremum is not settled there does pass 2
+    reduce each table again at every further dyadic Y the search can reach,
+    one walk over its blocks per Y.  Every sum is formed from the same
+    floats in the same order as over materialized tables.  Without
+    localization a window reaches every term, so the search stops after the
+    first.
     """
     x_min, ratio = config.x_min, config.ratio
     if not (x_min > 1 and ratio > 1):
         raise ValueError("need x_min > 1 and ratio > 1")
     jmax = int(ratio)
-    ps = primes_upto(jmax)
-    check_allocation(_j_reduce_bytes(1 << len(ps)),
+    check_allocation(_j_reduce_bytes(jmax),
                      f"primorial divisor reductions up to j={jmax}")
-    primes = set(ps.tolist())
+    primes = set(primes_upto(jmax).tolist())
     A = A_DEEP.mid
     tail = tail_bound(1.0, ratio)["flat"]
     reach = 2.0 if config.localize else math.inf  # window [Y, 2Y) sees j delta <= reach Y

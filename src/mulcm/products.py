@@ -7,12 +7,12 @@ theorem inequality whose constant depends on where the tail starts; tails
 without the log weight go through f(t)/log t.
 
 Every product and weighted sum over the primes up to a cutoff reads a prime
-context (_PrimeContext): the primes as floats, with the weights G(p) and the
-powers p^e evaluated as arrays.  Each public call builds the one context per
-cutoff it needs as a local, so the primes are sieved once per call and freed
-when it returns.  Local terms are array expressions over that context, in the
-same float operations and order as a per-prime loop, so the partial products
-are bit-identical to one.
+context (_PrimeContext): the primes as floats, with the powers p^e evaluated
+as arrays.  Each public call builds the one context per cutoff it needs as a
+local, so the primes are sieved once per call and freed when it returns.
+Local terms are array expressions over a block of that context (_PrimeBlock,
+with the weights G(p) computed per block), in the same float operations and
+order as a per-prime loop, so the partial products are bit-identical to one.
 
 Every product (A and P0 in _cubic_product, the weight products in
 _h_product) is its partial product times the exponential of a
@@ -37,7 +37,10 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .numutil import _RunningMax, _blocks, fsum_array, quad_log
+from .numutil import (
+    _SWEEP_BLOCK, _RunningMax, _RunningSum, _blocks, check_allocation, fsum_array,
+    quad_log,
+)
 from .report import BoundReport, CertifiedValue
 from .sieve import (
     _prime_factor_product, _squarefree_divisors, primes_upto,
@@ -121,28 +124,41 @@ def check_prime_tail(cutoff: int = 30_000_000) -> BoundReport:
     for the infinite sum, so partial <= bound is a necessary condition; the
     uncaptured remainder beyond the cutoff only makes the check more lenient
     and is reported per row as the captured integral fraction.
+
+    The primes are walked in numutil._blocks from the last block down, with
+    a running sum (_RunningSum) per exponent over each reversed block: the
+    adds of np.cumsum over all the reversed terms, in the same order, so
+    each partial is read bit for bit as its block passes.
     """
-    ps = primes_upto(cutoff).astype(np.float64)
-    logs = np.log(ps)
+    primes = primes_upto(cutoff)
     grid = [10.0, 1e3, 1e5, 3.7e6, 1e7]
+    exponents = (1.5, 2.0)
+    # The index of the first prime >= P; the partial past the last prime is 0.
+    first = {P: int(np.searchsorted(primes, math.ceil(P), side="left")) for P in grid}
+    partials = dict.fromkeys(itertools.product(exponents, grid), 0.0)
+    suffix_sums = {a: _RunningSum() for a in exponents}
+    for lo, hi in reversed(list(_blocks(0, len(primes)))):
+        ps = primes[lo:hi].astype(np.float64)
+        logs = np.log(ps)
+        for a in exponents:
+            weighted = logs / ps ** a
+            suffix = suffix_sums[a].cumsum(weighted[::-1])[::-1]
+            for P, i in first.items():
+                if lo <= i < hi:
+                    partials[a, P] = float(suffix[i - lo])
     worst = (0.0, None)
     rows = []
-    for a in (1.5, 2.0):
-        weighted = logs / ps ** a
-        suffix = np.cumsum(weighted[::-1])[::-1]
-        for P in grid:
-            i = int(np.searchsorted(ps, P, side="left"))
-            partial = float(suffix[i]) if i < len(ps) else 0.0
-            exact_integral = P ** (1.0 - a) / (a - 1.0)
-            bound = prime_tail_bound(lambda t: t ** -a, P, integral=exact_integral)
-            captured = 1.0 - (cutoff / P) ** (1.0 - a)
-            ratio = partial / bound
-            mode = "strong" if P >= STRONG_MIN_P else "weak"
-            rows.append({"a": a, "P": P, "mode": mode, "partial": partial,
-                         "bound": bound, "ratio": ratio,
-                         "captured_integral_fraction": captured})
-            if ratio > worst[0]:
-                worst = (ratio, (a, P))
+    for (a, P), partial in partials.items():
+        exact_integral = P ** (1.0 - a) / (a - 1.0)
+        bound = prime_tail_bound(lambda t: t ** -a, P, integral=exact_integral)
+        captured = 1.0 - (cutoff / P) ** (1.0 - a)
+        ratio = partial / bound
+        mode = "strong" if P >= STRONG_MIN_P else "weak"
+        rows.append({"a": a, "P": P, "mode": mode, "partial": partial,
+                     "bound": bound, "ratio": ratio,
+                     "captured_integral_fraction": captured})
+        if ratio > worst[0]:
+            worst = (ratio, (a, P))
     return BoundReport(
         name="prime-tail-estimate",
         domain=f"f(t)=t^-a, a in (1.5, 2), P grid to 1e7, primes to {cutoff:g}",
@@ -154,21 +170,54 @@ def check_prime_tail(cutoff: int = 30_000_000) -> BoundReport:
     )
 
 
+# The float64 arrays over the primes that a _PrimeContext holds at most: ps,
+# the three powers the weight products read (p^XI, p^(5/3) and p^(7/3)) and
+# the buffer.
+_CONTEXT_ARRAYS = 5
+# Traced peak of the temporaries of one block of local terms: four float64
+# arrays over the primes of a block (_PrimeBlock).  numpy elides the
+# temporaries of an expression only over arrays of 2^15 floats and up, so a
+# smaller block holds up to 9 B per prime more; the fixed part covers that
+# and the per-product objects (prime zeta values, enclosures, reports).
+_CONTEXT_BLOCK_BYTES_PER_PRIME = 32
+_CONTEXT_FIXED_BYTES = 384 << 10
+
+
+def _context_bytes(n_primes: int) -> int:
+    """Declared peak memory of a _PrimeContext over n_primes primes and of
+    any product or prime power tail evaluated on it."""
+    return (8 * _CONTEXT_ARRAYS * n_primes
+            + _CONTEXT_BLOCK_BYTES_PER_PRIME * min(n_primes, _SWEEP_BLOCK)
+            + _CONTEXT_FIXED_BYTES)
+
+
 class _PrimeContext:
-    """The primes p <= cutoff as floats, with per-prime arrays built once.
+    """The primes p <= cutoff as floats, with the per-prime arrays a call reads.
 
     A public call that evaluates several products at one cutoff builds one
     context and passes it to each, so the primes are sieved and raised to
     each power once per call, each sieved prime power tail past the cutoff
     is enclosed once per call (_prime_power_tails), and none of the arrays
-    (about 40 MB at cutoff 10^7) outlives it.
+    outlives it.  Local terms are evaluated a block of primes at a time
+    (_partial_product), so what stays resident is ps, at most three libm
+    powers and the buffer: 8 B per prime each, 26.6 MB in all at cutoff
+    10^7, checked against the budget once the primes are sieved.
     """
 
     def __init__(self, cutoff: int):
         self.cutoff = cutoff
-        self.ps = _read_only(primes_upto(cutoff).astype(np.float64))
+        primes = primes_upto(cutoff)
+        check_allocation(_context_bytes(len(primes)), f"prime context to {cutoff}")
+        self.ps = _read_only(primes.astype(np.float64))
         self._powers: dict[float, np.ndarray] = {}
         self._tails: dict[tuple[int, int], CertifiedValue] = {}
+
+    @functools.cached_property
+    def buffer(self) -> np.ndarray:
+        """Scratch float64 array over the primes.  Each partial product
+        writes its log terms into it, and each sieved prime power tail its
+        terms, in turn."""
+        return np.empty(len(self.ps))
 
     def power(self, e: float) -> np.ndarray:
         """p ** e at every prime, with libm pow (math.pow, as Python's `**`).
@@ -185,25 +234,39 @@ class _PrimeContext:
                 np.float64, len(self.ps)))
         return self._powers[e]
 
-    @functools.cached_property
-    def g0(self) -> np.ndarray:
-        """The envelope factor g0(p) (mertens._g0_at) at every prime."""
-        return _read_only(_g0_at(self.ps))
+    def weight(self, key: str) -> np.ndarray:
+        """G(p) at every prime for the weight named by key (_weight)."""
+        return _weight(key, self.ps, self.power)
 
-    @functools.cached_property
-    def g1(self) -> np.ndarray:
-        """The envelope factor g1(p) (mertens._g1_at) at every prime."""
-        return _read_only(_g1_at(self.ps, self.power(XI)))
+
+class _PrimeBlock:
+    """The primes of a _PrimeContext with index in [lo, hi): views of its
+    ps and powers, and the weights computed from them."""
+
+    def __init__(self, primes: _PrimeContext, lo: int, hi: int):
+        self.primes, self.lo, self.hi = primes, lo, hi
+        self.ps = primes.ps[lo:hi]
+
+    def power(self, e: float) -> np.ndarray:
+        return self.primes.power(e)[self.lo:self.hi]
 
     def weight(self, key: str) -> np.ndarray:
-        """G(p) at every prime for the weight named by key: "g0^2", "g0*g1", or "g1^2"."""
-        if key == "g0^2":
-            return self.g0 * self.g0
-        if key == "g0*g1":
-            return self.g0 * self.g1
-        if key == "g1^2":
-            return self.g1 * self.g1
-        raise ValueError(f"unknown weight {key!r}")
+        return _weight(key, self.ps, self.power)
+
+
+def _weight(key: str, ps: np.ndarray, power) -> np.ndarray:
+    """G(p) at the primes ps for the weight named by key: "g0^2", "g0*g1",
+    or "g1^2", from the envelope factors g0(p) (mertens._g0_at) and g1(p)
+    (mertens._g1_at); power(XI) gives p^XI at ps."""
+    if key == "g0^2":
+        g0 = _g0_at(ps)
+        return g0 * g0
+    if key == "g0*g1":
+        return _g0_at(ps) * _g1_at(ps, power(XI))
+    if key == "g1^2":
+        g1 = _g1_at(ps, power(XI))
+        return g1 * g1
+    raise ValueError(f"unknown weight {key!r}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -214,9 +277,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def _partial_product(local, primes: _PrimeContext) -> float:
     """prod_{p <= primes.cutoff} (1 + local(p)).
 
-    local maps a _PrimeContext to the array of local terms at its primes.
+    local maps a block of primes (_PrimeBlock) to the array of local terms
+    at them.  Block by block, the log1p of the terms goes into
+    primes.buffer, which is summed once: the same array, and so the same
+    sum, as over all the terms at once.
     """
-    return math.exp(fsum_array(np.log1p(local(primes))))
+    logs = primes.buffer
+    for lo, hi in _blocks(0, len(logs)):
+        np.log1p(local(_PrimeBlock(primes, lo, hi)), out=logs[lo:hi])
+    return math.exp(fsum_array(logs))
 
 
 # Relative cushion on every product enclosure (_enclose) for the float error
@@ -230,8 +299,11 @@ def _partial_product(local, primes: _PrimeContext) -> float:
 # W = (p-1) G - p, where e_i is about 9 (p-1) G p^-s.  tests/test_products.py
 # evaluates e_i by running error analysis for every product of
 # check_h_caps(10^5) and (10^7), build_registry() and the frozen constants;
-# the largest bound, Hbar(2/3) of g0^2 at 10^7, is 6.9e-14.
+# the largest bound, Hbar(2/3) of g0^2 at 10^7, is 6.9e-14.  The weight
+# products' bound grows like cutoff^(1/3) / log cutoff, so _h_product refuses
+# cutoffs past FSLACK_MAX_CUTOFF, the deepest one it was checked at.
 FSLACK = 1e-13
+FSLACK_MAX_CUTOFF = 10_000_000
 
 
 def _enclose(partial: float, log_lo: float, log_hi: float) -> CertifiedValue:
@@ -491,7 +563,7 @@ def _prime_power_tails(exponents, primes: _PrimeContext) -> tuple[dict, dict]:
         routes["prime_zeta"] += 1
         hit = primes._tails.get(e)
         if hit is None:
-            partial = fsum_array(np.power(primes.ps, -e_f))
+            partial = fsum_array(np.power(primes.ps, -e_f, out=primes.buffer))
             with mp.workdps(40):
                 zeta = _primezeta_cache.get(e)
                 if zeta is None:
@@ -640,6 +712,10 @@ def _h_product(label: str, key: str,
     cutoff = primes.cutoff
     if cutoff < SHARP_TAIL_MIN_CUTOFF:
         raise ValueError(f"cutoff must be >= {SHARP_TAIL_MIN_CUTOFF}")
+    if cutoff > FSLACK_MAX_CUTOFF:
+        raise ValueError(
+            f"cutoff must be <= {FSLACK_MAX_CUTOFF}: FSLACK = {FSLACK} is shown to "
+            f"cover the float error of the weight products only up to there")
 
     def local(primes):
         p, G = primes.ps, primes.weight(key)
@@ -681,7 +757,8 @@ def check_h_caps(cutoff: int = 10_000_000) -> list[BoundReport]:
     """Verify the six asserted caps on H(1) and Hbar(2/3) at a deep cutoff.
 
     A cap passes only if the entire certified enclosure sits below it, so a
-    true value above the cap cannot be waved through by rounding.  Each
+    true value above the cap cannot be waved through by rounding.  The
+    cutoff lies in [SHARP_TAIL_MIN_CUTOFF, FSLACK_MAX_CUTOFF] (_h_product).  Each
     report's details["tails"] counts the exponents of its prime power tails
     by route (_prime_power_tails): "prime_zeta" (sieved) or "a_priori".
     """

@@ -136,21 +136,71 @@ def _bits(a: np.ndarray) -> np.ndarray:
 
 def test_j_reduce_arrays_equal_the_oracle_table():
     # m_delta(j) and the three doubled arrays, bit for bit (sign bits too),
-    # at every j the reference rows reach.
+    # at every j the reference rows reach, collected block by block.
     for j in range(1, 76):
         ps = [int(p) for p in primes_upto(j)]
-        pairs = [
-            (assembly._m_values(j, ps), _subset_sums(j, ps)[::-1]),
-            (assembly._doubled(1.0, np.multiply, [(p - 1.0) / (p * p) for p in ps]),
-             _doubled(1.0, ps, lambda a, p: a * ((p - 1.0) / (p * p)))),
-            (assembly._doubled(1.0, np.multiply, [math.sqrt(p) for p in ps]),
-             _doubled(1.0, ps, lambda a, p: a * math.sqrt(p))),
-            (assembly._doubled(0.0, np.add, [math.log(p) for p in ps]),
-             _doubled(0.0, ps, lambda a, p: a + math.log(p))),
+        oracles = [
+            _subset_sums(j, ps)[::-1],
+            _doubled(1.0, ps, lambda a, p: a * ((p - 1.0) / (p * p))),
+            _doubled(1.0, ps, lambda a, p: a * math.sqrt(p)),
+            _doubled(0.0, ps, lambda a, p: a + math.log(p)),
         ]
-        for k, (ours, oracle) in enumerate(pairs):
-            assert ours.dtype == oracle.dtype == np.float64, (j, k)
-            assert np.array_equal(_bits(ours), _bits(oracle)), (j, k)
+        seen = 0
+        for t, *blocks in assembly._j_blocks(j, True):
+            assert t == seen, j
+            lo, hi = t * blocks[0].size, (t + 1) * blocks[0].size
+            for k, (ours, oracle) in enumerate(zip(blocks, oracles, strict=True)):
+                assert ours.dtype == oracle.dtype == np.float64, (j, k)
+                assert np.array_equal(_bits(ours), _bits(oracle[lo:hi])), (j, t, k)
+            seen += 1
+        assert hi == 1 << len(ps), j
+
+
+@pytest.mark.parametrize("op", [np.add, np.multiply], ids=["add", "multiply"])
+def test_blocks_equal_the_doubled_slices(op):
+    # Every block built from the low table is the matching slice of the
+    # whole doubled array, sign bits included (the constants hold zeros of
+    # both signs and negatives).
+    rng = np.random.default_rng(5)
+    consts = [0.0, -0.0, *rng.normal(size=9).tolist()]
+    whole = assembly._doubled(-0.0, op, consts)
+    for b in range(len(consts) + 1):
+        low = assembly._doubled(-0.0, op, consts[:b])
+        for t in range(1 << (len(consts) - b)):
+            block = assembly._block(low, op, consts[b:], t)
+            assert np.array_equal(_bits(block), _bits(whole[t << b:(t + 1) << b])), (b, t)
+
+
+@pytest.mark.parametrize("n", range(22))
+def test_tree_of_block_sums_is_the_pairwise_sum(n):
+    # The balanced tree of the sums of aligned 2^b-value blocks (b >= 7, or
+    # b = n) equals numpy's sum over the whole array.
+    a = np.random.default_rng(n).normal(size=1 << n) * np.exp2(
+        np.random.default_rng(n + 100).integers(-30, 30, size=1 << n))
+    for b in range(min(n, 7), n + 1):
+        sums = [a[i:i + (1 << b)].sum() for i in range(0, a.size, 1 << b)]
+        assert assembly._tree_sum(sums) == a.sum(), (n, b)
+
+
+def test_j_reduce_digest_is_pinned():
+    # W, the full remainder sum and each localized sum at every j <= 75, for
+    # an infinite bound, one finite bound, three finite bounds (one keeps no
+    # mask) and refine=False: their float64 bytes as the whole-array
+    # reduction gave them.
+    vals, primorial = [], 1
+    for j in range(1, 76):
+        if j in set(primes_upto(j).tolist()):
+            primorial *= j
+        L = math.log(primorial)
+        R, j1 = min(j + 1.0, 75.99), j1_star(primorial)
+        for refine, bounds in ((True, [math.inf]), (True, [0.5 * L]),
+                               (True, [-1.0, 0.3 * L, math.log(2.2e7 / j)]),
+                               (False, [math.log(2.2e7 / j)])):
+            W, total, parts = assembly._j_reduce(j, R, j1, refine, bounds)
+            vals += [W, total, *parts]
+    assert len(vals) == 1050
+    digest = hashlib.sha256(np.array(vals, dtype=np.float64).tobytes()).hexdigest()
+    assert digest == "15606419d101c56e34297e3d83a9ce0092f590c422bc3a79da275ef5c560c6f7"
 
 
 def _j_reduce_75():
@@ -162,7 +212,7 @@ def _j_reduce_75():
 
 
 def test_j_reduce_memory_within_declared_budget(monkeypatch):
-    declared = assembly._j_reduce_bytes(1 << len(primes_upto(75)))  # 2^21 masks
+    declared = assembly._j_reduce_bytes(75)  # 2^21 masks
     monkeypatch.setenv("MULCM_MEMORY_BUDGET", str(declared))
     tracemalloc.start()
     try:
@@ -175,7 +225,7 @@ def test_j_reduce_memory_within_declared_budget(monkeypatch):
 
 
 def test_j_reduce_refused_one_byte_below_declared(monkeypatch):
-    declared = assembly._j_reduce_bytes(1 << len(primes_upto(75)))
+    declared = assembly._j_reduce_bytes(75)
     monkeypatch.setenv("MULCM_MEMORY_BUDGET", str(declared - 1))
     tracemalloc.start()
     try:

@@ -1,6 +1,8 @@
 import bisect
 import hashlib
+import json
 import math
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -10,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mulcm import numutil, products
+from mulcm import numutil, products, sieve
 from mulcm.mertens import XI
-from mulcm.numutil import fsum_array
+from mulcm.numutil import BudgetError, fsum_array
 from mulcm.report import CertifiedValue
 from mulcm.products import (
     A_DEEP,
@@ -68,6 +70,9 @@ def test_prime_tail_monotone_in_P(a):
 def test_prime_tail_desk_validation():
     rep = check_prime_tail(cutoff=3_000_000)
     assert rep.passed, rep.summary_line()
+    # The report of the whole-array reversed cumsum, repr for repr.
+    assert hashlib.sha256(repr(rep).encode()).hexdigest() == (
+        "8d51e5128a27730cdfb5c243c50ee3893bb3bd384210696fb75f679d5f6c8ac8")
 
 
 def test_constant_A_cross_cutoff():
@@ -173,14 +178,15 @@ def _record_float_error_bounds(mpatch) -> list:
     real = products._partial_product
 
     def spy(local, primes):
-        seen = []
+        terms = []
 
-        def recording(primes):
-            seen.append((primes, local(primes)))
-            return seen[0][1]
+        def recording(block):
+            terms.append(local(block))
+            return terms[-1]
 
         result = real(recording, primes)
-        bounds.append((primes.cutoff, _float_error_bound(local, *seen[0])))
+        bounds.append((primes.cutoff,
+                       _float_error_bound(local, primes, np.concatenate(terms))))
         return result
 
     mpatch.setattr(products, "_partial_product", spy)
@@ -323,12 +329,12 @@ def test_partial_products_equal_scalar_loop(monkeypatch):
     def spy(local, primes):
         terms = []
 
-        def recording(primes):
-            terms.append(local(primes))
-            return terms[0]
+        def recording(block):
+            terms.append(local(block))
+            return terms[-1]
 
         partial = real(recording, primes)
-        seen.append((terms[0], partial))
+        seen.append((np.concatenate(terms), partial))
         return partial
 
     monkeypatch.setattr(products, "_partial_product", spy)
@@ -425,7 +431,7 @@ def test_prime_zeta_rejects_the_pole():
                          ids=["check_h_caps", "build_registry"])
 def test_prime_contexts_are_shared_then_released(call, monkeypatch):
     # One context per cutoff serves all six products of the call, and none
-    # outlives it: at cutoff 10^7 one holds about 40 MB.
+    # outlives it: at cutoff 10^7 one holds about 27 MB.
     built = []
     real_init = products._PrimeContext.__init__
 
@@ -438,6 +444,33 @@ def test_prime_contexts_are_shared_then_released(call, monkeypatch):
     cutoffs = [c for c, _ in built]
     assert len(cutoffs) == len(set(cutoffs)) >= 1
     assert [c for c, ref in built if ref() is not None] == []
+
+
+def test_prime_context_memory_within_declared_budget(monkeypatch):
+    declared = products._context_bytes(len(primes_upto(10**6)))
+    monkeypatch.setenv("MULCM_MEMORY_BUDGET", str(declared))
+    tracemalloc.start()
+    try:
+        check_h_caps(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The declaration holds what the products allocate, not a loose ceiling.
+    assert 0.9 * declared <= peak <= declared, (peak, declared)
+
+
+def test_prime_context_refused_one_byte_below_declared(monkeypatch):
+    declared = products._context_bytes(len(primes_upto(10**6)))
+    monkeypatch.setenv("MULCM_MEMORY_BUDGET", str(declared - 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="prime context"):
+            check_h_caps(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Refused once the primes are sieved, before any float array over them.
+    assert peak <= sieve._primes_bytes(10**6), peak
 
 
 def _aux_values_loop(key: str, D: int) -> np.ndarray:
@@ -469,6 +502,18 @@ def test_aux_values_digest_pinned(key, digest):
     # from the shared prime-factor kernel in sieve.
     got = _aux_values(key, 2 * 10**5)
     assert hashlib.sha256(got.tobytes()).hexdigest() == digest
+
+
+def test_aux_values_digest_pinned_at_1e5():
+    # Taken while the prime context cached whole g0 and g1 arrays.
+    digests = {
+        "g0^2": "1183913265fd2ef5087d4073f22536930562dd6a82004b3ca762ea5aaf08a11f",
+        "g0*g1": "e92fec95c16baa2b1dc1c60e6f7ddc256917b8ac009295b5d8f68c85c4c2bfd6",
+        "g1^2": "a7e26a6f60fcee843bac1ffed27fc7afefcf614c210bd59ebc2575933af699bb",
+    }
+    for key, digest in digests.items():
+        got = _aux_values(key, 10**5)
+        assert hashlib.sha256(got.tobytes()).hexdigest() == digest, key
 
 
 def test_aux_sum_small():
@@ -622,6 +667,45 @@ def test_h_caps_nest_in_the_sieved_only_enclosures(h_caps_with_tail_exponents):
             assert enc["hi"] <= float.fromhex(hi), (cutoff, rep.name)
 
 
+# check_h_caps enclosures as float.hex (lo, hi), then the tail route counts
+# (prime_zeta, a_priori), in report order, as the whole-array partial
+# products gave them.
+_H_CAP_PINS = {
+    100_000: [
+        ("0x1.000aa32ce3f70p+1", "0x1.000aa32d018c0p+1", 3, 8),
+        ("0x1.235926de42c42p+6", "0x1.23592809ad82ep+6", 8, 19),
+        ("0x1.55e9e49f03870p+0", "0x1.55e9e49f20256p+0", 8, 31),
+        ("0x1.74acac67b4637p+4", "0x1.74acacd551486p+4", 10, 32),
+        ("0x1.1024d2dd4c8b8p+0", "0x1.1024d2dd68d54p+0", 5, 18),
+        ("0x1.26411c82b54c7p+3", "0x1.26411c842dd06p+3", 8, 24),
+    ],
+    10_000_000: [
+        ("0x1.000aa32ce62d8p+1", "0x1.000aa32cecff6p+1", 2, 9),
+        ("0x1.235926e0b279bp+6", "0x1.235926e142a9ap+6", 6, 21),
+        ("0x1.55e9e49f074a3p+0", "0x1.55e9e49f16458p+0", 5, 34),
+        ("0x1.74acac694deaap+4", "0x1.74acac698995ep+4", 7, 35),
+        ("0x1.1024d2dd55e49p+0", "0x1.1024d2dd5f7bfp+0", 2, 21),
+        ("0x1.26411c82cb4d0p+3", "0x1.26411c82dec0bp+3", 5, 27),
+    ],
+}
+
+
+def test_h_cap_enclosures_are_pinned(h_caps_with_tail_exponents):
+    for cutoff, pins in _H_CAP_PINS.items():
+        got = []
+        for rep, _ in h_caps_with_tail_exponents[cutoff]:
+            enc, tails = rep.details["enclosure"], rep.details["tails"]
+            got.append((enc["lo"].hex(), enc["hi"].hex(),
+                        tails["prime_zeta"], tails["a_priori"]))
+        assert got == pins, cutoff
+
+
+def test_registry_digest_is_pinned():
+    text = json.dumps(build_registry(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "05e87c7ee24c9503d2e55cd8b83386ffc6f4a849166e1d139d5a2c7356cb9d90")
+
+
 def _is_a_priori(e, cutoff: int) -> bool:
     return products._a_priori_tail(products._expo_float(e), cutoff) <= products._TAIL_PAD
 
@@ -728,6 +812,15 @@ def test_h_caps_all_decided():
             above.append(rep.name)
         assert rep.passed == (enc["hi"] < rep.bound)
     assert above == ["h-cap-H1(g1^2)"]
+
+
+@pytest.mark.parametrize("call", [h_linear, h_twothirds])
+def test_h_products_refuse_cutoffs_past_fslack(call):
+    # The running error bound is checked up to 10^7 (6.9e-14 against FSLACK)
+    # and grows with the cutoff, so a deeper cutoff is refused.
+    assert products.FSLACK_MAX_CUTOFF == 10**7
+    with pytest.raises(ValueError, match="FSLACK"):
+        call("g0^2", 10**7 + 1)
 
 
 def _is_squarefree(n: int) -> bool:
