@@ -4,14 +4,14 @@ Two layers:
 
 * direct evaluation: exact rationals for small y (m_q_exact, whose q = 1
   case is m itself), the float cumsum of the arithmetic table
-  (`sieve._mertens_cum`) and, block by block, that of its q-coprime terms
-  for scan-scale y;
+  (`sieve._mertens_cum`) for m at a point and, block by block, the running
+  sum of the q-coprime terms (q = 1 included) for scan-scale y;
 * envelope machinery: the square-root and logarithmic decay bounds and
   their coprime generalization with multiplicative inflation factors, each
   checkable against direct evaluation on a finite range.  The checks sweep
   the range in blocks (`numutil._blocks`), carrying the q-coprime cumsum
   and the worst ratio with its first argument, so a sweep holds no array
-  over the range besides the table's cumsum.
+  over the range besides the table.
 """
 
 from __future__ import annotations
@@ -85,13 +85,15 @@ def _coprime_cum(limit: int, q: int, start: int = 1):
     cum[i] = m_q(lo + i) = sum_{k <= lo + i, (k, q) = 1} mu(k)/k in floats.
 
     The cumsum runs block by block from m_q(0) = 0, as one np.cumsum over
-    0..limit would, and yields only the blocks' parts from start on.
+    0..limit would, and yields only the blocks' parts from start on; at
+    q = 1 it equals sieve._mertens_cum bit for bit.
     """
     mu = _table(limit).mu
     run = _RunningSum(0.0)
     for lo, hi in _blocks(1, limit + 1):
-        terms = np.where(_coprime_mask(hi - 1, q, lo),
-                         mu[lo - 1: hi - 1] / np.arange(lo, hi, dtype=np.float64), 0.0)
+        terms = mu[lo - 1: hi - 1] / np.arange(lo, hi, dtype=np.float64)
+        if q > 1:
+            terms = np.where(_coprime_mask(hi - 1, q, lo), terms, 0.0)
         cum = run.cumsum(terms)
         if hi > start:
             s = max(start - lo, 0)
@@ -108,14 +110,10 @@ def _envelope_report(form: str, q: int, limit: int, start: int, ratio,
                      bound: float, details: dict) -> BoundReport:
     """The worst of ratio(|m_q(n)|, n + 1) over n = start..limit, which is
     the worst over real x in [start, limit + 1): m_q is constant on
-    [n, n + 1), and n + 1 is the right end of that interval."""
-    if q == 1:
-        cum = _mertens_cum(limit)
-        blocks = ((lo, cum[lo:hi]) for lo, hi in _blocks(start, limit + 1))
-    else:
-        blocks = _coprime_cum(limit, q, start)
+    [n, n + 1), and n + 1 is the right end of that interval.  m_q comes
+    block by block from _coprime_cum, q = 1 included."""
     worst = _RunningMax(0.0, 0)
-    for lo, m_q in blocks:
+    for lo, m_q in _coprime_cum(limit, q, start):
         x = np.arange(lo + 1, lo + m_q.size + 1, dtype=np.float64)
         worst.feed(ratio(np.abs(m_q), x), lo)
     return BoundReport(

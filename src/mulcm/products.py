@@ -43,7 +43,7 @@ from .numutil import (
 )
 from .report import BoundReport, CertifiedValue
 from .sieve import (
-    _prime_factor_product, _squarefree_divisors, primes_upto,
+    _prime_factor_bytes, _prime_factor_product, _squarefree_divisors, primes_upto,
     require_squarefree,
 )
 from .mertens import XI, _g0_at, _g1_at
@@ -220,18 +220,9 @@ class _PrimeContext:
         return np.empty(len(self.ps))
 
     def power(self, e: float) -> np.ndarray:
-        """p ** e at every prime, with libm pow (math.pow, as Python's `**`).
-
-        numpy's SIMD power is not always correctly rounded and differs from
-        libm in the last ulp at some primes, so the local terms would no
-        longer equal a per-prime evaluation.
-        The floats are read one at a time from a memoryview, so no list of
-        Python floats is ever held.
-        """
+        """p ** e at every prime (_libm_power), once per exponent."""
         if e not in self._powers:
-            self._powers[e] = _read_only(np.fromiter(
-                map(math.pow, memoryview(self.ps), itertools.repeat(e)),
-                np.float64, len(self.ps)))
+            self._powers[e] = _read_only(_libm_power(self.ps, e))
         return self._powers[e]
 
     def weight(self, key: str) -> np.ndarray:
@@ -267,6 +258,19 @@ def _weight(key: str, ps: np.ndarray, power) -> np.ndarray:
         g1 = _g1_at(ps, power(XI))
         return g1 * g1
     raise ValueError(f"unknown weight {key!r}")
+
+
+def _libm_power(ps: np.ndarray, e: float) -> np.ndarray:
+    """p ** e at each float of ps, with libm pow (math.pow, as Python's `**`).
+
+    numpy's SIMD power is not always correctly rounded and differs from
+    libm in the last ulp at some primes, so the local terms would no
+    longer equal a per-prime evaluation.
+    The floats are read one at a time from a memoryview, so no list of
+    Python floats is ever held.
+    """
+    return np.fromiter(map(math.pow, memoryview(ps), itertools.repeat(e)),
+                       np.float64, len(ps))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -788,31 +792,42 @@ AUX_RATIO_ARGMAX = {"g0^2": 42, "g0*g1": 7, "g1^2": 3}
 AUX_ASYMPTOTIC = {"g0^2": (2.0004, 106.0), "g0*g1": (1.34, 33.8), "g1^2": (1.06, 13.3)}
 
 
-def _aux_values(key: str, D: int) -> np.ndarray:
-    """values[d] = mu^2(d) phi(d) G(d) / d for d = 0..D (0 at d=0).
+def _aux_blocks(key: str, D: int):
+    """(lo, values) for consecutive blocks (numutil._blocks) covering
+    d = 1..D, with values[i] = mu^2(d) phi(d) G(d) / d at d = lo + i: the
+    product of f(p) = (p-1)/p G(p) over the primes p of d in ascending order
+    (sieve._prime_factor_product), zeroed at the multiples of each p^2."""
+    x = primes_upto(D).astype(np.float64)
+    check_allocation(_aux_bytes(x.size, D), f"weighted sums to {D}")
+    f = (x - 1.0) / x * _weight(key, x, functools.partial(_libm_power, x))
+    ps = x.astype(np.int64)
+    del x
+    squares = ps[: np.searchsorted(ps, math.isqrt(D), side="right")] ** 2
+    for lo, hi in _blocks(1, D + 1):
+        values = _prime_factor_product(lo, hi, ps, f)
+        for q in squares[: np.searchsorted(squares, hi - 1, side="right")].tolist():
+            values[-lo % q:: q] = 0.0
+        yield lo, values
 
-    Each d is multiplied by (p-1)/p G(p) for its primes p in ascending
-    order (sieve._prime_factor_product), and the multiples of each p^2
-    are then zeroed.
-    """
-    primes = _PrimeContext(D)
-    ps = primes.ps.astype(np.int64)
-    vals = _prime_factor_product(D, ps, (primes.ps - 1.0) / primes.ps * primes.weight(key))
-    vals[0] = 0.0
-    for p in ps[: np.searchsorted(ps, math.isqrt(D), side="right")].tolist():
-        vals[p * p:: p * p] = 0.0
-    return vals
+
+def _aux_bytes(n_primes: int, D: int) -> int:
+    """Declared peak memory of _aux_blocks: 50 B per prime while f is
+    evaluated (49 with "g0*g1", the widest weight), then the primes, f and
+    one block of products with its partial sums."""
+    block = min(_SWEEP_BLOCK, D)
+    return max(50 * n_primes, 16 * n_primes + 8 * block
+               + _prime_factor_bytes(block, block, math.isqrt(D), 8))
 
 
 def _aux_sweep(key: str, D: int, ratio) -> _RunningMax:
     """The worst of ratio(sum_{d <= D'} values[d], D') over D' = 1..D, with
-    values = _aux_values(key, D), as a running maximum from 0 at D' = 0.
-    The partial sums are taken in place."""
-    sums = _aux_values(key, D)
-    np.cumsum(sums, out=sums)
+    the values of _aux_blocks, as a running maximum from 0 at D' = 0.  The
+    partial sums are carried from block to block."""
+    run = _RunningSum(0.0)
     worst = _RunningMax(0.0, 0)
-    for lo, hi in _blocks(1, D + 1):
-        worst.feed(ratio(sums[lo:hi], np.arange(lo, hi, dtype=np.float64)), lo)
+    for lo, values in _aux_blocks(key, D):
+        sums = run.cumsum(values)
+        worst.feed(ratio(sums, np.arange(lo, lo + sums.size, dtype=np.float64)), lo)
     return worst
 
 

@@ -5,10 +5,11 @@ A MultiplicativeBlock holds mu, phi and spf (smallest prime factor) over
 [1, n]: _table(n) gives read-only views over [1, n] of the process-wide
 table, which keeps 9 bytes per n (int8 mu, int32 phi and spf) for the life
 of the process, and _mertens_cum(n) its cumsum of mu(k)/k, 8 more bytes per
-n once asked for.  A request past the table's end sieves only the range
-past it and appends that; the cumsum is built, and later continued, block
-by block with no array over [1, n] besides itself.  primes_upto stays its
-own 1-byte-per-n sieve.
+n, built only for the scan and mertens.m (sweeps carry running sums).  A
+request past the table's end sieves only the range past it and appends
+that; the cumsum is built, and later continued, block by block with no
+array over [1, n] besides itself.  primes_upto stays its own 1-byte-per-n
+sieve.
 
 The segment kernel builds no index arrays.  Each step is one in-place ufunc
 on the strided view arr[(-lo) % m :: m] of the multiples of m in the
@@ -37,7 +38,7 @@ import numpy as np
 
 from .numutil import _SWEEP_BLOCK, _RunningSum, _blocks, check_allocation
 
-DEFAULT_SEGMENT = 1 << 22
+DEFAULT_SEGMENT = 1 << 18
 # Room for the array headers and Python scalars of one sieve_range call.
 _SIEVE_FIXED_BYTES = 1 << 16
 
@@ -217,7 +218,9 @@ def _growth_bytes(hi: int, n: int) -> int:
 def _mertens_cum(n: int) -> np.ndarray:
     """cum[t] = m(t) = sum_{k <= t} mu(k)/k for t = 0..n, a read-only view.
 
-    The cumsum covers the whole table.  It is built block by block from
+    The cumsum covers the whole table, for the readers of m(t) at any t;
+    sweeps in t carry a running sum instead (mertens._coprime_cum).
+    It is built block by block from
     cum[0] = 0 in index order, and when the table has grown, the old cumsum
     is copied and continued from its last value; np.cumsum adds in
     sequence, so cum[t] does not depend on the table's size or history.
@@ -303,24 +306,38 @@ def _coprime_mask(limit: int, q: int, lo: int = 1) -> np.ndarray:
     return keep
 
 
-def _prime_factor_product(n: int, ps: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """out[k] = prod_{p | k} f(p) for k = 0..n, multiplied in ascending p
-    (out[0] = 1), with f(ps[i]) = f[i] and ps the primes up to n, ascending.
+def _prime_factor_product(lo: int, hi: int, ps: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """out[k - lo] = prod_{p | k} f(p) for k in [lo, hi), multiplied in
+    ascending p (1 at k = 0), with f(ps[i]) = f[i] and ps the primes up to
+    hi - 1 or beyond, ascending.
 
-    Primes up to r = isqrt(n) are applied by strided slices.  A larger p
-    divides each k <= n at most once and is then its largest prime factor,
-    so those come last, one cofactor m = k/p at a time.
+    Primes up to r = isqrt(hi - 1) are applied by strided slices.  A larger
+    prime P divides each k < hi at most once and is then its largest prime
+    factor, so it comes last: the pairs k = m P are built at once from the
+    range of P for each cofactor m, and the peak (_prime_factor_bytes) is
+    declared once they are counted.
     """
-    out = np.ones(n + 1, dtype=f.dtype)
-    r = math.isqrt(n)
-    small = int(np.searchsorted(ps, r, side="right"))
+    r = math.isqrt(max(hi - 1, 0))
+    small, top = np.searchsorted(ps, [r, hi - 1], side="right").tolist()
+    big, f_big = ps[small:top], f[small:top]
+    ms = np.arange(1, (hi - 1) // (r + 1) + 1)
+    first = np.searchsorted(big, -(-lo // ms))
+    cnt = np.maximum(np.searchsorted(big, (hi - 1) // ms, side="right") - first, 0)
+    check_allocation(_prime_factor_bytes(hi - lo, int(cnt.sum()), ms.size, f.itemsize),
+                     f"prime-factor products on [{lo}, {hi})")
+    out = np.ones(hi - lo, dtype=f.dtype)
+    start = max(lo, 1)  # k = 0 keeps 1
     for p, fp in zip(ps[:small].tolist(), f[:small]):
-        out[p:: p] *= fp
-    big, f_big = ps[small:], f[small:]
-    ends = np.searchsorted(big, n // np.arange(1, n // (r + 1) + 1), side="right")
-    for m, j in enumerate(ends.tolist(), 1):
-        out[m * big[:j]] *= f_big[:j]
+        out[start - lo + -start % p:: p] *= fp
+    idx = np.repeat(first - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+    out[np.repeat(ms, cnt) * big[idx] - lo] *= f_big[idx]
     return out
+
+
+def _prime_factor_bytes(n: int, pairs: int, cofactors: int, itemsize: int) -> int:
+    """Peak memory of _prime_factor_product on a block of n values with
+    that many pairs k = m P and cofactors m."""
+    return n * itemsize + 32 * pairs + 40 * cofactors + _SIEVE_FIXED_BYTES
 
 
 def smooth_numbers(d: int, limit: int) -> list[int]:

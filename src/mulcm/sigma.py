@@ -39,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from .mertens import m_q_exact
-from .numutil import check_allocation
+from .numutil import _blocks, check_allocation
 from .report import BoundReport
 from .sieve import (
     _coprime_mask, _mertens_cum, _prime_factor_product, _table, primes_upto,
@@ -344,10 +344,15 @@ class ScanResult:
 
 def _radical_and_coeffs(X: int) -> tuple[np.ndarray, np.ndarray]:
     """rad[k] = prod_{p | k} p (int64) and c_num[k] = prod_{p | k} (1 - p)
-    (float64, multiplied in ascending p) for k = 0..X, each from one pass
-    over the primes (sieve._prime_factor_product)."""
+    (float64, multiplied in ascending p) for k = 0..X, filled block by
+    block (numutil._blocks) by sieve._prime_factor_product."""
     ps = primes_upto(X)
-    return _prime_factor_product(X, ps, ps), _prime_factor_product(X, ps, 1.0 - ps)
+    coeffs = 1.0 - ps
+    rad, cn = np.empty(X + 1, dtype=np.int64), np.empty(X + 1)
+    for lo, hi in _blocks(0, X + 1):
+        rad[lo:hi] = _prime_factor_product(lo, hi, ps, ps)
+        cn[lo:hi] = _prime_factor_product(lo, hi, ps, coeffs)
+    return rad, cn
 
 
 def _scan_increments(X: int, d_from: int) -> np.ndarray:
@@ -366,8 +371,8 @@ def _scan_increments(X: int, d_from: int) -> np.ndarray:
     k, so the result is bitwise the same for any threshold and chunk size.
     """
     M = _mertens_cum(X)
-    k = np.arange(1, X, dtype=np.int64)
     rad, cn = _radical_and_coeffs(X)
+    k = np.arange(1, X, dtype=np.int64)
     R = rad[1: X]
     w = np.divide(cn[1: X], k, out=cn[1: X])
     start = (np.maximum(k, d_from - 1) // R + 1) * R

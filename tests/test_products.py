@@ -22,7 +22,6 @@ from mulcm.products import (
     H23_SHAPE,
     H_CAPS,
     P0_DEEP,
-    _aux_values,
     _PrimeContext,
     _local_monomials,
     _prime_power_tails,
@@ -471,6 +470,43 @@ def test_prime_context_refused_one_byte_below_declared(monkeypatch):
         tracemalloc.stop()
     # Refused once the primes are sieved, before any float array over them.
     assert peak <= sieve._primes_bytes(10**6), peak
+
+
+def _aux_declared(D: int) -> int:
+    return products._aux_bytes(len(primes_upto(D)), D)
+
+
+def test_aux_sweep_memory_within_declared_budget(monkeypatch):
+    # "g0*g1" has the most temporaries while f is evaluated, the peak declared.
+    D = 2 * 10**6
+    declared = _aux_declared(D)
+    monkeypatch.setenv("MULCM_MEMORY_BUDGET", str(declared))
+    tracemalloc.start()
+    try:
+        aux_ratio_scan("g0*g1", D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.9 * declared <= peak <= declared, (peak, declared)
+
+
+def test_aux_sweep_refused_one_byte_below_declared(monkeypatch):
+    D = 2 * 10**6
+    monkeypatch.setenv("MULCM_MEMORY_BUDGET", str(_aux_declared(D) - 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="weighted sums"):
+            aux_ratio_scan("g0*g1", D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Refused once the primes are sieved, before f or any block exists.
+    assert peak <= sieve._primes_bytes(D), peak
+
+
+def _aux_values(key: str, D: int) -> np.ndarray:
+    """values[d] for d = 0..D (0 at d = 0): the blocks of the sweep joined."""
+    return np.concatenate([np.zeros(1)] + [v for _, v in products._aux_blocks(key, D)])
 
 
 def _aux_values_loop(key: str, D: int) -> np.ndarray:

@@ -305,3 +305,62 @@ def test_squarefree_count_densities():
     for x in (10 ** 4, 10 ** 5, 10 ** 6):
         q = squarefree_count(x)
         assert abs(q - 6.0 / math.pi ** 2 * x) <= math.sqrt(x)
+
+
+def _product_loop(lo: int, hi: int, ps: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """prod_{p | k} f(p) for k in [lo, hi), one strided pass per prime in
+    ascending order (1 at k = 0)."""
+    out = np.ones(max(hi - lo, 0), dtype=f.dtype)
+    for p, fp in zip(ps.tolist(), f):
+        out[max(-(-lo // p), 1) * p - lo:: p] *= fp
+    return out
+
+
+def _factor_values(ps: np.ndarray) -> list[np.ndarray]:
+    """f for the kernel tests: the radical's p, the scan's 1 - p, and floats
+    whose products round differently in another order."""
+    return [ps, 1.0 - ps, np.random.default_rng(23).uniform(0.5, 2.0, ps.size)]
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096, 1 << 16])
+def test_prime_factor_product_blocks_equal_prime_loop(block):
+    hi = {1: 3000, 7: 20_000}.get(block, 150_001)
+    ps = primes_upto(hi)
+    for f in _factor_values(ps):
+        got = np.concatenate([sieve._prime_factor_product(a, min(a + block, hi), ps, f)
+                              for a in range(0, hi, block)])
+        assert got.dtype == f.dtype
+        assert got.tobytes() == _product_loop(0, hi, ps, f).tobytes(), (block, f.dtype)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0, 1), (0, 2), (0, 50),        # k = 0 keeps 1
+    (9990, 10008),                  # hi - 1 = 10007 is prime
+    (9990, 10002),                  # hi - 1 = 73 * 137, 137 > isqrt(10001) = 100
+    (97 ** 2, 97 ** 2 + 7),         # a block starting at r^2
+    (97 ** 2 - 7, 97 ** 2),         # the block before it: r is not sieved there
+    (5, 5),                         # empty
+])
+def test_prime_factor_product_edges(lo, hi):
+    ps = primes_upto(20_000)
+    for f in _factor_values(ps):
+        got = sieve._prime_factor_product(lo, hi, ps, f)
+        assert got.tobytes() == _product_loop(lo, hi, ps, f).tobytes(), (lo, hi, f.dtype)
+        if lo == 0:
+            assert got[0] == 1
+
+
+def test_prime_factor_product_memory_within_declared_budget(monkeypatch):
+    ps = primes_upto(10 ** 6)
+    f = 1.0 - ps
+    declared = []
+    monkeypatch.setattr(sieve, "check_allocation", lambda nbytes, what: declared.append(nbytes))
+    tracemalloc.start()
+    try:
+        sieve._prime_factor_product(0, 10 ** 6 + 1, ps, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One declaration, made before the block exists, holding what it needs.
+    assert len(declared) == 1
+    assert 0.9 * declared[0] <= peak <= declared[0], (peak, declared)

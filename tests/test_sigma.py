@@ -497,6 +497,19 @@ def test_radical_and_coeffs_digest_pinned():
     assert digest == "ac8a0d3f5677dfb891a77974d3cd863ce413010eaf12148677b9d51ad2672298"
 
 
+@pytest.mark.parametrize("X, digest", [
+    (1, "049021f7a1cb0c6942a6a99d19892b2cd5d38f4faeda74ac10a28dd79cf71663"),
+    (2, "ffd6976b2d163d7927aefbfaa0d91ad3df3c213a26e69a9ca1c77718d252a8b4"),
+    (65_537, "22ae76949ecabe6ac57d0df146a5cc3ba1d0a0c63c6bb8ea692ccf7097ee3071"),
+    (10**6, "dd8f7a9b58da5518265ce95709e38b1b12cff8e6c1a5ad4f546f74ca2f005b4b"),
+])
+def test_radical_and_coeffs_blocked_digest_pinned(X, digest):
+    # Taken from the whole-array kernel before the arrays were filled block
+    # by block: one block, a block and one value, and many blocks.
+    rad, cn = sigma._radical_and_coeffs(X)
+    assert hashlib.sha256(rad.tobytes() + cn.tobytes()).hexdigest() == digest
+
+
 def _scan_peak(monkeypatch, X: int) -> tuple[int, int]:
     """Traced peak of sigma_scan(X) under a budget of its declared bytes."""
     # The scan reads mu and m(t) from the arithmetic table; build both to

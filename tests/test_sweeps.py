@@ -13,6 +13,7 @@ import pytest
 
 from mulcm import gstar, mertens, numutil, products, sieve
 from mulcm.mertens import M2_PARAMS, M_PARAMS
+from mulcm.sieve import primes_upto
 
 KEYS = ("g0^2", "g0*g1", "g1^2")
 DEFAULT = numutil._SWEEP_BLOCK
@@ -207,18 +208,52 @@ N, D = 2_000_000, 1_000_000
     ("msq", lambda: gstar.moebius_square_table_check(X_max=N)),
     ("init", lambda: gstar.init_bound_check(N)),
 ])
-def test_pure_sweeps_hold_no_full_range_array(name, call):
-    # The table and its cumsum are kept by the process; a sweep adds only
-    # its blocks (a few MiB at most), not 24-68 bytes per n.
-    sieve._mertens_cum(N)
+def test_pure_sweeps_hold_no_full_range_array(monkeypatch, name, call):
+    # The table is kept by the process; a sweep adds only its blocks (a few
+    # MiB at most), not 24-68 bytes per n, and builds no Mertens cumsum: the
+    # q = 1 envelopes carry a running sum as q = 2 does.
+    sieve._table(N)
+    monkeypatch.setattr(sieve, "_table_cum", None)
     assert _traced_peak(call) <= 8 << 20, name
+    assert sieve._table_cum is None, name
 
 
 @pytest.mark.parametrize("check", [products.aux_ratio_scan, products.aux_asymptotic_check])
 def test_aux_sweeps_keep_one_array(check):
-    # _aux_values (8 B per D) and the prime sieve under it; the partial sums
-    # are taken in place.
-    assert _traced_peak(lambda: check("g0^2", N)) <= 16 * N
+    # The primes with f and the temporaries of G over them (at most 50 B per
+    # prime), or a few blocks; no array over D.
+    n_primes = len(primes_upto(N))
+    assert _traced_peak(lambda: check("g0^2", N)) <= 50 * n_primes + 4 * 8 * DEFAULT
+
+
+def _tables_checks(N: int, D: int) -> list:
+    """The ten checks of the `tables` benchmark workload at sizes N and D."""
+    return [
+        lambda: mertens.check_envelope_sqrt(N, q=1),
+        lambda: mertens.check_envelope_sqrt(N, q=2),
+        lambda: mertens.check_envelope_log(N, q=1),
+        lambda: mertens.check_envelope_log(N, q=2),
+        lambda: gstar.moebius_square_table_check(X_max=N),
+        lambda: products.aux_asymptotic_check("g0^2", N),
+        lambda: products.aux_ratio_scan("g1^2", D),
+        lambda: gstar.init_bound_check(D),
+        lambda: gstar.scan_majorstar(D),
+        mertens.check_envelope_coprime,
+    ]
+
+
+def test_tables_checks_keep_only_the_table(monkeypatch):
+    # Once the table exists, the whole sequence adds no more than the
+    # cube-free weight table of scan_majorstar (8 B per D) and a few MiB of
+    # blocks and primes (scan_majorstar's envelope blocks take 4.6 MiB), and
+    # it builds no Mertens cumsum.  N is the benchmark's tiny size, the
+    # least at which the q = 1 log envelope runs.
+    Nt, Dt = 500_000, 100_000
+    sieve._table(Nt)
+    monkeypatch.setattr(sieve, "_table_cum", None)
+    assert _traced_peak(lambda: [check() for check in _tables_checks(Nt, Dt)]) \
+        <= 8 * Dt + (6 << 20)
+    assert sieve._table_cum is None
 
 
 def test_majorstar_sweep_memory():
