@@ -104,10 +104,10 @@ def _cmd_sieve(args) -> int:
     manifest = RunManifest.start("sieve", {"to": args.to})
     n = args.to
     block = sieve._table(n)
-    pi_n = -1  # n is prime iff spf(n) = n, which also holds at n = 1
+    pi_n = 0  # n is prime iff phi(n) = n - 1, which fails at n = 1
     for a, b in _blocks(0, n):
-        ns = np.arange(a + 1, b + 1, dtype=block.spf.dtype)
-        pi_n += int(np.count_nonzero(block.spf[a:b] == ns))
+        ns_minus_1 = np.arange(a, b, dtype=block.phi.dtype)
+        pi_n += int(np.count_nonzero(block.phi[a:b] == ns_minus_1))
     mertens = int(block.mu.sum(dtype=np.int64))
     q_n = sieve.squarefree_count(n)
     summary = {

@@ -25,7 +25,7 @@ import numpy as np
 from .numutil import _RunningMax, _RunningSum, _blocks, fsum_array
 from .report import BoundReport, CertifiedValue
 from .sieve import (
-    _coprime_mask, _squarefree_divisors, _table, prime_divisors,
+    _coprime_mask, _squarefree_divisors, _table, factorize, prime_divisors,
     require_squarefree,
 )
 from .products import (
@@ -466,7 +466,7 @@ def check_convol0(N: int = 100_000) -> BoundReport:
     block = _table(N)
     bad = []
     for d in range(1, N + 1):
-        fac = block.factor(d)
+        fac = factorize(d)
         # Enumerate divisors m of d as exponent vectors; l = d/m must be
         # squarefree, i.e. every prime has exponent e or e-1 <= 1 in m.
         rhs = 0
@@ -507,16 +507,19 @@ def check_convol(N: int = 100_000, q_set=(1, 2, 3, 6, 30, 210)) -> BoundReport:
     with k^2 l r | d, r | q, (kl, q) = 1, (k, l) = 1 of mu(rkl) phi(k)/(kl).
     Both sides are multiplied by d; each term is then an exact integer
     mu(rkl) phi(k) d/(kl).  Triples are enumerated by assigning each prime
-    power of d a role (absent, in l, in k, or in r when p | q).
+    power of d a role (absent, in l, in k, or in r when p | q).  Each d is
+    factored once for all q, so a failing report lists its violations
+    (q, d, lhs, rhs) in order of d, then q.
     """
     if N > 100_000:
         raise ValueError("identity check limited to N <= 10^5")
     block = _table(N)
+    q_primes = [(q, set(prime_divisors(q))) for q in q_set]
     bad = []
-    for q in q_set:
-        qps = set(prime_divisors(q))
-        for d in range(1, N + 1):
-            fac = block.factor(d)
+    for d in range(1, N + 1):
+        fac = factorize(d)
+        mu2_phi = int(block.mu[d - 1]) ** 2 * int(block.phi[d - 1])
+        for q, qps in q_primes:
             # term accumulator: sign * phi(k) * d / (k l)
             rhs = 0
             stack = [(0, 1, 1, 1)]  # (idx, sign, phi_k, k*l)
@@ -535,8 +538,7 @@ def check_convol(N: int = 100_000, q_set=(1, 2, 3, 6, 30, 210)) -> BoundReport:
                     stack.append((i + 1, -sign, phik, kl * p))
                     if e >= 2:
                         stack.append((i + 1, -sign, phik * (p - 1), kl * p))
-            mu2 = int(block.mu[d - 1]) ** 2
-            lhs = mu2 * int(block.phi[d - 1]) if math.gcd(d, q) == 1 else 0
+            lhs = mu2_phi if math.gcd(d, q) == 1 else 0
             if rhs != lhs:
                 bad.append((q, d, lhs, rhs))
                 if len(bad) > 20:

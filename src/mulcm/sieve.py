@@ -1,15 +1,15 @@
 """Segmented sieves for multiplicative data and the one arithmetic table.
 
-A MultiplicativeBlock holds mu, phi and spf (smallest prime factor) over
-[lo, hi]; sieve_range fills one segment by segment.  No other module sieves
-[1, n]: _table(n) gives read-only views over [1, n] of the process-wide
-table, which keeps 9 bytes per n (int8 mu, int32 phi and spf) for the life
-of the process, and _mertens_cum(n) its cumsum of mu(k)/k, 8 more bytes per
-n, built only for the scan and mertens.m (sweeps carry running sums).  A
-request past the table's end sieves only the range past it and appends
-that; the cumsum is built, and later continued, block by block with no
-array over [1, n] besides itself.  primes_upto stays its own 1-byte-per-n
-sieve.
+A MultiplicativeBlock holds mu and phi over [lo, hi]; sieve_range fills one
+segment by segment.  No other module sieves [1, n]: _table(n) gives
+read-only views over [1, n] of the process-wide table, which keeps 5 bytes
+per n (int8 mu, int32 phi) for the life of the process, and _mertens_cum(n)
+its cumsum of mu(k)/k to n, 8 more bytes per n, built only for the scan and
+mertens.m (sweeps carry running sums).  A request past the table's end
+sieves only the range past it and appends that; the cumsum is built, and
+later continued, block by block with no array over [1, n] besides itself.
+primes_upto stays its own 1-byte-per-n sieve, and factorize is the one
+factorization: readers that need the primes of a few n factor them.
 
 The segment kernel builds no index arrays.  Each step is one in-place ufunc
 on the strided view arr[(-lo) % m :: m] of the multiples of m in the
@@ -18,15 +18,12 @@ p <= isqrt(hi) negates mu and multiplies phi by p - 1 on the multiples of p,
 zeroes mu on those of p^2, and multiplies phi by p on those of each higher
 power of p.  A working array done takes the same factors of p, so it ends as
 the part of n made of the sieving primes; it divides n, so it fits phi's
-dtype.  The primes run in descending order and each writes spf on its
-multiples, so the smallest prime dividing n writes spf(n) last and no test
-for an unset spf is needed.  big = n // done is then 1 or the one prime
-factor of n above isqrt(hi) (two such would exceed hi); where it exceeds 1
-it negates mu and multiplies phi by big - 1, and it is spf(n) wherever no
-sieving prime divides n (spf(1) = 1 this way).  So every segment yields
-the true mu(n), phi(n) and spf(n) whatever its bounds, and the output does
-not depend on the segmentation.  The transient is done and big: 8 bytes per
-n of one segment below 2^31 and 16 from there on.
+dtype.  big = n // done is then 1 or the one prime factor of n above
+isqrt(hi) (two such would exceed hi); where it exceeds 1 it negates mu and
+multiplies phi by big - 1.  So every segment yields the true mu(n) and
+phi(n) whatever its bounds, and the output does not depend on the
+segmentation.  The transient is done and big: 8 bytes per n of one segment
+below 2^31 and 16 from there on.
 """
 
 from __future__ import annotations
@@ -45,45 +42,16 @@ _SIEVE_FIXED_BYTES = 1 << 16
 
 @dataclass(frozen=True)
 class MultiplicativeBlock:
-    """Arrays of mu(n), phi(n), spf(n) for n in [lo, hi] inclusive.
-
-    Index i corresponds to n = lo + i.  spf(n) is the smallest prime factor,
-    with the convention spf(1) = 1.  Arrays are read-only.
-    """
+    """Read-only arrays of mu(n) and phi(n) for n in [lo, hi] inclusive;
+    index i corresponds to n = lo + i."""
 
     lo: int
     hi: int
     mu: np.ndarray   # int8
     phi: np.ndarray  # int32 (int64 when hi >= 2^31)
-    spf: np.ndarray  # as phi
 
     def __len__(self) -> int:
         return self.hi - self.lo + 1
-
-    def index(self, n: int) -> int:
-        if not (self.lo <= n <= self.hi):
-            raise IndexError(f"{n} outside block [{self.lo}, {self.hi}]")
-        return n - self.lo
-
-    def factor(self, n: int) -> list[tuple[int, int]]:
-        """Prime factorization of n in the block as (p, e) pairs, p ascending."""
-        out = []
-        while n > 1:
-            p = int(self.spf[n - self.lo])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return out
-
-    def divisors(self, n: int) -> list[int]:
-        """All divisors of n, the largest prime's exponent varying fastest
-        (12 gives [1, 3, 2, 6, 4, 12])."""
-        divs = [1]
-        for p, e in self.factor(n):
-            divs = [dv * p ** k for dv in divs for k in range(e + 1)]
-        return divs
 
 
 def _primes_bytes(n: int) -> int:
@@ -106,8 +74,8 @@ def primes_upto(n: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64, copy=False)
 
 
-def _sieve_segment(lo: int, hi: int, primes: np.ndarray, mu, phi, spf) -> None:
-    """Sieve one segment [lo, hi] into mu, phi, spf (filled with 1, 1, 0).
+def _sieve_segment(lo: int, hi: int, primes: np.ndarray, mu, phi) -> None:
+    """Sieve one segment [lo, hi] into mu and phi (filled with 1).
 
     primes must cover sqrt(hi).  Works in place on strided views, with two
     working arrays in phi's dtype: done, the part of each n made of the
@@ -118,7 +86,6 @@ def _sieve_segment(lo: int, hi: int, primes: np.ndarray, mu, phi, spf) -> None:
     for p in map(int, primes[: np.searchsorted(primes, math.isqrt(hi), "right")][::-1]):
         if (s := -lo % p) >= n:
             continue
-        spf[s::p] = p
         mu[s::p] *= -1
         phi[s::p] *= p - 1
         done[s::p] *= p
@@ -133,7 +100,6 @@ def _sieve_segment(lo: int, hi: int, primes: np.ndarray, mu, phi, spf) -> None:
     big = np.arange(lo, hi + 1, dtype=done.dtype)
     big //= done
     del done
-    np.copyto(spf, big, where=spf == 0)
     left = big > 1
     np.negative(mu, out=mu, where=left)
     big -= 1
@@ -146,32 +112,31 @@ def _sieve_bytes(lo: int, hi: int, segment: int = DEFAULT_SEGMENT) -> int:
     primes to sqrt(hi) and a few small arrays."""
     n = hi - lo + 1
     wide = np.dtype(_wide(hi)).itemsize
-    return (n * (1 + 2 * wide) + min(n, segment) * 2 * wide
+    return (n * (1 + wide) + min(n, segment) * 2 * wide
             + _primes_bytes(int(hi ** 0.5) + 1) + _SIEVE_FIXED_BYTES)
 
 
 def _wide(hi: int):
-    """dtype of phi and spf on a range ending at hi."""
+    """dtype of phi (and of the sieve's working arrays) on a range ending at hi."""
     return np.int32 if hi < 2 ** 31 else np.int64
 
 
 def sieve_range(lo: int, hi: int, segment: int = DEFAULT_SEGMENT) -> MultiplicativeBlock:
-    """Compute mu, phi, spf on [lo, hi] inclusive, segment by segment."""
+    """Compute mu and phi on [lo, hi] inclusive, segment by segment."""
     if lo < 1 or hi < lo:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     check_allocation(_sieve_bytes(lo, hi, segment), f"multiplicative block [{lo}, {hi}]")
     n = hi - lo + 1
     mu = np.ones(n, dtype=np.int8)
     phi = np.ones(n, dtype=_wide(hi))
-    spf = np.zeros(n, dtype=_wide(hi))
     primes = primes_upto(int(hi ** 0.5) + 1)
     for a in range(lo, hi + 1, segment):
         b = min(a + segment - 1, hi)
         part = slice(a - lo, b - lo + 1)
-        _sieve_segment(a, b, primes, mu[part], phi[part], spf[part])
-    for arr in (mu, phi, spf):
+        _sieve_segment(a, b, primes, mu[part], phi[part])
+    for arr in (mu, phi):
         arr.setflags(write=False)
-    return MultiplicativeBlock(lo=lo, hi=hi, mu=mu, phi=phi, spf=spf)
+    return MultiplicativeBlock(lo=lo, hi=hi, mu=mu, phi=phi)
 
 
 _TABLE_MIN = 1 << 16
@@ -180,7 +145,7 @@ _table_cum: np.ndarray | None = None
 
 
 def _table(n: int) -> MultiplicativeBlock:
-    """mu, phi, spf over [1, n] as read-only views of the process-wide table.
+    """mu and phi over [1, n] as read-only views of the process-wide table.
 
     The first request sieves [1, max(n, _TABLE_MIN)].  A request past the
     table's end hi sieves only (hi, n] and appends it; every other request
@@ -198,48 +163,46 @@ def _table(n: int) -> MultiplicativeBlock:
         check_allocation(_growth_bytes(old.hi, n), f"arithmetic table growth to {n}")
         new = sieve_range(old.hi + 1, n)
         arrays = [np.concatenate((getattr(old, k), getattr(new, k)))
-                  for k in ("mu", "phi", "spf")]
+                  for k in ("mu", "phi")]
         for arr in arrays:
             arr.setflags(write=False)
         _table_block = MultiplicativeBlock(1, n, *arrays)
     t = _table_block
-    return MultiplicativeBlock(lo=1, hi=n, mu=t.mu[:n], phi=t.phi[:n], spf=t.spf[:n])
+    return MultiplicativeBlock(lo=1, hi=n, mu=t.mu[:n], phi=t.phi[:n])
 
 
 def _growth_bytes(hi: int, n: int) -> int:
     """Peak memory of growing the table from [1, hi] to [1, n]: the old
     arrays, then sieve_range's peak over (hi, n], or its output and the
     joined arrays, whichever is larger."""
-    per_n = 1 + 2 * np.dtype(_wide(n)).itemsize
-    return (hi * (1 + 2 * np.dtype(_wide(hi)).itemsize)
+    per_n = 1 + np.dtype(_wide(n)).itemsize
+    return (hi * (1 + np.dtype(_wide(hi)).itemsize)
             + max(_sieve_bytes(hi + 1, n), (n - hi + n) * per_n + _SIEVE_FIXED_BYTES))
 
 
 def _mertens_cum(n: int) -> np.ndarray:
     """cum[t] = m(t) = sum_{k <= t} mu(k)/k for t = 0..n, a read-only view.
 
-    The cumsum covers the whole table, for the readers of m(t) at any t;
-    sweeps in t carry a running sum instead (mertens._coprime_cum).
-    It is built block by block from
-    cum[0] = 0 in index order, and when the table has grown, the old cumsum
-    is copied and continued from its last value; np.cumsum adds in
-    sequence, so cum[t] does not depend on the table's size or history.
+    The cumsum runs to the largest n asked so far, not to the table's end,
+    for the readers of m(t) at a point; sweeps in t carry a running sum
+    instead (mertens._coprime_cum).  It is built block by block from
+    cum[0] = 0 in index order, and a request past its end copies it and
+    continues from its last value; np.cumsum adds in sequence, so cum[t]
+    does not depend on the order or sizes of the requests.
     """
     global _table_cum
-    _table(max(n, 1))
-    size = _table_block.hi
+    mu = _table(max(n, 1)).mu
     old = np.zeros(1) if _table_cum is None else _table_cum  # m(0) = 0
     have = old.size - 1
-    if have < size:
-        check_allocation((have + 1 + size + 1) * 8 + _SWEEP_BLOCK * 8,
-                         f"mertens cumsum to {size}")
-        cum = np.empty(size + 1, dtype=np.float64)
+    if _table_cum is None or have < n:
+        check_allocation((have + 1 + n + 1) * 8 + _SWEEP_BLOCK * 8,
+                         f"mertens cumsum to {n}")
+        cum = np.empty(n + 1, dtype=np.float64)
         cum[: have + 1] = old
         run = _RunningSum(cum[have])
-        for lo, hi in _blocks(have + 1, size + 1):
+        for lo, hi in _blocks(have + 1, n + 1):
             part = cum[lo:hi]
-            np.divide(_table_block.mu[lo - 1: hi - 1], np.arange(lo, hi, dtype=np.float64),
-                      out=part)
+            np.divide(mu[lo - 1: hi - 1], np.arange(lo, hi, dtype=np.float64), out=part)
             run.cumsum(part)
         cum.setflags(write=False)
         _table_cum = cum
@@ -263,6 +226,15 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def divisors(n: int) -> list[int]:
+    """All divisors of n >= 1, the largest prime's exponent varying fastest
+    (12 gives [1, 3, 2, 6, 4, 12])."""
+    divs = [1]
+    for p, e in factorize(n):
+        divs = [dv * p ** k for dv in divs for k in range(e + 1)]
+    return divs
 
 
 def prime_divisors(n: int) -> list[int]:

@@ -39,11 +39,11 @@ from fractions import Fraction
 import numpy as np
 
 from .mertens import m_q_exact
-from .numutil import _blocks, check_allocation
+from .numutil import _RunningMax, _blocks, check_allocation
 from .report import BoundReport
 from .sieve import (
-    _coprime_mask, _mertens_cum, _prime_factor_product, _table, primes_upto,
-    smooth_numbers,
+    _coprime_mask, _mertens_cum, _prime_factor_product, _table, divisors,
+    prime_divisors, primes_upto, smooth_numbers,
 )
 
 # The direct-computation cap S(d) <= 19/30 for d >= 2, which the scan checks
@@ -137,7 +137,7 @@ def _trace_numerators(X: int) -> tuple[int, Iterator[int]]:
         for d in range(1, X + 1):
             mu_d = mu[d - 1]
             if mu_d != 0:
-                divs = block.divisors(d)
+                divs = divisors(d)
                 W = 0
                 for e in divs:
                     W += phi[e - 1] * U[e]
@@ -189,7 +189,7 @@ def sigma_pairs_trace(X: int) -> np.ndarray:
     g_buf = np.empty(X, dtype=np.int64)
     for d in range(2, X + 1):
         if mu[d - 1] != 0:
-            g = _gcd_row(g_buf[: d - 1], [p for p, _ in block.factor(d)])
+            g = _gcd_row(g_buf[: d - 1], prime_divisors(d))
             row = muf[: d - 1] * g / (idx_f[: d - 1] * d)
             total += 1.0 / d + 2.0 * float(mu[d - 1]) * float(np.sum(row))
         out[d - 1] = total
@@ -214,7 +214,7 @@ def sigma_coprime_trace(X: int) -> np.ndarray:
     out = np.zeros(X, dtype=np.float64)
     total = 0.0
     for n in range(1, X + 1):
-        for d in block.divisors(n):
+        for d in divisors(n):
             q = n // d
             if mu[q - 1] != 0 and math.gcd(q, d) == 1:
                 # m_d gains mu(q)/q; update the weighted square's total.
@@ -504,9 +504,15 @@ def sigma_scan(X_max: int, checkpoint_path: str | None = None,
         ds = np.arange(first_row, X_max + 1, checkpoint_every, dtype=np.int64)
     if lo <= X_max and (ds.size == 0 or ds[-1] != X_max):
         ds = np.append(ds, X_max)
-    maxes, args = _running_max(values[lo:], lo, run_max, run_arg, ds - lo)
-    if ds.size:
-        run_max, run_arg = float(maxes[-1]), int(args[-1])
+    # One running max, fed the values up to each row in turn; ties keep the
+    # earliest d.
+    worst = _RunningMax(run_max, run_arg)
+    rows = []
+    for d in ds.tolist():
+        worst.feed(values[lo: d + 1], lo)
+        rows.append((d, worst.arg, worst.value))
+        lo = d + 1
+    run_max, run_arg = worst.value, worst.arg
     if checkpoint_path:
         # Rows go to a temporary file that replaces the checkpoint only when
         # complete, so an interrupted write leaves the old checkpoint intact.
@@ -518,7 +524,7 @@ def sigma_scan(X_max: int, checkpoint_path: str | None = None,
                 writer = csv.writer(fh)
                 if not resume:
                     writer.writerow(CHECKPOINT_HEADER)
-                for d, a, mx in zip(ds.tolist(), args.tolist(), maxes.tolist()):
+                for d, a, mx in rows:
                     writer.writerow([d, repr(float(values[d])), a, repr(mx)])
                 fh.flush()
                 os.fsync(fh.fileno())
@@ -530,20 +536,6 @@ def sigma_scan(X_max: int, checkpoint_path: str | None = None,
                       resumed_from=d_from - 1 if resume else 0,
                       checkpoint_path=checkpoint_path,
                       running_max=run_max, running_max_arg=run_arg)
-
-
-def _running_max(seg: np.ndarray, lo: int, run_max: float, run_arg: int,
-                 rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Running max of seg[i] = S(lo + i), continued from (run_max, run_arg),
-    and its first argument, at the positions rows (ascending).
-
-    A value replaces the max only when strictly greater, so ties keep the
-    earliest d.
-    """
-    cum = np.maximum.accumulate(np.concatenate(([run_max], seg)))
-    records = np.flatnonzero(seg > cum[:-1])
-    args = np.concatenate(([run_arg], lo + records))
-    return cum[rows + 1], args[np.searchsorted(records, rows, side="right")]
 
 
 def scan_report(X_max: int = 1_000_000, scan: ScanResult | None = None) -> dict:

@@ -130,6 +130,22 @@ def test_sieve_summary(tmp_path, capsys):
     assert payload["summary"]["squarefree_count"] == 60794
 
 
+@pytest.mark.parametrize("n, line", [
+    (1, "sieve to 1: pi=0 mertens=1 squarefree=1"),
+    (2, "sieve to 2: pi=1 mertens=0 squarefree=2"),
+    (3, "sieve to 3: pi=2 mertens=-1 squarefree=3"),
+    (65_536, "sieve to 65536: pi=6542 mertens=14 squarefree=39844"),
+    (65_537, "sieve to 65537: pi=6543 mertens=13 squarefree=39845"),
+])
+def test_sieve_summary_edges(monkeypatch, capsys, n, line):
+    # The prime count starts at n = 2 (phi(n) = n - 1); 65 536 is the
+    # smallest table and 65 537 a prime just past it.
+    monkeypatch.setattr(sieve, "_table_block", None)
+    monkeypatch.setattr(sieve, "_table_cum", None)
+    assert main(["sieve", "--to", str(n)]) == 0
+    assert capsys.readouterr().out == line + "\n"
+
+
 def test_sieve_summary_reads_the_table_in_place(monkeypatch, tmp_path, capsys):
     # On a prebuilt table the command allocates no array over n: its traced
     # peak stays below 2 bytes per n.

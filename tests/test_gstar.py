@@ -31,6 +31,7 @@ from mulcm.gstar import (
 )
 from mulcm import gstar as gstar_module
 from mulcm.products import P0_DEEP
+from mulcm.sieve import MultiplicativeBlock, sieve_range
 
 
 def test_gstar_exact_small():
@@ -264,6 +265,28 @@ def test_aux_k_band_report_structure():
 def test_convol_identities_small():
     assert check_convol0(2000).passed
     assert check_convol(2000, q_set=(1, 2, 6)).passed
+
+
+@pytest.mark.parametrize("check, digest", [
+    (check_convol, "dadbd8ee79c1edae23cc01089fabae4c64e6c6b52a14a952c5fbfdd5e852db7c"),
+    (check_convol0, "1b12a75968db9634e5af3896f6324b8bd36888afd7b34c2f3e2a686dd0b13dcb"),
+])
+def test_convol_reports_digest_pinned(check, digest):
+    # Taken while both checks factored d from the table's smallest-prime-
+    # factor array and check_convol ran q in the outer loop.
+    assert hashlib.sha256(repr(check(3000)).encode()).hexdigest() == digest
+
+
+def test_convol_violations_in_order_of_d_then_q(monkeypatch):
+    # phi broken at the primes 7 and 11: both q see both d.
+    block = sieve_range(1, 100)
+    phi = block.phi.copy()
+    phi[[6, 10]] += 1
+    broken = MultiplicativeBlock(1, 100, block.mu, phi)
+    monkeypatch.setattr(gstar_module, "_table", lambda N: broken)
+    rep = check_convol(100, q_set=(1, 2))
+    assert not rep.passed and rep.worst_arg == (1, 7)
+    assert [v[:2] for v in rep.details["violations"]] == [(1, 7), (2, 7), (1, 11), (2, 11)]
 
 
 def test_g_mean_partial_sum():

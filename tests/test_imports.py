@@ -3,7 +3,7 @@
 Every name a module imports is used in it (the package's `__init__.py` is
 exempt: its imports are the public re-exports collected into `__all__`),
 only `sieve.py` runs the multiplicative sieve: every other module reads
-mu, phi, spf and the Mertens cumsum from the one arithmetic table, prime
+mu, phi and the Mertens cumsum from the one arithmetic table, prime
 zeta values come from `products._prime_zeta`, not mpmath's `primezeta`,
 every Euler product's logs are taken in `products._partial_product` alone, and
 exact sums of arrays go through `numutil.fsum_array`, not `fsum` of a list

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -11,6 +12,7 @@ from mulcm import gstar, mertens, sieve, sigma
 from mulcm.numutil import BudgetError
 from mulcm.sieve import (
     DEFAULT_SEGMENT,
+    divisors,
     factorize,
     prime_divisors,
     primes_upto,
@@ -37,19 +39,18 @@ def _phi_ref(n: int) -> int:
     return phi
 
 
-def _spf_ref(n: int) -> int:
-    return factorize(n)[0][0] if n > 1 else 1
-
-
 def test_block_small_values():
     block = sieve_range(1, 30)
     for n in range(1, 31):
-        i = block.index(n)
-        assert block.mu[i] == _mu_ref(n), n
-        assert block.phi[i] == _phi_ref(n), n
-        if n > 1:
-            assert block.spf[i] == min(p for p, _ in factorize(n)), n
-    assert block.spf[block.index(1)] == 1
+        assert block.mu[n - 1] == _mu_ref(n), n
+        assert block.phi[n - 1] == _phi_ref(n), n
+
+
+def test_block_holds_mu_and_phi_only():
+    block = sieve_range(1, 30)
+    assert [f.name for f in dataclasses.fields(block)] == ["lo", "hi", "mu", "phi"]
+    for name in ("factor", "divisors", "index", "spf"):
+        assert not hasattr(block, name), name
 
 
 def test_primes_upto_counts():
@@ -69,7 +70,6 @@ def test_segment_independence(lo, width):
     off = lo - 1
     assert np.array_equal(seg.mu, full.mu[off: off + width + 1])
     assert np.array_equal(seg.phi, full.phi[off: off + width + 1])
-    assert np.array_equal(seg.spf, full.spf[off: off + width + 1])
 
 
 @pytest.fixture
@@ -85,7 +85,7 @@ def test_table_views_match_fresh_sieve(empty_table):
         view = sieve._table(n)
         fresh = sieve_range(1, n)
         assert (view.lo, view.hi) == (1, n)
-        for name in ("mu", "phi", "spf"):
+        for name in ("mu", "phi"):
             got, want = getattr(view, name), getattr(fresh, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), (n, name)
             assert not got.flags.writeable
@@ -107,6 +107,21 @@ def test_mertens_cum_is_the_sequential_cumsum(empty_table):
     want = np.cumsum(np.concatenate(([0.0], mu / np.arange(1, 3 * n + 1, dtype=np.float64))))
     assert (sieve._mertens_cum(3 * n) == want).all()
     assert (sieve._mertens_cum(10) == want[:11]).all()
+
+
+def test_mertens_cum_runs_only_to_the_largest_request(empty_table):
+    # On a large table, m at a small point builds the cumsum only to there.
+    mu = sieve._table(2 * 10 ** 6).mu
+    want = np.cumsum(mu[:10] / np.arange(1, 11, dtype=np.float64))[-1]
+    tracemalloc.start()
+    try:
+        got = mertens.m(10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 64 * 1024, peak
+    assert sieve._table_cum.size == 11
 
 
 @pytest.fixture
@@ -132,7 +147,7 @@ def test_table_grows_only_past_its_end(sieved):
     sieve._table(99_999)
     assert sieved == [(1, sieve._TABLE_MIN), (sieve._TABLE_MIN + 1, 100_000)]
     grown, fresh = sieve._table(100_000), sieve.sieve_range(1, 100_000)
-    for name in ("mu", "phi", "spf"):
+    for name in ("mu", "phi"):
         got, want = getattr(grown, name), getattr(fresh, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
         assert not got.flags.writeable
@@ -158,7 +173,7 @@ def test_checks_share_one_sieve(sieved):
     (1, 200_000, DEFAULT_SEGMENT),
     (1, 200_000, 4096),
     (10 ** 6, 10 ** 6 + 50_000, DEFAULT_SEGMENT),
-    (2 ** 31 - 50_000, 2 ** 31 + 50_000, DEFAULT_SEGMENT),  # int64 phi and spf
+    (2 ** 31 - 50_000, 2 ** 31 + 50_000, DEFAULT_SEGMENT),  # int64 phi
 ])
 def test_sieve_memory_within_declared_budget(monkeypatch, lo, hi, segment):
     declared = sieve._sieve_bytes(lo, hi, segment)
@@ -174,7 +189,8 @@ def test_sieve_memory_within_declared_budget(monkeypatch, lo, hi, segment):
 
 
 def test_table_growth_within_declared_budget(monkeypatch, empty_table):
-    sieve._table(100_000)
+    old = sieve._table(100_000)
+    old_bytes = 100_000 * (old.mu.itemsize + old.phi.itemsize)
     declared = sieve._growth_bytes(100_000, 300_000)
     monkeypatch.setenv("MULCM_MEMORY_BUDGET", str(declared - 1))
     with pytest.raises(BudgetError):
@@ -186,8 +202,8 @@ def test_table_growth_within_declared_budget(monkeypatch, empty_table):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The old table (9 bytes per n) was allocated before tracing started.
-    assert 0.9 * declared <= peak + 9 * 100_000 <= declared, (peak, declared)
+    # The old table was allocated before tracing started.
+    assert 0.9 * declared <= peak + old_bytes <= declared, (peak, declared)
 
 
 def test_sieve_refused_one_byte_below_declared(monkeypatch):
@@ -239,27 +255,26 @@ def test_primes_upto_refused_one_byte_below_declared(monkeypatch, n):
     (2 ** 20 - 60, 2 ** 20 + 60),
     (3 ** 13 - 60, 3 ** 13 + 60),
     (46_337 ** 2 - 30, 46_337 ** 2 + 30),  # the largest p^2 below 2^31
-    (2 ** 31 - 30, 2 ** 31 + 30),          # int32 to int64 phi and spf
+    (2 ** 31 - 30, 2 ** 31 + 30),          # int32 to int64 phi
     (46_349 ** 2 - 30, 46_349 ** 2 + 30),  # the smallest p^2 above 2^31
 ])
 def test_sieve_matches_factorize_oracle(lo, hi):
     want = {name: np.array([ref(n) for n in range(lo, hi + 1)])
-            for name, ref in (("mu", _mu_ref), ("phi", _phi_ref), ("spf", _spf_ref))}
+            for name, ref in (("mu", _mu_ref), ("phi", _phi_ref))}
     for segment in (1, 7, 4096, DEFAULT_SEGMENT):
         block = sieve_range(lo, hi, segment)
         assert block.mu.dtype == np.int8
-        assert block.phi.dtype == block.spf.dtype == sieve._wide(hi)
+        assert block.phi.dtype == sieve._wide(hi)
         for name, values in want.items():
             assert np.array_equal(getattr(block, name), values), (segment, name)
 
 
 def test_sieve_digest_pinned():
-    # sha256 of the three arrays over [1, 10^6], taken from the index-array
-    # kernel that the strided one replaced.
+    # sha256 of mu and phi over [1, 10^6], taken from the kernel that also
+    # wrote spf (the smallest prime factor), before spf left the table.
     block = sieve_range(1, 10 ** 6)
-    digest = hashlib.sha256(block.mu.tobytes() + block.phi.tobytes()
-                            + block.spf.tobytes()).hexdigest()
-    assert digest == "6d6ac0b2d52c970c33180051668ee655a51bbf38c286cd8ffcc67900ad51ca70"
+    digest = hashlib.sha256(block.mu.tobytes() + block.phi.tobytes()).hexdigest()
+    assert digest == "4898e6bc1456939a63e6461cba6de4589e7d502ce7db7c8984550d6d7fbe33b1"
 
 
 @given(st.integers(min_value=1, max_value=10 ** 6))
@@ -273,6 +288,20 @@ def test_factorize_roundtrip(n):
     assert all(e >= 1 for _, e in fac)
     ps = [p for p, _ in fac]
     assert ps == sorted(set(ps))
+
+
+@given(st.integers(min_value=1, max_value=10 ** 5))
+@settings(max_examples=100, deadline=None)
+def test_divisors_are_all_divisors(n):
+    divs = divisors(n)
+    assert sorted(divs) == [e for e in range(1, n + 1) if n % e == 0]
+
+
+def test_divisors_order_largest_prime_fastest():
+    # The coprime trace adds floats in this order.
+    assert divisors(1) == [1]
+    assert divisors(12) == [1, 3, 2, 6, 4, 12]
+    assert divisors(30) == [1, 5, 3, 15, 2, 10, 6, 30]
 
 
 def test_radical_and_prime_divisors():

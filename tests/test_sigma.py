@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mulcm import sieve, sigma
 from mulcm.mertens import m_q_exact
-from mulcm.numutil import BudgetError
+from mulcm.numutil import BudgetError, _RunningMax
 from mulcm.sieve import factorize, sieve_range
 from mulcm.sigma import (
     check_landau,
@@ -191,14 +191,24 @@ def test_running_max_matches_per_d_loop(tmp_path, every):
 
 
 def test_running_max_ties_keep_first_record():
+    # The scan feeds one _RunningMax the values S(d) for d = 10, 11, ...
+    # up to each checkpoint row in turn.
     seg = np.array([0.5, 0.7, 0.7, 0.6, 0.9, 0.9, 0.2])
-    rows = np.arange(seg.size)
-    maxes, args = sigma._running_max(seg, 10, 0.7, 3, rows)
-    assert maxes.tolist() == [0.7, 0.7, 0.7, 0.7, 0.9, 0.9, 0.9]
-    assert args.tolist() == [3, 3, 3, 3, 14, 14, 14]
-    maxes, args = sigma._running_max(seg, 10, -math.inf, 0, rows[[0, 2, 6]])
-    assert maxes.tolist() == [0.5, 0.7, 0.9]
-    assert args.tolist() == [10, 11, 14]
+
+    def rows(worst, ends):
+        out, lo = [], 0
+        for end in ends:
+            worst.feed(seg[lo: end + 1], 10 + lo)
+            out.append((worst.value, worst.arg))
+            lo = end + 1
+        return [list(col) for col in zip(*out)]
+
+    maxes, args = rows(_RunningMax(0.7, 3), range(seg.size))
+    assert maxes == [0.7, 0.7, 0.7, 0.7, 0.9, 0.9, 0.9]
+    assert args == [3, 3, 3, 3, 14, 14, 14]
+    maxes, args = rows(_RunningMax(-math.inf, 0), [0, 2, 6])
+    assert maxes == [0.5, 0.7, 0.9]
+    assert args == [10, 11, 14]
 
 
 def test_interrupted_checkpoint_write_keeps_old_checkpoint(tmp_path, monkeypatch):
@@ -293,7 +303,7 @@ def _trace_by_fractions(X):
     for d in range(1, X + 1):
         mu_d = int(block.mu[d - 1])
         if mu_d != 0:
-            divs = block.divisors(d)
+            divs = [e for e in range(1, d + 1) if d % e == 0]
             W = Fraction(0)
             for e in divs:
                 if e in U:
@@ -410,6 +420,16 @@ def _pairs_by_gcd_rows(X):
 def test_pairs_trace_matches_np_gcd_rows():
     for X in (1, 2, 3, 30, 600):
         assert np.array_equal(sigma_pairs_trace(X), _pairs_by_gcd_rows(X)), X
+
+
+@pytest.mark.parametrize("trace, digest", [
+    (sigma_pairs_trace, "546961f0ecddfd834e4ca522cd514433e9e5ff320b406910679d7cb545fc35c4"),
+    (sigma_coprime_trace, "0a41f4dd16aaee31a1bf8ecbedf3c93a3c3d45bd91a485ad3ef7cf8235c06e8f"),
+])
+def test_oracle_traces_digest_pinned(trace, digest):
+    # Taken while the oracles factored d from the table's smallest-prime-
+    # factor array; the coprime trace adds floats in its divisor order.
+    assert hashlib.sha256(trace(5000).tobytes()).hexdigest() == digest
 
 
 def test_gcd_row_matches_np_gcd():
