@@ -6,11 +6,11 @@ inequality goes through adaptive_simpson so we always have an error
 estimate to fold into the verdict.
 
 fsum_array returns exactly what math.fsum returns.  It splits the array
-exactly into a few extracted parts and a small leftover in numpy (the
-error-free extraction of Rump, Ogita and Oishi, 2008), bounds the error of
-the leftover's float sum by gamma_{n-1} (Higham, ch. 4), and accepts the
-rounding only if both ends of that bound round to the same float; otherwise
-it calls math.fsum on the array.
+exactly into a few floats in numpy, block by block (the error-free
+extraction of Rump, Ogita and Oishi, 2008, run on each block until its
+leftover is zero), and returns their math.fsum.  _ExactSum is that
+extraction for values that arrive in blocks: its result does not depend on
+how they are split.
 
 The table checks sweep a range [0, N] in blocks of _SWEEP_BLOCK indices
 (_blocks).  Between blocks they carry a running sum (_RunningSum) and a
@@ -59,13 +59,8 @@ def check_allocation(nbytes: int, what: str = "allocation") -> None:
 
 # Up to this many values one fsum call is faster than the extraction.
 _FSUM_DIRECT_MAX = 1024
-# Extraction passes before the leftover is summed and the rounding decided.
-# Two suffice for sums without cancellation; the third runs in cache and
-# costs little, so every array gets three.
-_EXTRACTION_PASSES = 3
-# Elements per block: the passes over one block run in the L2 cache.
+# Elements per extraction block: the passes over one block run in the L2 cache.
 _EXTRACTION_BLOCK = 1 << 15
-_U = 2.0 ** -53  # unit roundoff of float64
 
 
 def _fsum(x) -> float:
@@ -73,11 +68,11 @@ def _fsum(x) -> float:
     return math.fsum(memoryview(x))
 
 
-def fsum_array(values) -> float:
-    """The correctly rounded sum of an array's values as float64.
+class _ExactSum:
+    """The exact sum of float64 values that arrive block by block.
 
-    Returns exactly math.fsum(values.tolist()), the float nearest the exact
-    sum (ties to even), but does the work in numpy.  This is the error-free
+    add(values) splits the exact sum of each block of up to
+    _EXTRACTION_BLOCK values into a few floats (parts) by the error-free
     extraction of Rump, Ogita and Oishi ("Accurate floating-point
     summation, part I", SIAM J. Sci. Comput. 31, 2008):
 
@@ -87,57 +82,69 @@ def fsum_array(values) -> float:
       a multiple of u sigma (u = 2^-53) and, as sigma +- 2^-m sigma are
       floats and rounding is monotone, at most 2^-m sigma in size; so every
       partial sum of them is a multiple of u sigma below n / (n + 2) sigma,
-      a float, and sum(q) is exact in any order.  The new |r| <= u sigma.
-      The next pass uses sigma * 2^(m - 53), so its |r| <= 2^-m sigma
-      again.  After three passes the exact sum is sum(parts) + sum(r),
-      where parts are the three sums of q.
-    * numpy sums the leftover r as s with |s - sum(r)| <= gamma_{n-1} *
-      n * max|r| (Higham, *Accuracy and Stability of Numerical Algorithms*,
-      ch. 4: any summation order), gamma_k = k u / (1 - k u).
-      delta = n^2 * 2u * u sigma_3 is at least that, and s - delta and
-      s + delta are widened outward by one ulp each to s_lo and s_hi.
-    * Correct rounding is monotone: if fsum(parts + [s_lo]) and
-      fsum(parts + [s_hi]) agree, the exact sum, which lies between the
-      two exact sums they round, rounds to the same float, the answer.
+      a float, and sum(q) is exact in any order: one part.  The new
+      |r| <= u sigma, so the next pass uses sigma 2^(m - 53).
+    * Passes repeat until r is all zero, each taking the next 53 - m bits
+      of the block.  Should u sigma fall below the normal range (sigma <
+      2^-969) first, the nonzero leftovers become parts as they are; so do
+      all the values of a block with a non-finite value or with max|x|
+      >= 2^960 or < 2^-800.
 
-    Otherwise (a result within delta of a rounding boundary, which includes
-    a heavy cancellation and an exact zero; non-finite values; max|x| >=
-    2^960, or < 2^-800, which keeps u sigma_3 and delta clear of the
-    subnormals) the array goes to math.fsum through a memoryview,
-    which gives the same result, or raises the same exception, as fsum of a
-    list.  So do arrays of at most _FSUM_DIRECT_MAX values.  The passes run
-    block by block over _EXTRACTION_BLOCK values, in two block-sized
-    buffers; per-block sums of q add up exactly, and the blocks' sums of r
-    are one more summation tree under the same gamma_{n-1} bound.
+    So the parts sum exactly to the values fed, and value(), their
+    math.fsum, is that sum correctly rounded (ties to even): the same float
+    for any split into blocks, math.fsum of all the values as one list.
+    """
+
+    def __init__(self):
+        self.parts: list[float] = []
+
+    def add(self, values) -> None:
+        x = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+        q, r = np.empty(min(x.size, _EXTRACTION_BLOCK)), np.empty(min(x.size, _EXTRACTION_BLOCK))
+        for start in range(0, x.size, _EXTRACTION_BLOCK):
+            rest = x[start:start + _EXTRACTION_BLOCK]
+            top = max(float(rest.max()), -float(rest.min()))
+            if not 2.0 ** -800 <= top < 2.0 ** 960:
+                self.parts += rest.tolist()
+                continue
+            qb, rb = q[:rest.size], r[:rest.size]
+            m = (rest.size + 1).bit_length()  # 2^m >= n + 2
+            sigma = math.ldexp(1.0, math.frexp(top)[1] + m)
+            while True:
+                np.add(rest, sigma, out=qb)
+                qb -= sigma
+                rest = np.subtract(rest, qb, out=rb)
+                self.parts.append(float(qb.sum()))
+                sigma = math.ldexp(sigma, m - 53)
+                if not rest.any() or sigma < 2.0 ** -969:
+                    self.parts += rest[rest != 0.0].tolist()
+                    break
+
+    def value(self) -> float:
+        return math.fsum(self.parts)
+
+
+def fsum_array(values) -> float:
+    """The correctly rounded sum of an array's values as float64.
+
+    Returns exactly math.fsum(values.tolist()), the float nearest the exact
+    sum (ties to even), but does the work in numpy: the extraction of
+    _ExactSum over the one array.  An array of at most _FSUM_DIRECT_MAX
+    values, or one that _ExactSum would not extract whole (a non-finite
+    value, max|x| >= 2^960 or < 2^-800), goes to math.fsum through a
+    memoryview instead, which gives the same result, or raises the same
+    exception, as fsum of a list; fsum's overflow depends on the order of
+    the values, which the extraction would not keep.
     """
     x = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
-    n = x.size
-    if n <= _FSUM_DIRECT_MAX:
+    if x.size <= _FSUM_DIRECT_MAX:
         return _fsum(x)
     top = max(float(x.max()), -float(x.min()))
     if not 2.0 ** -800 <= top < 2.0 ** 960:
         return _fsum(x)
-    m = (n + 1).bit_length()  # 2^m >= n + 2
-    e = math.frexp(top)[1] + m
-    sigmas = [math.ldexp(1.0, e - k * (53 - m)) for k in range(_EXTRACTION_PASSES)]
-    q, r = np.empty(min(n, _EXTRACTION_BLOCK)), np.empty(min(n, _EXTRACTION_BLOCK))
-    parts = [0.0] * _EXTRACTION_PASSES
-    s = 0.0
-    for start in range(0, n, _EXTRACTION_BLOCK):
-        rest = x[start:start + _EXTRACTION_BLOCK]
-        qb, rb = q[:rest.size], r[:rest.size]
-        for k, sigma in enumerate(sigmas):
-            np.add(rest, sigma, out=qb)
-            qb -= sigma
-            rest = np.subtract(rest, qb, out=rb)
-            parts[k] += float(qb.sum())
-        s += float(rest.sum())
-    delta = float(n) * float(n) * (2.0 * _U * _U * sigmas[-1])
-    lo = math.fsum(parts + [math.nextafter(s - delta, -math.inf)])
-    hi = math.fsum(parts + [math.nextafter(s + delta, math.inf)])
-    if lo == hi:
-        return lo
-    return _fsum(x)
+    total = _ExactSum()
+    total.add(x)
+    return total.value()
 
 
 # Indices per block of a blocked sweep: a block's temporaries stay in the L2

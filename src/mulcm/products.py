@@ -6,23 +6,28 @@ cutoff.  Tail bounds on sums of f(p) log p use an effective prime number
 theorem inequality whose constant depends on where the tail starts; tails
 without the log weight go through f(t)/log t.
 
-Every product and weighted sum over the primes up to a cutoff reads a prime
-context (_PrimeContext): the primes as floats, with the powers p^e evaluated
-as arrays.  Each public call builds the one context per cutoff it needs as a
-local, so the primes are sieved once per call and freed when it returns.
-Local terms are array expressions over a block of that context (_PrimeBlock,
-with the weights G(p) computed per block), in the same float operations and
-order as a per-prime loop, so the partial products are bit-identical to one.
+Every Euler product over the primes up to a cutoff, and every sieved prime
+power tail, reads a prime context (_PrimeContext).  A public call first
+collects what it needs at one cutoff (the local terms of its products and
+the exponents of its prime power tails) and builds one context, which walks
+the primes once, a segment at a time (sieve._prime_segments), and keeps
+only the finished sums: no array over all the primes exists.  Local terms
+are array expressions over a block of primes, with the libm powers and the
+weights G(p) computed once per block, in the same float operations and
+order as a per-prime loop.  The log terms of each product and the terms of
+each tail feed their own exact sum (numutil._ExactSum), so each partial is
+the correctly rounded sum over all the primes, whatever the blocks, and the
+partial products are bit-identical to a per-prime loop.
 
-Every product (A and P0 in _cubic_product, the weight products in
-_h_product) is its partial product times the exponential of a
+Every product (A and P0 in _cubic_products, the weight products in
+_h_products) is its partial product times the exponential of a
 log-tail enclosure, widened by FSLACK (_enclose).  The weight products'
 log-tails are sums of monomial tails Z(e) = sum_{p > cutoff} p^(-e)
 (_prime_power_tails): Z(e) is [0, B(e)] when the a-priori bound B(e) of
 prime_tail_bound is at most _TAIL_PAD, the absolute float allowance of the
 other route, and otherwise the 40-digit prime zeta value P(e) minus the
 sieved partial sum.  A_DEEP and P0_DEEP, frozen
-here, are _cubic_product at cutoff 1e8, which a test recomputes; everything
+here, are _cubic_products at cutoff 1e8, which a test recomputes; everything
 else is recomputed on demand at documented cutoffs.
 """
 
@@ -38,13 +43,13 @@ import mpmath as mp
 import numpy as np
 
 from .numutil import (
-    _SWEEP_BLOCK, _RunningMax, _RunningSum, _blocks, check_allocation, fsum_array,
-    quad_log,
+    _SWEEP_BLOCK, _ExactSum, _RunningMax, _RunningSum, _blocks, check_allocation,
+    fsum_array, quad_log,
 )
 from .report import BoundReport, CertifiedValue
 from .sieve import (
-    _prime_factor_bytes, _prime_factor_product, _squarefree_divisors, primes_upto,
-    require_squarefree,
+    DEFAULT_SEGMENT, _prime_count_bound, _prime_factor_bytes, _prime_factor_product,
+    _prime_segments, _squarefree_divisors, primes_upto, require_squarefree,
 )
 from .mertens import XI, _g0_at, _g1_at
 
@@ -60,8 +65,8 @@ WEAK_MIN_P = 2.0
 _TAIL_SIGMA = 2.0
 
 # ----------------------------------------------------------------------
-# Frozen deep constants, _cubic_product(c, _PrimeContext(10**8)) (about 2 s
-# and 220 MB); tests/test_products.py recomputes both and requires equality.
+# Frozen deep constants, _cubic_products([2.0, 1.0], 10**8) (about 0.7 s and
+# 39 MB peak RSS); tests/test_products.py recomputes both and requires equality.
 # A    = prod_p (1 - 2/p^2 + 1/p^3) = constant_A(10**8); the leading density constant.
 # P0   = prod_p (1 - 1/p^2 + 1/p^3); the k-tail product over all primes.
 A_DEEP = CertifiedValue(0.42824950567569925, 0.4282495061192267)
@@ -170,79 +175,38 @@ def check_prime_tail(cutoff: int = 30_000_000) -> BoundReport:
     )
 
 
-# The float64 arrays over the primes that a _PrimeContext holds at most: ps,
-# the three powers the weight products read (p^XI, p^(5/3) and p^(7/3)) and
-# the buffer.
-_CONTEXT_ARRAYS = 5
-# Traced peak of the temporaries of one block of local terms: four float64
-# arrays over the primes of a block (_PrimeBlock).  numpy elides the
-# temporaries of an expression only over arrays of 2^15 floats and up, so a
-# smaller block holds up to 9 B per prime more; the fixed part covers that
-# and the per-product objects (prime zeta values, enclosures, reports).
-_CONTEXT_BLOCK_BYTES_PER_PRIME = 32
-_CONTEXT_FIXED_BYTES = 384 << 10
+# Traced peak of one block of the pass (_partial_products), per prime of the
+# block: its primes as int64 and float64, three libm powers, three weights,
+# up to four temporaries of a local term (numpy elides none below 2^15
+# floats), its log1p and the two buffers of _ExactSum; the next segment is
+# sieved while 64 B of them are held.  The fixed part covers the base primes
+# (44 KB at 10^8) and the per-product objects (prime zeta values, reports).
+_CONTEXT_BYTES_PER_PRIME = 96
+_CONTEXT_FIXED_BYTES = 128 << 10
 
 
-def _context_bytes(n_primes: int) -> int:
-    """Declared peak memory of a _PrimeContext over n_primes primes and of
-    any product or prime power tail evaluated on it."""
-    return (8 * _CONTEXT_ARRAYS * n_primes
-            + _CONTEXT_BLOCK_BYTES_PER_PRIME * min(n_primes, _SWEEP_BLOCK)
+def _context_bytes(cutoff: int) -> int:
+    """Declared peak memory of a _PrimeContext to cutoff: one block of its
+    pass, at most one segment's primes (sieve._prime_segments), whatever
+    the cutoff, and the fixed part."""
+    return (_CONTEXT_BYTES_PER_PRIME * _prime_count_bound(min(cutoff, DEFAULT_SEGMENT))
             + _CONTEXT_FIXED_BYTES)
 
 
 class _PrimeContext:
-    """The primes p <= cutoff as floats, with the per-prime arrays a call reads.
+    """The sums over the primes p <= cutoff that one call reads, from one
+    pass (_partial_products) over the local terms of its products, by name,
+    and the exponent pairs of its prime power tails (_prime_power_tails):
+    the partial product of each name (partials) and the partial sum of
+    p^(-e) at each exponent of the sieved route (sums).  Only those floats
+    are kept, and the tail enclosures once built, which the products of
+    the call share."""
 
-    A public call that evaluates several products at one cutoff builds one
-    context and passes it to each, so the primes are sieved and raised to
-    each power once per call, each sieved prime power tail past the cutoff
-    is enclosed once per call (_prime_power_tails), and none of the arrays
-    outlives it.  Local terms are evaluated a block of primes at a time
-    (_partial_product), so what stays resident is ps, at most three libm
-    powers and the buffer: 8 B per prime each, 26.6 MB in all at cutoff
-    10^7, checked against the budget once the primes are sieved.
-    """
-
-    def __init__(self, cutoff: int):
+    def __init__(self, cutoff: int, local_terms: dict, exponents=()):
         self.cutoff = cutoff
-        primes = primes_upto(cutoff)
-        check_allocation(_context_bytes(len(primes)), f"prime context to {cutoff}")
-        self.ps = _read_only(primes.astype(np.float64))
-        self._powers: dict[float, np.ndarray] = {}
+        sieved = {e for e in exponents if _a_priori_tail(_expo_float(e), cutoff) > _TAIL_PAD}
+        self.partials, self.sums = _partial_products(cutoff, local_terms, sieved)
         self._tails: dict[tuple[int, int], CertifiedValue] = {}
-
-    @functools.cached_property
-    def buffer(self) -> np.ndarray:
-        """Scratch float64 array over the primes.  Each partial product
-        writes its log terms into it, and each sieved prime power tail its
-        terms, in turn."""
-        return np.empty(len(self.ps))
-
-    def power(self, e: float) -> np.ndarray:
-        """p ** e at every prime (_libm_power), once per exponent."""
-        if e not in self._powers:
-            self._powers[e] = _read_only(_libm_power(self.ps, e))
-        return self._powers[e]
-
-    def weight(self, key: str) -> np.ndarray:
-        """G(p) at every prime for the weight named by key (_weight)."""
-        return _weight(key, self.ps, self.power)
-
-
-class _PrimeBlock:
-    """The primes of a _PrimeContext with index in [lo, hi): views of its
-    ps and powers, and the weights computed from them."""
-
-    def __init__(self, primes: _PrimeContext, lo: int, hi: int):
-        self.primes, self.lo, self.hi = primes, lo, hi
-        self.ps = primes.ps[lo:hi]
-
-    def power(self, e: float) -> np.ndarray:
-        return self.primes.power(e)[self.lo:self.hi]
-
-    def weight(self, key: str) -> np.ndarray:
-        return _weight(key, self.ps, self.power)
 
 
 def _weight(key: str, ps: np.ndarray, power) -> np.ndarray:
@@ -273,30 +237,39 @@ def _libm_power(ps: np.ndarray, e: float) -> np.ndarray:
                        np.float64, len(ps))
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+def _partial_products(cutoff: int, local_terms: dict, exponents) -> tuple[dict, dict]:
+    """({name: prod_{p <= cutoff} (1 + local(p))}, {e: sum_{p <= cutoff}
+    p^(-e_f)}) for the local terms by name and the exponent pairs e, from
+    one pass over the prime segments (sieve._prime_segments).
 
-
-def _partial_product(local, primes: _PrimeContext) -> float:
-    """prod_{p <= primes.cutoff} (1 + local(p)).
-
-    local maps a block of primes (_PrimeBlock) to the array of local terms
-    at them.  Block by block, the log1p of the terms goes into
-    primes.buffer, which is summed once: the same array, and so the same
-    sum, as over all the terms at once.
+    local(ps, power, weight) maps a block of primes ps (float64) to its
+    local terms; power(e) is p^e at ps (_libm_power) and weight(key) is G
+    at ps (_weight), each computed once per block.  Each product's log1p
+    terms and each exponent's p^(-e_f) feed their own exact sum
+    (numutil._ExactSum), rounded once as over one array of all the terms.
     """
-    logs = primes.buffer
-    for lo, hi in _blocks(0, len(logs)):
-        np.log1p(local(_PrimeBlock(primes, lo, hi)), out=logs[lo:hi])
-    return math.exp(fsum_array(logs))
+    logs = {name: _ExactSum() for name in local_terms}
+    sums = {e: _ExactSum() for e in exponents}
+    if not logs and not sums:
+        return {}, {}
+    check_allocation(_context_bytes(cutoff), f"prime context to {cutoff}")
+    for primes in _prime_segments(cutoff):
+        ps = primes.astype(np.float64)
+        power = functools.cache(functools.partial(_libm_power, ps))
+        weight = functools.cache(functools.partial(_weight, ps=ps, power=power))
+        for name, local in local_terms.items():
+            logs[name].add(np.log1p(local(ps, power, weight)))
+        for e, total in sums.items():
+            total.add(np.power(ps, -_expo_float(e)))
+    return ({name: math.exp(total.value()) for name, total in logs.items()},
+            {e: total.value() for e, total in sums.items()})
 
 
 # Relative cushion on every product enclosure (_enclose) for the float error
-# of its partial product exp(fsum_array(log1p(x))).  If e_i u (u = 2^-53)
-# bounds the error of the computed local term x_i then, to first order,
-# log1p moves by e_i u / (1 + x_i) and rounds within 4 ulps (numpy's SIMD
-# log1p is not libm's), fsum_array rounds once, and the two exp (1 ulp
+# of its partial product exp(sum log1p(x)) (_partial_products).  If e_i u
+# (u = 2^-53) bounds the error of the computed local term x_i then, to first
+# order, log1p moves by e_i u / (1 + x_i) and rounds within 4 ulps (numpy's
+# SIMD log1p is not libm's), the exact sum rounds once, and the two exp (1 ulp
 # each), two products and 1 -/+ FSLACK add under 8u, so the relative error is
 #     u (sum_i e_i / (1 + x_i) + 9 sum_i |log1p x_i| + 8).
 # e_i is a few |x_i| for A and P0; the weight products cancel in
@@ -304,7 +277,7 @@ def _partial_product(local, primes: _PrimeContext) -> float:
 # evaluates e_i by running error analysis for every product of
 # check_h_caps(10^5) and (10^7), build_registry() and the frozen constants;
 # the largest bound, Hbar(2/3) of g0^2 at 10^7, is 6.9e-14.  The weight
-# products' bound grows like cutoff^(1/3) / log cutoff, so _h_product refuses
+# products' bound grows like cutoff^(1/3) / log cutoff, so _h_products refuses
 # cutoffs past FSLACK_MAX_CUTOFF, the deepest one it was checked at.
 FSLACK = 1e-13
 FSLACK_MAX_CUTOFF = 10_000_000
@@ -316,23 +289,23 @@ def _enclose(partial: float, log_lo: float, log_hi: float) -> CertifiedValue:
                           partial * math.exp(log_hi) * (1.0 + FSLACK))
 
 
-def _cubic_product(c: float, primes: _PrimeContext) -> CertifiedValue:
-    """Enclosure of prod_p (1 - c/p^2 + 1/p^3) over all primes, c in {1, 2}.
+def _cubic_products(cs, cutoff: int) -> list[CertifiedValue]:
+    """Enclosures of prod_p (1 - c/p^2 + 1/p^3) over all primes for each c in
+    cs (c in {1, 2}), from one _PrimeContext to cutoff.
 
     Past the cutoff each factor is 1 - x_p with 0 < x_p < c/p^2 <= c/cutoff^2,
     and -log(1 - x) <= x / (1 - x), so the tail factor lies in [exp(-T), 1]
     with T the sum over p > cutoff of (c/p^2) / (1 - c/cutoff^2), bounded by
     tail_sum_over_primes.
     """
-    def local(primes):
-        p = primes.ps
-        return (-c * p + 1.0) / (p * p * p)
-
-    cutoff = primes.cutoff
-    partial = _partial_product(local, primes)
-    shrink = 1.0 - c / (cutoff * cutoff)
-    tail = tail_sum_over_primes(lambda t: c / (t * t) / shrink, float(cutoff))
-    return _enclose(partial, -tail, 0.0)
+    primes = _PrimeContext(cutoff, {c: lambda p, power, weight, c=c: (-c * p + 1.0) / (p * p * p)
+                                    for c in cs})
+    out = []
+    for c in cs:
+        shrink = 1.0 - c / (cutoff * cutoff)
+        tail = tail_sum_over_primes(lambda t: c / (t * t) / shrink, float(cutoff))
+        out.append(_enclose(primes.partials[c], -tail, 0.0))
+    return out
 
 
 def constant_A(cutoff: int = 2_000_000) -> CertifiedValue:
@@ -340,7 +313,7 @@ def constant_A(cutoff: int = 2_000_000) -> CertifiedValue:
 
     Any cutoff >= 2 works; larger cutoffs tighten the bracket.
     """
-    return _cubic_product(2.0, _PrimeContext(cutoff))
+    return _cubic_products([2.0], cutoff)[0]
 
 
 # ----------------------------------------------------------------------
@@ -349,6 +322,8 @@ def constant_A(cutoff: int = 2_000_000) -> CertifiedValue:
 
 # Caps asserted for the constants below: (H(1) cap, Hbar(2/3) cap).
 H_CAPS = {"g0^2": (2.0004, 72.9), "g0*g1": (1.34, 23.4), "g1^2": (1.06, 9.20)}
+# The six H products (label, key) in the order of the caps.
+_H_PAIRS = [(label, key) for key in H_CAPS for label in ("H1", "H23")]
 
 # The H products need enclosure widths around 1e-8 to decide the caps above,
 # far beyond what a monotone upper-bound tail can give (those shrink like
@@ -491,6 +466,8 @@ def _prime_zeta(s: mp.mpf, split: int = _PZ_SPLIT, extra_k: int = 0) -> mp.mpf:
 def _a_priori_tail(e_f: float, cutoff: int) -> float:
     """_UP times the effective bound on sum_{p >= cutoff} p^(-e_f); see
     _prime_power_tails."""
+    if e_f <= 1.0 + 1e-9:
+        raise ValueError(f"prime power tail diverges at exponent {e_f}")
     n = float(cutoff)
     return _UP * prime_tail_bound(
         lambda t: t ** -e_f / math.log(t), n,
@@ -519,7 +496,8 @@ def _prime_power_tails(exponents, primes: _PrimeContext) -> tuple[dict, dict]:
     summed.
 
     Sieved route, for the rest: Z(e) = P(e) - (sieved partial sum over
-    primes.ps, the primes up to the cutoff).  P(e) = _prime_zeta(e) is
+    the primes up to the cutoff, primes.sums[e] from the pass of the
+    context, _partial_products).  P(e) = _prime_zeta(e) is
     evaluated at 40 digits with the exponent reconstructed there (so the
     exponent it sees is exact to 40 digits), once per exponent pair for the
     whole process, and the subtraction is done at that precision.
@@ -534,7 +512,7 @@ def _prime_power_tails(exponents, primes: _PrimeContext) -> tuple[dict, dict]:
     * np.power is taken to be within 4 ulps (8u relative) per term;
       glibc's pow is within 1 ulp, and 0.64 ulp is the worst seen for
       five exponents at every seventh prime below 10^5;
-    * fsum_array rounds the sum of the float terms once (u relative).
+    * the pass sums the float terms exactly and rounds once (u relative).
 
     So |partial - P| <= u P (9 + 3.1 e ln N), to first order.  For e > 1,
     P <= sum_{p <= N} 1/p < ln ln N + 0.2615 + 1/ln^2 N < 3.2 (Rosser and
@@ -556,10 +534,7 @@ def _prime_power_tails(exponents, primes: _PrimeContext) -> tuple[dict, dict]:
     out = {}
     routes = {"prime_zeta": 0, "a_priori": 0}
     for e in exponents:
-        e_f = _expo_float(e)
-        if e_f <= 1.0 + 1e-9:
-            raise ValueError(f"prime power tail diverges at exponent {e_f}")
-        bound = _a_priori_tail(e_f, primes.cutoff)
+        bound = _a_priori_tail(_expo_float(e), primes.cutoff)
         if bound <= _TAIL_PAD:
             out[e] = CertifiedValue(0.0, bound)
             routes["a_priori"] += 1
@@ -567,7 +542,7 @@ def _prime_power_tails(exponents, primes: _PrimeContext) -> tuple[dict, dict]:
         routes["prime_zeta"] += 1
         hit = primes._tails.get(e)
         if hit is None:
-            partial = fsum_array(np.power(primes.ps, -e_f, out=primes.buffer))
+            partial = primes.sums[e]
             with mp.workdps(40):
                 zeta = _primezeta_cache.get(e)
                 if zeta is None:
@@ -657,16 +632,10 @@ def _local_monomials(key: str, w_shifts, extra, p_min: float):
     return a_terms, a_rems
 
 
-def _local_log_tail(key: str, w_shifts, extra,
-                    primes: _PrimeContext) -> tuple[CertifiedValue, dict]:
-    """Enclosure of sum_{p > cutoff} log(1 + a(p)) past cutoff = primes.cutoff,
-    with the route counts of its prime power tails (_prime_power_tails).
-
-    a is expanded into monomials by _local_monomials, log(1 + a) is
-    linearized with a two-sided quadratic remainder, and every monomial tail
-    is then a prime power tail.
-    """
-    p_min = float(primes.cutoff)
+def _log_tail_terms(key: str, w_shifts, extra, p_min: float):
+    """(terms, rems) of sum_{p > p_min} log(1 + a(p)) as monomials: a is
+    expanded by _local_monomials, and log(1 + a) is linearized with a
+    two-sided quadratic remainder, appended to rems."""
     a_terms, a_rems = _local_monomials(key, w_shifts, extra, p_min)
     all_expos = list(a_terms) + [e for _, e in a_rems]
     e_min = min(all_expos, key=_expo_float)
@@ -683,6 +652,13 @@ def _local_log_tail(key: str, w_shifts, extra,
         raise AssertionError("local terms too large past cutoff for log expansion")
     a_rems.append((_UP * c_a * c_a / (2.0 * (1.0 - a0)),
                    (2 * e_min[0], 2 * e_min[1])))
+    return a_terms, a_rems
+
+
+def _local_log_tail(a_terms, a_rems, primes: _PrimeContext) -> tuple[CertifiedValue, dict]:
+    """Enclosure of sum_{p > cutoff} log(1 + a(p)) past cutoff = primes.cutoff
+    from its monomials (_log_tail_terms), each tail of which is a prime power
+    tail, with the route counts of those (_prime_power_tails)."""
     zs, routes = _prime_power_tails(set(a_terms) | {e for _, e in a_rems}, primes)
     lo_parts, hi_parts = [], []
     for e, c in a_terms.items():
@@ -704,34 +680,40 @@ H1_SHAPE = (((1.0, (12, 0)), (-1.0, (18, 0))), ((-1.0, (12, 0)),))
 H23_SHAPE = (((1.0, (10, 0)), (1.0, (14, 0))), ((1.0, (8, 0)),))
 
 
-def _h_product(label: str, key: str,
-               primes: _PrimeContext) -> tuple[CertifiedValue, dict]:
-    """(enclosure, tail route counts) of H(1) for label "H1" or of Hbar(2/3)
-    for "H23", with weight key: prod_p (1 + a(p)), a(p) as in H1_SHAPE or
-    H23_SHAPE.
+def _h_local(label: str, key: str, p: np.ndarray, power, weight) -> np.ndarray:
+    """a(p) of the H product (label, key) at the primes p (_partial_products)."""
+    G = weight(key)
+    if label == "H1":
+        return ((p - 1.0) * G - p) / (p * p) - (p - 1.0) * G / (p * p * p)
+    return ((p - 1.0) * G - p) / power(5.0 / 3.0) + (p - 1.0) * G / power(7.0 / 3.0)
 
-    The partial product covers p <= primes.cutoff (p = 2 included); the
-    monomial tail of _local_log_tail covers p > primes.cutoff.
+
+def _h_products(pairs, cutoff: int) -> list[tuple[CertifiedValue, dict]]:
+    """(enclosure, tail route counts) of each H product (label, key) in
+    pairs: H(1) for label "H1" or Hbar(2/3) for "H23", with weight key, is
+    prod_p (1 + a(p)), a(p) as in H1_SHAPE or H23_SHAPE.
+
+    One _PrimeContext to the cutoff serves them all: the partial products
+    cover p <= cutoff (p = 2 included), and the monomial tails of
+    _local_log_tail p > cutoff.
     """
-    cutoff = primes.cutoff
     if cutoff < SHARP_TAIL_MIN_CUTOFF:
         raise ValueError(f"cutoff must be >= {SHARP_TAIL_MIN_CUTOFF}")
     if cutoff > FSLACK_MAX_CUTOFF:
         raise ValueError(
             f"cutoff must be <= {FSLACK_MAX_CUTOFF}: FSLACK = {FSLACK} is shown to "
             f"cover the float error of the weight products only up to there")
-
-    def local(primes):
-        p, G = primes.ps, primes.weight(key)
-        if label == "H1":
-            return ((p - 1.0) * G - p) / (p * p) - (p - 1.0) * G / (p * p * p)
-        return (((p - 1.0) * G - p) / primes.power(5.0 / 3.0)
-                + (p - 1.0) * G / primes.power(7.0 / 3.0))
-
-    shape = {"H1": H1_SHAPE, "H23": H23_SHAPE}[label]
-    partial = _partial_product(local, primes)
-    tail, routes = _local_log_tail(key, *shape, primes)
-    return _enclose(partial, tail.lo, tail.hi), routes
+    shapes = {"H1": H1_SHAPE, "H23": H23_SHAPE}
+    tails = {(label, key): _log_tail_terms(key, *shapes[label], float(cutoff))
+             for label, key in pairs}
+    exponents = set().union(*(set(terms) | {e for _, e in rems} for terms, rems in tails.values()))
+    primes = _PrimeContext(cutoff, {pair: functools.partial(_h_local, *pair) for pair in pairs},
+                           exponents)
+    out = []
+    for pair, (a_terms, a_rems) in tails.items():
+        tail, routes = _local_log_tail(a_terms, a_rems, primes)
+        out.append((_enclose(primes.partials[pair], tail.lo, tail.hi), routes))
+    return out
 
 
 def h_linear(key: str, cutoff: int = 10_000_000) -> CertifiedValue:
@@ -742,7 +724,7 @@ def h_linear(key: str, cutoff: int = 10_000_000) -> CertifiedValue:
     term is W/p^2 - W/p^3 - 1/p^2, which the sharp tail expands past the
     cutoff; widths land near 1e-11 at the default cutoff.
     """
-    return _h_product("H1", key, _PrimeContext(cutoff))[0]
+    return _h_products([("H1", key)], cutoff)[0][0]
 
 
 def h_twothirds(key: str, cutoff: int = 10_000_000) -> CertifiedValue:
@@ -754,7 +736,7 @@ def h_twothirds(key: str, cutoff: int = 10_000_000) -> CertifiedValue:
     would shrink only like cutoff^(-1/6), while the prime zeta route gives
     widths near 1e-8 at the default cutoff.
     """
-    return _h_product("H23", key, _PrimeContext(cutoff))[0]
+    return _h_products([("H23", key)], cutoff)[0][0]
 
 
 def check_h_caps(cutoff: int = 10_000_000) -> list[BoundReport]:
@@ -762,25 +744,22 @@ def check_h_caps(cutoff: int = 10_000_000) -> list[BoundReport]:
 
     A cap passes only if the entire certified enclosure sits below it, so a
     true value above the cap cannot be waved through by rounding.  The
-    cutoff lies in [SHARP_TAIL_MIN_CUTOFF, FSLACK_MAX_CUTOFF] (_h_product).  Each
+    cutoff lies in [SHARP_TAIL_MIN_CUTOFF, FSLACK_MAX_CUTOFF] (_h_products).  Each
     report's details["tails"] counts the exponents of its prime power tails
     by route (_prime_power_tails): "prime_zeta" (sieved) or "a_priori".
     """
-    primes = _PrimeContext(cutoff)
+    caps = [cap for key in H_CAPS for cap in H_CAPS[key]]
     reports = []
-    for key, caps in H_CAPS.items():
-        for label, cap in zip(("H1", "H23"), caps):
-            enc, tails = _h_product(label, key, primes)
-            reports.append(BoundReport(
-                name=f"h-cap-{label}({key})",
-                domain=f"primes <= {cutoff} + certified tail",
-                passed=enc.hi <= cap,
-                worst_ratio=enc.hi / cap,
-                worst_arg=None,
-                bound=cap,
-                details={"enclosure": enc.to_dict(), "cutoff": cutoff,
-                         "tails": tails},
-            ))
+    for (label, key), cap, (enc, tails) in zip(_H_PAIRS, caps, _h_products(_H_PAIRS, cutoff)):
+        reports.append(BoundReport(
+            name=f"h-cap-{label}({key})",
+            domain=f"primes <= {cutoff} + certified tail",
+            passed=enc.hi <= cap,
+            worst_ratio=enc.hi / cap,
+            worst_arg=None,
+            bound=cap,
+            details={"enclosure": enc.to_dict(), "cutoff": cutoff, "tails": tails},
+        ))
     return reports
 
 
@@ -797,8 +776,10 @@ def _aux_blocks(key: str, D: int):
     d = 1..D, with values[i] = mu^2(d) phi(d) G(d) / d at d = lo + i: the
     product of f(p) = (p-1)/p G(p) over the primes p of d in ascending order
     (sieve._prime_factor_product), zeroed at the multiples of each p^2."""
-    x = primes_upto(D).astype(np.float64)
-    check_allocation(_aux_bytes(x.size, D), f"weighted sums to {D}")
+    primes = primes_upto(D)
+    check_allocation(_aux_bytes(primes.size, D), f"weighted sums to {D}")
+    x = primes.astype(np.float64)
+    del primes
     f = (x - 1.0) / x * _weight(key, x, functools.partial(_libm_power, x))
     ps = x.astype(np.int64)
     del x
@@ -1025,11 +1006,11 @@ def build_registry() -> dict:
         "j5_star": {str(q): j5_star(q) for q in (1, 2, 3, 6, 30, 210)},
         "H_q": {str(q): h_q(q).to_dict() for q in (1, 2, 6, 30, 210)},
     }
-    primes = _PrimeContext(h_cut)
+    h = dict(zip(_H_PAIRS, _h_products(_H_PAIRS, h_cut)))
     for key in H_CAPS:
         reg["h_constants"][key] = {
-            "H1": _h_product("H1", key, primes)[0].to_dict(),
-            "H23": _h_product("H23", key, primes)[0].to_dict(),
+            "H1": h["H1", key][0].to_dict(),
+            "H23": h["H23", key][0].to_dict(),
             "caps": list(H_CAPS[key]),
             "cutoff": h_cut,
         }

@@ -8,7 +8,8 @@ its cumsum of mu(k)/k to n, 8 more bytes per n, built only for the scan and
 mertens.m (sweeps carry running sums).  A request past the table's end
 sieves only the range past it and appends that; the cumsum is built, and
 later continued, block by block with no array over [1, n] besides itself.
-primes_upto stays its own 1-byte-per-n sieve, and factorize is the one
+The primes come from their own segmented sieve (_prime_segments), one
+segment at a time or gathered by primes_upto, and factorize is the one
 factorization: readers that need the primes of a few n factor them.
 
 The segment kernel builds no index arrays.  Each step is one in-place ufunc
@@ -54,24 +55,75 @@ class MultiplicativeBlock:
         return self.hi - self.lo + 1
 
 
+def _prime_count_bound(n: int) -> int:
+    """An upper bound on pi(n): n / (ln n - 3/2) for n >= 5 (Rosser and
+    Schoenfeld, Illinois J. Math. 6, 1962), within 4 % of pi(n) from
+    2^18 on, and 2 below 5."""
+    return math.ceil(n / (math.log(n) - 1.5)) if n >= 5 else 2
+
+
+def _prime_segments(n: int):
+    """The primes of [2, n] as int64 arrays, one per segment of integers,
+    in ascending order: first [0, max(DEFAULT_SEGMENT, isqrt(n) + 1)) or
+    [0, n], sieved by its own primes up to its square root, then segments
+    of DEFAULT_SEGMENT integers, each sieved by the base primes up to
+    isqrt(n) from the first.  It holds one segment and the base primes at
+    a time, whatever n.
+    """
+    if n < 2:
+        return
+    r = math.isqrt(n)
+    hi = min(n + 1, max(DEFAULT_SEGMENT, r + 1))
+    mask = np.ones(hi, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(hi - 1) + 1):
+        if mask[p]:
+            mask[p * p:: p] = False
+    primes = np.nonzero(mask)[0]
+    del mask
+    yield primes
+    if hi > n:
+        return
+    base = primes[: np.searchsorted(primes, r, side="right")].tolist()
+    for lo in range(hi, n + 1, DEFAULT_SEGMENT):
+        mask = np.ones(min(DEFAULT_SEGMENT, n + 1 - lo), dtype=bool)
+        for p in base:
+            mask[-lo % p:: p] = False
+        primes = np.nonzero(mask)[0]
+        del mask
+        primes += lo
+        yield primes
+
+
 def _primes_bytes(n: int) -> int:
-    """Peak memory of primes_upto(n): the n + 1 byte mask and the int64
-    index of its primes, at most 1.25506 n / ln n of them (Rosser and
-    Schoenfeld, Illinois J. Math. 6, 1962, valid for n > 1)."""
-    return n + 1 + 8 * math.ceil(1.25506 * n / math.log(n))
+    """Peak memory of primes_upto(n): the first segment's mask and int64
+    primes; past it, the output sized by the bound on pi(n), the primes of
+    the segment being copied and of the next, and the base primes as
+    Python ints (36 B each)."""
+    if n < DEFAULT_SEGMENT:
+        return n + 1 + 8 * _prime_count_bound(n)
+    first = max(DEFAULT_SEGMENT, math.isqrt(n) + 1)
+    return (first + 8 * _prime_count_bound(n) + 16 * _prime_count_bound(first)
+            + 36 * _prime_count_bound(math.isqrt(n)))
 
 
 def primes_upto(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array (empty for n < 2)."""
+    """All primes <= n as an int64 array (empty for n < 2): the one segment
+    of _prime_segments, or its segments copied into one array sized by the
+    bound on pi(n) and then shrunk in place."""
     if n < 2:
         return np.empty(0, dtype=np.int64)
     check_allocation(_primes_bytes(n), f"prime sieve to {n}")
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, int(n ** 0.5) + 1):
-        if mask[p]:
-            mask[p * p:: p] = False
-    return np.nonzero(mask)[0].astype(np.int64, copy=False)
+    segments = _prime_segments(n)
+    if n < DEFAULT_SEGMENT:
+        return next(segments)
+    out = np.empty(_prime_count_bound(n), dtype=np.int64)
+    k = 0
+    for primes in segments:
+        out[k: k + primes.size] = primes
+        k += primes.size
+    out.resize(k, refcheck=False)
+    return out
 
 
 def _sieve_segment(lo: int, hi: int, primes: np.ndarray, mu, phi) -> None:

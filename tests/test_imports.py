@@ -5,9 +5,10 @@ exempt: its imports are the public re-exports collected into `__all__`),
 only `sieve.py` runs the multiplicative sieve: every other module reads
 mu, phi and the Mertens cumsum from the one arithmetic table, prime
 zeta values come from `products._prime_zeta`, not mpmath's `primezeta`,
-every Euler product's logs are taken in `products._partial_product` alone, and
-exact sums of arrays go through `numutil.fsum_array`, not `fsum` of a list
-nor `fsum` of a memoryview outside `numutil.py`.  The command-line module
+every Euler product's logs are taken in `products._partial_products` (the one
+pass over the primes) alone, and exact sums of arrays go through
+`numutil.fsum_array` or the streamed `numutil._ExactSum`, not `fsum` of a
+list nor `fsum` of a memoryview outside `numutil.py`.  The command-line module
 imports everything it uses at its top.  Every name in `mulcm.__all__` is
 called by the package or by the benchmark's workloads, or is an oracle or
 test API listed with its reason.
@@ -137,19 +138,19 @@ def test_no_module_calls_mpmath_primezeta(path):
     assert name_references(path.read_text(), {"primezeta"}) == []
 
 
-# Euler products take their logs in products._partial_product, the one path
+# Euler products take their logs in products._partial_products, the one pass
 # whose float error products.FSLACK is derived for.
 def test_log1p_detector_skips_only_the_named_function():
     src = ("import numpy as np\nfrom math import log1p\n"
-           "def _partial_product(x):\n    return np.log1p(x)\n"
+           "def _partial_products(x):\n    return np.log1p(x)\n"
            "def other(x):\n    return np.log1p(x)\n")
-    assert name_references(src, {"log1p"}, outside="_partial_product") == [
+    assert name_references(src, {"log1p"}, outside="_partial_products") == [
         "log1p (line 2)", "log1p (line 6)"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_log1p_only_in_the_partial_product(path):
-    outside = "_partial_product" if path.name == "products.py" else None
+    outside = "_partial_products" if path.name == "products.py" else None
     assert name_references(path.read_text(), {"log1p"}, outside=outside) == []
 
 
@@ -188,7 +189,8 @@ def test_fsum_detector_flags_memoryview_arguments():
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_exact_sums_read_arrays_directly(path):
-    # numutil.py holds the one exact array-sum path; its memoryview fsum is it.
+    # numutil.py holds the one exact array-sum path (fsum_array, and _ExactSum
+    # for values that arrive in blocks); its memoryview fsum is the early-out.
     found = fsum_of_arrays(path.read_text())
     if path.name == "numutil.py":
         found = [f for f in found if "memoryview" not in f]

@@ -121,6 +121,80 @@ def test_fsum_array_property_mixed_magnitudes_and_signs(seed, n, spread, center,
     assert_same_as_fsum(xs)
 
 
+def assert_exact_sum_is_fsum(values, sizes):
+    """numutil._ExactSum fed the values in consecutive blocks of the given
+    sizes, the rest in one last block, gives math.fsum of them as one list,
+    or raises the same exception."""
+    x = np.asarray(values, dtype=np.float64)
+    total = numutil._ExactSum()
+    bounds = np.cumsum([0] + list(sizes))
+    for lo, hi in zip(bounds, bounds[1:]):
+        total.add(x[min(lo, x.size):min(hi, x.size)])
+    total.add(x[min(bounds[-1], x.size):])
+    try:
+        want = math.fsum(x.tolist())
+    except ValueError:
+        with pytest.raises(ValueError):
+            total.value()
+        return
+    got = total.value()
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), \
+            (got, want)
+
+
+@pytest.mark.parametrize("values, sizes", [
+    ([1.0, -1.0], [1]),                               # cancels to exactly 0.0
+    ([1e16, 1.0, -1e16, -1.0], [1, 2]),
+    ([2.0 ** 600, 1.0, -(2.0 ** 600), -1.0, 0.5, -0.5], [2, 0, 3]),
+    ([1.0, 2.0 ** -53], [1]),                         # a tie across blocks, to even
+    ([1.0 + 2.0 ** -52, 2.0 ** -53], [1]),            # a tie that rounds up to even
+    ([1.0, 2.0 ** -53, 2.0 ** -106], [1, 1]),         # just past the tie
+    ([TINY, TINY, 3 * TINY], [1, 1]),                 # subnormals
+    ([2.0 ** -1022, -TINY, 5 * TINY], [1]),
+    ([1.0, TINY, -1.0], [2]),                         # a subnormal leftover
+    ([1.0, math.inf, 2.0], [1, 1]),                   # a block with an inf
+    ([math.inf, -1.0, -math.inf], [2]),
+    ([math.nan, 1.0], [0, 1]),
+    ([2.0 ** 1000, 1.0, -(2.0 ** 1000)], [1, 1]),     # a block past 2^960
+    ([3.0, 2.0 ** 970, 5.0, -(2.0 ** 970)], [2]),
+], ids=repr)
+def test_exact_sum_hand_built_cases(values, sizes):
+    assert_exact_sum_is_fsum(values, sizes)
+    # Past _FSUM_DIRECT_MAX, fsum_array takes the same values in one block.
+    padded = np.zeros(3 * numutil._FSUM_DIRECT_MAX)
+    padded[::3][:len(values)] = values
+    assert_exact_sum_is_fsum(padded, [])
+    assert_exact_sum_is_fsum(padded, [5, 7, 1000])
+
+
+# Magnitudes stay below 2^1000: near 2^1024 math.fsum itself overflows or
+# not depending on the order of the values, so no split can match it there.
+_floats = st.one_of(st.floats(-(2.0 ** 1000), 2.0 ** 1000),
+                    st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
+@given(xs=st.lists(_floats, max_size=60), sizes=st.lists(st.integers(0, 8), max_size=20))
+@settings(max_examples=400, deadline=None)
+def test_exact_sum_property_any_floats_any_blocks(xs, sizes):
+    assert_exact_sum_is_fsum(xs, sizes)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 3 << 16),
+       sizes=st.lists(st.sampled_from([0, 1, 7, 1 << 15, 1 << 16]), max_size=6),
+       spread=st.integers(0, 200), center=st.integers(-850, 800), cancel=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_exact_sum_property_large_blocks(seed, n, sizes, spread, center, cancel):
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal(n) * 2.0 ** (center + rng.integers(-spread, spread + 1, size=n))
+    if cancel:  # each value with its negation, plus a residue far below them
+        xs = np.concatenate([xs, -xs[::-1], xs[:1] * 2.0 ** -60])
+        rng.shuffle(xs)
+    assert_exact_sum_is_fsum(xs, sizes)
+
+
 def test_simpson_polynomial_exact():
     # Simpson is exact on cubics, so the adaptive error estimate is ~0.
     val, err = adaptive_simpson(lambda t: t ** 3 - 2 * t, 0.0, 2.0, tol=1e-12)

@@ -1,4 +1,5 @@
 import bisect
+import functools
 import hashlib
 import json
 import math
@@ -135,8 +136,9 @@ class _Bounded:
         return self._rounded(q, (self.e + np.abs(q) * o.e) / (np.abs(o.v) - o.e))
 
 
-class _BoundedContext:
-    """The primes part of a _PrimeContext, with error bounds on its arrays.
+def _bounded_block(ps, power, weight):
+    """The arguments of a local term over one block of primes
+    (products._partial_products), with error bounds.
 
     The primes are exact and libm pow is within 1 ulp (2u).  For p >= 3,
     g0 = s/(s - 1) from s = fl(sqrt p) is within (1/(sqrt 3 - 1) + 2) u
@@ -144,62 +146,48 @@ class _BoundedContext:
     (2/(3**XI - 1) + 2) u < 3.1u; at p = 2 each is one rounded constant.  A
     weight, the product of two of them, is then within 7.8u < 8u.
     """
-
-    def __init__(self, primes, part: slice):
-        self.primes, self.part = primes, part
-        self.ps = _Bounded(primes.ps[part])
-
-    def power(self, e):
-        v = self.primes.power(e)[self.part]
-        return _Bounded(v, 2 * U * v)
-
-    def weight(self, key):
-        v = self.primes.weight(key)[self.part]
-        return _Bounded(v, 8 * U * v)
-
-
-def _float_error_bound(local, primes, terms, chunk=1 << 20) -> float:
-    """The bound derived at products.FSLACK on the relative float error of
-    exp(fsum_array(log1p(terms))), terms = local(primes), a chunk at a time."""
-    moved, logs = 0.0, 0.0
-    for start in range(0, len(terms), chunk):
-        x = local(_BoundedContext(primes, slice(start, start + chunk)))
-        assert np.array_equal(x.v, terms[start: start + chunk])
-        moved += float(np.sum(x.e / (1.0 + x.v)))
-        logs += float(np.sum(np.abs(np.log1p(x.v))))
-    return moved + U * (9.0 * logs + 8.0)
+    return (_Bounded(ps), lambda e: _Bounded(power(e), 2 * U * power(e)),
+            lambda key: _Bounded(weight(key), 8 * U * weight(key)))
 
 
 def _record_float_error_bounds(mpatch) -> list:
-    """Patch products._partial_product to append (cutoff, bound) for every
-    product built while the patch holds."""
+    """Patch products._partial_products to append (cutoff, bound) for every
+    product built while the patch holds: the bound derived at
+    products.FSLACK on the relative float error of its partial product
+    exp(sum log1p(x)), x the local terms, summed block by block."""
     bounds = []
-    real = products._partial_product
+    real = products._partial_products
 
-    def spy(local, primes):
-        terms = []
+    def spy(cutoff, local_terms, exponents):
+        sums = {name: [0.0, 0.0] for name in local_terms}
 
-        def recording(block):
-            terms.append(local(block))
-            return terms[-1]
+        def recording(name, local, ps, power, weight):
+            x = local(ps, power, weight)
+            b = local(*_bounded_block(ps, power, weight))
+            assert np.array_equal(b.v, x)
+            sums[name][0] += float(np.sum(b.e / (1.0 + b.v)))
+            sums[name][1] += float(np.sum(np.abs(np.log1p(b.v))))
+            return x
 
-        result = real(recording, primes)
-        bounds.append((primes.cutoff,
-                       _float_error_bound(local, primes, np.concatenate(terms))))
+        result = real(cutoff, {name: functools.partial(recording, name, local)
+                               for name, local in local_terms.items()}, exponents)
+        bounds.extend((cutoff, moved + U * (9.0 * logs + 8.0))
+                      for moved, logs in sums.values())
         return result
 
-    mpatch.setattr(products, "_partial_product", spy)
+    mpatch.setattr(products, "_partial_products", spy)
     return bounds
 
 
 @pytest.fixture(scope="module")
 def deep_products():
-    """A and P0 at cutoff 10^8 in one shared prime context (about 2 s and
-    220 MB), with the float error bound of each partial product."""
+    """A and P0 at cutoff 10^8 from one pass over the primes (0.7 s and
+    39 MB peak RSS in a fresh process; 1.4 s and 59 MB with the error
+    bounds and the test modules), with the float error bound of each
+    partial product."""
     with pytest.MonkeyPatch.context() as mpatch:
         bounds = _record_float_error_bounds(mpatch)
-        primes = _PrimeContext(10 ** 8)
-        values = (products._cubic_product(2.0, primes), products._cubic_product(1.0, primes))
+        values = products._cubic_products([2.0, 1.0], 10 ** 8)
     return values, bounds
 
 
@@ -283,12 +271,14 @@ def test_h_q_contains_a_times_the_exact_ratio(q):
 
 
 def test_weights():
-    primes = _PrimeContext(2)
-    assert primes.weight("g0^2")[0] == pytest.approx(1.5)
-    assert primes.weight("g0*g1")[0] == pytest.approx(math.sqrt(1.5) * 2.06)
-    assert primes.weight("g1^2")[0] == pytest.approx(2.06 ** 2)
+    ps = np.array([2.0])
+    weight = functools.partial(products._weight, ps=ps,
+                               power=functools.partial(products._libm_power, ps))
+    assert weight("g0^2")[0] == pytest.approx(1.5)
+    assert weight("g0*g1")[0] == pytest.approx(math.sqrt(1.5) * 2.06)
+    assert weight("g1^2")[0] == pytest.approx(2.06 ** 2)
     with pytest.raises(ValueError):
-        primes.weight("g2^2")
+        weight("g2^2")
 
 
 def _scalar_weight(key: str, p: float) -> float:
@@ -323,20 +313,21 @@ def test_partial_products_equal_scalar_loop(monkeypatch):
     # primes, which the term comparison catches.
     cutoff = 100_000
     seen = []
-    real = products._partial_product
+    real = products._partial_products
 
-    def spy(local, primes):
-        terms = []
+    def spy(cutoff, local_terms, exponents):
+        terms = {name: [] for name in local_terms}
 
-        def recording(block):
-            terms.append(local(block))
-            return terms[-1]
+        def recording(name, local, *block):
+            terms[name].append(local(*block))
+            return terms[name][-1]
 
-        partial = real(recording, primes)
-        seen.append((np.concatenate(terms), partial))
-        return partial
+        partials, sums = real(cutoff, {name: functools.partial(recording, name, local)
+                                       for name, local in local_terms.items()}, exponents)
+        seen.extend((np.concatenate(terms[name]), partials[name]) for name in local_terms)
+        return partials, sums
 
-    monkeypatch.setattr(products, "_partial_product", spy)
+    monkeypatch.setattr(products, "_partial_products", spy)
     constant_A(cutoff)
     for key in H_CAPS:
         h_linear(key, cutoff)
@@ -429,24 +420,25 @@ def test_prime_zeta_rejects_the_pole():
 @pytest.mark.parametrize("call", [lambda: check_h_caps(150_000), build_registry],
                          ids=["check_h_caps", "build_registry"])
 def test_prime_contexts_are_shared_then_released(call, monkeypatch):
-    # One context per cutoff serves all six products of the call, and none
-    # outlives it: at cutoff 10^7 one holds about 27 MB.
+    # One context per cutoff, so one pass over the primes, serves all six H
+    # products of the call, and none outlives it.
     built = []
     real_init = products._PrimeContext.__init__
 
-    def recording(self, cutoff):
-        real_init(self, cutoff)
-        built.append((cutoff, weakref.ref(self)))
+    def recording(self, cutoff, local_terms, exponents=()):
+        real_init(self, cutoff, local_terms, exponents)
+        built.append((cutoff, len(self.partials), weakref.ref(self)))
 
     monkeypatch.setattr(products._PrimeContext, "__init__", recording)
     call()
-    cutoffs = [c for c, _ in built]
+    cutoffs = [c for c, _, _ in built]
     assert len(cutoffs) == len(set(cutoffs)) >= 1
-    assert [c for c, ref in built if ref() is not None] == []
+    assert max(n for _, n, _ in built) == 6
+    assert [c for c, _, ref in built if ref() is not None] == []
 
 
 def test_prime_context_memory_within_declared_budget(monkeypatch):
-    declared = products._context_bytes(len(primes_upto(10**6)))
+    declared = products._context_bytes(10**6)
     monkeypatch.setenv("MULCM_MEMORY_BUDGET", str(declared))
     tracemalloc.start()
     try:
@@ -459,7 +451,7 @@ def test_prime_context_memory_within_declared_budget(monkeypatch):
 
 
 def test_prime_context_refused_one_byte_below_declared(monkeypatch):
-    declared = products._context_bytes(len(primes_upto(10**6)))
+    declared = products._context_bytes(10**6)
     monkeypatch.setenv("MULCM_MEMORY_BUDGET", str(declared - 1))
     tracemalloc.start()
     try:
@@ -470,6 +462,25 @@ def test_prime_context_refused_one_byte_below_declared(monkeypatch):
         tracemalloc.stop()
     # Refused once the primes are sieved, before any float array over them.
     assert peak <= sieve._primes_bytes(10**6), peak
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_prime_context_memory_does_not_grow_with_the_cutoff():
+    # The pass holds one segment of primes at a time, so a tenfold cutoff
+    # costs time, not memory; an array over all the primes would add 8 B
+    # per prime (1.2 MB for the 148 933 primes to 2 * 10^6).
+    check_h_caps(2 * 10**5)  # caches the prime zeta values that both cutoffs use
+    small = _traced_peak(lambda: check_h_caps(2 * 10**5))
+    large = _traced_peak(lambda: check_h_caps(2 * 10**6))
+    assert abs(large - small) <= 1 << 20, (small, large)
 
 
 def _aux_declared(D: int) -> int:
@@ -627,9 +638,10 @@ def test_h_local_expansion_encloses_truth():
 
 def test_prime_power_tail_cross_cutoff():
     # Z(e, P1) - Z(e, P2) must equal the sieved sum over P1 < p <= P2.
-    primes1, primes2 = _PrimeContext(100_000), _PrimeContext(200_000)
-    ps2 = primes2.ps
-    for e in ((7, 0), (9, 0), (10, 1)):
+    es = ((7, 0), (9, 0), (10, 1))
+    primes1, primes2 = _PrimeContext(100_000, {}, es), _PrimeContext(200_000, {}, es)
+    ps2 = primes_upto(200_000).astype(np.float64)
+    for e in es:
         e_f = e[0] / 6.0 + e[1] * XI
         z1 = _prime_power_tails([e], primes1)[0][e]
         z2 = _prime_power_tails([e], primes2)[0][e]
@@ -742,6 +754,72 @@ def test_registry_digest_is_pinned():
         "05e87c7ee24c9503d2e55cd8b83386ffc6f4a849166e1d139d5a2c7356cb9d90")
 
 
+# The partial products, in product order, and the sieved prime power tail
+# partials sum_{p <= cutoff} p^(-e), by exponent pair, as float.hex: what
+# the whole-array sums over all the primes gave for check_h_caps(10^5) and
+# (10^7) and for build_registry() (A_check at 200 000, then the six H
+# products at 10^5, equal to check_h_caps(10^5)'s).
+_PASS_PARTIALS = {
+    100_000: ["0x1.ff987511cc790p+0", "0x1.03ec2c290f598p+6", "0x1.55c03555bbf03p+0",
+              "0x1.5f2eb1784f958p+4", "0x1.1024c28f29a32p+0", "0x1.24de923d82ca6p+3"],
+    10_000_000: ["0x1.00060378f9946p+1", "0x1.17fb419d36418p+6", "0x1.55e6ce36499c2p+0",
+                 "0x1.6d32304b605e7p+4", "0x1.1024d2af91a91p+0", "0x1.2608c6f77629ep+3"],
+    200_000: ["0x1.b6871fafa70e1p-2"],
+}
+_PASS_TAIL_SUMS = {
+    100_000: {
+        (4, 1): "0x1.68d9ab195138cp-1", (4, 2): "0x1.00bb545bd4761p-2",
+        (6, 1): "0x1.e1e28eed8c8a8p-2", (6, 2): "0x1.7d1759ad10f57p-3",
+        (7, 0): "0x1.9d44d65fc016bp+0", (7, 1): "0x1.931e2c1ed974bp-2",
+        (7, 2): "0x1.4a1e3668abcf0p-3", (8, 0): "0x1.1f9de50453dacp+0",
+        (8, 1): "0x1.549a48959d72ap-2", (9, 0): "0x1.b2bb81196d1c6p-1",
+        (9, 1): "0x1.21f94205228cfp-2", (10, 0): "0x1.57e70389ad6d0p-1",
+        (10, 1): "0x1.f0b144320277ep-3", (11, 0): "0x1.17a65bcf7611cp-1",
+        (11, 1): "0x1.ab6fc97059f01p-3", (12, 0): "0x1.cf19bcc492ed4p-2",
+        (12, 1): "0x1.714aca8398161p-3", (13, 0): "0x1.84579f76a4d76p-2",
+        (14, 0): "0x1.48b7222bce0ccp-2", (15, 0): "0x1.183fc34f26ce2p-2",
+        (16, 0): "0x1.e093d22cb7c8ep-3", (17, 0): "0x1.9df3294e32c9ap-3",
+        (18, 0): "0x1.65e9f462afe9bp-3",
+    },
+    10_000_000: {
+        (4, 1): "0x1.68e48235a10ccp-1", (6, 1): "0x1.e1e2e2b659b45p-2",
+        (7, 0): "0x1.a64698557e04fp+0", (7, 1): "0x1.931e36c4627abp-2",
+        (8, 0): "0x1.209a9eb8b3ad9p+0", (8, 1): "0x1.549a49f5dad5cp-2",
+        (9, 0): "0x1.b2f541d7d5cc8p-1", (9, 1): "0x1.21f94233499abp-2",
+        (10, 0): "0x1.57edda80e2da2p-1", (11, 0): "0x1.17a7317b9e8aep-1",
+        (12, 0): "0x1.cf19f2366e97bp-2", (13, 0): "0x1.8457a64825556p-2",
+        (14, 0): "0x1.48b7230e1e0f9p-2", (15, 0): "0x1.183fc36ce1fa7p-2",
+    },
+    200_000: {},
+}
+# sha256 of the repr of the six check_h_caps(10^7) reports, as the
+# whole-array sums gave them.
+_H_CAP_REPORTS_DIGEST = "12266b88e23184f6d192ca3756ee65c710f75e0f7ee2a5f835c38c4802e331ad"
+
+
+def test_pass_partials_are_pinned():
+    seen = []
+    real = products._partial_products
+
+    def spy(cutoff, local_terms, exponents):
+        partials, sums = real(cutoff, local_terms, exponents)
+        seen.append((cutoff, [v.hex() for v in partials.values()],
+                     {e: v.hex() for e, v in sums.items()}))
+        return partials, sums
+
+    with pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(products, "_partial_products", spy)
+        check_h_caps(10**5)
+        reports = check_h_caps(10**7)
+        build_registry()
+    assert [c for c, _, _ in seen] == [10**5, 10**7, 200_000, 10**5]
+    for cutoff, partials, sums in seen:
+        assert partials == _PASS_PARTIALS[cutoff], cutoff
+        assert sums == _PASS_TAIL_SUMS[cutoff], cutoff
+    digest = hashlib.sha256(repr(reports).encode()).hexdigest()
+    assert digest == _H_CAP_REPORTS_DIGEST
+
+
 def _is_a_priori(e, cutoff: int) -> bool:
     return products._a_priori_tail(products._expo_float(e), cutoff) <= products._TAIL_PAD
 
@@ -763,19 +841,20 @@ def test_a_priori_tails_sum_nothing(cutoff, h_cap_tail_exponents, monkeypatch):
     # _prime_zeta nor the sieved partial sum; every other one reaches both.
     monkeypatch.setattr(products, "_primezeta_cache", {})
     calls = []
-    for name in ("_prime_zeta", "fsum_array"):
-        real = getattr(products, name)
-        monkeypatch.setattr(products, name,
-                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    real_zeta, real_pass = products._prime_zeta, products._partial_products
+    monkeypatch.setattr(products, "_prime_zeta",
+                        lambda s: calls.append("_prime_zeta") or real_zeta(s))
+    monkeypatch.setattr(products, "_partial_products", lambda cutoff, terms, exponents: (
+        calls.extend(["sieved sum"] * len(exponents)) or real_pass(cutoff, terms, exponents)))
     for e in h_cap_tail_exponents:
         calls.clear()
-        tails, routes = _prime_power_tails([e], _PrimeContext(cutoff))
+        tails, routes = _prime_power_tails([e], _PrimeContext(cutoff, {}, [e]))
         bound = products._a_priori_tail(products._expo_float(e), cutoff)
         if bound <= products._TAIL_PAD:
             assert tails[e] == CertifiedValue(0.0, bound) and calls == [], e
             assert routes == {"prime_zeta": 0, "a_priori": 1}
         else:
-            assert sorted(calls) == ["_prime_zeta", "fsum_array"], e
+            assert sorted(calls) == ["_prime_zeta", "sieved sum"], e
             assert routes == {"prime_zeta": 1, "a_priori": 0}
 
 
@@ -788,7 +867,6 @@ def test_a_priori_tails_contain_the_prime_zeta_tail(cutoff, h_cap_tail_exponents
     # nests [0, B] in the sieved enclosure (_prime_power_tails).
     ps = primes_upto(cutoff).tolist()
     split = bisect.bisect_right(ps, cutoff // 100)
-    primes = _PrimeContext(cutoff)
     checked = 0
     with mp.workdps(40):
         for e in h_cap_tail_exponents:
@@ -799,7 +877,7 @@ def test_a_priori_tails_contain_the_prime_zeta_tail(cutoff, h_cap_tail_exponents
             rest = math.fsum(math.pow(p, -e_near) for p in ps[split:])
             err = 2.0 * 2.0 ** -53 * (1.0 + e_near * math.log(cutoff)) * rest
             z = mp.primezeta(e_mp) - mp.fsum(mp.mpf(p) ** -e_mp for p in ps[:split]) - rest
-            hi = _prime_power_tails([e], primes)[0][e].hi
+            hi = _prime_power_tails([e], _PrimeContext(cutoff, {}, [e]))[0][e].hi
             assert z + err <= hi, e
             assert 0.05 <= z / hi <= 0.95, e
             checked += 1
@@ -807,16 +885,21 @@ def test_a_priori_tails_contain_the_prime_zeta_tail(cutoff, h_cap_tail_exponents
 
 
 def test_prime_power_tail_sums_take_the_fast_path(h_cap_tail_exponents, monkeypatch):
-    # Every tail partial is a sum of positive terms, so the extraction in
-    # fsum_array decides its rounding without the math.fsum fallback.
+    # Every tail partial is a sum of positive terms in the extraction's
+    # range, so fsum_array extracts it without the math.fsum early-out, and
+    # the streamed sum of the pass equals math.fsum of all its terms.
     fallbacks = []
     real = numutil._fsum
     monkeypatch.setattr(numutil, "_fsum", lambda x: fallbacks.append(x.size) or real(x))
     assert len(h_cap_tail_exponents) == 132
-    ps = _PrimeContext(100_000).ps
+    ps = primes_upto(100_000).astype(np.float64)
+    sums = _PrimeContext(100_000, {}, h_cap_tail_exponents).sums
+    assert len(sums) == 23
     for e in h_cap_tail_exponents:
         terms = np.power(ps, -products._expo_float(e))
-        assert fsum_array(terms) == math.fsum(terms.tolist()), e
+        exact = math.fsum(terms.tolist())
+        assert fsum_array(terms) == exact, e
+        assert sums.get(e, exact) == exact, e
     assert fallbacks == []
 
 
@@ -824,7 +907,7 @@ def test_prime_power_tail_pad_covers_the_float_partial(h_cap_tail_exponents):
     # The float partial behind each tail enclosure is far inside the pad
     # derived in _prime_power_tails: within 1e-3 of it of the 40-digit sum.
     es = h_cap_tail_exponents
-    ps = _PrimeContext(100_000).ps
+    ps = primes_upto(100_000).astype(np.float64)
     for e in (es[0], es[len(es) // 2], es[-1]):
         assert min(e) >= 0, e
         partial = fsum_array(np.power(ps, -products._expo_float(e)))
