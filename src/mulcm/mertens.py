@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numutil import _RunningMax, _RunningSum, _blocks
+from .numutil import _RunningMax, _RunningSum, _blocks, libm_power
 from .report import BoundReport
 from .sieve import _coprime_mask, _mertens_cum, _table, prime_divisors, radical
 
@@ -177,7 +177,7 @@ def g0_factor(d: int) -> float:
 def g1_factor(d: int) -> float:
     """Inflation of the log envelope under coprimality, prod_{p | d} g1(p)."""
     ps = np.array(prime_divisors(d), dtype=np.float64)
-    pe = np.array([p ** XI for p in ps.tolist()], dtype=np.float64)
+    pe = libm_power(ps, XI)
     return math.prod(_g1_at(ps, pe).tolist(), start=1.0)
 
 

@@ -147,6 +147,13 @@ def fsum_array(values) -> float:
     return total.value()
 
 
+def libm_power(x: np.ndarray, e: float) -> np.ndarray:
+    """x ** e at each float of x by libm pow, as math.pow: np.float_power has
+    no SIMD loop for float64 and calls C pow once per element, on every CPU;
+    np.power's SIMD loops differ from libm in the last ulp at some inputs."""
+    return np.float_power(x, e)
+
+
 # Indices per block of a blocked sweep: a block's temporaries stay in the L2
 # cache, and a sweep over [0, N] holds no array over [0, N] of its own.
 _SWEEP_BLOCK = 1 << 16

@@ -44,7 +44,7 @@ import numpy as np
 
 from .numutil import (
     _SWEEP_BLOCK, _ExactSum, _RunningMax, _RunningSum, _blocks, check_allocation,
-    fsum_array, quad_log,
+    fsum_array, libm_power, quad_log,
 )
 from .report import BoundReport, CertifiedValue
 from .sieve import (
@@ -133,7 +133,8 @@ def check_prime_tail(cutoff: int = 30_000_000) -> BoundReport:
     The primes are walked in numutil._blocks from the last block down, with
     a running sum (_RunningSum) per exponent over each reversed block: the
     adds of np.cumsum over all the reversed terms, in the same order, so
-    each partial is read bit for bit as its block passes.
+    each partial is read bit for bit as its block passes.  The logs and
+    powers are libm's (math.log, libm_power), whatever numpy's SIMD level.
     """
     primes = primes_upto(cutoff)
     grid = [10.0, 1e3, 1e5, 3.7e6, 1e7]
@@ -144,9 +145,9 @@ def check_prime_tail(cutoff: int = 30_000_000) -> BoundReport:
     suffix_sums = {a: _RunningSum() for a in exponents}
     for lo, hi in reversed(list(_blocks(0, len(primes)))):
         ps = primes[lo:hi].astype(np.float64)
-        logs = np.log(ps)
+        logs = np.fromiter(map(math.log, memoryview(ps)), np.float64, len(ps))
         for a in exponents:
-            weighted = logs / ps ** a
+            weighted = logs / libm_power(ps, a)
             suffix = suffix_sums[a].cumsum(weighted[::-1])[::-1]
             for P, i in first.items():
                 if lo <= i < hi:
@@ -176,10 +177,11 @@ def check_prime_tail(cutoff: int = 30_000_000) -> BoundReport:
 
 
 # Traced peak of one block of the pass (_partial_products), per prime of the
-# block: its primes as int64 and float64, three libm powers, three weights,
-# up to four temporaries of a local term (numpy elides none below 2^15
-# floats), its log1p and the two buffers of _ExactSum; the next segment is
-# sieved while 64 B of them are held.  The fixed part covers the base primes
+# block: its primes as int64 and float64, three libm powers (np.float_power
+# writes each into one new array, with no temporary), three weights, up to
+# four temporaries of a local term (numpy elides none below 2^15 floats),
+# its log1p and the two buffers of _ExactSum; the next segment is sieved
+# while 64 B of them are held.  The fixed part covers the base primes
 # (44 KB at 10^8) and the per-product objects (prime zeta values, reports).
 _CONTEXT_BYTES_PER_PRIME = 96
 _CONTEXT_FIXED_BYTES = 128 << 10
@@ -224,29 +226,18 @@ def _weight(key: str, ps: np.ndarray, power) -> np.ndarray:
     raise ValueError(f"unknown weight {key!r}")
 
 
-def _libm_power(ps: np.ndarray, e: float) -> np.ndarray:
-    """p ** e at each float of ps, with libm pow (math.pow, as Python's `**`).
-
-    numpy's SIMD power is not always correctly rounded and differs from
-    libm in the last ulp at some primes, so the local terms would no
-    longer equal a per-prime evaluation.
-    The floats are read one at a time from a memoryview, so no list of
-    Python floats is ever held.
-    """
-    return np.fromiter(map(math.pow, memoryview(ps), itertools.repeat(e)),
-                       np.float64, len(ps))
-
-
 def _partial_products(cutoff: int, local_terms: dict, exponents) -> tuple[dict, dict]:
     """({name: prod_{p <= cutoff} (1 + local(p))}, {e: sum_{p <= cutoff}
     p^(-e_f)}) for the local terms by name and the exponent pairs e, from
     one pass over the prime segments (sieve._prime_segments).
 
     local(ps, power, weight) maps a block of primes ps (float64) to its
-    local terms; power(e) is p^e at ps (_libm_power) and weight(key) is G
-    at ps (_weight), each computed once per block.  Each product's log1p
-    terms and each exponent's p^(-e_f) feed their own exact sum
-    (numutil._ExactSum), rounded once as over one array of all the terms.
+    local terms; power(e) is p^e at ps by libm pow (numutil.libm_power) and
+    weight(key) is G at ps (_weight), each computed once per block.  The
+    sieved terms p^(-e_f) take the SIMD np.power, 4x faster than libm; the
+    pad of _prime_power_tails covers its error.  Each product's log1p terms
+    and each exponent's terms feed their own exact sum (numutil._ExactSum),
+    rounded once as over one array of all the terms.
     """
     logs = {name: _ExactSum() for name in local_terms}
     sums = {e: _ExactSum() for e in exponents}
@@ -255,7 +246,7 @@ def _partial_products(cutoff: int, local_terms: dict, exponents) -> tuple[dict, 
     check_allocation(_context_bytes(cutoff), f"prime context to {cutoff}")
     for primes in _prime_segments(cutoff):
         ps = primes.astype(np.float64)
-        power = functools.cache(functools.partial(_libm_power, ps))
+        power = functools.cache(functools.partial(libm_power, ps))
         weight = functools.cache(functools.partial(_weight, ps=ps, power=power))
         for name, local in local_terms.items():
             logs[name].add(np.log1p(local(ps, power, weight)))
@@ -780,7 +771,7 @@ def _aux_blocks(key: str, D: int):
     check_allocation(_aux_bytes(primes.size, D), f"weighted sums to {D}")
     x = primes.astype(np.float64)
     del primes
-    f = (x - 1.0) / x * _weight(key, x, functools.partial(_libm_power, x))
+    f = (x - 1.0) / x * _weight(key, x, functools.partial(libm_power, x))
     ps = x.astype(np.int64)
     del x
     squares = ps[: np.searchsorted(ps, math.isqrt(D), side="right")] ** 2
@@ -990,7 +981,7 @@ def build_registry() -> dict:
               "source": "frozen products.A_DEEP = constant_A(10**8)"},
         "ktail_product": {
             "enclosure": P0_DEEP.to_dict(), "cutoff": 100_000_000,
-            "source": "frozen products.P0_DEEP = _cubic_product(1.0, _PrimeContext(10**8))"},
+            "source": "frozen products.P0_DEEP = _cubic_products([1.0], 10**8)[0]"},
         "A_check": {"enclosure": constant_A(200_000).to_dict(), "cutoff": 200_000},
         "euler_gamma": EULER_GAMMA,
         "xi": XI,

@@ -102,8 +102,8 @@ def sha256_file(path: str) -> str:
 class RunManifest:
     """Reproducibility record attached to CLI outputs.
 
-    Captures the exact command configuration, library versions, wall time,
-    and digests of any files written, so a run can be re-executed and diffed.
+    Captures the command configuration, library versions, numpy's SIMD
+    extensions, wall time and written files' digests, for re-runs and diffs.
     """
 
     command: str
@@ -122,6 +122,7 @@ class RunManifest:
             "numpy": numpy.__version__,
             "mpmath": mpmath.__version__,
             "platform": platform.platform(),
+            "numpy_simd": numpy.show_config(mode="dicts")["SIMD Extensions"].get("found", []),
         }
         m._t0 = time.monotonic()
         return m

@@ -4,6 +4,7 @@ import pathlib
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from mulcm import sieve
@@ -32,6 +33,8 @@ def test_verify_lemma_landau_json(tmp_path, capsys):
     assert payload["pass"] is True
     assert payload["reports"][0]["passed"] is True
     assert payload["manifest"]["versions"]["python"]
+    simd = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
+    assert payload["manifest"]["versions"]["numpy_simd"] == simd
     assert "landau" in payload["manifest"]["config"]["name"]
 
 

@@ -6,15 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mulcm import numutil
+from mulcm.mertens import XI
 from mulcm.numutil import (
     BudgetError,
     adaptive_simpson,
     check_allocation,
     fsum_array,
+    libm_power,
     memory_budget_bytes,
     quad_checked,
     quad_log,
 )
+from mulcm.sieve import primes_upto
 
 
 def assert_same_as_fsum(values):
@@ -228,3 +231,15 @@ def test_memory_budget_env(monkeypatch):
     with pytest.raises(BudgetError):
         check_allocation(2_000_000, "test block")
     check_allocation(500_000, "test block")
+
+
+@pytest.mark.parametrize("e", [XI, 5.0 / 3.0, 7.0 / 3.0, 1.5, 2.0])
+def test_libm_power_is_math_pow_at_every_prime(e):
+    # Every exponent the package hands to libm_power (the products' local
+    # terms, their weights, mertens.g1_factor, check_prime_tail).  Should
+    # numpy give np.float_power a SIMD loop, this fails before any partial
+    # product moves.
+    ps = primes_upto(10**6).astype(np.float64)
+    got = libm_power(ps, e)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, [math.pow(p, e) for p in ps.tolist()])

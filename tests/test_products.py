@@ -3,6 +3,10 @@ import functools
 import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -70,9 +74,10 @@ def test_prime_tail_monotone_in_P(a):
 def test_prime_tail_desk_validation():
     rep = check_prime_tail(cutoff=3_000_000)
     assert rep.passed, rep.summary_line()
-    # The report of the whole-array reversed cumsum, repr for repr.
+    # The report of the whole-array reversed cumsum over libm logs and
+    # powers, repr for repr.
     assert hashlib.sha256(repr(rep).encode()).hexdigest() == (
-        "8d51e5128a27730cdfb5c243c50ee3893bb3bd384210696fb75f679d5f6c8ac8")
+        "911e3fbea5d8c5efae6174bd2e6f158c03fccfeaf75fe6a85a41fc66010aa85f")
 
 
 def test_constant_A_cross_cutoff():
@@ -273,7 +278,7 @@ def test_h_q_contains_a_times_the_exact_ratio(q):
 def test_weights():
     ps = np.array([2.0])
     weight = functools.partial(products._weight, ps=ps,
-                               power=functools.partial(products._libm_power, ps))
+                               power=functools.partial(numutil.libm_power, ps))
     assert weight("g0^2")[0] == pytest.approx(1.5)
     assert weight("g0*g1")[0] == pytest.approx(math.sqrt(1.5) * 2.06)
     assert weight("g1^2")[0] == pytest.approx(2.06 ** 2)
@@ -751,7 +756,20 @@ def test_h_cap_enclosures_are_pinned(h_caps_with_tail_exponents):
 def test_registry_digest_is_pinned():
     text = json.dumps(build_registry(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "05e87c7ee24c9503d2e55cd8b83386ffc6f4a849166e1d139d5a2c7356cb9d90")
+        "bc79f030aa70f1205a078471d27214f8dde2f97aafc0970f447a2439a986b1cf")
+
+
+def test_registry_recipes_give_the_frozen_enclosures():
+    # Each "source" recipe, run in mulcm.products, reproduces the frozen
+    # constant it names and the enclosure the registry records for it.
+    recipes = {name: entry for name, entry in build_registry().items()
+               if isinstance(entry, dict) and "source" in entry}
+    assert sorted(recipes) == ["A", "ktail_product"]
+    for name, entry in recipes.items():
+        frozen, recipe = entry["source"].removeprefix("frozen products.").split(" = ")
+        got = eval(recipe, vars(products))
+        assert got == getattr(products, frozen), name
+        assert got.to_dict() == entry["enclosure"], name
 
 
 # The partial products, in product order, and the sieved prime power tail
@@ -818,6 +836,36 @@ def test_pass_partials_are_pinned():
         assert sums == _PASS_TAIL_SUMS[cutoff], cutoff
     digest = hashlib.sha256(repr(reports).encode()).hexdigest()
     assert digest == _H_CAP_REPORTS_DIGEST
+
+
+_CHILD_DIGESTS = """
+import hashlib
+import numpy as np
+from mulcm.products import check_h_caps, check_prime_tail
+print(np.show_config(mode="dicts")["SIMD Extensions"].get("found", []))
+for rep in (check_prime_tail(3_000_000), check_h_caps(10**5)):
+    print(hashlib.sha256(repr(rep).encode()).hexdigest())
+"""
+
+
+def test_pinned_reports_do_not_depend_on_the_simd_level():
+    # A child interpreter with every SIMD extension numpy found above its
+    # baseline switched off, as well as those already switched off here,
+    # gives the same reports: the powers and logs they pin are libm's and
+    # their sums are exact.
+    found = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
+    if not found:
+        pytest.skip("numpy found no SIMD extension above its baseline")
+    src = str(pathlib.Path(products.__file__).resolve().parents[1])
+    off = " ".join([*found, os.environ.get("NPY_DISABLE_CPU_FEATURES", "")])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=off.strip(),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", _CHILD_DIGESTS], env=env,
+                           capture_output=True, text=True, timeout=120, check=True)
+    child_found, *child_digests = child.stdout.split("\n")[:3]
+    assert child_found == "[]", child.stdout
+    assert child_digests == [hashlib.sha256(repr(rep).encode()).hexdigest()
+                             for rep in (check_prime_tail(3_000_000), check_h_caps(10**5))]
 
 
 def _is_a_priori(e, cutoff: int) -> bool:
