@@ -4,8 +4,8 @@ and the explicit constants entering its upper bound.
 
 Layout:
 
-* sieve: segmented multiplicative sieves (mu, phi, smallest prime factor)
-  and the one process-wide arithmetic table the other modules read;
+* sieve: segmented multiplicative sieves (mu, phi), the segmented prime
+  sieve, and the one process-wide arithmetic table the other modules read;
 * mertens: weighted Moebius partial sums m(y), coprime variants, and
   their proven envelopes;
 * products: certified Euler products, prime tail estimates, and the named

@@ -6,29 +6,31 @@ cutoff.  Tail bounds on sums of f(p) log p use an effective prime number
 theorem inequality whose constant depends on where the tail starts; tails
 without the log weight go through f(t)/log t.
 
-Every Euler product over the primes up to a cutoff, and every sieved prime
-power tail, reads a prime context (_PrimeContext).  A public call first
-collects what it needs at one cutoff (the local terms of its products and
-the exponents of its prime power tails) and builds one context, which walks
-the primes once, a segment at a time (sieve._prime_segments), and keeps
-only the finished sums: no array over all the primes exists.  Local terms
-are array expressions over a block of primes, with the libm powers and the
-weights G(p) computed once per block, in the same float operations and
-order as a per-prime loop.  The log terms of each product and the terms of
-each tail feed their own exact sum (numutil._ExactSum), so each partial is
-the correctly rounded sum over all the primes, whatever the blocks, and the
-partial products are bit-identical to a per-prime loop.
+Every Euler product, and every sum over the primes behind an enclosure,
+comes from one pass (_partial_products), which a public call makes once
+per cutoff.  The call hands it, by name, the local terms of its products
+and the terms of its sums (the sieved prime power tails, the universal sum
+behind c_q); the pass walks the primes a segment at a time
+(sieve._prime_segments) and keeps only the finished sums: no array over
+all the primes exists.  Terms are array expressions over a block of
+primes, with the libm powers and the weights G(p) computed once per block,
+in the same float operations and order as a per-prime loop.  The log
+terms of each product and the terms of each sum feed their own exact sum
+(numutil._ExactSum), so each partial is the correctly rounded sum over all
+the primes, whatever the blocks, and the partial products are
+bit-identical to a per-prime loop.
 
 Every product (A and P0 in _cubic_products, the weight products in
-_h_products) is its partial product times the exponential of a
-log-tail enclosure, widened by FSLACK (_enclose).  The weight products'
-log-tails are sums of monomial tails Z(e) = sum_{p > cutoff} p^(-e)
+_h_products) is its partial product times the exponential of a log-tail
+enclosure, widened by FSLACK (_enclose).  The weight products' log-tails
+are sums of monomial tails Z(e) = sum_{p > cutoff} p^(-e)
 (_prime_power_tails): Z(e) is [0, B(e)] when the a-priori bound B(e) of
 prime_tail_bound is at most _TAIL_PAD, the absolute float allowance of the
 other route, and otherwise the 40-digit prime zeta value P(e) minus the
-sieved partial sum.  A_DEEP and P0_DEEP, frozen
-here, are _cubic_products at cutoff 1e8, which a test recomputes; everything
-else is recomputed on demand at documented cutoffs.
+sieved partial sum; each exponent's route is decided once, before the
+pass (_tail_routes).  A_DEEP and P0_DEEP, frozen here, are _cubic_products
+at cutoff 1e8, which a test recomputes; everything else is recomputed on
+demand at documented cutoffs.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import numpy as np
 
 from .numutil import (
     _SWEEP_BLOCK, _ExactSum, _RunningMax, _RunningSum, _blocks, check_allocation,
-    fsum_array, libm_power, quad_log,
+    libm_power, quad_log,
 )
 from .report import BoundReport, CertifiedValue
 from .sieve import (
@@ -188,27 +190,11 @@ _CONTEXT_FIXED_BYTES = 128 << 10
 
 
 def _context_bytes(cutoff: int) -> int:
-    """Declared peak memory of a _PrimeContext to cutoff: one block of its
-    pass, at most one segment's primes (sieve._prime_segments), whatever
+    """Declared peak memory of the pass (_partial_products) to cutoff: one
+    block, at most one segment's primes (sieve._prime_segments), whatever
     the cutoff, and the fixed part."""
     return (_CONTEXT_BYTES_PER_PRIME * _prime_count_bound(min(cutoff, DEFAULT_SEGMENT))
             + _CONTEXT_FIXED_BYTES)
-
-
-class _PrimeContext:
-    """The sums over the primes p <= cutoff that one call reads, from one
-    pass (_partial_products) over the local terms of its products, by name,
-    and the exponent pairs of its prime power tails (_prime_power_tails):
-    the partial product of each name (partials) and the partial sum of
-    p^(-e) at each exponent of the sieved route (sums).  Only those floats
-    are kept, and the tail enclosures once built, which the products of
-    the call share."""
-
-    def __init__(self, cutoff: int, local_terms: dict, exponents=()):
-        self.cutoff = cutoff
-        sieved = {e for e in exponents if _a_priori_tail(_expo_float(e), cutoff) > _TAIL_PAD}
-        self.partials, self.sums = _partial_products(cutoff, local_terms, sieved)
-        self._tails: dict[tuple[int, int], CertifiedValue] = {}
 
 
 def _weight(key: str, ps: np.ndarray, power) -> np.ndarray:
@@ -226,34 +212,33 @@ def _weight(key: str, ps: np.ndarray, power) -> np.ndarray:
     raise ValueError(f"unknown weight {key!r}")
 
 
-def _partial_products(cutoff: int, local_terms: dict, exponents) -> tuple[dict, dict]:
-    """({name: prod_{p <= cutoff} (1 + local(p))}, {e: sum_{p <= cutoff}
-    p^(-e_f)}) for the local terms by name and the exponent pairs e, from
-    one pass over the prime segments (sieve._prime_segments).
+def _partial_products(cutoff: int, products: dict, sums: dict) -> tuple[dict, dict]:
+    """({name: prod_{p <= cutoff} (1 + local(p))}, {name: sum_{p <= cutoff}
+    term(p)}) for the local terms of products and the terms of sums, by
+    name, from one pass over the prime segments (sieve._prime_segments).
 
-    local(ps, power, weight) maps a block of primes ps (float64) to its
-    local terms; power(e) is p^e at ps by libm pow (numutil.libm_power) and
-    weight(key) is G at ps (_weight), each computed once per block.  The
-    sieved terms p^(-e_f) take the SIMD np.power, 4x faster than libm; the
-    pad of _prime_power_tails covers its error.  Each product's log1p terms
-    and each exponent's terms feed their own exact sum (numutil._ExactSum),
-    rounded once as over one array of all the terms.
+    local(ps, power, weight) and term(ps, power, weight) map a block of
+    primes ps (float64) to their values there; power(e) is p^e at ps by
+    libm pow (numutil.libm_power) and weight(key) is G at ps (_weight),
+    each computed once per block.  Each product's log1p terms and each
+    sum's terms feed their own exact sum (numutil._ExactSum), rounded once
+    as over one array of all the terms.
     """
-    logs = {name: _ExactSum() for name in local_terms}
-    sums = {e: _ExactSum() for e in exponents}
-    if not logs and not sums:
+    logs = {name: _ExactSum() for name in products}
+    totals = {name: _ExactSum() for name in sums}
+    if not logs and not totals:
         return {}, {}
     check_allocation(_context_bytes(cutoff), f"prime context to {cutoff}")
     for primes in _prime_segments(cutoff):
         ps = primes.astype(np.float64)
         power = functools.cache(functools.partial(libm_power, ps))
         weight = functools.cache(functools.partial(_weight, ps=ps, power=power))
-        for name, local in local_terms.items():
+        for name, local in products.items():
             logs[name].add(np.log1p(local(ps, power, weight)))
-        for e, total in sums.items():
-            total.add(np.power(ps, -_expo_float(e)))
+        for name, term in sums.items():
+            totals[name].add(term(ps, power, weight))
     return ({name: math.exp(total.value()) for name, total in logs.items()},
-            {e: total.value() for e, total in sums.items()})
+            {name: total.value() for name, total in totals.items()})
 
 
 # Relative cushion on every product enclosure (_enclose) for the float error
@@ -282,20 +267,20 @@ def _enclose(partial: float, log_lo: float, log_hi: float) -> CertifiedValue:
 
 def _cubic_products(cs, cutoff: int) -> list[CertifiedValue]:
     """Enclosures of prod_p (1 - c/p^2 + 1/p^3) over all primes for each c in
-    cs (c in {1, 2}), from one _PrimeContext to cutoff.
+    cs (c in {1, 2}), from one pass to cutoff (_partial_products).
 
     Past the cutoff each factor is 1 - x_p with 0 < x_p < c/p^2 <= c/cutoff^2,
     and -log(1 - x) <= x / (1 - x), so the tail factor lies in [exp(-T), 1]
     with T the sum over p > cutoff of (c/p^2) / (1 - c/cutoff^2), bounded by
     tail_sum_over_primes.
     """
-    primes = _PrimeContext(cutoff, {c: lambda p, power, weight, c=c: (-c * p + 1.0) / (p * p * p)
-                                    for c in cs})
+    partials, _ = _partial_products(
+        cutoff, {c: lambda p, power, weight, c=c: (-c * p + 1.0) / (p * p * p) for c in cs}, {})
     out = []
     for c in cs:
         shrink = 1.0 - c / (cutoff * cutoff)
         tail = tail_sum_over_primes(lambda t: c / (t * t) / shrink, float(cutoff))
-        out.append(_enclose(primes.partials[c], -tail, 0.0))
+        out.append(_enclose(partials[c], -tail, 0.0))
     return out
 
 
@@ -308,7 +293,7 @@ def constant_A(cutoff: int = 2_000_000) -> CertifiedValue:
 
 
 # ----------------------------------------------------------------------
-# The three envelope weights G (_PrimeContext.weight) and their
+# The three envelope weights G (_weight) and their
 # Dirichlet-series constants.
 
 # Caps asserted for the constants below: (H(1) cap, Hbar(2/3) cap).
@@ -465,12 +450,24 @@ def _a_priori_tail(e_f: float, cutoff: int) -> float:
         integral=n ** (1.0 - e_f) / ((e_f - 1.0) * math.log(n)))
 
 
-def _prime_power_tails(exponents, primes: _PrimeContext) -> tuple[dict, dict]:
-    """Enclosures of Z(e) = sum_{p > cutoff} p^(-e) for exponent pairs e,
-    cutoff = primes.cutoff.
+def _tail_routes(exponents, cutoff: int) -> tuple[dict, dict]:
+    """The route of the tail Z(e) past the cutoff for each exponent pair e,
+    decided once (_prime_power_tails): (B(e) by e, the sum terms p^(-e) of
+    the pass by e where B(e) > _TAIL_PAD, the sieved route).  The terms
+    take the SIMD np.power, 4x faster than libm; the pad of
+    _prime_power_tails covers its error."""
+    bounds = {e: _a_priori_tail(_expo_float(e), cutoff) for e in exponents}
+    terms = {e: lambda ps, power, weight, e_f=_expo_float(e): np.power(ps, -e_f)
+             for e, bound in bounds.items() if bound > _TAIL_PAD}
+    return bounds, terms
 
-    Returns (enclosures by e, {"prime_zeta": n1, "a_priori": n2}), the
-    number of exponents that took each of the two routes below.
+
+def _prime_power_tails(bounds: dict, sums: dict) -> dict:
+    """Enclosures of Z(e) = sum_{p > cutoff} p^(-e) by exponent pair e,
+    from the a-priori bounds B(e) = bounds[e] at the cutoff and the sieved
+    partial sums sums[e] = sum_{p <= cutoff} p^(-e) of the pass, which
+    _tail_routes asks for where B(e) > _TAIL_PAD: the sieved route for the
+    exponents in sums, the a-priori route for the rest.
 
     A-priori route.  With f(t) = t^(-e)/log t, nonnegative and decreasing,
     prime_tail_bound bounds sum_{p >= N} f(p) log p, which is at least Z(e)
@@ -486,13 +483,11 @@ def _prime_power_tails(exponents, primes: _PrimeContext) -> tuple[dict, dict]:
     B(e) <= _TAIL_PAD the enclosure is [0, B(e)] and nothing is sieved or
     summed.
 
-    Sieved route, for the rest: Z(e) = P(e) - (sieved partial sum over
-    the primes up to the cutoff, primes.sums[e] from the pass of the
-    context, _partial_products).  P(e) = _prime_zeta(e) is
-    evaluated at 40 digits with the exponent reconstructed there (so the
-    exponent it sees is exact to 40 digits), once per exponent pair for the
-    whole process, and the subtraction is done at that precision.
-    Enclosures are kept on the context, per e.
+    Sieved route, for the rest: Z(e) = P(e) - sums[e].  P(e) =
+    _prime_zeta(e) is evaluated at 40 digits with the exponent
+    reconstructed there (so the exponent it sees is exact to 40 digits),
+    once per exponent pair for the whole process, and the subtraction is
+    done at that precision.
 
     The pad of 1e-12 relative plus _TAIL_PAD absolute covers the float
     partial.  Write P = sum_{p <= N} p^(-e) for the exact e (m, n >= 0 for
@@ -523,28 +518,19 @@ def _prime_power_tails(exponents, primes: _PrimeContext) -> tuple[dict, dict]:
     between 0.05 and 0.95 at every a-priori exponent it checks.
     """
     out = {}
-    routes = {"prime_zeta": 0, "a_priori": 0}
-    for e in exponents:
-        bound = _a_priori_tail(_expo_float(e), primes.cutoff)
-        if bound <= _TAIL_PAD:
+    for e, bound in bounds.items():
+        if e not in sums:
             out[e] = CertifiedValue(0.0, bound)
-            routes["a_priori"] += 1
             continue
-        routes["prime_zeta"] += 1
-        hit = primes._tails.get(e)
-        if hit is None:
-            partial = primes.sums[e]
-            with mp.workdps(40):
-                zeta = _primezeta_cache.get(e)
-                if zeta is None:
-                    e_mp = mp.mpf(e[0]) / 6 + e[1] * mp.mpf(XI)
-                    zeta = _primezeta_cache[e] = _prime_zeta(e_mp)
-                z = float(zeta - mp.mpf(partial))
-            pad = 1e-12 * abs(z) + _TAIL_PAD
-            hit = CertifiedValue(max(z - pad, 0.0), z + pad)
-            primes._tails[e] = hit
-        out[e] = hit
-    return out, routes
+        with mp.workdps(40):
+            zeta = _primezeta_cache.get(e)
+            if zeta is None:
+                e_mp = mp.mpf(e[0]) / 6 + e[1] * mp.mpf(XI)
+                zeta = _primezeta_cache[e] = _prime_zeta(e_mp)
+            z = float(zeta - mp.mpf(sums[e]))
+        pad = 1e-12 * abs(z) + _TAIL_PAD
+        out[e] = CertifiedValue(max(z - pad, 0.0), z + pad)
+    return out
 
 
 def _truncated_geometric(step, p_min: float):
@@ -646,11 +632,10 @@ def _log_tail_terms(key: str, w_shifts, extra, p_min: float):
     return a_terms, a_rems
 
 
-def _local_log_tail(a_terms, a_rems, primes: _PrimeContext) -> tuple[CertifiedValue, dict]:
-    """Enclosure of sum_{p > cutoff} log(1 + a(p)) past cutoff = primes.cutoff
-    from its monomials (_log_tail_terms), each tail of which is a prime power
-    tail, with the route counts of those (_prime_power_tails)."""
-    zs, routes = _prime_power_tails(set(a_terms) | {e for _, e in a_rems}, primes)
+def _local_log_tail(a_terms, a_rems, zs: dict) -> CertifiedValue:
+    """Enclosure of sum_{p > cutoff} log(1 + a(p)) from its monomials
+    (_log_tail_terms) and the enclosures zs of their prime power tails
+    past the cutoff, by exponent pair (_prime_power_tails)."""
     lo_parts, hi_parts = [], []
     for e, c in a_terms.items():
         z = zs[e]
@@ -661,7 +646,7 @@ def _local_log_tail(a_terms, a_rems, primes: _PrimeContext) -> tuple[CertifiedVa
         lo_parts.append(-bound)
         hi_parts.append(bound)
     pad = 1e-15 * math.fsum(abs(v) for v in lo_parts + hi_parts) + 1e-18
-    return CertifiedValue(math.fsum(lo_parts) - pad, math.fsum(hi_parts) + pad), routes
+    return CertifiedValue(math.fsum(lo_parts) - pad, math.fsum(hi_parts) + pad)
 
 
 # Local-term shapes for the two H products, as (coef, W shift) and plain
@@ -684,9 +669,14 @@ def _h_products(pairs, cutoff: int) -> list[tuple[CertifiedValue, dict]]:
     pairs: H(1) for label "H1" or Hbar(2/3) for "H23", with weight key, is
     prod_p (1 + a(p)), a(p) as in H1_SHAPE or H23_SHAPE.
 
-    One _PrimeContext to the cutoff serves them all: the partial products
-    cover p <= cutoff (p = 2 included), and the monomial tails of
-    _local_log_tail p > cutoff.
+    One pass to the cutoff (_partial_products) serves them all: it takes
+    their partial products over p <= cutoff (p = 2 included) and the
+    sieved sums behind the prime power tails of their log-tail monomials
+    past the cutoff (_log_tail_terms).  Each distinct exponent of those
+    tails has its route decided once (_tail_routes) and its enclosure
+    built once (_prime_power_tails); each product's _local_log_tail
+    combines the enclosures of its exponents, and its route counts are
+    those exponents by route.
     """
     if cutoff < SHARP_TAIL_MIN_CUTOFF:
         raise ValueError(f"cutoff must be >= {SHARP_TAIL_MIN_CUTOFF}")
@@ -697,13 +687,17 @@ def _h_products(pairs, cutoff: int) -> list[tuple[CertifiedValue, dict]]:
     shapes = {"H1": H1_SHAPE, "H23": H23_SHAPE}
     tails = {(label, key): _log_tail_terms(key, *shapes[label], float(cutoff))
              for label, key in pairs}
-    exponents = set().union(*(set(terms) | {e for _, e in rems} for terms, rems in tails.values()))
-    primes = _PrimeContext(cutoff, {pair: functools.partial(_h_local, *pair) for pair in pairs},
-                           exponents)
+    exponents = {pair: set(terms) | {e for _, e in rems} for pair, (terms, rems) in tails.items()}
+    bounds, tail_terms = _tail_routes(set().union(*exponents.values()), cutoff)
+    partials, sums = _partial_products(
+        cutoff, {pair: functools.partial(_h_local, *pair) for pair in pairs}, tail_terms)
+    zs = _prime_power_tails(bounds, sums)
     out = []
     for pair, (a_terms, a_rems) in tails.items():
-        tail, routes = _local_log_tail(a_terms, a_rems, primes)
-        out.append((_enclose(primes.partials[pair], tail.lo, tail.hi), routes))
+        tail = _local_log_tail(a_terms, a_rems, zs)
+        sieved = len(exponents[pair] & sums.keys())
+        routes = {"prime_zeta": sieved, "a_priori": len(exponents[pair]) - sieved}
+        out.append((_enclose(partials[pair], tail.lo, tail.hi), routes))
     return out
 
 
@@ -842,26 +836,31 @@ def aux_asymptotic_check(key: str, D_max: int = 1_000_000) -> BoundReport:
 # ----------------------------------------------------------------------
 # Constants attached to a coprimality modulus q.
 
-def _universal_terms(cutoff: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """(the primes p <= cutoff as floats, the terms (3p-2) log p /
-    ((p-1)(p^2+p-1)) of the universal sum at them, a bound on its tail).
+def _universal_term(ps, power, weight, skip=()) -> np.ndarray:
+    """The terms (3p-2) log p / ((p-1)(p^2+p-1)) of the universal sum at
+    the primes ps (_partial_products), and 0.0 at those in skip, which
+    leaves the exact sum of the others."""
+    terms = (3.0 * ps - 2.0) * np.log(ps) / ((ps - 1.0) * (ps * ps + ps - 1.0))
+    terms[np.isin(ps, skip)] = 0.0
+    return terms
+
+
+def _universal_tail(cutoff: int) -> float:
+    """Bound on the universal sum over the primes past the cutoff.
 
     Stripping the log p that the prime-tail lemma carries, the remaining
     factor satisfies (3t-2)/((t-1)(t^2+t-1)) < 3.2/t^2 for t >= 3, so the
     tail beyond the cutoff is about 3.3/cutoff (3.3e-6 at 10^6).
     """
-    ps = primes_upto(cutoff).astype(np.float64)
-    terms = (3.0 * ps - 2.0) * np.log(ps) / ((ps - 1.0) * (ps * ps + ps - 1.0))
-    return ps, terms, prime_tail_bound(lambda t: 3.2 / (t * t), float(cutoff))
+    return prime_tail_bound(lambda t: 3.2 / (t * t), float(cutoff))
 
 
 @functools.cache
 def universal_log_sum(cutoff: int = 1_000_000) -> CertifiedValue:
     """Enclosure of sum over all primes of (3p-2) log p / ((p-1)(p^2+p-1)),
     which appears in the logarithmic shift constant c_q."""
-    _, terms, tail = _universal_terms(cutoff)
-    partial = fsum_array(terms)
-    return CertifiedValue(partial, partial + tail)
+    partial = _partial_products(cutoff, {}, {"universal": _universal_term})[1]["universal"]
+    return CertifiedValue(partial, partial + _universal_tail(cutoff))
 
 
 def c_q(q: int) -> float:
@@ -891,9 +890,9 @@ def c_q_prerewrite(q: int, cutoff: int = 1_000_000) -> CertifiedValue:
     loc = 0.0
     for p in qps:
         loc += math.log(p) / (p - 1.0)
-    ps, terms, tail = _universal_terms(cutoff)
-    base = EULER_GAMMA + loc + fsum_array(terms[~np.isin(ps, list(qps))])
-    return CertifiedValue(base, base + tail)
+    term = functools.partial(_universal_term, skip=list(qps))
+    base = EULER_GAMMA + loc + _partial_products(cutoff, {}, {"universal": term})[1]["universal"]
+    return CertifiedValue(base, base + _universal_tail(cutoff))
 
 
 def check_cq_forms(qs=(1, 2, 6), tol: float = 1e-9) -> BoundReport:

@@ -6,7 +6,9 @@ only `sieve.py` runs the multiplicative sieve: every other module reads
 mu, phi and the Mertens cumsum from the one arithmetic table, prime
 zeta values come from `products._prime_zeta`, not mpmath's `primezeta`,
 every Euler product's logs are taken in `products._partial_products` (the one
-pass over the primes) alone, and exact sums of arrays go through
+pass over the primes) alone, `products.py` gathers all the primes to a bound
+(`primes_upto`) only in three named functions, so any other sum over primes
+there runs through that pass, and exact sums of arrays go through
 `numutil.fsum_array` or the streamed `numutil._ExactSum`, not `fsum` of a
 list nor `fsum` of a memoryview outside `numutil.py`.  The command-line module
 imports everything it uses at its top.  Every name in `mulcm.__all__` is
@@ -85,13 +87,12 @@ def test_package_attribute_is_the_module(name):
 SIEVE_ENTRY_POINTS = {"sieve_range"}
 
 
-def name_references(source: str, names, outside: str | None = None) -> list[str]:
-    """Imports of, and references to, the given names; with `outside`, those
-    in the module-level function of that name are left out."""
+def name_references(source: str, names, outside=frozenset()) -> list[str]:
+    """Imports of, and references to, the given names, leaving out those in
+    the module-level functions named in `outside`."""
     tree = ast.parse(source)
-    if outside is not None:
-        tree.body = [node for node in tree.body
-                     if not (isinstance(node, ast.FunctionDef) and node.name == outside)]
+    tree.body = [node for node in tree.body
+                 if not (isinstance(node, ast.FunctionDef) and node.name in outside)]
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -144,14 +145,39 @@ def test_log1p_detector_skips_only_the_named_function():
     src = ("import numpy as np\nfrom math import log1p\n"
            "def _partial_products(x):\n    return np.log1p(x)\n"
            "def other(x):\n    return np.log1p(x)\n")
-    assert name_references(src, {"log1p"}, outside="_partial_products") == [
+    assert name_references(src, {"log1p"}, outside={"_partial_products"}) == [
         "log1p (line 2)", "log1p (line 6)"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_log1p_only_in_the_partial_product(path):
-    outside = "_partial_products" if path.name == "products.py" else None
+    outside = {"_partial_products"} if path.name == "products.py" else set()
     assert name_references(path.read_text(), {"log1p"}, outside=outside) == []
+
+
+# In products.py every sum over the primes to a cutoff runs through the one
+# pass (_partial_products), which holds a segment of primes at a time.  The
+# primes are gathered whole only for the small split of the prime zeta
+# series, the per-prime factors of the aux sweeps and the desk check of the
+# tail estimate, whose partials are pinned as top-down suffix sums.
+PRIMES_UPTO_READERS = {"_split_primes", "_aux_blocks", "check_prime_tail"}
+
+
+def test_primes_upto_detector_skips_every_named_function():
+    src = ("from .sieve import primes_upto\n"
+           "def _split_primes(q):\n    return primes_upto(q)\n"
+           "def _aux_blocks(D):\n    return primes_upto(D)\n"
+           "def new_sum(n):\n    return primes_upto(n).sum()\n")
+    assert name_references(src, {"primes_upto"}, outside=PRIMES_UPTO_READERS) == [
+        "primes_upto (line 1)", "primes_upto (line 7)"]
+
+
+def test_products_sums_over_primes_only_in_the_pass():
+    source = (SRC / "products.py").read_text()
+    imports = {f"primes_upto (line {node.lineno})" for node in ast.parse(source).body
+               if isinstance(node, ast.ImportFrom)}
+    found = name_references(source, {"primes_upto"}, outside=PRIMES_UPTO_READERS)
+    assert [ref for ref in found if ref not in imports] == []
 
 
 def fsum_of_arrays(source: str) -> list[str]:

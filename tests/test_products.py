@@ -8,7 +8,6 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
-import weakref
 from fractions import Fraction
 
 import mpmath as mp
@@ -23,11 +22,11 @@ from mulcm.numutil import BudgetError, fsum_array
 from mulcm.report import CertifiedValue
 from mulcm.products import (
     A_DEEP,
+    EULER_GAMMA,
     H1_SHAPE,
     H23_SHAPE,
     H_CAPS,
     P0_DEEP,
-    _PrimeContext,
     _local_monomials,
     _prime_power_tails,
     aux_asymptotic_check,
@@ -163,7 +162,7 @@ def _record_float_error_bounds(mpatch) -> list:
     bounds = []
     real = products._partial_products
 
-    def spy(cutoff, local_terms, exponents):
+    def spy(cutoff, local_terms, sum_terms):
         sums = {name: [0.0, 0.0] for name in local_terms}
 
         def recording(name, local, ps, power, weight):
@@ -175,7 +174,7 @@ def _record_float_error_bounds(mpatch) -> list:
             return x
 
         result = real(cutoff, {name: functools.partial(recording, name, local)
-                               for name, local in local_terms.items()}, exponents)
+                               for name, local in local_terms.items()}, sum_terms)
         bounds.extend((cutoff, moved + U * (9.0 * logs + 8.0))
                       for moved, logs in sums.values())
         return result
@@ -235,6 +234,22 @@ def test_universal_log_sum_cross_cutoff():
     fine = universal_log_sum(1_000_000)
     # the coarse enclosure contains every value of the finer one
     assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
+
+
+def test_universal_sums_equal_the_whole_array_sum():
+    # The pass's streamed sums are bit-identical to fsum_array over the
+    # terms at all the primes to 10^6 at once, with the q-primes left out.
+    ps = primes_upto(10**6).astype(np.float64)
+    terms = (3.0 * ps - 2.0) * np.log(ps) / ((ps - 1.0) * (ps * ps + ps - 1.0))
+    tail = prime_tail_bound(lambda t: 3.2 / (t * t), 1e6)
+    partial = fsum_array(terms)
+    assert universal_log_sum(10**6) == CertifiedValue(partial, partial + tail)
+    for q, qps in ((1, []), (2, [2]), (6, [2, 3])):
+        loc = 0.0
+        for p in qps:
+            loc += math.log(p) / (p - 1.0)
+        base = EULER_GAMMA + loc + fsum_array(terms[~np.isin(ps, qps)])
+        assert c_q_prerewrite(q) == CertifiedValue(base, base + tail), q
 
 
 def test_cq_forms_cross_check():
@@ -320,7 +335,7 @@ def test_partial_products_equal_scalar_loop(monkeypatch):
     seen = []
     real = products._partial_products
 
-    def spy(cutoff, local_terms, exponents):
+    def spy(cutoff, local_terms, sum_terms):
         terms = {name: [] for name in local_terms}
 
         def recording(name, local, *block):
@@ -328,7 +343,7 @@ def test_partial_products_equal_scalar_loop(monkeypatch):
             return terms[name][-1]
 
         partials, sums = real(cutoff, {name: functools.partial(recording, name, local)
-                                       for name, local in local_terms.items()}, exponents)
+                                       for name, local in local_terms.items()}, sum_terms)
         seen.extend((np.concatenate(terms[name]), partials[name]) for name in local_terms)
         return partials, sums
 
@@ -424,22 +439,23 @@ def test_prime_zeta_rejects_the_pole():
 
 @pytest.mark.parametrize("call", [lambda: check_h_caps(150_000), build_registry],
                          ids=["check_h_caps", "build_registry"])
-def test_prime_contexts_are_shared_then_released(call, monkeypatch):
-    # One context per cutoff, so one pass over the primes, serves all six H
-    # products of the call, and none outlives it.
-    built = []
-    real_init = products._PrimeContext.__init__
+def test_one_pass_per_cutoff_serves_every_product(call, monkeypatch):
+    # One pass over the primes per cutoff serves all six H products of the
+    # call, and only its finished sums, plain floats, outlive it.
+    passes = []
+    real = products._partial_products
 
-    def recording(self, cutoff, local_terms, exponents=()):
-        real_init(self, cutoff, local_terms, exponents)
-        built.append((cutoff, len(self.partials), weakref.ref(self)))
+    def recording(cutoff, local_terms, sum_terms):
+        partials, sums = real(cutoff, local_terms, sum_terms)
+        passes.append((cutoff, len(partials), [*partials.values(), *sums.values()]))
+        return partials, sums
 
-    monkeypatch.setattr(products._PrimeContext, "__init__", recording)
+    monkeypatch.setattr(products, "_partial_products", recording)
     call()
-    cutoffs = [c for c, _, _ in built]
+    cutoffs = [c for c, _, _ in passes]
     assert len(cutoffs) == len(set(cutoffs)) >= 1
-    assert max(n for _, n, _ in built) == 6
-    assert [c for c, _, ref in built if ref() is not None] == []
+    assert max(n for _, n, _ in passes) == 6
+    assert [v for _, _, values in passes for v in values if type(v) is not float] == []
 
 
 def test_prime_context_memory_within_declared_budget(monkeypatch):
@@ -641,15 +657,21 @@ def test_h_local_expansion_encloses_truth():
                     assert abs(truth - series) <= rem, (key, w_shifts, p)
 
 
+def _tail_enclosures(cutoff: int, exponents) -> dict:
+    """The prime power tail enclosures past the cutoff, by exponent pair,
+    as _h_products builds them: routes, then one pass, then enclosures."""
+    bounds, terms = products._tail_routes(exponents, cutoff)
+    return _prime_power_tails(bounds, products._partial_products(cutoff, {}, terms)[1])
+
+
 def test_prime_power_tail_cross_cutoff():
     # Z(e, P1) - Z(e, P2) must equal the sieved sum over P1 < p <= P2.
     es = ((7, 0), (9, 0), (10, 1))
-    primes1, primes2 = _PrimeContext(100_000, {}, es), _PrimeContext(200_000, {}, es)
+    tails1, tails2 = _tail_enclosures(100_000, es), _tail_enclosures(200_000, es)
     ps2 = primes_upto(200_000).astype(np.float64)
     for e in es:
         e_f = e[0] / 6.0 + e[1] * XI
-        z1 = _prime_power_tails([e], primes1)[0][e]
-        z2 = _prime_power_tails([e], primes2)[0][e]
+        z1, z2 = tails1[e], tails2[e]
         mid = math.fsum(np.power(ps2[ps2 > 100_000.0], -e_f).tolist())
         assert z1.lo - z2.hi - 1e-12 <= mid <= z1.hi - z2.lo + 1e-12
 
@@ -657,19 +679,16 @@ def test_prime_power_tail_cross_cutoff():
 @pytest.fixture(scope="module")
 def h_caps_with_tail_exponents():
     """check_h_caps at 10^5, 1.5 * 10^5 and 10^7, by cutoff: a list of
-    (report, the exponent pairs of its prime power tails)."""
-    real = products._prime_power_tails
+    (report, the exponent pairs of its prime power tails), the pairs from
+    the monomials of its log-tail (products._log_tail_terms)."""
+    shapes = {"H1": H1_SHAPE, "H23": H23_SHAPE}
     out = {}
-    with pytest.MonkeyPatch.context() as mpatch:
-        for cutoff in (100_000, 150_000, 10_000_000):
-            seen = []
-
-            def spy(exponents, primes):
-                seen.append(sorted(exponents, key=products._expo_float))
-                return real(exponents, primes)
-
-            mpatch.setattr(products, "_prime_power_tails", spy)
-            out[cutoff] = list(zip(check_h_caps(cutoff), seen, strict=True))
+    for cutoff in (100_000, 150_000, 10_000_000):
+        seen = []
+        for label, key in products._H_PAIRS:
+            terms, rems = products._log_tail_terms(key, *shapes[label], float(cutoff))
+            seen.append(sorted(set(terms) | {e for _, e in rems}, key=products._expo_float))
+        out[cutoff] = list(zip(check_h_caps(cutoff), seen, strict=True))
     return out
 
 
@@ -819,12 +838,13 @@ def test_pass_partials_are_pinned():
     seen = []
     real = products._partial_products
 
-    def spy(cutoff, local_terms, exponents):
-        partials, sums = real(cutoff, local_terms, exponents)
+    def spy(cutoff, local_terms, sum_terms):
+        partials, sums = real(cutoff, local_terms, sum_terms)
         seen.append((cutoff, [v.hex() for v in partials.values()],
                      {e: v.hex() for e, v in sums.items()}))
         return partials, sums
 
+    universal_log_sum()  # cached: the registry's passes below are its products'
     with pytest.MonkeyPatch.context() as mpatch:
         mpatch.setattr(products, "_partial_products", spy)
         check_h_caps(10**5)
@@ -841,10 +861,13 @@ def test_pass_partials_are_pinned():
 _CHILD_DIGESTS = """
 import hashlib
 import numpy as np
-from mulcm.products import check_h_caps, check_prime_tail
+from mulcm.products import c_q_prerewrite, check_h_caps, check_prime_tail, universal_log_sum
 print(np.show_config(mode="dicts")["SIMD Extensions"].get("found", []))
 for rep in (check_prime_tail(3_000_000), check_h_caps(10**5)):
     print(hashlib.sha256(repr(rep).encode()).hexdigest())
+print(universal_log_sum().lo.hex())
+for q in (1, 2, 6):
+    print(c_q_prerewrite(q).lo.hex())
 """
 
 
@@ -862,10 +885,11 @@ def test_pinned_reports_do_not_depend_on_the_simd_level():
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     child = subprocess.run([sys.executable, "-c", _CHILD_DIGESTS], env=env,
                            capture_output=True, text=True, timeout=120, check=True)
-    child_found, *child_digests = child.stdout.split("\n")[:3]
+    child_found, *child_digests = child.stdout.split("\n")[:7]
     assert child_found == "[]", child.stdout
     assert child_digests == [hashlib.sha256(repr(rep).encode()).hexdigest()
-                             for rep in (check_prime_tail(3_000_000), check_h_caps(10**5))]
+                             for rep in (check_prime_tail(3_000_000), check_h_caps(10**5))] + [
+        universal_log_sum().lo.hex(), *(c_q_prerewrite(q).lo.hex() for q in (1, 2, 6))]
 
 
 def _is_a_priori(e, cutoff: int) -> bool:
@@ -892,18 +916,31 @@ def test_a_priori_tails_sum_nothing(cutoff, h_cap_tail_exponents, monkeypatch):
     real_zeta, real_pass = products._prime_zeta, products._partial_products
     monkeypatch.setattr(products, "_prime_zeta",
                         lambda s: calls.append("_prime_zeta") or real_zeta(s))
-    monkeypatch.setattr(products, "_partial_products", lambda cutoff, terms, exponents: (
-        calls.extend(["sieved sum"] * len(exponents)) or real_pass(cutoff, terms, exponents)))
+    monkeypatch.setattr(products, "_partial_products", lambda cutoff, terms, sums: (
+        calls.extend(["sieved sum"] * len(sums)) or real_pass(cutoff, terms, sums)))
     for e in h_cap_tail_exponents:
         calls.clear()
-        tails, routes = _prime_power_tails([e], _PrimeContext(cutoff, {}, [e]))
+        bounds, terms = products._tail_routes([e], cutoff)
+        tails = _prime_power_tails(bounds, products._partial_products(cutoff, {}, terms)[1])
         bound = products._a_priori_tail(products._expo_float(e), cutoff)
+        assert bounds == {e: bound}
         if bound <= products._TAIL_PAD:
             assert tails[e] == CertifiedValue(0.0, bound) and calls == [], e
-            assert routes == {"prime_zeta": 0, "a_priori": 1}
+            assert terms == {}
         else:
             assert sorted(calls) == ["_prime_zeta", "sieved sum"], e
-            assert routes == {"prime_zeta": 1, "a_priori": 0}
+            assert list(terms) == [e]
+
+
+def test_tail_routes_are_decided_once_per_exponent(h_cap_tail_exponents, monkeypatch):
+    # check_h_caps(10^5) takes one a-priori bound per distinct exponent of
+    # its six products' tails (132), not one per product that uses it (306).
+    calls = []
+    real = products._a_priori_tail
+    monkeypatch.setattr(products, "_a_priori_tail",
+                        lambda e_f, cutoff: calls.append(e_f) or real(e_f, cutoff))
+    check_h_caps(10**5)
+    assert len(calls) == len(set(calls)) == len(h_cap_tail_exponents) == 132
 
 
 @pytest.mark.parametrize("cutoff", [100_000, 150_000])
@@ -925,7 +962,7 @@ def test_a_priori_tails_contain_the_prime_zeta_tail(cutoff, h_cap_tail_exponents
             rest = math.fsum(math.pow(p, -e_near) for p in ps[split:])
             err = 2.0 * 2.0 ** -53 * (1.0 + e_near * math.log(cutoff)) * rest
             z = mp.primezeta(e_mp) - mp.fsum(mp.mpf(p) ** -e_mp for p in ps[:split]) - rest
-            hi = _prime_power_tails([e], _PrimeContext(cutoff, {}, [e]))[0][e].hi
+            hi = _tail_enclosures(cutoff, [e])[e].hi
             assert z + err <= hi, e
             assert 0.05 <= z / hi <= 0.95, e
             checked += 1
@@ -941,7 +978,8 @@ def test_prime_power_tail_sums_take_the_fast_path(h_cap_tail_exponents, monkeypa
     monkeypatch.setattr(numutil, "_fsum", lambda x: fallbacks.append(x.size) or real(x))
     assert len(h_cap_tail_exponents) == 132
     ps = primes_upto(100_000).astype(np.float64)
-    sums = _PrimeContext(100_000, {}, h_cap_tail_exponents).sums
+    sum_terms = products._tail_routes(h_cap_tail_exponents, 100_000)[1]
+    sums = products._partial_products(100_000, {}, sum_terms)[1]
     assert len(sums) == 23
     for e in h_cap_tail_exponents:
         terms = np.power(ps, -products._expo_float(e))
