@@ -14,6 +14,11 @@ The bound splits the defining double sum at D = x / ratio:
 Two refinements are optional and on by default: the sharper first-remainder
 constant 1.17 for delta with all prime factors below 30, and localization
 of the remainder over dyadic windows x in [Y, 2Y).
+
+W(j) and the remainder sums run over the 2^pi(j) divisors of the primorial
+of j, but a prime above j/2 divides no squarefree n <= j but itself, so
+those primes factor out of every sum (_j_reduce): a j costs 2^k + 2^h masks
+for its k primes up to j/2 and h primes above, not 2^(k+h).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numutil import check_allocation, quad_checked
+from .numutil import check_allocation, fsum_array, quad_checked
 from .report import BoundReport
 from .gstar import _R1_SMALL, _R_ENVELOPE, _SMALL_PRIMES_BELOW
 from .mertens import M_PARAMS, g0_factor, g1_factor
@@ -52,98 +57,55 @@ class AssemblyConfig:
 # ----------------------------------------------------------------------
 # Per-j reductions over the divisors of the primorial of j.
 
-# A _j_reduce call walks its 2^n divisor masks in blocks of 2^b (_j_shape):
-# b = _J_BLOCK_BITS, 256 KiB per float64 block, or the number k of primes
-# with 2p <= j if larger, so that the subset-sum transform of m runs inside
-# one block; b is capped at n.
-_J_BLOCK_BITS = 15
-# Traced peak of one cold _j_reduce call that keeps every mask in a localized
-# sum: 8 B per divisor mask for the buffer its kept weights are compacted
-# into, and 73 B per mask of a block: the four low tables, one block's
-# weights, m, sqrt(delta) and log(delta), 8 B each, then its 1 B `keep`
-# mask and the 8 B kept weights.  The fixed part covers the per-n and
-# per-prime objects.
-_J_REDUCE_BYTES_PER_MASK = 8
-_J_REDUCE_BYTES_PER_BLOCK_MASK = 73
-_J_REDUCE_FIXED_BYTES = 64 << 10
-# A divisor mask below this has all its primes below _SMALL_PRIMES_BELOW
-# (30): the ten primes 2..29 are bits 0..9.
-_SMALL_MASKS = 1 << len(primes_upto(_SMALL_PRIMES_BELOW - 1))
+# Traced peak of one _j_reduce call, the larger of its two phases.  While
+# the weights are sorted: per mask of the low primes (2p <= j), their
+# log(d), sort order and a, the nine rows and three sorted rows in flight,
+# 8 B each.  While the sums are cut: the nine rows and log(d), 80 B per low
+# mask, and per mask of the high primes (j/2 < p <= j) their arrays, one
+# cut's index arrays and its gathered rows, 288 B at their traced peak.
+# The fixed part covers the per-prime objects.
+_J_REDUCE_BYTES_PER_LOW_MASK_SORTING = 120
+_J_REDUCE_BYTES_PER_LOW_MASK = 80
+_J_REDUCE_BYTES_PER_HIGH_MASK = 288
+_J_REDUCE_FIXED_BYTES = 16 << 10
 
 
-def _j_shape(j: int) -> tuple[list[int], int, int]:
-    """(the primes p <= j, the number k of them with 2p <= j, the block bits b)."""
+def _j_split(j: int) -> tuple[list[int], list[int]]:
+    """(the low primes p, with 2p <= j; the high primes, in (j/2, j])."""
     ps = [int(p) for p in primes_upto(j)]
     k = sum(2 * p <= j for p in ps)
-    return ps, k, min(len(ps), max(_J_BLOCK_BITS, k))
+    return ps[:k], ps[k:]
 
 
 def _j_reduce_bytes(j: int) -> int:
     """Declared peak memory of one _j_reduce call at j."""
-    ps, _, b = _j_shape(j)
-    return ((_J_REDUCE_BYTES_PER_MASK << len(ps))
-            + (_J_REDUCE_BYTES_PER_BLOCK_MASK << b) + _J_REDUCE_FIXED_BYTES)
+    low, high = _j_split(j)
+    return _J_REDUCE_FIXED_BYTES + max(
+        _J_REDUCE_BYTES_PER_LOW_MASK_SORTING << len(low),
+        (_J_REDUCE_BYTES_PER_LOW_MASK << len(low))
+        + (_J_REDUCE_BYTES_PER_HIGH_MASK << len(high)))
 
 
-def _double(a: np.ndarray, k: int, op, consts) -> np.ndarray:
-    """Fill a[2^k:] from a[:2^k] in place: the i-th constant c, in order,
-    sets a[h:2h] = op(a[:h], c) with h = 2^(k+i)."""
-    for i, c in enumerate(consts, k):
-        h = 1 << i
-        op(a[:h], c, out=a[h:2 * h])
+def _over_subsets(ps: list[int], start: float, op, f) -> np.ndarray:
+    """Array over the prime masks of ps (bit i for ps[i]): entry `mask` is
+    start with op(., f(p)) applied for each prime p of mask, ascending."""
+    a = np.empty(1 << len(ps), dtype=np.float64)
+    a[0] = start
+    for i, p in enumerate(ps):
+        op(a[:1 << i], f(p), out=a[1 << i:2 << i])
     return a
 
 
-def _doubled(start: float, op, consts) -> np.ndarray:
-    """Array over the 2^len(consts) prime masks: entry `mask` is start with
-    op(., c) applied for the constant c of each prime in mask, ascending."""
-    a = np.empty(1 << len(consts), dtype=np.float64)
-    a[0] = start
-    return _double(a, 0, op, consts)
+def _phi_ratio(p: int) -> float:
+    return (p - 1.0) / (p * p)
 
 
-def _block(low: np.ndarray, op, consts, t: int) -> np.ndarray:
-    """Block t of a doubled array whose first 2^b entries are low, where
-    consts are the constants of the primes past the first b: low with
-    op(., c) applied for the constant of each set bit of t, ascending.
-    Doubling applies that same chain to the masks t 2^b + i, so the block
-    equals the slice of the whole doubled array bit for bit."""
-    out = low.copy()
-    for i, c in enumerate(consts):
-        if t >> i & 1:
-            op(out, c, out=out)
-    return out
-
-
-def _tree_sum(sums: list) -> float:
-    """The sum of 2^r values, added as a balanced binary tree.
-
-    Given the sums of the aligned 2^b-value blocks of a contiguous float64
-    array of 2^n values, with b >= 7 or b = n, this equals numpy's pairwise
-    a.sum() bit for bit: that sum halves every range longer than 128 values.
-    """
-    while len(sums) > 1:
-        sums = [x + y for x, y in zip(sums[::2], sums[1::2])]
-    return float(sums[0])
-
-
-def _subset_sums(j: int, ps: list[int], k: int) -> np.ndarray:
+def _subset_sums(j: int, low: list[int]) -> np.ndarray:
     """g[T], the sum of mu(n)/n over the squarefree n <= j whose primes all
-    lie in T, for every prime mask T of ps (bit i for ps[i]); ps are the
-    first primes up to j, and the first k of them have 2p <= j.
-
-    Point masses mu(n)/n go on the prime subset of each squarefree n <= j
-    whose primes p all have 2p <= j, and an in-place subset-sum transform
-    (one vectorized pass per such prime) gives g[T], the sum over the n
-    supported inside T.  A prime p > j/2 divides no n <= j but p itself, so
-    each of those primes, ascending, doubles g: g[T + p] = g[T] - 1/p.  That
-    is bit for bit the full transform over all primes: there, the block of
-    such a p holds exactly -1/p before p's pass (its other entries only ever
-    add +0.0), and the pass adds it to the entry below.  Over all the primes
-    up to j, m_delta(j) is g at the complement of delta.
-    """
-    low = ps[:k]
-    g = np.zeros(1 << len(ps), dtype=np.float64)
+    lie in T, for every prime mask T of low, the primes p with 2p <= j (bit
+    i for low[i]): point masses mu(n)/n on the prime subset of each such n,
+    then an in-place subset-sum transform, one vectorized pass per prime."""
+    g = np.zeros(1 << len(low), dtype=np.float64)
     for n in range(1, j + 1):
         x, mask, mu, ok = n, 0, 1, True
         for i, p in enumerate(low):
@@ -156,42 +118,34 @@ def _subset_sums(j: int, ps: list[int], k: int) -> np.ndarray:
                 mu = -mu
         if ok and x == 1:
             g[mask] += mu / n
-    for i in range(k):
-        v = g[: 1 << k].reshape(-1, 2, 1 << i)
+    for i in range(len(low)):
+        v = g.reshape(-1, 2, 1 << i)
         v[:, 1, :] += v[:, 0, :]
-    return _double(g, k, np.add, [-1 / p for p in ps[k:]])
+    return g
 
 
-def _j_blocks(j: int, logs: bool):
-    """The per-mask arrays of j's divisor table, block by block.
+def _prefix_sums(x: np.ndarray):
+    """The function of i (an index array, entries 0 .. 2^k) that gives the
+    sums of the first i entries along x's last axis, of length 2^k, for
+    every row of x.
 
-    A divisor delta is the bitmask of its primes (bit i for the i-th prime
-    up to j), and the 2^n masks are cut into blocks of 2^b (_j_shape).
-    Yields, for each block t in order, (t, m, phi(delta)/delta^2,
-    sqrt(delta), log(delta) or None unless logs) over the masks t 2^b to
-    (t + 1) 2^b - 1, as fresh arrays; m is m_delta(j).
-
-    phi(delta)/delta^2, sqrt(delta), log(delta) and g (_subset_sums) are
-    built once over the low 2^b masks.  Block t of each is that low table
-    doubled on by the primes of t's bits (_block), and m's block t is g's
-    block 2^(n-b) - 1 - t reversed, as m is g at the complement.  So each
-    entry is the same chain of float operations as over the whole table.
+    x is overwritten by its running sums within blocks of 2^ceil(k/2)
+    entries; the sum of the first i entries is the running sum at entry
+    i - 1 plus the running total of the blocks before its block.  Each is a
+    chain of fewer than 2^ceil(k/2) + 2^floor(k/2) additions.
     """
-    ps, k, b = _j_shape(j)
-    phi = [(p - 1.0) / (p * p) for p in ps]
-    root = [math.sqrt(p) for p in ps]
-    log = [math.log(p) for p in ps]
-    neg = [-1 / p for p in ps]
-    g = _subset_sums(j, ps[:b], k)
-    phi_low = _doubled(1.0, np.multiply, phi[:b])
-    root_low = _doubled(1.0, np.multiply, root[:b])
-    log_low = _doubled(0.0, np.add, log[:b]) if logs else None
-    last = (1 << (len(ps) - b)) - 1
-    for t in range(last + 1):
-        yield (t, _block(g, np.add, neg[b:], last - t)[::-1],
-               _block(phi_low, np.multiply, phi[b:], t),
-               _block(root_low, np.multiply, root[b:], t),
-               _block(log_low, np.add, log[b:], t) if logs else None)
+    *rows, n = x.shape
+    s = 1 << (n.bit_length() // 2)
+    blocks = x.reshape(*rows, n // s, s)
+    np.cumsum(blocks, axis=-1, out=blocks)
+    before = np.zeros((*rows, n // s), dtype=np.float64)
+    np.cumsum(blocks[..., :-1, -1], axis=-1, out=before[..., 1:])
+
+    def take(i):
+        last = i - 1
+        return np.where(last >= 0, x[..., last] + before[..., last // s], 0.0)
+
+    return take
 
 
 _E1 = math.exp(EULER_GAMMA / 2.0) - 1.0
@@ -200,29 +154,45 @@ _E2 = math.exp(-EULER_GAMMA / 2.0)
 
 def _j_reduce(j: int, R: float, j1: float, refine: bool,
               log_bounds: list[float]) -> tuple[float, float, list[float]]:
-    """Reduce j's divisor table to scalars: W(j), the sum over delta of
-    phi(delta)/delta^2 m_delta(j)^2; the full remainder sum
-    sum_delta j1 * w(delta) sqrt(delta) * coef(delta); and that sum over the
-    delta with log(delta) <= b for each b in log_bounds.
+    """Reduce the sums over the divisors delta of the primorial of j to
+    scalars: W(j), the sum of phi(delta)/delta^2 m_delta(j)^2; the full
+    remainder sum, of j1 * w(delta) sqrt(delta) * coef(delta); and that sum
+    over the delta with log(delta) <= b for each b in log_bounds.
 
     coef(delta) = 2 C e1 (sqrt(R) + sqrt(j)) + 2 * 2.18 e2 (sqrt(R) - sqrt(j))
-    with C = 1.17 for delta with all primes below 30 (the masks below
-    _SMALL_MASKS) under refine, else 2.18.  It takes two values, computed as
-    Python floats with the same operations an array of C would see.
+    with C = 1.17 for delta with all primes below 30 under refine, else
+    2.18.  It takes two values, c_small and c_rest, computed as Python
+    floats.
 
-    The table is walked block by block (_j_blocks).  A block's weights are
-    formed in place, times m twice, then times sqrt(delta), j1 and coef.
-    W and the full sum add the block sums in a balanced tree (_tree_sum),
-    which is numpy's pairwise sum over the whole table.  Each finite bound
-    takes one walk, which compacts the kept weights, in order, into one
-    buffer over the masks and sums it once: the same array as
-    w[logd <= b].  An infinite bound keeps every mask, so its sum is the
-    full one.  No array outlives the call.
+    No table over the 2^pi(j) divisors is formed.  Write delta = d beta,
+    with d over the k low primes (2p <= j) and beta over the h high ones
+    (j/2 < p <= j).  A high prime divides no squarefree n <= j but itself,
+    so m_delta(j) = a(d) - c(beta): a(d) is g (_subset_sums) at the
+    complement of d among the low primes, and c(beta) the sum of 1/p over
+    the high primes not in beta.  phi(delta)/delta^2, sqrt(delta),
+    log(delta) and the all-below-30 test split over d and beta.  Both a and
+    c are centred at c0, half the sum of 1/p over the high primes, so that
+    for each beta a sum is w(beta) [sqrt(beta)] (P2 - 2 c P1 + c^2 P0) with
+    few cancelling digits, where P_r sums w(d) [sqrt(d) coef] a(d)^r over
+    the d kept.  Those d are a prefix of the d ascending in log(d), cut by
+    one searchsorted per beta at b - log(beta), and each P_r is read from
+    prefix sums (_prefix_sums).  The sums over beta are exact (fsum_array).
+    That is 2^k + 2^h entries where the divisor table had 2^(k+h): 4096 and
+    512 at j = 75.
+
+    Rounding: each returned value lies within gamma_N S_abs of the exact
+    sum, taken with the same floats j1, c_small and c_rest over the same
+    delta (those with float log(d) <= b - log(beta)), where
+    gamma_N = N u / (1 - N u), u = 2^-53, N = 6 pi(j) + 2^ceil(k/2) +
+    2^floor(k/2) + 16, and S_abs is the same sum with m_delta(j) replaced by
+    H_j plus the sum of 1/n over the squarefree n <= j prime to delta, H_j
+    the sum of 1/p over the high primes.  Every value is built by sums and
+    products from exact integers and these floats, and no chain of them
+    has N roundings; S_abs is the same chains with every input made
+    nonnegative and every difference a sum.
     """
-    ps, _, b = _j_shape(j)
     check_allocation(_j_reduce_bytes(j), f"primorial divisor reduction for j={j}")
-    finite = list(dict.fromkeys(x for x in log_bounds if x != math.inf))
-    kept = np.empty(1 << len(ps), dtype=np.float64) if finite else None
+    low, high = _j_split(j)
     sR, sj = math.sqrt(R), math.sqrt(j)
 
     def coef(C: float) -> float:
@@ -230,32 +200,45 @@ def _j_reduce(j: int, R: float, j1: float, refine: bool,
 
     c_small, c_rest = coef(_R1_SMALL if refine else _R_ENVELOPE), coef(_R_ENVELOPE)
 
-    def walk(bound: float) -> tuple[float, float, float]:
-        """(W, the full sum, the sum over the delta with log(delta) <= bound)."""
-        W_sums, sums, size = [], [], 0
-        for t, m, w, sq, logd in _j_blocks(j, bound != math.inf):
-            w *= m
-            w *= m
-            W_sums.append(w.sum())
-            w *= sq
-            w *= j1
-            small = max(_SMALL_MASKS - (t << b), 0)
-            w[:small] *= c_small
-            w[small:] *= c_rest
-            sums.append(w.sum())
-            if logd is not None:
-                w = w[logd <= bound]  # the block's kept weights, in order
-                kept[size:size + w.size] = w
-                size += w.size
-            del m, w, sq, logd  # before the next block is built
-        total = _tree_sum(sums)
-        return _tree_sum(W_sums), total, (
-            total if bound == math.inf else float(kept[:size].sum()))
+    def small(ps: list[int]) -> int:
+        """The masks of ps below this have all their primes below 30."""
+        return 1 << sum(p < _SMALL_PRIMES_BELOW for p in ps)
 
-    part = {}
-    for bound in finite or [math.inf]:
-        W, total, part[bound] = walk(bound)
-    return W, total, [total if x == math.inf else part[x] for x in log_bounds]
+    # Over d, ascending in log(d): rows x[r, t] = base_t a^r for the bases
+    # w(d) (for W), w(d) sqrt(d) c_rest (for a beta with a prime above 30)
+    # and w(d) sqrt(d) coef(d) (for the other beta).
+    logd = _over_subsets(low, 0.0, np.add, math.log)
+    order = np.argsort(logd, kind="stable")
+    logd = logd[order]
+    c0 = 0.5 * sum(1.0 / p for p in high)
+    a = _subset_sums(j, low)[::-1][order] - c0
+    x = np.empty((3, 3, a.size), dtype=np.float64)
+    x[0, 0] = _over_subsets(low, 1.0, np.multiply, _phi_ratio)
+    x[0, 1] = x[0, 0] * _over_subsets(low, 1.0, np.multiply, math.sqrt)
+    x[0, 2] = x[0, 1] * np.where(np.arange(a.size) < small(low), c_small, c_rest)
+    x[0, 1] *= c_rest
+    x[0] = x[0][:, order]
+    np.multiply(x[0], a, out=x[1])
+    np.multiply(x[1], a, out=x[2])
+    del order, a
+    prefix = _prefix_sums(x)
+
+    # Over beta, by its prime mask among the high primes.
+    w_high = _over_subsets(high, 1.0, np.multiply, _phi_ratio)
+    root_high = w_high * _over_subsets(high, 1.0, np.multiply, math.sqrt)
+    log_high = _over_subsets(high, 0.0, np.add, math.log)
+    c = _over_subsets(high, 0.0, np.add, lambda p: 1.0 / p)[::-1] - c0
+    below = np.arange(c.size) < small(high)
+
+    def quad(p: np.ndarray) -> np.ndarray:
+        return p[2] - 2.0 * c * p[1] + c * c * p[0]
+
+    W = fsum_array(w_high * quad(prefix(logd.size)[:, 0]))
+    sums = {}
+    for bound in dict.fromkeys([math.inf, *log_bounds]):
+        f = quad(prefix(np.searchsorted(logd, bound - log_high, side="right"))[:, 1:])
+        sums[bound] = j1 * fsum_array(root_high * np.where(below, f[1], f[0]))
+    return W, sums[math.inf], [sums[b] for b in log_bounds]
 
 
 def theorem_bound(config: AssemblyConfig) -> dict:
@@ -264,17 +247,17 @@ def theorem_bound(config: AssemblyConfig) -> dict:
     Returns a dict with the main, remainder, and tail parts, per-j details,
     the localization window that realizes the remainder supremum, how many
     dyadic windows were evaluated (`windows`) and how many passes over the
-    primorial tables that took (`table_passes`).
+    per-j reductions that took (`table_passes`).
 
-    Each j's table is reduced to scalars by _j_reduce, block by block, and
-    nothing of it is kept for the next j.  So the peak memory is one
-    reduction at j = int(ratio): 8 B per divisor mask for its compaction
-    buffer, plus its blocks (_j_reduce_bytes), which is checked against the
-    budget before any table is built.  Pass 1 reduces every table at
-    Y = x_min.  Only when the supremum is not settled there does pass 2
-    reduce each table again at every further dyadic Y the search can reach,
-    one walk over its blocks per Y.  Every sum is formed from the same
-    floats in the same order as over materialized tables.  Without
+    Each j is reduced to scalars by _j_reduce, over the 2^k + 2^h divisor
+    masks of its k low and h high primes rather than a table of all 2^pi(j)
+    divisors, and nothing of it is kept for the next j.  So the peak memory
+    is the largest one reduction declares (_j_reduce_bytes) over j <=
+    int(ratio), checked against the budget before any j is reduced.  Pass 1
+    reduces every j at Y = x_min.  Only when the supremum is not settled
+    there does pass 2 reduce each j again, cutting its sums at every further
+    dyadic Y the search can reach.  Each per-j value lies within the
+    rounding bound _j_reduce states of its exact value.  Without
     localization a window reaches every term, so the search stops after the
     first.
     """
@@ -282,7 +265,7 @@ def theorem_bound(config: AssemblyConfig) -> dict:
     if not (x_min > 1 and ratio > 1):
         raise ValueError("need x_min > 1 and ratio > 1")
     jmax = int(ratio)
-    check_allocation(_j_reduce_bytes(jmax),
+    check_allocation(max(map(_j_reduce_bytes, range(1, jmax + 1))),
                      f"primorial divisor reductions up to j={jmax}")
     primes = set(primes_upto(jmax).tolist())
     A = A_DEEP.mid

@@ -438,8 +438,11 @@ def _read_checkpoint(path: str) -> tuple[int, float, int, float]:
     """Return the last row (d, sigma, running_max_arg, running_max).
 
     Every row must be one a scan can write: d >= 2, strictly increasing
-    from row to row, sigma and running_max finite, and running_max_arg in
-    [2, d].  Anything else raises ValueError rather than resuming from it.
+    from row to row, sigma and running_max finite, running_max_arg in
+    [2, d], and running_max >= sigma.  From one row to the next the running
+    max cannot fall; if it is unchanged its argument is too (ties keep the
+    first d), and if it rose its argument lies in (previous d, d].
+    Anything else raises ValueError rather than resuming from it.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -459,6 +462,12 @@ def _read_checkpoint(path: str) -> tuple[int, float, int, float]:
             if not 2 <= arg <= d:
                 raise ValueError(f"checkpoint row {row}: running_max_arg "
                                  f"outside [2, {d}]")
+            if mx < value:
+                raise ValueError(f"checkpoint row {row}: running_max below sigma")
+            if last is not None and (mx < last[3] or (
+                    arg != last[2] if mx == last[3] else arg <= last[0])):
+                raise ValueError(f"checkpoint row {row}: running max and its "
+                                 f"argument do not follow from row {list(last)}")
             last = d, value, arg, mx
     if last is None:
         raise ValueError(f"checkpoint {path} has no data rows")

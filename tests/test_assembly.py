@@ -1,7 +1,10 @@
+import functools
 import hashlib
 import math
 import tracemalloc
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -16,15 +19,24 @@ from mulcm.assembly import (
     theorem_bound,
     theorem_table,
 )
-from mulcm.numutil import BudgetError
+from mulcm.numutil import BudgetError, fsum_array
 from mulcm.products import A_DEEP, EULER_GAMMA, j1_star
 from mulcm.sieve import factorize, primes_upto, sieve_range
 from mulcm.sigma import sigma_via_gstar_identity
 
+U = 2.0 ** -53
+E1 = math.exp(EULER_GAMMA / 2.0) - 1.0
+E2 = math.exp(-EULER_GAMMA / 2.0)
+
+
+def _gamma(n: int) -> float:
+    return n * U / (1 - n * U)
+
 
 # The per-j table with every array materialized and m_delta(j) from the full
-# subset-sum transform over all primes up to j: the oracle for _j_reduce's
-# arrays and for the materialized assembly below.
+# subset-sum transform over all primes up to j: the oracle for _j_reduce and
+# for the materialized assembly below, which is the reduction the factorized
+# _j_reduce replaced.
 
 def _doubled(start, ps, step) -> np.ndarray:
     """Array over the 2^len(ps) prime masks: entry `mask` is start with
@@ -35,9 +47,9 @@ def _doubled(start, ps, step) -> np.ndarray:
     return a
 
 
-def _subset_sums(j: int, ps: list[int]) -> np.ndarray:
-    """g[T] = sum of mu(n)/n over the squarefree n <= j whose primes all lie
-    in the prime mask T (bit i for ps[i])."""
+def _subset_sums(j: int, ps: list[int], term=lambda mu, n: mu / n) -> np.ndarray:
+    """g[T] = sum of term(mu(n), n) over the squarefree n <= j whose primes
+    all lie in the prime mask T (bit i for ps[i])."""
     g = np.zeros(1 << len(ps), dtype=np.float64)
     for n in range(1, j + 1):
         x, mask, mu, ok = n, 0, 1, True
@@ -50,7 +62,7 @@ def _subset_sums(j: int, ps: list[int]) -> np.ndarray:
                 mask |= 1 << i
                 mu = -mu
         if ok and x == 1:
-            g[mask] += mu / n
+            g[mask] += term(mu, n)
     for i in range(len(ps)):
         v = g.reshape(-1, 2, 1 << i)
         v[:, 1, :] += v[:, 0, :]
@@ -130,89 +142,260 @@ def test_j_table_equals_mask_loop():
             assert np.array_equal(table[name], oracle[name]), (j, name)
 
 
+# _j_reduce's rounding bound: each value within gamma_N S_abs of exact.
+
+def _j_reduce_gamma(j: int) -> float:
+    ps = primes_upto(j).tolist()
+    k = sum(2 * p <= j for p in ps)
+    return _gamma(6 * len(ps) + 2 ** ((k + 1) // 2) + 2 ** (k // 2) + 16)
+
+
+@functools.cache
+def _abs_sums(j: int) -> tuple[float, float, float]:
+    """S_abs of W(j) and of the remainder sum per unit coefficient and j1:
+    over delta | primorial(j), the sum of phi(delta)/delta^2 (mbar + H_j)^2,
+    mbar the sum of 1/n over the squarefree n <= j prime to delta and H_j
+    the sum of 1/p over the primes in (j/2, j]; then of the same times
+    sqrt(delta) over the delta with all primes below 30, and over the
+    others.  A localized sum's S_abs is at most the full one's."""
+    ps = [int(p) for p in primes_upto(j)]
+    mbar = _subset_sums(j, ps, lambda mu, n: 1 / n)[::-1] + sum(1 / p for p in ps if 2 * p > j)
+    w = _doubled(1.0, ps, lambda a, p: a * ((p - 1.0) / (p * p))) * mbar * mbar
+    wsq = w * _doubled(1.0, ps, lambda a, p: a * math.sqrt(p))
+    small = _doubled(True, ps, lambda a, p: a & (p < 30))
+    return float(w.sum()), float(wsq[small].sum()), float(wsq[~small].sum())
+
+
+def _err_radius(j: int, R: float, j1: float, refine: bool) -> float:
+    """_j_reduce's rounding bound for its remainder sums at j."""
+    _, small, rest = _abs_sums(j)
+    c_small, c_rest = _coef(j, R, refine, np.array([True, False]))
+    return _j_reduce_gamma(j) * j1 * (c_small * small + c_rest * rest)
+
+
+def _coef(j: int, R: float, refine: bool, small: np.ndarray) -> np.ndarray:
+    """coef(delta) over the table, from _j_reduce's two float values."""
+    C = np.where(small, 1.17, 2.18) if refine else np.full(small.shape, 2.18)
+    return 2.0 * C * E1 * (math.sqrt(R) + math.sqrt(j)) \
+        + 2.0 * 2.18 * E2 * (math.sqrt(R) - math.sqrt(j))
+
+
 def _bits(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-def test_j_reduce_arrays_equal_the_oracle_table():
-    # m_delta(j) and the three doubled arrays, bit for bit (sign bits too),
-    # at every j the reference rows reach, collected block by block.
-    for j in range(1, 76):
-        ps = [int(p) for p in primes_upto(j)]
-        oracles = [
-            _subset_sums(j, ps)[::-1],
-            _doubled(1.0, ps, lambda a, p: a * ((p - 1.0) / (p * p))),
-            _doubled(1.0, ps, lambda a, p: a * math.sqrt(p)),
-            _doubled(0.0, ps, lambda a, p: a + math.log(p)),
-        ]
-        seen = 0
-        for t, *blocks in assembly._j_blocks(j, True):
-            assert t == seen, j
-            lo, hi = t * blocks[0].size, (t + 1) * blocks[0].size
-            for k, (ours, oracle) in enumerate(zip(blocks, oracles, strict=True)):
-                assert ours.dtype == oracle.dtype == np.float64, (j, k)
-                assert np.array_equal(_bits(ours), _bits(oracle[lo:hi])), (j, t, k)
-            seen += 1
-        assert hi == 1 << len(ps), j
-
-
 @pytest.mark.parametrize("op", [np.add, np.multiply], ids=["add", "multiply"])
-def test_blocks_equal_the_doubled_slices(op):
-    # Every block built from the low table is the matching slice of the
-    # whole doubled array, sign bits included (the constants hold zeros of
-    # both signs and negatives).
+def test_over_subsets_equal_the_doubled_array(op):
+    # Entry `mask` applies op with the constant of each prime of mask,
+    # ascending, bit for bit with the sign bits (the constants hold zeros
+    # of both signs and negatives).
     rng = np.random.default_rng(5)
     consts = [0.0, -0.0, *rng.normal(size=9).tolist()]
-    whole = assembly._doubled(-0.0, op, consts)
-    for b in range(len(consts) + 1):
-        low = assembly._doubled(-0.0, op, consts[:b])
-        for t in range(1 << (len(consts) - b)):
-            block = assembly._block(low, op, consts[b:], t)
-            assert np.array_equal(_bits(block), _bits(whole[t << b:(t + 1) << b])), (b, t)
+    got = assembly._over_subsets(list(range(len(consts))), -0.0, op, consts.__getitem__)
+    want = _doubled(-0.0, consts, op)
+    assert np.array_equal(_bits(got), _bits(want))
 
 
 @pytest.mark.parametrize("n", range(22))
-def test_tree_of_block_sums_is_the_pairwise_sum(n):
-    # The balanced tree of the sums of aligned 2^b-value blocks (b >= 7, or
-    # b = n) equals numpy's sum over the whole array.
-    a = np.random.default_rng(n).normal(size=1 << n) * np.exp2(
-        np.random.default_rng(n + 100).integers(-30, 30, size=1 << n))
-    for b in range(min(n, 7), n + 1):
-        sums = [a[i:i + (1 << b)].sum() for i in range(0, a.size, 1 << b)]
-        assert assembly._tree_sum(sums) == a.sum(), (n, b)
+def test_prefix_sums_within_their_chain_bound(n):
+    # The sum of the first i entries of each row, against the correctly
+    # rounded sum: within gamma_d of the sum of |x|, d the length of the
+    # chain _prefix_sums states; none at i = 0.
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(2, 1 << n)) * np.exp2(rng.integers(-30, 30, size=(2, 1 << n)))
+    rows = x.copy()
+    take = assembly._prefix_sums(x)
+    i = np.unique([0, 1, 1 << n, *rng.integers(0, (1 << n) + 1, size=4)])
+    got = take(i)
+    assert got.shape == (2, i.size) and not got[:, 0].any()
+    g = _gamma(2 ** ((n + 1) // 2) + 2 ** (n // 2))
+    for r in range(2):
+        for col, m in enumerate(i.tolist()):
+            exact = fsum_array(rows[r, :m])
+            assert abs(got[r, col] - exact) <= (
+                g * fsum_array(np.abs(rows[r, :m])) + U * abs(exact)), (r, m)
 
 
-def test_j_reduce_digest_is_pinned():
-    # W, the full remainder sum and each localized sum at every j <= 75, for
-    # an infinite bound, one finite bound, three finite bounds (one keeps no
-    # mask) and refine=False: their float64 bytes as the whole-array
-    # reduction gave them.
-    vals, primorial = [], 1
-    for j in range(1, 76):
+def _mpq(q: Fraction) -> mp.mpf:
+    return mp.mpf(q.numerator) / q.denominator
+
+
+def _subsets(primes):
+    return [{p for i, p in enumerate(primes) if mask >> i & 1}
+            for mask in range(1 << len(primes))]
+
+
+@functools.cache
+def _exact_divisors(j: int) -> tuple[list, list]:
+    """Exact terms at j, at 40 digits: per divisor delta of the primorial,
+    (phi(delta)/delta^2 m^2, the same with m replaced by mbar + H_j, as
+    Fraction and mpf, sqrt(delta), log(delta), all primes below 30); per
+    divisor d of the low primes' primorial, (w(d) a(d)^r for r = 0, 1, 2,
+    sqrt(d), log(d), all below 30), with a(d) the sum of mu(n)/n over the
+    squarefree n <= j whose primes are low and prime to d."""
+    ps = [int(p) for p in primes_upto(j)]
+    low, high = [p for p in ps if 2 * p <= j], [p for p in ps if 2 * p > j]
+    sqf = [(n, fs) for n in range(1, j + 1)
+           for fs in [{p for p in ps if n % p == 0}] if math.prod(fs) == n]
+    H = sum((Fraction(1, p) for p in high), Fraction(0))
+
+    L = math.lcm(*range(1, j + 1))
+
+    def m_sum(allowed, term):
+        """The sum of term(n) / n over the squarefree n <= j with primes in
+        allowed, added as integers over lcm(1..j)."""
+        return Fraction(sum(term(fs) * (L // n) for n, fs in sqf if fs <= allowed), L)
+
+    def mu(fs):
+        return (-1) ** len(fs)
+
+    def divisor(primes, a):
+        d = math.prod(primes)
+        w = Fraction(math.prod(p - 1 for p in primes), d * d)
+        return w, a, mp.sqrt(d), mp.log(d), all(p < 30 for p in primes)
+
+    with mp.workdps(40):
+        full = []
+        for delta in _subsets(ps):
+            m = m_sum(set(ps) - delta, mu)
+            mbar = m_sum(set(ps) - delta, lambda fs: 1) + H
+            w, _, root, log, small = divisor(delta, None)
+            full.append((w * m * m, w * mbar * mbar, _mpq(w * m * m), _mpq(w * mbar * mbar),
+                         root, log, small))
+        lows = []
+        for d in _subsets(low):
+            w, a, root, log, small = divisor(d, m_sum(set(low) - d, mu))
+            lows.append(([w * a ** r for r in range(3)], root, log, small))
+    return full, lows
+
+
+def _exact_sums(j: int, R: float, j1: float, refine: bool, bounds: list[float]) -> dict:
+    """W(j) as a Fraction and the full and localized remainder sums in
+    mpmath at 40 digits, with the S_abs of each, from every divisor of the
+    primorial of j; and under "factorized" the same sums by the
+    factorization _j_reduce states, evaluated exactly.  The remainder sums
+    take j1 and the two coefficients as the floats _j_reduce uses; a
+    localized sum keeps the delta with log(delta) <= b."""
+    ps = [int(p) for p in primes_upto(j)]
+    high = [p for p in ps if 2 * p > j]
+    C = {s: float(_coef(j, R, refine, np.array([s]))[0]) for s in (True, False)}
+    full, lows = _exact_divisors(j)
+    with mp.workdps(40):
+        e = {s: mp.mpf(j1) * C[s] for s in (True, False)}
+        terms = [(e[small] * root * wm2, e[small] * root * wm2_abs, log)
+                 for _, _, wm2, wm2_abs, root, log, small in full]
+        out = {"W": sum(x[0] for x in full), "W_abs": sum(x[1] for x in full),
+               "full": mp.fsum(t[0] for t in terms), "full_abs": mp.fsum(t[1] for t in terms),
+               "parts": [mp.fsum(t[0] for t in terms if t[2] <= b) for b in bounds],
+               "parts_abs": [mp.fsum(t[1] for t in terms if t[2] <= b) for b in bounds]}
+        # m_delta(j) = a(d) - c(beta), so per beta each sum is a quadratic
+        # in c whose coefficients sum over the low divisors d kept.
+        A = [sum(x[0][r] for x in lows) for r in range(3)]
+        weighted = {s: [([C[small and s] * root * _mpq(q) for q in wa], log)
+                        for wa, root, log, small in lows] for s in (True, False)}
+        fact = {"W": Fraction(0), "full": mp.mpf(0), "parts": [mp.mpf(0)] * len(bounds)}
+        for beta in _subsets(high):
+            b_prod = math.prod(beta)
+            wb = Fraction(math.prod(p - 1 for p in beta), b_prod * b_prod)
+            c = sum((Fraction(1, p) for p in high if p not in beta), Fraction(0))
+            fact["W"] += wb * (A[2] - 2 * c * A[1] + c * c * A[0])
+            small_b, logb = all(p < 30 for p in beta), mp.log(b_prod)
+            for k, b in [(None, mp.inf), *enumerate(bounds)]:
+                kept = [x for x, log in weighted[small_b] if log <= b - logb]
+                P = [mp.fsum(x[r] for x in kept) for r in range(3)]
+                v = mp.mpf(j1) * mp.sqrt(b_prod) * _mpq(wb) * (
+                    P[2] - 2 * _mpq(c) * P[1] + _mpq(c * c) * P[0])
+                if k is None:
+                    fact["full"] += v
+                else:
+                    fact["parts"][k] += v
+        out["factorized"] = fact
+    return out
+
+
+def test_j_reduce_equals_the_exact_sums():
+    # At every j <= 30: the factorization equals the sum over all divisors
+    # (exactly for W, to 40 digits for the remainder sums), and _j_reduce
+    # lies within its stated rounding bound of both.
+    primorial = 1
+    for j in range(1, 31):
         if j in set(primes_upto(j).tolist()):
             primorial *= j
         L = math.log(primorial)
-        R, j1 = min(j + 1.0, 75.99), j1_star(primorial)
-        for refine, bounds in ((True, [math.inf]), (True, [0.5 * L]),
-                               (True, [-1.0, 0.3 * L, math.log(2.2e7 / j)]),
-                               (False, [math.log(2.2e7 / j)])):
+        R, j1, g = min(j + 1.0, 30.99), j1_star(primorial), _j_reduce_gamma(j)
+        for refine, bounds in ((True, [0.5 * L, -1.0]),
+                               (False, [0.3 * L, math.log(2.2e3 / j)])):
+            ex = _exact_sums(j, R, j1, refine, bounds)
+            fact = ex["factorized"]
+            assert fact["W"] == ex["W"], j
+            with mp.workdps(40):
+                for got, want in [(fact["full"], ex["full"]), *zip(fact["parts"], ex["parts"])]:
+                    assert abs(got - want) <= mp.mpf(10) ** -35 * ex["full"], j
+                W, total, parts = assembly._j_reduce(j, R, j1, refine, bounds)
+                assert abs(Fraction(W) - ex["W"]) <= Fraction(g) * ex["W_abs"], (j, refine)
+                assert abs(total - ex["full"]) <= g * ex["full_abs"], (j, refine)
+                for k, part in enumerate(parts):
+                    assert abs(part - ex["parts"][k]) <= g * ex["parts_abs"][k], (j, refine, k)
+
+
+def _reduction_configs(j: int, primorial: int):
+    """(R, j1, refine, log bounds) at j: an infinite bound, one finite
+    bound, three finite bounds (one keeps no divisor) and refine=False."""
+    L = math.log(primorial)
+    R, j1 = min(j + 1.0, 75.99), j1_star(primorial)
+    for refine, bounds in ((True, [math.inf]), (True, [0.5 * L]),
+                           (True, [-1.0, 0.3 * L, math.log(2.2e7 / j)]),
+                           (False, [math.log(2.2e7 / j)])):
+        yield R, j1, refine, bounds
+
+
+def _each_j_to_75():
+    primorial = 1
+    for j in range(1, 76):
+        if j in set(primes_upto(j).tolist()):
+            primorial *= j
+        yield j, primorial
+
+
+def test_j_reduce_within_its_bound_of_the_materialized_reduction():
+    # At every j the reference rows reach, each value lies within the
+    # rounding bound of the sums over the materialized table: the reduction
+    # _j_reduce replaced, which summed each array whole.  A localized sum
+    # takes the full sum's bound, which holds it.
+    for j, primorial in _each_j_to_75():
+        t = _j_table(j)
+        for R, j1, refine, bounds in _reduction_configs(j, primorial):
+            W, total, parts = assembly._j_reduce(j, R, j1, refine, bounds)
+            errw = j1 * t["wsq"] * _coef(j, R, refine, t["small"])
+            radius = _err_radius(j, R, j1, refine)
+            assert abs(W - t["w"].sum()) <= _j_reduce_gamma(j) * _abs_sums(j)[0], j
+            assert abs(total - errw.sum()) <= radius, j
+            for b, part in zip(bounds, parts, strict=True):
+                assert abs(part - errw[t["logd"] <= b].sum()) <= radius, (j, b)
+
+
+def test_j_reduce_digest_is_pinned():
+    # W, the full remainder sum and each localized sum at every j <= 75 for
+    # the configurations above: their float64 bytes.
+    vals = []
+    for j, primorial in _each_j_to_75():
+        for R, j1, refine, bounds in _reduction_configs(j, primorial):
             W, total, parts = assembly._j_reduce(j, R, j1, refine, bounds)
             vals += [W, total, *parts]
     assert len(vals) == 1050
     digest = hashlib.sha256(np.array(vals, dtype=np.float64).tobytes()).hexdigest()
-    assert digest == "15606419d101c56e34297e3d83a9ce0092f590c422bc3a79da275ef5c560c6f7"
+    assert digest == "5b6a9e7a636c18135f78d81437de9e689099c79da375dbcab8567b2f5ed0ac96"
 
 
 def _j_reduce_75():
     """One cold _j_reduce at j = 75, the largest j of the reference rows,
-    with a log bound that keeps every mask in the localized sum (finite, so
-    the masked sum is built: an infinite bound skips it)."""
+    with a log bound that keeps every divisor in the localized sum."""
     primorial = math.prod(int(p) for p in primes_upto(75))
     assembly._j_reduce(75, 75.99, j1_star(primorial), True, [math.log(primorial) + 1.0])
 
 
 def test_j_reduce_memory_within_declared_budget(monkeypatch):
-    declared = assembly._j_reduce_bytes(75)  # 2^21 masks
+    declared = assembly._j_reduce_bytes(75)  # 2^12 low and 2^9 high masks
     monkeypatch.setenv("MULCM_MEMORY_BUDGET", str(declared))
     tracemalloc.start()
     try:
@@ -222,6 +405,7 @@ def test_j_reduce_memory_within_declared_budget(monkeypatch):
         tracemalloc.stop()
     # The declaration holds what the kernel allocates, not a loose ceiling.
     assert 0.9 * declared <= peak <= declared, (peak, declared)
+    assert peak < 1 << 20
 
 
 def test_j_reduce_refused_one_byte_below_declared(monkeypatch):
@@ -238,13 +422,15 @@ def test_j_reduce_refused_one_byte_below_declared(monkeypatch):
 
 
 def _theorem_bound_materialized(config: AssemblyConfig) -> dict:
-    """The assembled bound over materialized tables: every j's remainder
-    weights and log(delta) held at once, one dyadic Y per loop."""
+    """The assembled bound over materialized tables, summed as before the
+    factorization: every j's remainder weights and log(delta) held at once,
+    one dyadic Y per loop.  Each value X carries X_radius, the distance
+    theorem_bound may lie from it: _j_reduce's rounding bound at each j
+    (for a localized sum, that of the full sum, which bounds it), carried
+    through the float sums over j that both take in the same order."""
     x_min, ratio = config.x_min, config.ratio
     jmax = int(ratio)
     A = A_DEEP.mid
-    e1 = math.exp(EULER_GAMMA / 2.0) - 1.0
-    e2 = math.exp(-EULER_GAMMA / 2.0)
     tail = 4.14 / ratio + 0.00205
     main_total = 0.0
     prodw = 1.0
@@ -256,19 +442,16 @@ def _theorem_bound_materialized(config: AssemblyConfig) -> dict:
             prodw *= j * j / (j * j + j - 1.0)
             primorial *= j
         R = min(j + 1.0, ratio)
-        t = _j_table(j)
+        t, j1 = _j_table(j), j1_star(primorial)
         W = float(t["w"].sum())
-        main_j = A * prodw * math.log(R / j) * W
+        W_radius = _j_reduce_gamma(j) * _abs_sums(j)[0]
+        scale = A * prodw * math.log(R / j)
+        main_j = scale * W
         main_total += main_j
-        if config.refine_small_factors:
-            C = np.where(t["small"], 1.17, 2.18)
-        else:
-            C = np.full(t["small"].shape, 2.18)
-        coef = 2.0 * C * e1 * (math.sqrt(R) + math.sqrt(j)) \
-            + 2.0 * 2.18 * e2 * (math.sqrt(R) - math.sqrt(j))
-        errw = j1_star(primorial) * t["wsq"] * coef
-        per_j.append({"j": j, "main": main_j, "W": W,
-                      "logd": t["logd"], "errw": errw})
+        errw = j1 * t["wsq"] * _coef(j, R, config.refine_small_factors, t["small"])
+        per_j.append({"j": j, "main": main_j, "W": W, "logd": t["logd"], "errw": errw,
+                      "W_radius": W_radius, "main_radius": scale * W_radius + 2 * U * main_j,
+                      "err_radius": _err_radius(j, R, j1, config.refine_small_factors)})
     E_full = sum(float(row["errw"].sum()) for row in per_j)
     best, best_Y, windows = 0.0, None, 0
     Y = float(x_min)
@@ -289,28 +472,49 @@ def _theorem_bound_materialized(config: AssemblyConfig) -> dict:
         if E_full / math.sqrt(2.0 * Y) <= best:
             break
         Y *= 2.0
+    sums = 2 * _gamma(jmax)  # two float sums over j, from parts within the radii
+    main_radius = sum(r["main_radius"] for r in per_j) + sums * sum(r["main"] for r in per_j)
+    remainder_radius = ((sum(r["err_radius"] for r in per_j) + sums * E_full)
+                        / math.sqrt(best_Y) + 4 * U * best)
+    bound = main_total + best + tail
     return {
         "x_min": x_min,
         "ratio": ratio,
         "refine_small_factors": config.refine_small_factors,
         "localize": config.localize,
         "main": main_total,
+        "main_radius": main_radius,
         "remainder": best,
+        "remainder_radius": remainder_radius,
         "remainder_window": best_Y,
         "tail": tail,
-        "bound": main_total + best + tail,
+        "bound": bound,
+        "bound_radius": main_radius + remainder_radius + 4 * U * bound,
         "windows": windows,
         "per_j": [{"j": r["j"], "main": r["main"], "W": r["W"],
-                   "err_sum": float(r["errw"].sum())} for r in per_j],
+                   "err_sum": float(r["errw"].sum()), "main_radius": r["main_radius"],
+                   "W_radius": r["W_radius"], "err_sum_radius": r["err_radius"]}
+                  for r in per_j],
     }
 
 
 def _assert_equals_materialized(res: dict) -> None:
+    """Every value of res lies within its radius of the materialized one,
+    and the search takes the same windows."""
     config = AssemblyConfig(res["x_min"], res["ratio"],
                             res["refine_small_factors"], res["localize"])
     oracle = _theorem_bound_materialized(config)
-    for name, value in oracle.items():
-        assert res[name] == value, (config, name)
+    for name in ("x_min", "ratio", "refine_small_factors", "localize", "tail",
+                 "remainder_window", "windows"):
+        assert res[name] == oracle[name], (config, name)
+    for name in ("main", "remainder", "bound"):
+        assert abs(res[name] - oracle[name]) <= oracle[f"{name}_radius"], (config, name)
+    assert len(res["per_j"]) == len(oracle["per_j"])
+    for ours, theirs in zip(res["per_j"], oracle["per_j"]):
+        assert ours["j"] == theirs["j"]
+        for name in ("W", "err_sum", "main"):
+            assert abs(ours[name] - theirs[name]) <= theirs[f"{name}_radius"], (
+                config, ours["j"], name)
     # A second pass over the tables happens exactly when x_min alone does
     # not settle the remainder supremum.
     assert res["table_passes"] == (2 if oracle["windows"] > 1 else 1), config
@@ -335,13 +539,12 @@ def test_theorem_table_equals_materialized():
 
 def test_theorem_table_digest_is_pinned():
     # W, err_sum and main of every j of every row, then each row's main,
-    # remainder and bound: their float64 bytes, as the subset-sum transform
-    # over all primes and per-j materialized tables gave them.
+    # remainder and bound: their float64 bytes.
     table = theorem_table()
     rows = [[r["W"], r["err_sum"], r["main"]] for row in table["rows"] for r in row["per_j"]]
     rows += [[row["main"], row["remainder"], row["bound"]] for row in table["rows"]]
     digest = hashlib.sha256(np.array(rows, dtype=np.float64).tobytes()).hexdigest()
-    assert digest == "fde88aecccaf57c35bdb8bfab06953e24f06d3eaa09db0913f31c62bc95eac24"
+    assert digest == "133d5c36314507f95b47539c97bc84e1c376fd41abd10d97ed5299647b8328ec"
     assert table["combined_first_row"].hex() == "0x1.5b2cf57c176f9p-1"
 
 
@@ -358,16 +561,26 @@ def test_theorem_table_keeps_no_table():
 
 
 def test_oversized_ratio_refused_before_any_table(monkeypatch):
-    # ratio 200 needs 2^46 divisor masks at j = 200: refused up front.
+    # ratio 250 needs 2^30 masks of the primes up to 125 at j = 250, about
+    # 120 GiB: refused up front under the default 8 GiB.
     monkeypatch.delenv("MULCM_MEMORY_BUDGET", raising=False)
+    assert assembly._j_reduce_bytes(250) > 8 << 30
     tracemalloc.start()
     try:
         with pytest.raises(BudgetError):
-            theorem_bound(AssemblyConfig(1e7, 200.0))
+            theorem_bound(AssemblyConfig(1e7, 250.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+def test_ratio_101_within_64_mib(monkeypatch):
+    # j up to 101 reduces over at most 2^15 low and 2^11 high masks.
+    monkeypatch.setenv("MULCM_MEMORY_BUDGET", str(64 << 20))
+    res = theorem_bound(AssemblyConfig(1e12, 101.99))
+    assert len(res["per_j"]) == 101
+    assert 0.0 < res["main"] <= res["bound"] < 17.0 / 25.0
 
 
 def test_first_main_terms():

@@ -180,7 +180,7 @@ def test_bound_reports_windows_and_table_passes(capsys):
 
 def test_bound_oversized_ratio_exits_budget(monkeypatch, capsys):
     monkeypatch.delenv("MULCM_MEMORY_BUDGET", raising=False)
-    assert main(["bound", "--x-min", "1e7", "--ratio", "200"]) == 3
+    assert main(["bound", "--x-min", "1e7", "--ratio", "250"]) == 3
 
 
 def test_readme_command_line_lists_every_subcommand():

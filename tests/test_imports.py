@@ -8,7 +8,8 @@ zeta values come from `products._prime_zeta`, not mpmath's `primezeta`,
 every Euler product's logs are taken in `products._partial_products` (the one
 pass over the primes) alone, `products.py` gathers all the primes to a bound
 (`primes_upto`) only in three named functions, so any other sum over primes
-there runs through that pass, and exact sums of arrays go through
+there runs through that pass, `assembly.py` calls no numpy
+transcendental ufunc, and exact sums of arrays go through
 `numutil.fsum_array` or the streamed `numutil._ExactSum`, not `fsum` of a
 list nor `fsum` of a memoryview outside `numutil.py`.  The command-line module
 imports everything it uses at its top.  Every name in `mulcm.__all__` is
@@ -178,6 +179,36 @@ def test_products_sums_over_primes_only_in_the_pass():
                if isinstance(node, ast.ImportFrom)}
     found = name_references(source, {"primes_upto"}, outside=PRIMES_UPTO_READERS)
     assert [ref for ref in found if ref not in imports] == []
+
+
+# assembly.py takes its per-prime logs and roots from math (libm): numpy's
+# transcendental ufuncs have SIMD loops whose last bits follow the CPU, and
+# the assembled bound must not.
+NUMPY_TRANSCENDENTALS = {"log", "sqrt", "exp", "power", "log1p"}
+
+
+def numpy_transcendentals(source: str) -> list[str]:
+    """References to numpy's log, sqrt, exp, power and log1p, as attributes
+    of `np` or `numpy` or imported from numpy."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in NUMPY_TRANSCENDENTALS
+                and isinstance(node.value, ast.Name) and node.value.id in {"np", "numpy"}):
+            found.append(f"{node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [f"{alias.name} (line {node.lineno})" for alias in node.names
+                      if alias.name in NUMPY_TRANSCENDENTALS]
+    return sorted(found)
+
+
+def test_numpy_transcendental_detector_skips_math():
+    src = ("import math\nimport numpy as np\nfrom numpy import exp\n"
+           "a = np.log(x) + math.log(2) + math.sqrt(3)\nb = np.sqrt(a) * np.multiply(a, a)\n")
+    assert numpy_transcendentals(src) == ["exp (line 3)", "log (line 4)", "sqrt (line 5)"]
+
+
+def test_assembly_calls_no_numpy_transcendental():
+    assert numpy_transcendentals((SRC / "assembly.py").read_text()) == []
 
 
 def fsum_of_arrays(source: str) -> list[str]:

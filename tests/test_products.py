@@ -1,6 +1,7 @@
 import bisect
 import functools
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mulcm import numutil, products, sieve
+from mulcm.assembly import theorem_table
 from mulcm.mertens import XI
 from mulcm.numutil import BudgetError, fsum_array
 from mulcm.report import CertifiedValue
@@ -858,9 +860,17 @@ def test_pass_partials_are_pinned():
     assert digest == _H_CAP_REPORTS_DIGEST
 
 
+def _theorem_table_digest() -> str:
+    table = theorem_table()
+    rows = [[r["W"], r["err_sum"], r["main"]] for row in table["rows"] for r in row["per_j"]]
+    rows += [[row["main"], row["remainder"], row["bound"]] for row in table["rows"]]
+    return hashlib.sha256(np.array(rows, dtype=np.float64).tobytes()).hexdigest()
+
+
 _CHILD_DIGESTS = """
 import hashlib
 import numpy as np
+from mulcm.assembly import theorem_table
 from mulcm.products import c_q_prerewrite, check_h_caps, check_prime_tail, universal_log_sum
 print(np.show_config(mode="dicts")["SIMD Extensions"].get("found", []))
 for rep in (check_prime_tail(3_000_000), check_h_caps(10**5)):
@@ -868,14 +878,17 @@ for rep in (check_prime_tail(3_000_000), check_h_caps(10**5)):
 print(universal_log_sum().lo.hex())
 for q in (1, 2, 6):
     print(c_q_prerewrite(q).lo.hex())
+""" + inspect.getsource(_theorem_table_digest) + """
+print(_theorem_table_digest())
 """
 
 
 def test_pinned_reports_do_not_depend_on_the_simd_level():
     # A child interpreter with every SIMD extension numpy found above its
     # baseline switched off, as well as those already switched off here,
-    # gives the same reports: the powers and logs they pin are libm's and
-    # their sums are exact.
+    # gives the same reports and the same assembled bound: the powers, logs
+    # and roots they pin are libm's and their sums are exact or in a fixed
+    # order.
     found = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
     if not found:
         pytest.skip("numpy found no SIMD extension above its baseline")
@@ -885,11 +898,12 @@ def test_pinned_reports_do_not_depend_on_the_simd_level():
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     child = subprocess.run([sys.executable, "-c", _CHILD_DIGESTS], env=env,
                            capture_output=True, text=True, timeout=120, check=True)
-    child_found, *child_digests = child.stdout.split("\n")[:7]
+    child_found, *child_digests = child.stdout.split("\n")[:8]
     assert child_found == "[]", child.stdout
     assert child_digests == [hashlib.sha256(repr(rep).encode()).hexdigest()
                              for rep in (check_prime_tail(3_000_000), check_h_caps(10**5))] + [
-        universal_log_sum().lo.hex(), *(c_q_prerewrite(q).lo.hex() for q in (1, 2, 6))]
+        universal_log_sum().lo.hex(), *(c_q_prerewrite(q).lo.hex() for q in (1, 2, 6)),
+        _theorem_table_digest()]
 
 
 def _is_a_priori(e, cutoff: int) -> bool:

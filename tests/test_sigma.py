@@ -282,8 +282,13 @@ def test_malformed_checkpoint_rejected(tmp_path):
     ["500,0.44,900,0.5"],             # running max argument past d
     ["500,0.44,2,0.5", "500,0.44,2,0.5"],   # d repeated
     ["500,0.44,2,0.5", "400,0.44,2,0.5"],   # d decreasing
+    ["500,0.44,2,0.43"],              # running max below sigma
+    ["500,0.44,2,0.5", "600,0.44,2,0.49"],  # running max falls
+    ["500,0.44,2,0.5", "600,0.44,3,0.5"],   # max unchanged, argument moved
+    ["500,0.44,2,0.5", "600,0.52,400,0.52"],  # max rose, argument not past 500
 ], ids=["d-negative", "d-zero", "sigma-nan", "max-inf", "arg-past-d",
-        "d-repeated", "d-decreasing"])
+        "d-repeated", "d-decreasing", "max-below-sigma", "max-falls",
+        "max-kept-arg-moved", "max-rose-arg-old"])
 def test_impossible_checkpoint_rejected(tmp_path, rows):
     path = tmp_path / "scan.csv"
     path.write_text("\n".join(["d,sigma,running_max_arg,running_max", *rows]) + "\n")
