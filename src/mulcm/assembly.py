@@ -58,16 +58,18 @@ class AssemblyConfig:
 # Per-j reductions over the divisors of the primorial of j.
 
 # Traced peak of one _j_reduce call, the larger of its two phases.  While
-# the weights are sorted: per mask of the low primes (2p <= j), their
-# log(d), sort order and a, the nine rows and three sorted rows in flight,
-# 8 B each.  While the sums are cut: the nine rows and log(d), 80 B per low
-# mask, and per mask of the high primes (j/2 < p <= j) their arrays, one
-# cut's index arrays and its gathered rows, 288 B at their traced peak.
-# The fixed part covers the per-prime objects.
-_J_REDUCE_BYTES_PER_LOW_MASK_SORTING = 120
+# the prefix sums are built: per mask of the low primes (2p <= j), the nine
+# rows, their tree of block sums (_prefix_sums, one entry fewer per row)
+# and log(d), 8 B each, 152 B.  While the sums are cut: the nine rows and
+# log(d), 80 B per low mask, and per mask of the high primes (j/2 < p <= j)
+# their arrays, one cut's index arrays and gathered rows, and the exact sum
+# over them, 288 B at their traced peak.  The fixed part covers the
+# per-prime objects and numpy's buffers, 8192 values for each of the three
+# operands of an add that writes x over its own entries.
+_J_REDUCE_BYTES_PER_LOW_MASK_SUMMING = 152
 _J_REDUCE_BYTES_PER_LOW_MASK = 80
 _J_REDUCE_BYTES_PER_HIGH_MASK = 288
-_J_REDUCE_FIXED_BYTES = 16 << 10
+_J_REDUCE_FIXED_BYTES = (16 << 10) + 3 * 8192 * 8
 
 
 def _j_split(j: int) -> tuple[list[int], list[int]]:
@@ -81,7 +83,7 @@ def _j_reduce_bytes(j: int) -> int:
     """Declared peak memory of one _j_reduce call at j."""
     low, high = _j_split(j)
     return _J_REDUCE_FIXED_BYTES + max(
-        _J_REDUCE_BYTES_PER_LOW_MASK_SORTING << len(low),
+        _J_REDUCE_BYTES_PER_LOW_MASK_SUMMING << len(low),
         (_J_REDUCE_BYTES_PER_LOW_MASK << len(low))
         + (_J_REDUCE_BYTES_PER_HIGH_MASK << len(high)))
 
@@ -129,21 +131,31 @@ def _prefix_sums(x: np.ndarray):
     sums of the first i entries along x's last axis, of length 2^k, for
     every row of x.
 
-    x is overwritten by its running sums within blocks of 2^ceil(k/2)
-    entries; the sum of the first i entries is the running sum at entry
-    i - 1 plus the running total of the blocks before its block.  Each is a
-    chain of fewer than 2^ceil(k/2) + 2^floor(k/2) additions.
+    Level b of a tree holds the pairwise sums of the aligned blocks of 2^b
+    entries: each the sum of its two halves' sums at level b - 1.  The
+    first i entries are the blocks of the set bits b of i, and their sum
+    adds those block sums largest first: at an odd multiple of 2^b it is
+    the sum at the multiple before plus the block between, so x is
+    overwritten, top level first, with x[i - 1] the sum of the first i
+    entries.  A block sum of 2^b values is a chain of b additions, so each
+    prefix sum is a chain of fewer than 2k + 1.
     """
     *rows, n = x.shape
-    s = 1 << (n.bit_length() // 2)
-    blocks = x.reshape(*rows, n // s, s)
-    np.cumsum(blocks, axis=-1, out=blocks)
-    before = np.zeros((*rows, n // s), dtype=np.float64)
-    np.cumsum(blocks[..., :-1, -1], axis=-1, out=before[..., 1:])
+    k = n.bit_length() - 1
+    levels = [x]
+    for _ in range(k):
+        levels.append(levels[-1][..., 0::2] + levels[-1][..., 1::2])
+    x[..., -1] = levels[k][..., 0]
+    for b in range(k - 1, -1, -1):
+        s = 1 << b
+        # Entry (2t + 1)s - 1 of x, a right leaf once b > 0, takes block 2t
+        # of level b plus the sum at 2ts, which sits at entry 2ts - 1.
+        at, left = x[..., s - 1::2 * s], levels[b][..., 0::2]
+        at[..., 0] = left[..., 0]
+        np.add(x[..., 2 * s - 1:-1:2 * s], left[..., 1:], out=at[..., 1:])
 
     def take(i):
-        last = i - 1
-        return np.where(last >= 0, x[..., last] + before[..., last // s], 0.0)
+        return np.where(i > 0, x[..., i - 1], 0.0)
 
     return take
 
@@ -176,20 +188,20 @@ def _j_reduce(j: int, R: float, j1: float, refine: bool,
     few cancelling digits, where P_r sums w(d) [sqrt(d) coef] a(d)^r over
     the d kept.  Those d are a prefix of the d ascending in log(d), cut by
     one searchsorted per beta at b - log(beta), and each P_r is read from
-    prefix sums (_prefix_sums).  The sums over beta are exact (fsum_array).
-    That is 2^k + 2^h entries where the divisor table had 2^(k+h): 4096 and
-    512 at j = 75.
+    a tree of block sums (_prefix_sums).  The sums over beta are exact
+    (fsum_array).  That is 2^k + 2^h entries where the divisor table had
+    2^(k+h): 4096 and 512 at j = 75.
 
     Rounding: each returned value lies within gamma_N S_abs of the exact
     sum, taken with the same floats j1, c_small and c_rest over the same
     delta (those with float log(d) <= b - log(beta)), where
-    gamma_N = N u / (1 - N u), u = 2^-53, N = 6 pi(j) + 2^ceil(k/2) +
-    2^floor(k/2) + 16, and S_abs is the same sum with m_delta(j) replaced by
-    H_j plus the sum of 1/n over the squarefree n <= j prime to delta, H_j
-    the sum of 1/p over the high primes.  Every value is built by sums and
-    products from exact integers and these floats, and no chain of them
-    has N roundings; S_abs is the same chains with every input made
-    nonnegative and every difference a sum.
+    gamma_N = N u / (1 - N u), u = 2^-53, N = 6 pi(j) + 2k + 17, and S_abs
+    is the same sum with m_delta(j) replaced by H_j plus the sum of 1/n over
+    the squarefree n <= j prime to delta, H_j the sum of 1/p over the high
+    primes.  Every value is built by sums and products from exact integers
+    and these floats, and no chain of them has N roundings; S_abs is the
+    same chains with every input made nonnegative and every difference a
+    sum.
     """
     check_allocation(_j_reduce_bytes(j), f"primorial divisor reduction for j={j}")
     low, high = _j_split(j)

@@ -147,7 +147,7 @@ def test_j_table_equals_mask_loop():
 def _j_reduce_gamma(j: int) -> float:
     ps = primes_upto(j).tolist()
     k = sum(2 * p <= j for p in ps)
-    return _gamma(6 * len(ps) + 2 ** ((k + 1) // 2) + 2 ** (k // 2) + 16)
+    return _gamma(6 * len(ps) + 2 * k + 17)
 
 
 @functools.cache
@@ -185,32 +185,64 @@ def _bits(a: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("op", [np.add, np.multiply], ids=["add", "multiply"])
-def test_over_subsets_equal_the_doubled_array(op):
-    # Entry `mask` applies op with the constant of each prime of mask,
-    # ascending, bit for bit with the sign bits (the constants hold zeros
-    # of both signs and negatives).
+def test_blocks_equal_the_doubled_slices(op):
+    # Entry `mask` of the array over all the constants applies op with the
+    # constant of each bit of mask, ascending; so its slice t of 2^b entries
+    # is the array over the first b constants with op applied for the bits
+    # of t, as delta splits into d and beta.  Bit for bit with the sign bits
+    # (the constants hold zeros of both signs and negatives).
     rng = np.random.default_rng(5)
     consts = [0.0, -0.0, *rng.normal(size=9).tolist()]
-    got = assembly._over_subsets(list(range(len(consts))), -0.0, op, consts.__getitem__)
-    want = _doubled(-0.0, consts, op)
-    assert np.array_equal(_bits(got), _bits(want))
+    whole = assembly._over_subsets(list(range(len(consts))), -0.0, op, consts.__getitem__)
+    assert np.array_equal(_bits(whole), _bits(_doubled(-0.0, consts, op)))
+    for b in range(len(consts) + 1):
+        low = assembly._over_subsets(list(range(b)), -0.0, op, consts.__getitem__)
+        for t in range(1 << (len(consts) - b)):
+            block = low
+            for i, c in enumerate(consts[b:]):
+                if t >> i & 1:
+                    block = op(block, c)
+            assert np.array_equal(_bits(block), _bits(whole[t << b:(t + 1) << b])), (b, t)
+
+
+def _pairwise(a: np.ndarray) -> float:
+    """The pairwise sum of 2^b values: the sum of the two halves' pairwise
+    sums."""
+    if a.size == 1:
+        return a[0]
+    h = a.size // 2
+    return _pairwise(a[:h]) + _pairwise(a[h:])
 
 
 @pytest.mark.parametrize("n", range(22))
-def test_prefix_sums_within_their_chain_bound(n):
-    # The sum of the first i entries of each row, against the correctly
-    # rounded sum: within gamma_d of the sum of |x|, d the length of the
-    # chain _prefix_sums states; none at i = 0.
+def test_tree_of_block_sums_is_the_pairwise_sum(n):
+    # The sum of the first i entries adds the pairwise sums of the aligned
+    # 2^b-value blocks of the set bits b of i, largest first; at i = 2^n it
+    # is the pairwise sum of the whole row, and at i = 0 zero.  Against the
+    # correctly rounded sum it lies within gamma_d of the sum of |x|, d the
+    # length of the chain _prefix_sums states.
     rng = np.random.default_rng(n)
     x = rng.normal(size=(2, 1 << n)) * np.exp2(rng.integers(-30, 30, size=(2, 1 << n)))
     rows = x.copy()
-    take = assembly._prefix_sums(x)
-    i = np.unique([0, 1, 1 << n, *rng.integers(0, (1 << n) + 1, size=4)])
-    got = take(i)
+    i = np.unique([0, 1, (1 << n) - 1, 1 << n, *rng.integers(0, (1 << n) + 1, size=4)])
+    got = assembly._prefix_sums(x)(i)
     assert got.shape == (2, i.size) and not got[:, 0].any()
-    g = _gamma(2 ** ((n + 1) // 2) + 2 ** (n // 2))
+    g = _gamma(2 * n + 1)
     for r in range(2):
+        # Level b: the pairwise sums of the aligned blocks of 2^b values.
+        levels = [rows[r]]
+        for _ in range(n):
+            levels.append(levels[-1][0::2] + levels[-1][1::2])
+        if n <= 10:
+            assert all(levels[b][t] == _pairwise(rows[r, t << b:(t + 1) << b])
+                       for b in range(n + 1) for t in range(1 << (n - b)))
         for col, m in enumerate(i.tolist()):
+            want, start = 0.0, 0
+            for b in range(n, -1, -1):
+                if m >> b & 1:
+                    want += levels[b][start >> b]
+                    start += 1 << b
+            assert got[r, col] == want, (r, m)
             exact = fsum_array(rows[r, :m])
             assert abs(got[r, col] - exact) <= (
                 g * fsum_array(np.abs(rows[r, :m])) + U * abs(exact)), (r, m)
@@ -384,7 +416,7 @@ def test_j_reduce_digest_is_pinned():
             vals += [W, total, *parts]
     assert len(vals) == 1050
     digest = hashlib.sha256(np.array(vals, dtype=np.float64).tobytes()).hexdigest()
-    assert digest == "5b6a9e7a636c18135f78d81437de9e689099c79da375dbcab8567b2f5ed0ac96"
+    assert digest == "68cfa06a5b5f7ad56d2140ac09940e6cf2c9151ddb370437738096865b7ae9b5"
 
 
 def _j_reduce_75():
@@ -544,7 +576,7 @@ def test_theorem_table_digest_is_pinned():
     rows = [[r["W"], r["err_sum"], r["main"]] for row in table["rows"] for r in row["per_j"]]
     rows += [[row["main"], row["remainder"], row["bound"]] for row in table["rows"]]
     digest = hashlib.sha256(np.array(rows, dtype=np.float64).tobytes()).hexdigest()
-    assert digest == "133d5c36314507f95b47539c97bc84e1c376fd41abd10d97ed5299647b8328ec"
+    assert digest == "2eb925a4bd90c0a47ccea9ce4ee90cca24dc832b8f1cb30f5138ccac5e05fd8d"
     assert table["combined_first_row"].hex() == "0x1.5b2cf57c176f9p-1"
 
 
