@@ -267,7 +267,7 @@ def _cmd_bound(args) -> int:
           f"remainder {res['remainder']:.6f}, tail {res['tail']:.6f})")
     print(f"remainder sup at Y = {res['remainder_window']:g}: "
           f"{res['windows']} dyadic window(s), "
-          f"{res['table_passes']} pass(es) over the primorial tables")
+          f"{res['table_passes']} pass(es) over the per-j reductions")
     _emit({"manifest": manifest.finish().to_dict(), "result": res}, args.out)
     return EXIT_PASS
 

@@ -127,15 +127,9 @@ def check_gstar_contract(q_set=(1, 2, 3, 6, 30, 210),
                           "radius": radius, "ratio": ratio})
             if ratio > worst[0]:
                 worst = (ratio, (q, X))
-    return BoundReport(
-        name="gstar-asymptotic-contract",
-        domain=f"q in {tuple(q_set)}, X in {tuple(x_set)}",
-        passed=worst[0] <= 1.0,
-        worst_ratio=worst[0],
-        worst_arg=worst[1],
-        bound=1.0,
-        details={"cases": cases},
-    )
+    return BoundReport.held_to_one(
+        "gstar-asymptotic-contract", f"q in {tuple(q_set)}, X in {tuple(x_set)}",
+        worst, {"cases": cases})
 
 
 def check_gstar_difference(q_set=(1, 2, 6, 30),
@@ -152,15 +146,9 @@ def check_gstar_difference(q_set=(1, 2, 6, 30),
             ratio = abs(diff) / radius
             if ratio > worst[0]:
                 worst = (ratio, (q, X, Y))
-    return BoundReport(
-        name="gstar-difference-contract",
-        domain=f"q in {tuple(q_set)}, pairs {tuple(pairs)}",
-        passed=worst[0] <= 1.0,
-        worst_ratio=worst[0],
-        worst_arg=worst[1],
-        bound=1.0,
-        details={},
-    )
+    return BoundReport.held_to_one(
+        "gstar-difference-contract", f"q in {tuple(q_set)}, pairs {tuple(pairs)}",
+        worst, {})
 
 
 # ----------------------------------------------------------------------
@@ -410,15 +398,9 @@ def check_aux_k(K_step: float = 0.25, K_max: float = 200.0,
             val = K * s_abs
             if val > worst[0]:
                 worst = (val, (K, M))
-    return BoundReport(
-        name="cubic-tail-sup",
-        domain=f"K in (0, {K_max}] step {K_step}, M in {tuple(M_set)}",
-        passed=worst[0] <= 1.0,
-        worst_ratio=worst[0],
-        worst_arg=worst[1],
-        bound=1.0,
-        details={"form": "K |sum_{k>=K,(k,M)=1} mu phi / k^3| <= 1"},
-    )
+    return BoundReport.held_to_one(
+        "cubic-tail-sup", f"K in (0, {K_max}] step {K_step}, M in {tuple(M_set)}",
+        worst, {"form": "K |sum_{k>=K,(k,M)=1} mu phi / k^3| <= 1"})
 
 
 def aux_k_band(lo: float = -0.2523, hi: float = -0.2519) -> BoundReport:
@@ -577,15 +559,8 @@ def check_g_mean(limit: int = 1_000_000, q_set=(1, 2, 6)) -> BoundReport:
         ratio = err / env
         if ratio > worst[0]:
             worst = (ratio, q)
-    return BoundReport(
-        name="g-mean-value",
-        domain=f"m <= {limit}, q in {tuple(q_set)}",
-        passed=worst[0] <= 1.0,
-        worst_ratio=worst[0],
-        worst_arg=worst[1],
-        bound=1.0,
-        details={"rows": rows},
-    )
+    return BoundReport.held_to_one("g-mean-value", f"m <= {limit}, q in {tuple(q_set)}",
+                                   worst, {"rows": rows})
 
 
 # ----------------------------------------------------------------------
@@ -776,12 +751,5 @@ def check_averaged_divisor_identity(D_values=(10, 100, 1000), q: int = 1,
                      "ratio": ratio})
         if ratio > worst[0]:
             worst = (ratio, D)
-    return BoundReport(
-        name="averaged-divisor-identity",
-        domain=f"D in {tuple(D_values)}, q = {q}",
-        passed=worst[0] <= 1.0,
-        worst_ratio=worst[0],
-        worst_arg=worst[1],
-        bound=1.0,
-        details={"rows": rows},
-    )
+    return BoundReport.held_to_one(
+        "averaged-divisor-identity", f"D in {tuple(D_values)}, q = {q}", worst, {"rows": rows})

@@ -22,6 +22,9 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
+import traceback
 
 import numpy as np
 
@@ -145,6 +148,51 @@ def fsum_array(values) -> float:
     total = _ExactSum()
     total.add(x)
     return total.value()
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the shards of a forked split."""
+    return len(os.sched_getaffinity(0))
+
+
+def _forked(work, shards: int) -> list:
+    """[work(0), ..., work(shards - 1)], work(0) in the caller and each
+    other shard in a worker forked before it.  A worker pickles its result,
+    or its exception with the traceback text, into a pipe and always leaves
+    by os._exit; the exception raises in the caller, from a RuntimeError
+    with that text.  The caller kills and reaps every worker in a finally."""
+    workers = []
+    try:
+        for shard in range(1, shards):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    os.close(read)
+                    try:
+                        payload = pickle.dumps((work(shard), None))
+                    except BaseException as exc:
+                        payload = pickle.dumps((exc, traceback.format_exc()))
+                    with open(write, "wb") as pipe:
+                        pipe.write(payload)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            workers.append((pid, read))
+        results = [work(0)]
+        for pid, read in workers:
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            value, text = pickle.loads(data) if data else (
+                RuntimeError(f"worker {pid} ended without a result"), "")
+            if text is not None:
+                raise value from RuntimeError(f"raised in a forked worker:\n{text}")
+            results.append(value)
+        return results
+    finally:
+        for pid, read in workers:
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def libm_power(x: np.ndarray, e: float) -> np.ndarray:

@@ -26,7 +26,7 @@ enclosure, widened by FSLACK (_enclose).  The weight products' log-tails
 are sums of monomial tails Z(e) = sum_{p > cutoff} p^(-e)
 (_prime_power_tails): Z(e) is [0, B(e)] when the a-priori bound B(e) of
 prime_tail_bound is at most _TAIL_PAD, the absolute float allowance of the
-other route, and otherwise the 40-digit prime zeta value P(e) minus the
+other route, and otherwise the 32-digit prime zeta value P(e) minus the
 sieved partial sum; each exponent's route is decided once, before the
 pass (_tail_routes).  A_DEEP and P0_DEEP, frozen here, are _cubic_products
 at cutoff 1e8, which a test recomputes; everything else is recomputed on
@@ -44,6 +44,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
+from . import numutil
 from .numutil import (
     _SWEEP_BLOCK, _ExactSum, _RunningMax, _RunningSum, _blocks, check_allocation,
     libm_power, quad_log,
@@ -167,15 +168,10 @@ def check_prime_tail(cutoff: int = 30_000_000) -> BoundReport:
                      "captured_integral_fraction": captured})
         if ratio > worst[0]:
             worst = (ratio, (a, P))
-    return BoundReport(
-        name="prime-tail-estimate",
-        domain=f"f(t)=t^-a, a in (1.5, 2), P grid to 1e7, primes to {cutoff:g}",
-        passed=worst[0] <= 1.0,
-        worst_ratio=worst[0],
-        worst_arg=worst[1],
-        bound=1.0,
-        details={"rows": rows},
-    )
+    return BoundReport.held_to_one(
+        "prime-tail-estimate",
+        f"f(t)=t^-a, a in (1.5, 2), P grid to 1e7, primes to {cutoff:g}",
+        worst, {"rows": rows})
 
 
 # Traced peak of one block of the pass (_partial_products), per prime of the
@@ -187,12 +183,15 @@ def check_prime_tail(cutoff: int = 30_000_000) -> BoundReport:
 # (44 KB at 10^8) and the per-product objects (prime zeta values, reports).
 _CONTEXT_BYTES_PER_PRIME = 96
 _CONTEXT_FIXED_BYTES = 128 << 10
+# From this cutoff on (nine segments) the pass is split across processes;
+# below it the forks would cost more than they save.
+_SHARD_MIN_CUTOFF = 8 * DEFAULT_SEGMENT
 
 
 def _context_bytes(cutoff: int) -> int:
-    """Declared peak memory of the pass (_partial_products) to cutoff: one
-    block, at most one segment's primes (sieve._prime_segments), whatever
-    the cutoff, and the fixed part."""
+    """Declared peak memory of one process of the pass (_partial_products)
+    to cutoff: one block, at most one segment's primes
+    (sieve._prime_segments), whatever the cutoff, and the fixed part."""
     return (_CONTEXT_BYTES_PER_PRIME * _prime_count_bound(min(cutoff, DEFAULT_SEGMENT))
             + _CONTEXT_FIXED_BYTES)
 
@@ -223,20 +222,35 @@ def _partial_products(cutoff: int, products: dict, sums: dict) -> tuple[dict, di
     each computed once per block.  Each product's log1p terms and each
     sum's terms feed their own exact sum (numutil._ExactSum), rounded once
     as over one array of all the terms.
+
+    From _SHARD_MIN_CUTOFF on, the segments are dealt to one shard per
+    usable CPU (numutil._forked), each process declaring _context_bytes;
+    the caller appends the parts of the workers' exact sums to its own, so
+    every result is the same float for any number of shards.
     """
-    logs = {name: _ExactSum() for name in products}
-    totals = {name: _ExactSum() for name in sums}
-    if not logs and not totals:
+    if not products and not sums:
         return {}, {}
-    check_allocation(_context_bytes(cutoff), f"prime context to {cutoff}")
-    for primes in _prime_segments(cutoff):
-        ps = primes.astype(np.float64)
-        power = functools.cache(functools.partial(libm_power, ps))
-        weight = functools.cache(functools.partial(_weight, ps=ps, power=power))
-        for name, local in products.items():
-            logs[name].add(np.log1p(local(ps, power, weight)))
-        for name, term in sums.items():
-            totals[name].add(term(ps, power, weight))
+    shards = numutil._usable_cpus() if cutoff >= _SHARD_MIN_CUTOFF else 1
+    check_allocation(shards * _context_bytes(cutoff), f"prime context to {cutoff}")
+
+    def walk(shard):
+        logs = {name: _ExactSum() for name in products}
+        totals = {name: _ExactSum() for name in sums}
+        for primes in _prime_segments(cutoff, shard, shards):
+            ps = primes.astype(np.float64)
+            power = functools.cache(functools.partial(libm_power, ps))
+            weight = functools.cache(functools.partial(_weight, ps=ps, power=power))
+            for name, local in products.items():
+                logs[name].add(np.log1p(local(ps, power, weight)))
+            for name, term in sums.items():
+                totals[name].add(term(ps, power, weight))
+        return logs, totals
+
+    (logs, totals), *others = numutil._forked(walk, shards)
+    for share in others:
+        for mine, theirs in zip((logs, totals), share):
+            for name, total in mine.items():
+                total.parts += theirs[name].parts
     return ({name: math.exp(total.value()) for name, total in logs.items()},
             {name: total.value() for name, total in totals.items()})
 
@@ -343,14 +357,17 @@ _UP = 1.0 + 1e-12
 # a tail whose a-priori bound is no larger skips the sieved route.
 _TAIL_PAD = 1e-12
 
-# _prime_zeta(e) at 40 digits, keyed by the exponent pair alone: it does not
-# depend on the cutoff, so the cutoffs that take the sieved route at e share it.
+# _prime_zeta(e) at _PZ_DIGITS digits (110 bits), within 2^-109 relative of
+# P at the exponent rebuilt there (_prime_power_tails), keyed by the exponent
+# pair alone: it does not depend on the cutoff, so the cutoffs that take the
+# sieved route at e share it.
 _primezeta_cache: dict[tuple[int, int], mp.mpf] = {}
 
 # _prime_zeta sums the primes p <= _PZ_SPLIT apart, at _PZ_GUARD bits past
-# the caller's precision.
+# the caller's precision, which is _PZ_DIGITS digits in _prime_power_tails.
 _PZ_SPLIT = 100
 _PZ_GUARD = 20
+_PZ_DIGITS = 32
 
 
 @functools.cache
@@ -406,7 +423,9 @@ def _prime_zeta(s: mp.mpf, split: int = _PZ_SPLIT, extra_k: int = 0) -> mp.mpf:
     s = 7/6), each off by
     at most 2^-w times a partial sum below 2 ln zeta(s) < 4 (s >= 7/6 in
     the H tails), which adds under 2^-(prec+8) relative.  The result is
-    then rounded once to the caller's precision.
+    then rounded once to the caller's precision, so it is within
+    2^-prec (1 + 2^-8 + 2^-20) of P(s) relative: under 2^-109 at 32
+    digits (prec 110) and 2^-135 at 40 (prec 136).
     """
     if s <= 1:
         raise ValueError(f"prime zeta diverges at s = {s}")
@@ -483,11 +502,13 @@ def _prime_power_tails(bounds: dict, sums: dict) -> dict:
     B(e) <= _TAIL_PAD the enclosure is [0, B(e)] and nothing is sieved or
     summed.
 
-    Sieved route, for the rest: Z(e) = P(e) - sums[e].  P(e) =
-    _prime_zeta(e) is evaluated at 40 digits with the exponent
-    reconstructed there (so the exponent it sees is exact to 40 digits),
-    once per exponent pair for the whole process, and the subtraction is
-    done at that precision.
+    Sieved route, for the rest: Z(e) = P(e) - sums[e], at _PZ_DIGITS = 32
+    digits (110 bits).  P(e) is _prime_zeta at the exponent rebuilt there,
+    e' = fl(fl(m/6) + n * XI) (n * XI is exact), once per exponent pair for
+    the whole process, and the subtraction rounds once at that precision.
+    It cancels up to 12 digits (P(e)/z < 2.2e11 at every exponent the
+    package uses), so z keeps about 20 and its float is the one 40 digits
+    give (tests/test_products.py); at 25 digits 12 of them differ.
 
     The pad of 1e-12 relative plus _TAIL_PAD absolute covers the float
     partial.  Write P = sum_{p <= N} p^(-e) for the exact e (m, n >= 0 for
@@ -505,10 +526,12 @@ def _prime_power_tails(bounds: dict, sums: dict) -> dict:
     Schoenfeld), so e P < 6.4 for e < 2; for e >= 2, P <= 2^(2-e) P(2) with
     P(2) < 0.46 gives e P < 1.  The error is then at most
     u (9 * 3.2 + 3.1 * 18.5 * 6.4) < 400u < 4.5e-14.  Rounding z to a float
-    adds u |z|.  P(e) itself is off by under 2^-156 relative from the two
-    truncation bounds of _prime_zeta (its E_1 and E_2), plus 2^-136 from its
-    rounding to 40 digits; with P(e) < P(7/6) < 3 that is under 1e-40.  The
-    pad exceeds the total more than 20-fold.
+    adds u |z|, and the 110-bit subtraction 2^-110 |z|.  P(e) itself is
+    off by under 1.2e-32: |e' - e| <= 2^-109 e moves it by under
+    2^-109 e/(e - 1) <= 7 * 2^-109 < 1.1e-32 for e >= 7/6, as
+    sum_p p^(-e) ln p <= -zeta'(e)/zeta(e) < 1/(e - 1), and _prime_zeta(e')
+    is within 2^-109 relative of P(e'), with P(e) < P(7/6) < 3.  The pad
+    exceeds the total more than 20-fold.
 
     Why [0, B] nests in the sieved enclosure [max(z - pad, 0), z + pad]
     whenever B <= _TAIL_PAD: z lies within 5e-14 of Z, so z - pad < 0 once
@@ -522,7 +545,7 @@ def _prime_power_tails(bounds: dict, sums: dict) -> dict:
         if e not in sums:
             out[e] = CertifiedValue(0.0, bound)
             continue
-        with mp.workdps(40):
+        with mp.workdps(_PZ_DIGITS):
             zeta = _primezeta_cache.get(e)
             if zeta is None:
                 e_mp = mp.mpf(e[0]) / 6 + e[1] * mp.mpf(XI)
@@ -915,15 +938,8 @@ def check_cq_forms(qs=(1, 2, 6), tol: float = 1e-9) -> BoundReport:
         r = dev / allowance
         if r > worst[0]:
             worst = (r, q)
-    return BoundReport(
-        name="shift-constant-forms",
-        domain=f"q in {tuple(qs)}",
-        passed=worst[0] <= 1.0,
-        worst_ratio=worst[0],
-        worst_arg=worst[1],
-        bound=1.0,
-        details={"rows": rows},
-    )
+    return BoundReport.held_to_one("shift-constant-forms", f"q in {tuple(qs)}",
+                                   worst, {"rows": rows})
 
 
 def local_ratio(q: int) -> Fraction:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import os
 import platform
 import sys
 import time
@@ -34,6 +35,11 @@ class BoundReport:
     worst_arg: Any = None
     bound: float | None = None
     details: dict = field(default_factory=dict)
+
+    @classmethod
+    def held_to_one(cls, name: str, domain: str, worst: tuple, details: dict):
+        """The report of ratios held to 1, worst = (the largest ratio, where)."""
+        return cls(name, domain, worst[0] <= 1.0, worst[0], worst[1], 1.0, details)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -103,7 +109,8 @@ class RunManifest:
     """Reproducibility record attached to CLI outputs.
 
     Captures the command configuration, library versions, numpy's SIMD
-    extensions, wall time and written files' digests, for re-runs and diffs.
+    extensions, the usable CPUs (the shards of the products' pass), wall
+    time and written files' digests, for re-runs and diffs.
     """
 
     command: str
@@ -123,6 +130,7 @@ class RunManifest:
             "mpmath": mpmath.__version__,
             "platform": platform.platform(),
             "numpy_simd": numpy.show_config(mode="dicts")["SIMD Extensions"].get("found", []),
+            "cpus": len(os.sched_getaffinity(0)),
         }
         m._t0 = time.monotonic()
         return m

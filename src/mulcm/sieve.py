@@ -62,13 +62,14 @@ def _prime_count_bound(n: int) -> int:
     return math.ceil(n / (math.log(n) - 1.5)) if n >= 5 else 2
 
 
-def _prime_segments(n: int):
+def _prime_segments(n: int, shard: int = 0, shards: int = 1):
     """The primes of [2, n] as int64 arrays, one per segment of integers,
     in ascending order: first [0, max(DEFAULT_SEGMENT, isqrt(n) + 1)) or
     [0, n], sieved by its own primes up to its square root, then segments
     of DEFAULT_SEGMENT integers, each sieved by the base primes up to
-    isqrt(n) from the first.  It holds one segment and the base primes at
-    a time, whatever n.
+    isqrt(n) from the first.  Only the segments whose index (the first is
+    0) is shard mod shards are yielded, though every shard sieves the
+    first.  It holds one segment and the base primes at a time, whatever n.
     """
     if n < 2:
         return
@@ -81,11 +82,11 @@ def _prime_segments(n: int):
             mask[p * p:: p] = False
     primes = np.nonzero(mask)[0]
     del mask
-    yield primes
-    if hi > n:
-        return
+    if shard == 0:
+        yield primes
     base = primes[: np.searchsorted(primes, r, side="right")].tolist()
-    for lo in range(hi, n + 1, DEFAULT_SEGMENT):
+    step = shards * DEFAULT_SEGMENT
+    for lo in range(hi + (shard - 1) % shards * DEFAULT_SEGMENT, n + 1, step):
         mask = np.ones(min(DEFAULT_SEGMENT, n + 1 - lo), dtype=bool)
         for p in base:
             mask[-lo % p:: p] = False

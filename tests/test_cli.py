@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import pathlib
 import re
 import tracemalloc
@@ -35,6 +36,7 @@ def test_verify_lemma_landau_json(tmp_path, capsys):
     assert payload["manifest"]["versions"]["python"]
     simd = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
     assert payload["manifest"]["versions"]["numpy_simd"] == simd
+    assert payload["manifest"]["versions"]["cpus"] == len(os.sched_getaffinity(0))
     assert "landau" in payload["manifest"]["config"]["name"]
 
 
@@ -172,10 +174,10 @@ def test_sieve_summary_reads_the_table_in_place(monkeypatch, tmp_path, capsys):
 
 def test_bound_reports_windows_and_table_passes(capsys):
     assert main(["bound", "--x-min", "1.1e7", "--ratio", "22.99"]) == 0
-    assert "1 dyadic window(s), 1 pass(es)" in capsys.readouterr().out
+    assert "1 dyadic window(s), 1 pass(es) over the per-j reductions" in capsys.readouterr().out
     # A degenerate x_min needs more windows and a second pass over the tables.
     assert main(["bound", "--x-min", "100", "--ratio", "22.99"]) == 0
-    assert "4 dyadic window(s), 2 pass(es)" in capsys.readouterr().out
+    assert "4 dyadic window(s), 2 pass(es) over the per-j reductions" in capsys.readouterr().out
 
 
 def test_bound_oversized_ratio_exits_budget(monkeypatch, capsys):

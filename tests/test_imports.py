@@ -6,7 +6,7 @@ only `sieve.py` runs the multiplicative sieve: every other module reads
 mu, phi and the Mertens cumsum from the one arithmetic table, prime
 zeta values come from `products._prime_zeta`, not mpmath's `primezeta`,
 every Euler product's logs are taken in `products._partial_products` (the one
-pass over the primes) alone, `products.py` gathers all the primes to a bound
+pass over the primes) alone, only `numutil._forked` forks a process, `products.py` gathers all the primes to a bound
 (`primes_upto`) only in three named functions, so any other sum over primes
 there runs through that pass, `assembly.py` calls no numpy
 transcendental ufunc, and exact sums of arrays go through
@@ -138,6 +138,22 @@ def test_primezeta_detector_flags_calls_and_imports():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_calls_mpmath_primezeta(path):
     assert name_references(path.read_text(), {"primezeta"}) == []
+
+
+# Processes are forked by numutil._forked alone, which reaps every worker it
+# starts before it returns or raises.
+def test_fork_detector_skips_only_the_named_function():
+    src = ("import os\nfrom os import fork\n"
+           "def _forked(w):\n    return os.fork()\n"
+           "def other():\n    return os.fork()\n")
+    assert name_references(src, {"fork"}, outside={"_forked"}) == [
+        "fork (line 2)", "fork (line 6)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_fork_helper_forks(path):
+    outside = {"_forked"} if path.name == "numutil.py" else set()
+    assert name_references(path.read_text(), {"fork", "forkpty"}, outside=outside) == []
 
 
 # Euler products take their logs in products._partial_products, the one pass

@@ -156,16 +156,30 @@ def _bounded_block(ps, power, weight):
             lambda key: _Bounded(weight(key), 8 * U * weight(key)))
 
 
+# pi(n) at the cutoffs of the recording spies.
+_PRIME_COUNTS = {10**5: 9592, 200_000: 17984, 3 * 10**6: 216_816, 10**7: 664_579,
+                 10**8: 5_761_455}
+
+
+def _in_one_process(mpatch) -> None:
+    """Keep the pass in the calling process: a spy on the local terms runs
+    in the process that walks their segment, and sees a worker's share
+    nowhere (numutil._forked)."""
+    mpatch.setattr(numutil, "_usable_cpus", lambda: 1)
+
+
 def _record_float_error_bounds(mpatch) -> list:
     """Patch products._partial_products to append (cutoff, bound) for every
     product built while the patch holds: the bound derived at
     products.FSLACK on the relative float error of its partial product
-    exp(sum log1p(x)), x the local terms, summed block by block."""
+    exp(sum log1p(x)), x the local terms, summed block by block.  The pass
+    runs in one process, and each product must see all pi(cutoff) primes."""
     bounds = []
     real = products._partial_products
+    _in_one_process(mpatch)
 
     def spy(cutoff, local_terms, sum_terms):
-        sums = {name: [0.0, 0.0] for name in local_terms}
+        sums = {name: [0.0, 0.0, 0] for name in local_terms}
 
         def recording(name, local, ps, power, weight):
             x = local(ps, power, weight)
@@ -173,16 +187,49 @@ def _record_float_error_bounds(mpatch) -> list:
             assert np.array_equal(b.v, x)
             sums[name][0] += float(np.sum(b.e / (1.0 + b.v)))
             sums[name][1] += float(np.sum(np.abs(np.log1p(b.v))))
+            sums[name][2] += ps.size
             return x
 
         result = real(cutoff, {name: functools.partial(recording, name, local)
                                for name, local in local_terms.items()}, sum_terms)
+        assert all(n == _PRIME_COUNTS[cutoff] for _, _, n in sums.values())
         bounds.extend((cutoff, moved + U * (9.0 * logs + 8.0))
-                      for moved, logs in sums.values())
+                      for moved, logs, _ in sums.values())
         return result
 
     mpatch.setattr(products, "_partial_products", spy)
     return bounds
+
+
+def _primes_seen(cutoff: int) -> int:
+    """How many primes a spy on a local term sees in constant_A(cutoff)."""
+    seen = []
+    real = products._partial_products
+
+    def spy(cutoff, local_terms, sum_terms):
+        def counting(local, ps, *block):
+            seen.append(ps.size)
+            return local(ps, *block)
+
+        return real(cutoff, {name: functools.partial(counting, local)
+                             for name, local in local_terms.items()}, sum_terms)
+
+    with pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(products, "_partial_products", spy)
+        constant_A(cutoff)
+    return sum(seen)
+
+
+def test_a_spy_sees_every_prime_only_with_the_pass_in_one_process(monkeypatch):
+    # At a cutoff that forks, a spy in the caller sees only the caller's
+    # segments; the recording spies keep the pass in one process.
+    cutoff = 3 * 10**6
+    assert cutoff >= products._SHARD_MIN_CUTOFF
+    monkeypatch.setattr(numutil, "_usable_cpus", lambda: 2)
+    share = sum(s.size for s in sieve._prime_segments(cutoff, 0, 2))
+    assert _primes_seen(cutoff) == share < _PRIME_COUNTS[cutoff]
+    _in_one_process(monkeypatch)
+    assert _primes_seen(cutoff) == _PRIME_COUNTS[cutoff]
 
 
 @pytest.fixture(scope="module")
@@ -336,6 +383,7 @@ def test_partial_products_equal_scalar_loop(monkeypatch):
     cutoff = 100_000
     seen = []
     real = products._partial_products
+    _in_one_process(monkeypatch)
 
     def spy(cutoff, local_terms, sum_terms):
         terms = {name: [] for name in local_terms}
@@ -439,6 +487,25 @@ def test_prime_zeta_rejects_the_pole():
         products._prime_zeta(mp.mpf(1))
 
 
+def test_sieved_tails_at_32_digits_equal_those_at_40(monkeypatch):
+    # Every sieved tail enclosure of check_h_caps(10^5) and (10^7) and of
+    # build_registry() is the same pair of floats with P(e) at 40 digits
+    # (at 25 digits, 12 of them are not).
+    calls = []
+    real = products._prime_power_tails
+    monkeypatch.setattr(products, "_prime_power_tails", lambda bounds, sums: (
+        calls.append((bounds, sums, real(bounds, sums))) or calls[-1][2]))
+    check_h_caps(10**5)
+    check_h_caps(10**7)
+    build_registry()
+    assert products._PZ_DIGITS == 32 and len(calls) == 3
+    monkeypatch.setattr(products, "_PZ_DIGITS", 40)
+    monkeypatch.setattr(products, "_primezeta_cache", {})
+    for bounds, sums, tails in calls:
+        assert real(bounds, sums) == tails
+    assert len(products._primezeta_cache) == 23
+
+
 @pytest.mark.parametrize("call", [lambda: check_h_caps(150_000), build_registry],
                          ids=["check_h_caps", "build_registry"])
 def test_one_pass_per_cutoff_serves_every_product(call, monkeypatch):
@@ -485,6 +552,82 @@ def test_prime_context_refused_one_byte_below_declared(monkeypatch):
         tracemalloc.stop()
     # Refused once the primes are sieved, before any float array over them.
     assert peak <= sieve._primes_bytes(10**6), peak
+
+
+def _counting_forks(monkeypatch) -> list:
+    """Patch numutil._forked to record the shards of every split pass."""
+    calls, real = [], numutil._forked
+    monkeypatch.setattr(numutil, "_forked", lambda work, shards: (
+        calls.append(shards) or real(work, shards)))
+    return calls
+
+
+@pytest.mark.parametrize("budget, forks", [(0, [2]), (-1, [])], ids=["total", "one-byte-less"])
+def test_split_pass_declares_every_process(budget, forks, monkeypatch):
+    # Each process of a split pass holds _context_bytes; the caller declares
+    # the total before any fork.
+    monkeypatch.setattr(numutil, "_usable_cpus", lambda: 2)
+    calls = _counting_forks(monkeypatch)
+    cutoff = 3 * 10**6
+    monkeypatch.setenv("MULCM_MEMORY_BUDGET", str(2 * products._context_bytes(cutoff) + budget))
+    if budget < 0:
+        with pytest.raises(BudgetError, match="prime context"):
+            constant_A(cutoff)
+    else:
+        constant_A(cutoff)
+    assert calls == forks
+
+
+def _split_pass(cutoff: int) -> tuple[dict, dict]:
+    """The pass of check_h_caps' six products plus A, with the tail sums of
+    _PASS_TAIL_SUMS at 10^7 and the universal sum."""
+    local_terms = {pair: functools.partial(products._h_local, *pair)
+                   for pair in products._H_PAIRS}
+    local_terms["A"] = lambda p, power, weight: (-2.0 * p + 1.0) / (p * p * p)
+    sum_terms = products._tail_routes(_PASS_TAIL_SUMS[10**7], cutoff)[1]
+    assert len(sum_terms) == len(_PASS_TAIL_SUMS[10**7])
+    sum_terms["universal"] = products._universal_term
+    return products._partial_products(cutoff, local_terms, sum_terms)
+
+
+@pytest.mark.parametrize("cutoff", [3 * 10**6, 10**7])
+def test_pass_is_the_same_on_one_two_and_three_shards(cutoff, monkeypatch):
+    calls = _counting_forks(monkeypatch)
+    results = []
+    for shards in (1, 2, 3):
+        monkeypatch.setattr(numutil, "_usable_cpus", lambda: shards)
+        results.append(_split_pass(cutoff))
+    assert calls == [1, 2, 3]
+    assert results[1] == results[0] and results[2] == results[0]
+    if cutoff == 10**7:
+        partials, sums = results[0]
+        assert [partials[pair].hex() for pair in products._H_PAIRS] == _PASS_PARTIALS[cutoff]
+        assert {e: sums[e].hex() for e in _PASS_TAIL_SUMS[cutoff]} == _PASS_TAIL_SUMS[cutoff]
+
+
+@pytest.mark.parametrize("odd", [True, False], ids=["worker", "caller"])
+def test_an_error_in_either_share_raises_and_leaves_no_child(odd, monkeypatch):
+    # With two shards the worker walks the segments of odd index; an error
+    # in its share raises in the caller with the worker's traceback text,
+    # and an error in the caller's share ends the worker.  Either way every
+    # worker is reaped.
+    monkeypatch.setattr(numutil, "_usable_cpus", lambda: 2)
+
+    def local(p, power, weight):
+        if int(p[0]) // sieve.DEFAULT_SEGMENT % 2 == odd:
+            raise ZeroDivisionError(f"segment of {int(p[0])}")
+        return -1.0 / (p * p)
+
+    with pytest.raises(ZeroDivisionError) as caught:
+        products._partial_products(3 * 10**6, {"x": local}, {})
+    cause = str(caught.value.__cause__ or "")
+    if odd:
+        assert cause.startswith("raised in a forked worker:\nTraceback")
+        assert "in local" in cause and "ZeroDivisionError: segment of" in cause
+    else:
+        assert cause == ""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _traced_peak(call) -> int:

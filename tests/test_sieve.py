@@ -85,6 +85,22 @@ def test_prime_segments_equal_a_plain_sieve(segment, monkeypatch):
                    for s in segments), n
 
 
+@pytest.mark.parametrize("segment", [16, 1000, sieve.DEFAULT_SEGMENT])
+def test_prime_segment_shards_deal_out_every_segment_once(segment, monkeypatch):
+    # Shard s of k holds the segments whose index is s mod k, in order, so
+    # dealing them back by index rebuilds the one-shard sequence.
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", segment)
+    edges = [m * segment + d for m in (1, 2, 3, 7) for d in (-1, 0, 1)]
+    for n in [0, 1, 2, 15, 255, 256, 257, *edges]:
+        whole = list(sieve._prime_segments(n))
+        for k in (1, 2, 3):
+            shards = [list(sieve._prime_segments(n, s, k)) for s in range(k)]
+            assert [len(share) for share in shards] == [
+                len(whole[s::k]) for s in range(k)], (n, k)
+            for s, share in enumerate(shards):
+                assert all(map(np.array_equal, share, whole[s::k])), (n, k, s)
+
+
 def test_prime_count_bound_holds():
     # The bound on pi(n) sizes primes_upto's output and the declared memory.
     pi = np.searchsorted(_plain_primes(10**6), np.arange(10**6 + 1), side="right")
