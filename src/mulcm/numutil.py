@@ -37,11 +37,16 @@ def memory_budget_bytes() -> int:
     """Resource ceiling for large allocations, in bytes.
 
     Controlled by the MULCM_MEMORY_BUDGET environment variable (bytes).
-    Default is 8 GiB, which fits every documented workload.
+    Default is 8 GiB, which fits every documented workload, or the machine's
+    physical memory if that is less.
     """
     raw = os.environ.get("MULCM_MEMORY_BUDGET")
     if raw is None:
-        return 8 << 30
+        try:
+            physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+            physical = 0
+        return min(8 << 30, physical) if physical > 0 else 8 << 30
     try:
         val = int(raw)
     except ValueError as exc:

@@ -16,14 +16,16 @@ Three independent evaluation routes:
 The batched scan evaluates the trace recursion in floats for millions of d:
 the recursion's smooth-part contributions are indexed by their smooth factor
 k (coefficient prod_{p | k}(1-p) per unit k, looked up against the arithmetic
-table's Mertens cumsum) and walked in ascending k.  A k that reaches many d
-adds its terms to its stride of d as one strided slice; the (k, d) pairs of
-the other k are expanded in bounded chunks and scatter-added in order.  Each
-S(d) increment thus sums its terms one by one in ascending k on either path,
-so the result, to the bit, depends neither on the chunk size nor on where
-the dense/sparse threshold lies.  Scans checkpoint to CSV, replacing the
-file atomically, resume from the last checkpointed d, and refuse a
-checkpoint row that no scan could have written.
+table's Mertens cumsum) and walked in ascending k, each k only over the d
+that can be squarefree.  A k that reaches many d adds its terms to its
+strides of d as strided slices; the (k, d) pairs of the other k are
+expanded in bounded chunks and scatter-added in order.  Each increment at a
+squarefree d thus sums all its terms one by one in ascending k on either
+path, and every other increment is +0.0, so the result, to the bit, depends
+neither on the chunk size nor on where the dense/sparse threshold lies.
+Scans checkpoint to CSV, replacing the file atomically, resume from the
+last checkpointed d, and refuse a checkpoint row that no scan could have
+written.
 """
 
 from __future__ import annotations
@@ -55,24 +57,24 @@ _SCAN_CAP_SLACK, _WINDOW_CAP, _WINDOW_FROM = 1e-12, 0.445, 422
 # (k, d) pairs expanded per scatter-add, and d per strided block, in the scan;
 # bounds its transient memory.
 _SCAN_CHUNK = 1 << 17
-# A k that reaches at least this many d is added as strided slices rather
-# than through the pair expansion.  A slice costs 6-10 ns per d against
-# 25-35 ns per scattered pair, plus some 10 us of numpy calls per k, so a k
-# with only a few hundred d is as cheap in the batched scatter-add.  At
-# X = 10^5 the 943 k past the threshold carry 72% of the pairs; at 10^6,
-# 9978 k carry 84%.
-_SCAN_STRIDE_MIN = 1024
+# A k that reaches at least this many walked d is added as strided slices
+# rather than through the pair expansion: a slice costs 2-10 ns per d, a
+# scattered pair 18-30 ns, and a k's numpy calls 10-30 us.  1024 to 2048 time
+# alike (best of 30 at 10^5: 52.1, 52.1 and 53.5 ms; of 8 at 10^6: 853, 860
+# and 860 ms).  At X = 10^5 the 439 k past 1536 carry 55% of the 3.8e6
+# walked pairs; at 10^6, 5141 k carry 73% of 6.2e7.
+_SCAN_STRIDE_MIN = 1536
 # Scan memory per d, checked with tracemalloc (mu and the Mertens cumsum are
-# views of the arithmetic table): while k is walked, six 8-byte arrays over k
-# or d (rad and c_num, under the views R and w; start; first, in cnt's
-# buffer; ends; inner) and the indices of the dense k, 8 bytes each, so up to
-# 56 bytes per d when every k is dense; at the end, inner, inc, 1..X, mu as
-# floats and two temporaries, 48 bytes.  The traced peak is about 53 bytes per
-# d with every k dense (X = 50 000 and 200 000), the worst case declared here
-# with a byte to spare, and 45 bytes per d besides the pair chunk with the
-# default threshold (X = 10^6).  Per expanded pair, 40-44 bytes; a strided
-# block holds 16 bytes per d, within the same chunk.
-_SCAN_BYTES_PER_D = 54
+# views of the arithmetic table): while k is walked, five 8-byte arrays (rad
+# and c_num, under the views step and w; start, in k's buffer; cum, under cnt,
+# first and ends; inner) and the indices of the dense k, 8 bytes each: up to
+# 48 bytes per d when every k is dense, the worst case declared here.  At the
+# end, inner (turned into inc), mu as floats, 1..X and a temporary: 32 bytes.
+# Traced peaks: 46.4 and 44.8 bytes per d with every k dense (X = 50 000 and
+# 200 000); with the default threshold 9.6 and 43.0 MB (X = 2e5 and 10^6,
+# chunk included), 0.60 and 0.79 of the declaration.  Per expanded pair,
+# 40-44 bytes; a strided block holds 16 bytes per d, within the same chunk.
+_SCAN_BYTES_PER_D = 48
 _SCAN_BYTES_PER_PAIR = 48
 
 
@@ -199,32 +201,28 @@ def sigma_pairs_trace(X: int) -> np.ndarray:
 def sigma_coprime_trace(X: int) -> np.ndarray:
     """Float [S(1), ..., S(X)] through the coprime-decomposition form.
 
-    Maintains md[d] = m_d(floor(X'/d)) for the current prefix X', where
-    m_d(y) = sum_{n <= y, (n, d) = 1} mu(n)/n, and the running value
-    S = sum_d mu^2(d) phi(d)/d^2 * md[d]^2.  When X' grows to n, exactly
-    the divisors d of n see their argument floor(n/d) jump, and the new
-    point n/d enters m_d iff gcd(n/d, d) = 1.
+    Maintains md[d] = m_d(floor(X'/d)) for the current prefix X' and each
+    squarefree d, where m_d(y) = sum_{n <= y, (n, d) = 1} mu(n)/n, and the
+    running value S = sum_d mu^2(d) phi(d)/d^2 * md[d]^2.  When X' grows to
+    n, exactly the divisors d of n see floor(n/d) jump, and q = n/d enters
+    m_d iff q is squarefree and prime to d, that is iff n = d q is
+    squarefree: only a squarefree n moves S, and it moves every m_d, d | n.
     """
     block = _table(X)
-    mu = block.mu  # mu[n - 1] = mu(n)
-    md = np.zeros(X + 1, dtype=np.float64)
-    weight = np.zeros(X + 1, dtype=np.float64)
     dd = np.arange(1, X + 1, dtype=np.float64)
-    weight[1:] = np.where(block.mu != 0, block.phi / (dd * dd), 0.0)
+    weight = [0.0] + np.where(block.mu != 0, block.phi / (dd * dd), 0.0).tolist()
+    mu = block.mu.tolist()  # mu[n - 1] = mu(n)
+    md = [0.0] * (X + 1)
     out = np.zeros(X, dtype=np.float64)
     total = 0.0
     for n in range(1, X + 1):
-        for d in divisors(n):
-            q = n // d
-            if mu[q - 1] != 0 and math.gcd(q, d) == 1:
-                # m_d gains mu(q)/q; update the weighted square's total.
-                if weight[d] != 0.0:
-                    old = md[d]
-                    new = old + float(mu[q - 1]) / q
-                    total += weight[d] * (new * new - old * old)
-                    md[d] = new
-                else:
-                    md[d] += float(mu[q - 1]) / q
+        if mu[n - 1]:
+            for d in divisors(n):
+                q = n // d
+                old = md[d]
+                new = old + mu[q - 1] / q
+                total += weight[d] * (new * new - old * old)
+                md[d] = new
         out[n - 1] = total
     return out
 
@@ -361,57 +359,79 @@ def _scan_increments(X: int, d_from: int) -> np.ndarray:
     The recursion's weighted history W(d) is expanded over the d-smooth
     factor k of the inner variable: each k with radical R dividing d
     contributes (prod_{p|k}(1-p)/k) * m((d-1) // k), m being the cumulative
-    Mertens sum.  The k are walked in ascending order.  A dense k, one that
-    reaches at least _SCAN_STRIDE_MIN values of d, adds its terms to the
-    stride d = start, start + R, ... as one strided slice, in blocks of at
-    most _SCAN_CHUNK values of d.  The (k, d) pairs of each run of sparse k
-    between two dense k are expanded in chunks of at most _SCAN_CHUNK pairs
-    and scatter-added with np.add.at, which applies the adds in array order.
-    Either way every inner[d] receives its terms one at a time in ascending
-    k, so the result is bitwise the same for any threshold and chunk size.
+    Mertens sum.  W(d) enters inc[d] times mu(d), and d = R t is squarefree
+    only if t is prime to R, so an even R walks the odd t only (step 2R) and
+    a dense k with 3 | R also skips the t divisible by 3.  The k are walked
+    in ascending order.  A dense k, one that reaches at least
+    _SCAN_STRIDE_MIN walked d, adds its terms as strided slices, in blocks
+    of at most _SCAN_CHUNK values of d.  The (k, d) pairs of each run of
+    sparse k between two dense k are expanded in chunks of at most
+    _SCAN_CHUNK pairs and scatter-added with np.add.at, which applies the
+    adds in array order.  Either way every squarefree d receives all its
+    terms, one at a time in ascending k, so the result is bitwise the same
+    for any threshold and chunk size; every other inc[d] is +0.0.
     """
     M = _mertens_cum(X)
     rad, cn = _radical_and_coeffs(X)
     k = np.arange(1, X, dtype=np.int64)
-    R = rad[1: X]
+    step = rad[1: X]  # R, and 2R once the even R (the even k) are doubled
     w = np.divide(cn[1: X], k, out=cn[1: X])
-    start = (np.maximum(k, d_from - 1) // R + 1) * R
-    del k  # k = i + 1 from here on
-    cnt = np.maximum((X - start) // R + 1, 0)
+    # start: the first R t > max(k, d_from - 1), t odd for even k (k = i + 1).
+    start = np.maximum(k, d_from - 1, out=k)
+    start //= step
+    start += 1
+    start[1::2] |= 1
+    start *= step
+    step[1::2] *= 2
+    # cum[i] counts the walked pairs of the k below i + 1, so k = i + 1 owns
+    # [first[i], ends[i]); as start <= X + step, no count is negative.
+    cum = np.zeros(X, dtype=np.int64)
+    cnt = np.subtract(X, start, out=cum[1:])
+    cnt //= step
+    cnt += 1
     dense = np.flatnonzero(cnt >= _SCAN_STRIDE_MIN)
-    ends = np.cumsum(cnt)
-    first = np.subtract(ends, cnt, out=cnt)  # reuses cnt's buffer
-    n_pairs = int(ends[-1]) if X > 1 else 0
+    ends = np.cumsum(cnt, out=cnt)
+    first, n_pairs = cum[:-1], int(cum[-1])
     inner = np.zeros(X + 1, dtype=np.float64)
     done = 0  # pairs before this index are added
-    for i in dense:
-        _scatter_pairs(inner, M, R, w, start, first, ends, done, int(first[i]))
+    for i in map(int, dense):
+        _scatter_pairs(inner, M, step, w, start, first, ends, done, int(first[i]))
         done = int(ends[i])
-        _add_stride(inner, M, int(i) + 1, int(R[i]), int(start[i]), w[i])
-    _scatter_pairs(inner, M, R, w, start, first, ends, done, n_pairs)
-    del R, w, rad, cn, start, cnt, ends, first, dense
-    inc = np.zeros(X + 1, dtype=np.float64)
-    dd = np.arange(1, X + 1, dtype=np.float64)
+        s, r = int(start[i]), int(step[i])
+        # With 3 | R, 9 divides every third d: walk the other two strides.
+        for a, ra in ([(s, r)] if r % 3 else
+                      [(a, 3 * r) for a in (s, s + r, s + 2 * r) if a % 9]):
+            _add_stride(inner, M, i + 1, ra, a, w[i])
+    _scatter_pairs(inner, M, step, w, start, first, ends, done, n_pairs)
+    del k, step, w, rad, cn, start, cum, cnt, ends, first, dense
+    # inner becomes inc[d] = mu^2(d)/d + (2 mu(d)/d) W(d) in place: the same
+    # roundings, with the operands of the last product and sum swapped.
     muf = _table(X).mu.astype(np.float64)
-    inc[1:] = (muf * muf) / dd + 2.0 * muf / dd * inner[1:]
+    dd = np.arange(1, X + 1, dtype=np.float64)
+    inner[1:] *= 2.0 * muf / dd
+    inner[1:] += muf * muf / dd
     if d_from > 1:
-        inc[: d_from] = 0.0
-    return inc
+        inner[: d_from] = 0.0
+    return inner
 
 
 def _add_stride(inner: np.ndarray, M: np.ndarray, k: int, r: int, s: int,
                 w_k: float) -> None:
     """Add w_k * m((d-1) // k) to inner[d] for d = s, s + r, ... <= X, in
-    strided blocks of at most _SCAN_CHUNK values of d."""
+    strided blocks of at most _SCAN_CHUNK values of d.  When k divides r (as
+    a squarefree k does), the (d-1) // k step by r // k: a strided slice of M."""
     X = inner.size - 1
     step = _SCAN_CHUNK * r
     for a in range(s, X + 1, step):
         b = min(a + step, X + 1)
-        g = M[np.arange(a - 1, b - 1, r) // k]
-        inner[a: b: r] += np.multiply(g, w_k, out=g)
+        if r % k:
+            g = M[np.arange(a - 1, b - 1, r) // k]
+        else:
+            g = M[(a - 1) // k:: r // k][: len(range(a, b, r))]
+        inner[a: b: r] += g * w_k
 
 
-def _scatter_pairs(inner: np.ndarray, M: np.ndarray, R: np.ndarray,
+def _scatter_pairs(inner: np.ndarray, M: np.ndarray, step: np.ndarray,
                    w: np.ndarray, start: np.ndarray, first: np.ndarray,
                    ends: np.ndarray, lo: int, hi: int) -> None:
     """Add the terms of the (k, d) pairs with index in [lo, hi) to inner,
@@ -422,7 +442,7 @@ def _scatter_pairs(inner: np.ndarray, M: np.ndarray, R: np.ndarray,
         i0, i1 = np.searchsorted(ends, [a, b - 1], side="right")
         c = np.minimum(ends[i0: i1 + 1], b) - np.maximum(first[i0: i1 + 1], a)
         rep = np.repeat(np.arange(i0, i1 + 1), c)
-        d = start[rep] + (np.arange(a, b) - first[rep]) * R[rep]
+        d = start[rep] + (np.arange(a, b) - first[rep]) * step[rep]
         np.add.at(inner, d, w[rep] * M[(d - 1) // (rep + 1)])
 
 

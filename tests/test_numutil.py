@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -231,6 +232,29 @@ def test_memory_budget_env(monkeypatch):
     with pytest.raises(BudgetError):
         check_allocation(2_000_000, "test block")
     check_allocation(500_000, "test block")
+
+
+@pytest.mark.parametrize("pages, want", [
+    (1_000_000, 4_096_000_000),  # 3.8 GiB of physical memory
+    (1 << 22, 8 << 30),  # exactly 16 GiB: the 8 GiB cap
+    (-1, 8 << 30),  # sysconf cannot tell
+    (ValueError, 8 << 30),  # the name is unknown here
+])
+def test_memory_budget_default_is_capped_by_physical_memory(monkeypatch, pages, want):
+    def sysconf(name):
+        if name == "SC_PAGE_SIZE":
+            return 4096
+        assert name == "SC_PHYS_PAGES"
+        if pages is ValueError:
+            raise ValueError(name)
+        return pages
+
+    monkeypatch.delenv("MULCM_MEMORY_BUDGET", raising=False)
+    monkeypatch.setattr(os, "sysconf", sysconf)
+    assert memory_budget_bytes() == want
+    # The environment variable still overrides the default, above or below it.
+    monkeypatch.setenv("MULCM_MEMORY_BUDGET", str(12 << 30))
+    assert memory_budget_bytes() == 12 << 30
 
 
 @pytest.mark.parametrize("e", [XI, 5.0 / 3.0, 7.0 / 3.0, 1.5, 2.0])

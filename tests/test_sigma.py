@@ -500,6 +500,31 @@ def test_scan_increments_digest_pinned(d_from, digest):
     assert hashlib.sha256(got.tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("d_from, digest", [
+    (1, "4680fd575ce471e91f355b69d91fa2d0992c32b91b1bfe6b111d7a072f9e6385"),
+    (123_457, "ec7acdb847a49812816f7c44ed93c6f788463ced7a88f097368852e16b1e6785"),
+])
+def test_scan_increments_digest_pinned_at_3e5(d_from, digest):
+    # Taken from the kernel that walked every multiple of each radical, before
+    # it left out the d that p^2 divides for p = 2, 3; past 2 * 10^5, where
+    # more k are dense and the strides split by 3 reach further.
+    got = sigma._scan_increments(3 * 10**5, d_from)
+    assert hashlib.sha256(got.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("stride_min", [1, sigma._SCAN_STRIDE_MIN, 5001])
+def test_scan_increments_vanish_at_non_squarefree_d(monkeypatch, stride_min):
+    # inc[d] is mu(d) times terms the kernel may leave out at a d that is
+    # not squarefree; it must still be +0.0 there, sign bit clear.
+    monkeypatch.setattr(sigma, "_SCAN_STRIDE_MIN", stride_min)
+    X = 5000
+    sf = np.ones(X + 1, dtype=bool)
+    sf[1:] = sieve_range(1, X).mu != 0
+    for d_from in (1, 2, 9, 1000, 4321, X):
+        inc = sigma._scan_increments(X, d_from)
+        assert not inc[~sf].any() and not np.signbit(inc[~sf]).any(), d_from
+
+
 def test_radical_and_coeffs_match_trial_division():
     # Primes above sqrt(X) go in batches per cofactor; each k must still get
     # the same radical and the same product, multiplied in ascending p.
@@ -562,8 +587,8 @@ def test_scan_memory_within_declared_budget(monkeypatch):
 def test_scan_memory_within_declared_budget_all_dense(monkeypatch):
     # Every k dense, so k = 1's stride covers all of d: the worst case per d,
     # which the declaration holds, not a loose ceiling.  With a chunk of 2^8
-    # the traced peak is about 53.3 bytes per d at X = 50 000, reached while
-    # k is walked, against 54 declared (the chunk adds 0.25 per d).  A stride
+    # the traced peak is about 46.4 bytes per d at X = 50 000, reached while
+    # k is walked, against 48 declared (the chunk adds 0.25 per d).  A stride
     # taken unblocked (16 bytes per d more) would break the budget.
     monkeypatch.setattr(sigma, "_SCAN_STRIDE_MIN", 1)
     monkeypatch.setattr(sigma, "_SCAN_CHUNK", 1 << 8)
