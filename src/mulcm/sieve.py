@@ -9,8 +9,10 @@ mertens.m (sweeps carry running sums).  A request past the table's end
 sieves only the range past it and appends that; the cumsum is built, and
 later continued, block by block with no array over [1, n] besides itself.
 The primes come from their own segmented sieve (_prime_segments), one
-segment at a time or gathered by primes_upto, and factorize is the one
-factorization: readers that need the primes of a few n factor them.
+segment at a time or gathered by primes_upto.  factorize factors a few n
+by trial division; the traces that walk every squarefree d <= n in order
+take each d's primes and divisors from _squarefree_factors, a
+largest-prime-factor table over [1, n] built from the arithmetic table.
 
 The segment kernel builds no index arrays.  Each step is one in-place ufunc
 on the strided view arr[(-lo) % m :: m] of the multiples of m in the
@@ -260,6 +262,35 @@ def _mertens_cum(n: int) -> np.ndarray:
         cum.setflags(write=False)
         _table_cum = cum
     return _table_cum[: n + 1]
+
+
+def _squarefree_factors(n: int):
+    """(d, primes, divisors) for each squarefree d <= n, ascending in d: the
+    primes of d ascending, as prime_divisors(d) gives them, and its divisors
+    in divisors(d)'s order.
+
+    Both come from a largest-prime-factor table over [0, n], filled from the
+    primes of the arithmetic table (phi(p) = p - 1 holds exactly at the
+    primes), so no d is trial-divided.  Each d's lists are built when d is
+    reached and not kept.  d is walked down its prime factors, largest first,
+    and each prime P appends P times the divisors so far: the largest prime
+    ends as the fastest-varying choice, as in divisors().
+    """
+    block = _table(n)
+    lpf = np.zeros(n + 1, dtype=np.int64)
+    for p in (np.flatnonzero(block.phi == np.arange(n)) + 1).tolist():
+        lpf[p:: p] = p  # ascending p: the largest prime factor is written last
+    big, mu = lpf.tolist(), block.mu.tolist()
+    for d in range(1, n + 1):
+        if mu[d - 1]:
+            primes, divs, m = [], [1], d
+            while m > 1:
+                p = big[m]
+                primes.append(p)
+                divs += [v * p for v in divs]
+                m //= p
+            primes.reverse()
+            yield d, primes, divs
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

@@ -8,7 +8,10 @@ Three independent evaluation routes:
 * an exact incremental trace, using gcd = sum of phi over common divisors,
   maintained through per-divisor accumulators; it runs on integer
   numerators over the primorial L = prod_{p <= X} p, which every lcm of
-  squarefree d, d' <= X divides;
+  squarefree d, d' <= X divides.  The scan's drift shadow runs the same
+  recursion in 160-bit fixed point with an error bound, which decides each
+  correctly rounded float(S(d)) without the primorial, and falls back to
+  the exact numerators where it cannot;
 * the coprime-decomposition form S(X) = sum_d mu^2(d) phi(d)/d^2 m_d(X/d)^2,
   with m_d the d-coprime Mertens sum, maintained incrementally through its
   own bookkeeping.
@@ -37,6 +40,7 @@ import shutil
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -44,8 +48,8 @@ from .mertens import m_q_exact
 from .numutil import _RunningMax, _blocks, check_allocation
 from .report import BoundReport
 from .sieve import (
-    _coprime_mask, _mertens_cum, _prime_factor_product, _table, divisors,
-    prime_divisors, primes_upto, smooth_numbers,
+    _coprime_mask, _mertens_cum, _prime_factor_product, _squarefree_factors,
+    _table, primes_upto, smooth_numbers,
 )
 
 # The direct-computation cap S(d) <= 19/30 for d >= 2, which the scan checks
@@ -127,7 +131,8 @@ def _trace_numerators(X: int) -> tuple[int, Iterator[int]]:
     squarefree d, d' <= X divides L, so L U_e, L W(d)/d = sum_{d' < d}
     mu(d') L/lcm(d, d') and L S(d) are integers, and the recursion runs on
     them exactly.  The division of L W(d) by d is checked, so an L that
-    misses a prime raises rather than floors.
+    misses a prime raises rather than floors.  Only a squarefree d moves
+    the sum; its divisors come from sieve._squarefree_factors.
     """
     block = _table(X)
     mu, phi = block.mu.tolist(), block.phi.tolist()
@@ -135,26 +140,83 @@ def _trace_numerators(X: int) -> tuple[int, Iterator[int]]:
 
     def numerators():
         U = [0] * (X + 1)  # U[e] = L U_e
-        total = 0
-        for d in range(1, X + 1):
-            mu_d = mu[d - 1]
-            if mu_d != 0:
-                divs = divisors(d)
-                W = 0
-                for e in divs:
-                    W += phi[e - 1] * U[e]
-                q, r = divmod(W, d)
-                if r:
-                    raise ArithmeticError(
-                        f"L W({d}) is not a multiple of {d}: L misses a prime")
-                Ld = L // d
-                total += Ld + 2 * mu_d * q
-                delta = mu_d * Ld
-                for e in divs:
-                    U[e] += delta
-            yield total
+        total = done = 0  # total = L S(d); done = d yielded so far
+        for d, _, divs in _squarefree_factors(X):
+            yield from repeat(total, d - 1 - done)
+            done = d - 1
+            W = 0
+            for e in divs:
+                W += phi[e - 1] * U[e]
+            q, r = divmod(W, d)
+            if r:
+                raise ArithmeticError(
+                    f"L W({d}) is not a multiple of {d}: L misses a prime")
+            Ld = L // d
+            total += Ld + 2 * mu[d - 1] * q
+            delta = mu[d - 1] * Ld
+            for e in divs:
+                U[e] += delta
+        yield from repeat(total, X - done)
 
     return L, numerators()
+
+
+# Fraction bits of the drift shadow's fixed point (_fixed_point_trace).  At
+# 160 its error bound stays below 2^15 units to d = 5000, about 90 bits under
+# the last place of a float near S(d), so no d there needs the exact route.
+_SHADOW_BITS = 160
+
+
+def _fixed_point_trace(X: int) -> Iterator[tuple[int, int, int]]:
+    """(d, T_d, E_d) at each squarefree d <= X, with |T_d - 2^K S(d)| <= E_d.
+
+    The recursion of _trace_numerators in units of 2^-K (K = _SHADOW_BITS)
+    on integers of about K bits: floor(2^K/d) stands for L/d, and
+    floor(W/d) for the exact quotient.  Each term added to an accumulator U[e] is within one
+    unit of 2^K mu(d')/d', so U[e] is off by at most its count of adds,
+    adds[e]; W = sum_{e | d} phi(e) U[e] by at most eW = sum phi(e) adds[e];
+    floor(W/d) by at most eW/d + 1 <= eW // d + 2; and floor(2^K/d) by less
+    than one unit.  So E grows by 5 + 2 (eW // d) at each squarefree d.
+    """
+    one = 1 << _SHADOW_BITS
+    block = _table(X)
+    mu, phi = block.mu.tolist(), block.phi.tolist()
+    U, adds = [0] * (X + 1), [0] * (X + 1)
+    T = E = 0
+    for d, _, divs in _squarefree_factors(X):
+        W = eW = 0
+        for e in divs:
+            f = phi[e - 1]
+            W += f * U[e]
+            eW += f * adds[e]
+        r = one // d
+        T += r + 2 * mu[d - 1] * (W // d)
+        E += 5 + 2 * (eW // d)
+        delta = mu[d - 1] * r
+        for e in divs:
+            U[e] += delta
+            adds[e] += 1
+        yield d, T, E
+
+
+def _trace_floats(X: int) -> np.ndarray:
+    """float(S(d)) for d = 1..X (index d - 1), each correctly rounded.
+
+    At each squarefree d, 2^K S(d) lies in [T_d - E_d, T_d + E_d]
+    (_fixed_point_trace).  Int true division rounds correctly and rounding
+    is monotone, so when both ends round to the same float, so does S(d).
+    If some d is left undecided, the floats come from the exact numerators
+    instead, as n / L.  S(d) holds from one squarefree d to the next.
+    """
+    one = 1 << _SHADOW_BITS
+    vals = []
+    for _, T, E in _fixed_point_trace(X):
+        v = (T - E) / one
+        if v != (T + E) / one:
+            L, nums = _trace_numerators(X)
+            return np.array([n / L for n in nums])
+        vals.append(v)
+    return np.array(vals)[np.cumsum(_table(X).mu != 0) - 1]
 
 
 def sigma_trace_exact(X: int) -> list[Fraction]:
@@ -183,18 +245,18 @@ def sigma_pairs_trace(X: int) -> np.ndarray:
     """
     block = _table(X)
     mu = block.mu  # mu[n - 1] = mu(n)
-    out = np.zeros(X, dtype=np.float64)
-    total = 1.0
-    out[0] = 1.0
+    out = np.empty(X, dtype=np.float64)
+    total, done = 0.0, 0  # done = d written so far
     idx_f = np.arange(1, X + 1, dtype=np.float64)
     muf = mu.astype(np.float64)
     g_buf = np.empty(X, dtype=np.int64)
-    for d in range(2, X + 1):
-        if mu[d - 1] != 0:
-            g = _gcd_row(g_buf[: d - 1], prime_divisors(d))
-            row = muf[: d - 1] * g / (idx_f[: d - 1] * d)
-            total += 1.0 / d + 2.0 * float(mu[d - 1]) * float(np.sum(row))
-        out[d - 1] = total
+    for d, primes, _ in _squarefree_factors(X):
+        out[done: d - 1] = total
+        done = d - 1
+        g = _gcd_row(g_buf[: d - 1], primes)
+        row = muf[: d - 1] * g / (idx_f[: d - 1] * d)
+        total += 1.0 / d + 2.0 * float(mu[d - 1]) * float(np.sum(row))
+    out[done:] = total
     return out
 
 
@@ -213,17 +275,18 @@ def sigma_coprime_trace(X: int) -> np.ndarray:
     weight = [0.0] + np.where(block.mu != 0, block.phi / (dd * dd), 0.0).tolist()
     mu = block.mu.tolist()  # mu[n - 1] = mu(n)
     md = [0.0] * (X + 1)
-    out = np.zeros(X, dtype=np.float64)
-    total = 0.0
-    for n in range(1, X + 1):
-        if mu[n - 1]:
-            for d in divisors(n):
-                q = n // d
-                old = md[d]
-                new = old + mu[q - 1] / q
-                total += weight[d] * (new * new - old * old)
-                md[d] = new
-        out[n - 1] = total
+    out = np.empty(X, dtype=np.float64)
+    total, done = 0.0, 0  # done = n written so far
+    for n, _, divs in _squarefree_factors(X):
+        out[done: n - 1] = total
+        done = n - 1
+        for d in divs:
+            q = n // d
+            old = md[d]
+            new = old + mu[q - 1] / q
+            total += weight[d] * (new * new - old * old)
+            md[d] = new
+    out[done:] = total
     return out
 
 
@@ -625,20 +688,24 @@ def scan_report(X_max: int = 1_000_000, scan: ScanResult | None = None) -> dict:
 
 def drift_report(scan: ScanResult, shadow_to: int = 5000,
                  slack: float = 5e-4) -> BoundReport:
-    """Bound the float accumulation error of a scan by an exact shadow.
+    """Bound the float accumulation error of a scan by a certified shadow.
 
-    The trace is recomputed exactly up to shadow_to as integer numerators
-    L S(d) over the primorial L, each streamed to the float n / L (int
-    true division rounds correctly, so this is float(S(d))).  The largest
-    deviation is extrapolated linearly in d (the accumulation is a sum of
-    per-step roundings), and the result is compared to the slack available
-    in the window inequalities.
+    The shadow gives the correctly rounded float(S(d)) for every
+    d <= shadow_to (_trace_floats).  It runs the trace recursion in
+    fixed point, T_d ~ 2^160 S(d) on 160-bit integers with a bound E_d on
+    |T_d - 2^160 S(d)| that grows by 5 + 2 (eW // d) at each squarefree d
+    (_fixed_point_trace; below 2^15 units to 5000), and takes
+    (T_d - E_d) / 2^160 when it equals (T_d + E_d) / 2^160.  Only if some d
+    is left undecided does it fall back to the exact numerators n / L over
+    the primorial (_trace_numerators).  The largest deviation of the scan
+    from those floats is extrapolated linearly in d (the accumulation is a
+    sum of per-step roundings), and the result is compared to the slack
+    available in the window inequalities.  A resumed scan holds no values
+    at or below its resume point, and is refused.
     """
     upto = min(shadow_to, scan.X_max)
-    L, nums = _trace_numerators(upto)
-    dev = 0.0
-    for d, n in enumerate(nums, start=1):
-        dev = max(dev, abs(float(scan.values[d]) - n / L))
+    scan.window_extrema(1, upto)  # refuses a resumed scan's missing prefix
+    dev = float(np.max(np.abs(scan.values[1: upto + 1] - _trace_floats(upto))))
     extrapolated = dev * (scan.X_max / upto)
     return BoundReport(
         name="scan-float-drift", domain=f"exact shadow to {upto}",

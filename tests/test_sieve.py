@@ -352,6 +352,17 @@ def test_divisors_order_largest_prime_fastest():
     assert divisors(30) == [1, 5, 3, 15, 2, 10, 6, 30]
 
 
+@pytest.mark.parametrize("n", [1, 2, 30, 20_000])
+def test_squarefree_factors_match_trial_division(n):
+    # The exact and oracle traces take each d's primes and divisors here, in
+    # the order divisors() gives, and only at the squarefree d.
+    got = list(sieve._squarefree_factors(n))
+    assert [d for d, _, _ in got] == [d for d in range(1, n + 1) if _mu_ref(d)]
+    for d, primes, divs in got:
+        assert primes == prime_divisors(d), d
+        assert divs == divisors(d), d
+
+
 def test_radical_and_prime_divisors():
     assert radical(1) == 1
     assert radical(12) == 6

@@ -370,6 +370,91 @@ def test_drift_report_tight():
         assert rep.details["max_deviation"] < 1e-13
 
 
+def _exact_floats(X):
+    L, nums = sigma._trace_numerators(X)
+    return [n / L for n in nums]
+
+
+def _count_exact_routes(monkeypatch):
+    calls = []
+    real = sigma._trace_numerators
+    monkeypatch.setattr(sigma, "_trace_numerators",
+                        lambda X: calls.append(X) or real(X))
+    return calls
+
+
+def test_shadow_floats_equal_the_exact_floats(monkeypatch):
+    exact = {X: _exact_floats(X) for X in (1, 2, 5, 10, 60, 2000, 5000)}
+    calls = _count_exact_routes(monkeypatch)
+    for X, want in exact.items():
+        assert sigma._trace_floats(X).tolist() == want, X
+    assert calls == []  # every d decided in fixed point
+
+
+def test_shadow_falls_back_to_the_exact_route(monkeypatch):
+    want = _exact_floats(2000)
+    monkeypatch.setattr(sigma, "_SHADOW_BITS", 24)
+    one = 1 << 24
+    undecided = [d for d, T, E in sigma._fixed_point_trace(2000)
+                 if (T - E) / one != (T + E) / one]
+    assert 0 < len(undecided) < 2000
+    calls = _count_exact_routes(monkeypatch)
+    assert sigma._trace_floats(2000).tolist() == want
+    assert calls == [2000]
+
+
+def _fixed_point_by_trial_division(X, K):
+    """(d, T_d, E_d) of the fixed-point trace from a fresh sieve, trial-
+    division divisors and the bound as its docstring states it."""
+    block = sieve_range(1, X)
+    one = 1 << K
+    U, adds = {}, {}
+    T = E = 0
+    out = []
+    for d in range(1, X + 1):
+        mu_d = int(block.mu[d - 1])
+        if mu_d:
+            divs = [e for e in range(1, d + 1) if d % e == 0]
+            phi = [int(block.phi[e - 1]) for e in divs]
+            W = sum(f * U.get(e, 0) for f, e in zip(phi, divs))
+            eW = sum(f * adds.get(e, 0) for f, e in zip(phi, divs))
+            T += one // d + 2 * mu_d * (W // d)
+            E += 5 + 2 * (eW // d)
+            for e in divs:
+                U[e] = U.get(e, 0) + mu_d * (one // d)
+                adds[e] = adds.get(e, 0) + 1
+            out.append((d, T, E))
+    return out
+
+
+@pytest.mark.parametrize("bits", [16, 160])
+def test_fixed_point_trace_is_the_stated_recursion(monkeypatch, bits):
+    monkeypatch.setattr(sigma, "_SHADOW_BITS", bits)
+    assert (list(sigma._fixed_point_trace(1000))
+            == _fixed_point_by_trial_division(1000, bits))
+    if bits == 160:
+        # The radius the comment on _SHADOW_BITS states to 5000.
+        assert list(sigma._fixed_point_trace(5000))[-1][2] == 23296
+
+
+@pytest.mark.parametrize("bits", [8, 16, 24, 160])
+def test_fixed_point_trace_holds_its_bound(monkeypatch, bits):
+    monkeypatch.setattr(sigma, "_SHADOW_BITS", bits)
+    L, nums = sigma._trace_numerators(1000)
+    nums = list(nums)
+    for d, T, E in sigma._fixed_point_trace(1000):
+        assert abs(T * L - (nums[d - 1] << bits)) <= E * L, d
+
+
+def test_drift_report_refuses_a_resumed_scan(tmp_path):
+    path = str(tmp_path / "scan.csv")
+    sigma_scan(1000, checkpoint_path=path)
+    resumed = sigma_scan(2000, checkpoint_path=path, resume=True)
+    for shadow_to in (5000, 1000, 500):
+        with pytest.raises(ValueError, match="resume point 1000"):
+            drift_report(resumed, shadow_to=shadow_to)
+
+
 def test_scan_report_builds_no_fraction(monkeypatch):
     count = 0
 
