@@ -49,8 +49,8 @@ def _inverses(limit: int) -> np.ndarray:
 def _gstar_terms(block, q: int) -> np.ndarray:
     """mu^2(n) phi(n) / n^2 over a block starting at n = 1, 0 unless (n, q) = 1."""
     n = np.arange(1, len(block) + 1, dtype=np.float64)
-    keep = (block.mu != 0) & _coprime_mask(len(block), q)
-    return np.where(keep, block.phi.astype(np.float64) / (n * n), 0.0)
+    keep = block.mu * block.mu * _coprime_mask(len(block), q)  # int8 0 or 1
+    return keep * block.phi / (n * n)
 
 
 # ----------------------------------------------------------------------
@@ -168,6 +168,10 @@ def _cubefree_weights(limit: int) -> np.ndarray:
     coprime (k takes the primes to exponent 2, l those to exponent 1), so
     each n is written once.  w is indexed by n = 0..limit, w[0] = 0, and
     w(n) is the float (mu(k) phi(k)/k) mu(l) times the float 1/l.
+
+    Each k writes its whole strided slice, 0 at the l it drops (+ 0.0 makes
+    the -0.0 of c < 0 there +0.0, as np.zeros); a later k' never lands on an
+    entry k filled, since k'^2 | k^2 l forces k' | k.
     """
     block = _table(limit)
     mu = block.mu  # mu[n - 1] = mu(n)
@@ -179,10 +183,9 @@ def _cubefree_weights(limit: int) -> np.ndarray:
         c, k2 = mu_k * int(block.phi[k - 1]) / k, k * k
         for lo, hi in _blocks(1, limit // k2 + 1):
             # l = lo..hi-1, kept when squarefree and coprime to k.
-            mu_l = mu[lo - 1: hi - 1]
-            ok = (mu_l != 0) & _coprime_mask(hi - 1, k, lo)
-            vals = c * mu_l * (1.0 / np.arange(lo, hi, dtype=np.float64))
-            np.copyto(w[k2 * lo: k2 * (hi - 1) + 1: k2], vals, where=ok)
+            mu_l = mu[lo - 1: hi - 1] * _coprime_mask(hi - 1, k, lo)
+            vals = c * mu_l * (1.0 / np.arange(lo, hi, dtype=np.float64)) + 0.0
+            w[k2 * lo: k2 * (hi - 1) + 1: k2] = vals
     return w
 
 
@@ -194,18 +197,24 @@ def _q_weights(w: np.ndarray, q: int, lo: int, hi: int, signed: bool) -> np.ndar
     for the jump of r1* at m (signed=False), and 0 when m/r shares a prime
     with q.  Both are the triple weight mu(rkl) phi(k)/(kl) or its absolute
     value bit for bit: floats round symmetrically in sign.
+
+    Each r writes w times the coprime mask over its whole strided slice; a
+    later r' never lands on an entry r filled: r' | m = r j, (j, q) = 1 forces
+    r' | r.  abs, 0.0 - x and + 0.0 make the masked -0.0s +0.0, as np.zeros.
     """
     out = np.zeros(hi - lo, dtype=np.float64)
     for r, mu_r in _squarefree_divisors(q):
         j0, j1 = -(-lo // r), (hi - 1) // r
         if j0 > j1:
             continue
-        src = w[j0: j1 + 1]
+        dst = out[j0 * r - lo:: r]
+        np.multiply(w[j0: j1 + 1], _coprime_mask(j1, q, j0), out=dst)
         if not signed:
-            src = np.abs(src)
+            np.abs(dst, out=dst)
         elif mu_r < 0:
-            src = 0.0 - src  # -w, with +0.0 where w is 0
-        np.copyto(out[j0 * r - lo:: r], src, where=_coprime_mask(j1, q, j0))
+            np.subtract(0.0, dst, out=dst)  # -w, with +0.0 where w is 0
+        else:
+            dst += 0.0
     return out
 
 
@@ -352,8 +361,7 @@ def _cubic_terms(cutoff: int, M: int) -> np.ndarray:
     k * k * k is exact while k^3 < 2^53, which holds up to _AUX_K_CUTOFF."""
     block = _table(cutoff)
     k = np.arange(1, cutoff + 1, dtype=np.float64)
-    keep = (block.mu != 0) & _coprime_mask(cutoff, M)
-    return np.where(keep, block.mu * block.phi.astype(np.float64) / (k * k * k), 0.0)
+    return block.mu * _coprime_mask(cutoff, M) * block.phi / (k * k * k)
 
 
 def aux_k_sum(K: float, M: int = 1, cutoff: int = _AUX_K_CUTOFF) -> CertifiedValue:
@@ -599,8 +607,9 @@ def moebius_square_table_check(rows=MSQ_ROWS, X_max: int = 1_000_000) -> BoundRe
         under = x[1:] - Q
         for i, top in worst.items():
             X0, c = int(rows[i][0]), rows[i][1]
-            excess = over / (root[:-1] * c)
-            deficit = under / (root[1:] * c)
+            scale = root * c
+            deficit = under / scale[1:]
+            excess = np.divide(over, scale[:-1], out=scale[:-1])
             excess[: max(X0 + 1 - lo, 0)] = 0.0  # excess side applies from x = n >= X0
             deficit[: max(X0 - lo, 0)] = 0.0     # deficit side applies once n + 1 > X0
             if top.feed(np.maximum(excess, deficit), lo):
@@ -652,8 +661,8 @@ def init_bound_check(X_max: int = 1_000_000) -> BoundReport:
     at_2 = None
     for lo, hi in _blocks(1, X_max + 1):
         d = np.arange(lo, hi, dtype=np.float64)
-        S = S_run.cumsum(np.where(block.mu[lo - 1: hi - 1] != 0,
-                                  block.phi[lo - 1: hi - 1].astype(np.float64) / d, 0.0))
+        mu = block.mu[lo - 1: hi - 1]
+        S = S_run.cumsum(mu * mu * block.phi[lo - 1: hi - 1] / d)
         # Rigorous upper bound on (S - A X)/((1-A) sqrt(X)) for the true A.
         ratios = (S - A_DEEP.lo * d) / ((1.0 - A_DEEP.hi) * np.sqrt(d))
         worst.feed(ratios, lo)

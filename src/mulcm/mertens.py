@@ -91,10 +91,10 @@ def _coprime_cum(limit: int, q: int, start: int = 1):
     mu = _table(limit).mu
     run = _RunningSum(0.0)
     for lo, hi in _blocks(1, limit + 1):
-        terms = mu[lo - 1: hi - 1] / np.arange(lo, hi, dtype=np.float64)
+        mu_k = mu[lo - 1: hi - 1]
         if q > 1:
-            terms = np.where(_coprime_mask(hi - 1, q, lo), terms, 0.0)
-        cum = run.cumsum(terms)
+            mu_k = mu_k * _coprime_mask(hi - 1, q, lo)
+        cum = run.cumsum(mu_k / np.arange(lo, hi, dtype=np.float64))
         if hi > start:
             s = max(start - lo, 0)
             yield lo + s, cum[s:]

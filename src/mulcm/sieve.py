@@ -22,8 +22,9 @@ zeroes mu on those of p^2, and multiplies phi by p on those of each higher
 power of p.  A working array done takes the same factors of p, so it ends as
 the part of n made of the sieving primes; it divides n, so it fits phi's
 dtype.  big = n // done is then 1 or the one prime factor of n above
-isqrt(hi) (two such would exceed hi); where it exceeds 1 it negates mu and
-multiplies phi by big - 1.  So every segment yields the true mu(n) and
+isqrt(hi) (two such would exceed hi).  An int8 sign array, -1 where big
+exceeds 1 and 1 elsewhere, multiplies mu, and max(big - 1, 1) multiplies
+phi, with no masked write.  So every segment yields the true mu(n) and
 phi(n) whatever its bounds, and the output does not depend on the
 segmentation.  The transient is done and big: 8 bytes per n of one segment
 below 2^31 and 16 from there on.
@@ -134,7 +135,8 @@ def _sieve_segment(lo: int, hi: int, primes: np.ndarray, mu, phi) -> None:
 
     primes must cover sqrt(hi).  Works in place on strided views, with two
     working arrays in phi's dtype: done, the part of each n made of the
-    sieving primes p <= isqrt(hi), and then big = n // done.
+    sieving primes p <= isqrt(hi), and then big = n // done.  The last step
+    multiplies mu by 1 - 2 (big > 1) and phi by max(big - 1, 1).
     """
     n = hi - lo + 1
     done = np.ones(n, dtype=phi.dtype)
@@ -155,10 +157,13 @@ def _sieve_segment(lo: int, hi: int, primes: np.ndarray, mu, phi) -> None:
     big = np.arange(lo, hi + 1, dtype=done.dtype)
     big //= done
     del done
-    left = big > 1
-    np.negative(mu, out=mu, where=left)
+    sign = (big > 1).view(np.int8)
+    sign *= -2
+    sign += 1
+    mu *= sign
     big -= 1
-    np.multiply(phi, big, out=phi, where=left)
+    np.maximum(big, 1, out=big)
+    phi *= big
 
 
 def _sieve_bytes(lo: int, hi: int, segment: int = DEFAULT_SEGMENT) -> int:

@@ -272,7 +272,7 @@ def sigma_coprime_trace(X: int) -> np.ndarray:
     """
     block = _table(X)
     dd = np.arange(1, X + 1, dtype=np.float64)
-    weight = [0.0] + np.where(block.mu != 0, block.phi / (dd * dd), 0.0).tolist()
+    weight = [0.0] + (block.mu * block.mu * block.phi / (dd * dd)).tolist()
     mu = block.mu.tolist()  # mu[n - 1] = mu(n)
     md = [0.0] * (X + 1)
     out = np.empty(X, dtype=np.float64)

@@ -208,6 +208,19 @@ def test_weights_and_reports_match_the_triple_accumulation():
     assert got == WEIGHT_PINS
 
 
+def test_masked_weights_are_positive_zeros():
+    # The weights are written as products with a coprime mask, which gives
+    # -0.0 where a negative weight is masked; every zero must be +0.0, as a
+    # masked write into np.zeros left it.
+    def zeros_are_positive(a):
+        return not np.signbit(a[a == 0]).any()
+
+    assert zeros_are_positive(gstar_module._cubefree_weights(65_537))
+    for q in (1, 2, 6, 30, 210):
+        assert zeros_are_positive(g_coefficients(65_537, q)), q
+        assert zeros_are_positive(r1_values(65_537, q)), q
+
+
 def test_majorstar2_envelope():
     rep = check_majorstar2(q_set=(1, 2), X_max=3000)
     assert rep.passed, rep.summary_line()

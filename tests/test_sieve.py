@@ -294,6 +294,7 @@ def test_primes_upto_refused_one_byte_below_declared(monkeypatch, n):
 
 
 @pytest.mark.parametrize("lo, hi", [
+    (1, 1), (1, 3), (2, 3),           # no sieving prime: big = n, max(n - 1, 1)
     (997 ** 2 - 60, 997 ** 2 + 60),   # p^2 with p = isqrt(hi)
     (997 ** 2 - 121, 997 ** 2),       # hi = p^2: p is the last sieving prime
     (997 ** 2 - 120, 997 ** 2 - 1),   # hi = p^2 - 1: p is not sieved

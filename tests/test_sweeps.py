@@ -7,6 +7,7 @@ pinned.
 """
 
 import hashlib
+import inspect
 import tracemalloc
 
 import pytest
@@ -267,3 +268,14 @@ def test_majorstar2_sweep_memory():
     # The same weight table, and per block each q's signed weights over n.
     sieve._table(D)
     assert _traced_peak(lambda: gstar.check_majorstar2(X_max=D)) <= 16 * D
+
+
+@pytest.mark.parametrize("func", [
+    sieve._sieve_segment, gstar._cubefree_weights, gstar._q_weights,
+    gstar.init_bound_check, mertens._coprime_cum,
+])
+def test_table_kernels_use_no_masked_writes(func):
+    # A masked write (where= or np.where) costs several times a multiply by
+    # the mask on these sweeps; each writes its masked entries by arithmetic.
+    source = inspect.getsource(func)
+    assert "where=" not in source and "np.where(" not in source, func.__name__
