@@ -313,7 +313,12 @@ def scan_majorstar(X_max: int = 1_000_000,
 
     One block of X serves every q.  Each (form, q) keeps its own worst
     ratio, and the forms' worst are the first maxima in q order, as if the
-    q were swept one after another.
+    q were swept one after another.  r1* never falls and each envelope
+    rises with X, so r1* at the block's last X over the envelope at its
+    first bounds a block.  A block is skipped when that bound does not
+    exceed the largest worst ratio of this q and those before it: it could
+    then never be the first maximum.  A later q must not set that bar,
+    since on a tie the earlier q wins.
     """
     general, mixed, sharp = f"{_R_ENVELOPE}", "0.931+1.96", f"{_R1_SMALL}"
     for q in q_set:
@@ -327,18 +332,21 @@ def scan_majorstar(X_max: int = 1_000_000,
               for q in q_set]
     for lo, hi in _blocks(1, X_max + 1):
         n = np.arange(lo, hi, dtype=np.float64)
-        sq = np.sqrt(n)
-        env_general, env_sharp = _R_ENVELOPE * sq, _R1_SMALL * sq
-        env_sqrt, env_quart = 0.931 * sq, 1.96 * n ** 0.25
-        for q, limit, j1, j5, small, r1, top in sweeps:
+        sq, quart = np.sqrt(n), n ** 0.25
+        for i, (q, limit, j1, j5, small, r1, top) in enumerate(sweeps):
             b = min(hi, limit + 1) - lo
             if b <= 0:
                 continue
             r = r1.cumsum(_q_weights(w, q, lo, lo + b, False))
-            top[general].feed(r / (env_general[:b] * j1), lo, q)
-            top[mixed].feed(r / (env_sqrt[:b] * j1 + env_quart[:b] * j5), lo, q)
+            # Each form's envelope at X = lo..lo+k-1.
+            envelopes = {general: lambda k: _R_ENVELOPE * sq[:k] * j1,
+                         mixed: lambda k: 0.931 * sq[:k] * j1 + 1.96 * quart[:k] * j5}
             if small:
-                top[sharp].feed(r / (env_sharp[:b] * j1), lo, q)
+                envelopes[sharp] = lambda k: _R1_SMALL * sq[:k] * j1
+            for form, env in envelopes.items():
+                bar = max((s[-1][form] for s in sweeps[: i + 1]), key=lambda t: t.value)
+                if bar.could_rise(r[-1] / env(1)[0]):
+                    top[form].feed(r / env(b), lo, q)
     worst = {form: _first_max(s[-1][form] for s in sweeps) for form in (general, mixed, sharp)}
     passed = all(v.value <= 1.0 for v in worst.values())
     overall = max(worst.values(), key=lambda v: v.value)
@@ -605,8 +613,15 @@ def moebius_square_table_check(rows=MSQ_ROWS, X_max: int = 1_000_000) -> BoundRe
         x *= dens
         over = Q - x[:-1]
         under = x[1:] - Q
+        # A row's ratios are at most a largest numerator over an end of its
+        # rising scale (c > 0; either end, as a numerator may be negative),
+        # or 0.
+        tops = (float(over.max()), float(under.max()))
         for i, top in worst.items():
             X0, c = int(rows[i][0]), rows[i][1]
+            ends = (root[0] * c, root[-1] * c)
+            if not top.could_rise(max(0.0, *(t / e for t in tops for e in ends))):
+                continue
             scale = root * c
             deficit = under / scale[1:]
             excess = np.divide(over, scale[:-1], out=scale[:-1])

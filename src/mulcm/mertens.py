@@ -111,11 +111,15 @@ def _envelope_report(form: str, q: int, limit: int, start: int, ratio,
     """The worst of ratio(|m_q(n)|, n + 1) over n = start..limit, which is
     the worst over real x in [start, limit + 1): m_q is constant on
     [n, n + 1), and n + 1 is the right end of that interval.  m_q comes
-    block by block from _coprime_cum, q = 1 included."""
+    block by block from _coprime_cum, q = 1 included.  ratio rises with |m|
+    and with x, so its value at the block's largest |m_q| and last x bounds
+    the block."""
     worst = _RunningMax(0.0, 0)
     for lo, m_q in _coprime_cum(limit, q, start):
-        x = np.arange(lo + 1, lo + m_q.size + 1, dtype=np.float64)
-        worst.feed(ratio(np.abs(m_q), x), lo)
+        top = max(float(m_q.max()), -float(m_q.min()))
+        if worst.could_rise(ratio(top, float(lo + m_q.size))):
+            x = np.arange(lo + 1, lo + m_q.size + 1, dtype=np.float64)
+            worst.feed(ratio(np.abs(m_q), x), lo)
     return BoundReport(
         name=f"mertens-{form}-envelope(q={q})",
         domain=f"real x in [{start}, {limit + 1})",

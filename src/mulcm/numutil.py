@@ -15,7 +15,11 @@ how they are split.
 The table checks sweep a range [0, N] in blocks of _SWEEP_BLOCK indices
 (_blocks).  Between blocks they carry a running sum (_RunningSum) and a
 running maximum with its first index (_RunningMax), which reproduce
-np.cumsum and np.argmax over the whole range bit for bit.
+np.cumsum and np.argmax over the whole range bit for bit.  A sweep skips a
+block whose bound cannot beat the maximum (_RunningMax.could_rise): IEEE
++ - * / and sqrt round correctly, hence monotonically, so a ratio computed
+at the block's extreme inputs bounds every ratio computed in the block, and
+a relative pad of 2^-40 covers the few ulps by which log and pow may stray.
 """
 
 from __future__ import annotations
@@ -249,6 +253,11 @@ class _RunningMax:
     over blocks fed in index order the result is np.argmax's first maximum
     over them all.  value and arg start at the given floor and its index:
     _RunningMax(0.0, 0) sweeps as if index 0 and any skipped prefix held 0.
+
+    could_rise(bound) is False only when bound, padded upward by a relative
+    2^-40, is <= value: values at most bound cannot replace the maximum
+    (a tie keeps the first), so their block need not be fed.  A NaN bound
+    never skips.
     """
 
     def __init__(self, value: float = -math.inf, arg=None):
@@ -261,6 +270,9 @@ class _RunningMax:
         self.value = float(values[j])
         self.arg = lo + j if tag is None else (tag, lo + j)
         return True
+
+    def could_rise(self, bound: float) -> bool:
+        return not bound + abs(bound) * 2.0 ** -40 <= self.value
 
 
 def _simpson(f, a: float, b: float, fa: float, fm: float, fb: float) -> float:

@@ -227,9 +227,8 @@ def sigma_trace_exact(X: int) -> list[Fraction]:
 
 
 def _gcd_row(g: np.ndarray, primes) -> np.ndarray:
-    """Fill g with gcd(n, d) for n = 1..len(g), d squarefree with the given
-    prime factors: the product of the primes p | d that divide n."""
-    g.fill(1)
+    """Multiply g in place by gcd(n, d) at n = 1..len(g), d squarefree with
+    the given prime factors: by each prime p | d at the n that p divides."""
     for p in primes:
         g[p - 1:: p] *= p
     return g
@@ -239,9 +238,10 @@ def sigma_pairs_trace(X: int) -> np.ndarray:
     """Float [S(1), ..., S(X)] by literal row sums of the definition.
 
     S(d) = S(d-1) + mu^2(d)/d + 2 mu(d) sum_{d' < d} mu(d')/lcm(d, d').
-    Vectorized per row, the row's gcds built from the prime factors of d
-    (only squarefree d have a row); no identity beyond the definition is
-    used.
+    Vectorized per row in two reused buffers, the row's gcds built from the
+    prime factors of d (only squarefree d have a row; mu(d') gcd(d, d') is a
+    small integer, so each product is exact); no identity beyond the
+    definition is used.
     """
     block = _table(X)
     mu = block.mu  # mu[n - 1] = mu(n)
@@ -249,13 +249,15 @@ def sigma_pairs_trace(X: int) -> np.ndarray:
     total, done = 0.0, 0  # done = d written so far
     idx_f = np.arange(1, X + 1, dtype=np.float64)
     muf = mu.astype(np.float64)
-    g_buf = np.empty(X, dtype=np.int64)
+    row_buf, den_buf = np.empty(X), np.empty(X)
     for d, primes, _ in _squarefree_factors(X):
         out[done: d - 1] = total
         done = d - 1
-        g = _gcd_row(g_buf[: d - 1], primes)
-        row = muf[: d - 1] * g / (idx_f[: d - 1] * d)
-        total += 1.0 / d + 2.0 * float(mu[d - 1]) * float(np.sum(row))
+        row = row_buf[: d - 1]
+        row[:] = muf[: d - 1]
+        _gcd_row(row, primes)
+        row /= np.multiply(idx_f[: d - 1], d, out=den_buf[: d - 1])
+        total += 1.0 / d + 2.0 * float(mu[d - 1]) * float(np.add.reduce(row))
     out[done:] = total
     return out
 

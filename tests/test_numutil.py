@@ -267,3 +267,21 @@ def test_libm_power_is_math_pow_at_every_prime(e):
     got = libm_power(ps, e)
     assert got.dtype == np.float64
     assert np.array_equal(got, [math.pow(p, e) for p in ps.tolist()])
+
+
+def test_running_max_could_rise_pads_upward_and_skips_ties():
+    top = numutil._RunningMax(1.0, 0)
+    assert top.could_rise(math.nan)
+    assert top.could_rise(math.inf)
+    assert not top.could_rise(1.0 - 2.0 ** -38)
+    assert top.could_rise(1.0 - 2.0 ** -45)  # within the pad
+    # Padded, 1.0 ties 1 + 2^-40, and a tie keeps the first maximum.
+    tie = numutil._RunningMax(1.0 + 2.0 ** -40, 0)
+    assert not tie.could_rise(1.0)
+    assert tie.could_rise(math.nextafter(1.0, 2.0))
+    low = numutil._RunningMax(-1.0, 0)
+    assert not low.could_rise(-1.0 - 2.0 ** -38)
+    assert low.could_rise(-1.0 - 2.0 ** -45)  # the pad raises a negative bound too
+    assert not numutil._RunningMax(-1.0 + 2.0 ** -40, 0).could_rise(-1.0)
+    assert not numutil._RunningMax(0.0, 0).could_rise(-2.0)
+    assert not numutil._RunningMax(0.0, 0).could_rise(0.0)

@@ -524,11 +524,10 @@ def test_oracle_traces_digest_pinned(trace, digest):
 
 def test_gcd_row_matches_np_gcd():
     n = np.arange(1, 3001, dtype=np.int64)
-    buf = np.empty(3000, dtype=np.int64)
     for d in range(1, 3001):
         factors = factorize(d)
         if all(e == 1 for _, e in factors):
-            got = sigma._gcd_row(buf, [p for p, _ in factors])
+            got = sigma._gcd_row(np.ones(3000, dtype=np.int64), [p for p, _ in factors])
             assert np.array_equal(got, np.gcd(n, d)), d
 
 

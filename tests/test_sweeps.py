@@ -10,6 +10,7 @@ import hashlib
 import inspect
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from mulcm import gstar, mertens, numutil, products, sieve
@@ -187,6 +188,54 @@ def test_blocked_reports_match_the_whole_array_sweeps(monkeypatch, block):
     monkeypatch.setattr(numutil, "_SWEEP_BLOCK", block)
     got = {name: _digest(call()) for name, call in _cases(block).items()}
     assert got == {name: PINNED[name] for name in got}
+
+
+def _pruned_cases(block: int) -> dict:
+    """The cases whose sweeps skip blocks by _RunningMax.could_rise."""
+    pruned = ("sqrt-q1", "sqrt-q2", "log-q1", "log-q2", "msq", "msq-rows", "majorstar")
+    return {name: call for name, call in _cases(block).items()
+            if name.split("@")[0] in pruned}
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096, DEFAULT])
+def test_skipped_blocks_change_no_report(monkeypatch, block):
+    monkeypatch.setattr(numutil, "_SWEEP_BLOCK", block)
+    cases = _pruned_cases(block)
+    pruned = {name: repr(call()) for name, call in cases.items()}
+    monkeypatch.setattr(numutil._RunningMax, "could_rise", lambda self, bound: True)
+    assert {name: repr(call()) for name, call in cases.items()} == pruned
+
+
+def test_sqrt_envelope_feeds_only_its_first_block(monkeypatch):
+    # |m(1)| sqrt(2) / sqrt(2) is exactly 1, and no later block's bound
+    # |m|max sqrt(last x) / sqrt(2) reaches it.
+    fed, feed = [], numutil._RunningMax.feed
+
+    def counted(self, values, lo=0, tag=None):
+        fed.append(lo)
+        return feed(self, values, lo, tag)
+
+    monkeypatch.setattr(numutil._RunningMax, "feed", counted)
+    rep = mertens.check_envelope_sqrt(2_000_000, 1)
+    assert fed == [1]
+    assert (rep.worst_ratio, rep.worst_arg) == (1.0, 1)
+
+
+@pytest.mark.parametrize("block", [1, DEFAULT])
+def test_majorstar_bar_holds_no_later_q(monkeypatch, block):
+    # Synthetic r1* jumps with j1* = j5* = 1: q = 2 reaches 1 / (2.18 sqrt 1)
+    # at X = 1, and q = 1 the same float, 2 / (2.18 sqrt 4), at X = 4.  On
+    # the tie the earlier q wins, so q = 1's block at X = 4 is fed although
+    # q = 2's maximum already equals its bound.
+    jumps = {1: {4: 2.0}, 2: {1: 1.0}}
+    monkeypatch.setattr(numutil, "_SWEEP_BLOCK", block)
+    monkeypatch.setattr(gstar, "_q_weights", lambda w, q, lo, hi, signed:
+                        np.array([jumps[q].get(m, 0.0) for m in range(lo, hi)]))
+    monkeypatch.setattr(gstar, "j1_star", lambda q: 1.0)
+    monkeypatch.setattr(gstar, "j5_star", lambda q: 1.0)
+    rep = gstar.scan_majorstar(8, q_set=(1, 2))
+    for form, c in (("2.18", 2.18), ("1.17", 1.17)):
+        assert rep.details[form] == {"worst_ratio": 1.0 / c, "worst_arg": (1, 4)}, form
 
 
 def _traced_peak(call) -> int:
