@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numutil import check_allocation, fsum_array, quad_checked
+from .numutil import _RunningMax, check_allocation, fsum_array, quad_checked
 from .report import BoundReport
 from .gstar import _R1_SMALL, _R_ENVELOPE, _SMALL_PRIMES_BELOW
 from .mertens import M_PARAMS, g0_factor, g1_factor
@@ -405,7 +405,7 @@ def _weighted_sum_lemma(name: str, grid, term, integrand, majorant, cap,
     d <= min(D, x/1e12) of term(phi(d), x, d) is at most cap(D), and that the
     proof's majorant(x, D, I) lies between the sum and the cap, I bounding the
     integral of integrand over [max(1e12, x/D), x] from above."""
-    worst = (0.0, None)
+    worst = _RunningMax(0.0)
     rows = []
     for (x, D), exact in zip(grid, _squarefree_phi_sums(grid, term)):
         integral, ierr = quad_checked(integrand, max(M_PARAMS.deep, x / D), x, tol=quad_tol)
@@ -413,18 +413,12 @@ def _weighted_sum_lemma(name: str, grid, term, integrand, majorant, cap,
         rows.append({"x": x, "D": D, "exact": exact, "majorant": bound,
                      "exact_le_majorant": exact <= bound,
                      "majorant_le_cap": bound <= capval})
-        if exact / capval > worst[0]:
-            worst = (exact / capval, (x, D))
+        worst.offer(exact / capval, (x, D))
     ok = all(r["exact_le_majorant"] and r["majorant_le_cap"] for r in rows)
-    return BoundReport(
-        name=name,
-        domain=f"{len(rows)} grid points, x in [1e12, 1e15]",
-        passed=ok and worst[0] <= 1.0,
-        worst_ratio=worst[0],
-        worst_arg=worst[1],
-        bound=1.0,
-        details={"rows": rows},
-    )
+    rep = BoundReport.held_to(name, f"{len(rows)} grid points, x in [1e12, 1e15]", worst,
+                              {"rows": rows})
+    rep.passed = rep.passed and ok
+    return rep
 
 
 def le1_verify(grid=None, quad_tol: float = 1e-13) -> BoundReport:
@@ -523,13 +517,6 @@ def tail_desk_check(x: int = 200_000, ratio: float = 23.0) -> BoundReport:
     D = int(x / ratio)
     total = _coprime_decomposition_sum(x, D)
     bound = tail_bound(D, x)
-    cap = bound["flat"]
-    return BoundReport(
-        name="tail-envelope-desk",
-        domain=f"x = {x}, D = {D}",
-        passed=total <= cap,
-        worst_ratio=total / cap,
-        worst_arg=(x, D),
-        bound=cap,
-        details={"sum": total, "linear_part": bound["linear"]},
-    )
+    return BoundReport.held_to("tail-envelope-desk", f"x = {x}, D = {D}",
+                               _RunningMax(total, (x, D)),
+                               {"sum": total, "linear_part": bound["linear"]}, cap=bound["flat"])

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import assembly, gstar, mertens, products, sieve, sigma
-from .numutil import BudgetError, _blocks
+from .numutil import BudgetError, _RunningMax, _blocks
 from .report import BoundReport, RunManifest
 
 EXIT_PASS = 0
@@ -50,15 +50,10 @@ def _emit(payload: dict, out_path: str | None) -> None:
 def _major1starter(xmax: int) -> BoundReport:
     rep = gstar.scan_majorstar(X_max=xmax)
     d = rep.details[f"{gstar._R1_SMALL}"]
-    return BoundReport(
-        name=f"r1-envelope-{gstar._R1_SMALL}",
-        domain=rep.domain + f", moduli with all prime factors below {gstar._SMALL_PRIMES_BELOW}",
-        passed=d["worst_ratio"] <= 1.0,
-        worst_ratio=d["worst_ratio"],
-        worst_arg=d["worst_arg"],
-        bound=1.0,
-        details=d,
-    )
+    return BoundReport.held_to(
+        f"r1-envelope-{gstar._R1_SMALL}",
+        rep.domain + f", moduli with all prime factors below {gstar._SMALL_PRIMES_BELOW}",
+        _RunningMax(d["worst_ratio"], d["worst_arg"]), d)
 
 
 def _aux(key: str, dmax: int) -> list[BoundReport]:
@@ -151,11 +146,13 @@ def _cmd_sigma_scan(args) -> int:
         line = (f"window [{a}, {b}]: max={w['max']:.9f} at {w['argmax']}, "
                 f"min={w['min']:.9f} at {w['argmin']}")
         if a >= sigma._WINDOW_FROM:
-            ok = w["max"] <= sigma._WINDOW_CAP
-            line += f" -> cap {sigma._WINDOW_CAP} {'pass' if ok else 'FAIL'}"
+            rep = sigma._window_cap_report(a, b, _RunningMax(w["max"], w["argmax"]), w)
+            ok = rep.passed
+            line += f" -> cap {rep.bound} {'pass' if ok else 'FAIL'}"
         print(line)
     elif scan.resumed_from:
-        ok = scan.running_max <= sigma.SCAN_CAP + sigma._SCAN_CAP_SLACK
+        ok = sigma._scan_cap_report(
+            args.to, _RunningMax(scan.running_max, scan.running_max_arg), {}).passed
         payload["running_max"] = {"value": scan.running_max,
                                   "arg": scan.running_max_arg}
         print(f"resumed at {scan.resumed_from}: running max over [2, {args.to}] "

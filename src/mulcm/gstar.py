@@ -115,7 +115,7 @@ def check_gstar_contract(q_set=(1, 2, 3, 6, 30, 210),
     One table read at the largest X serves every q and all smaller X.
     """
     block = _table(max(x_set))
-    worst = (0.0, None)
+    worst = _RunningMax(0.0)
     cases = []
     for q in q_set:
         cum = np.cumsum(_gstar_terms(block, q))
@@ -125,9 +125,8 @@ def check_gstar_contract(q_set=(1, 2, 3, 6, 30, 210),
             ratio = abs(val - main) / radius
             cases.append({"q": q, "X": X, "value": val, "main": main,
                           "radius": radius, "ratio": ratio})
-            if ratio > worst[0]:
-                worst = (ratio, (q, X))
-    return BoundReport.held_to_one(
+            worst.offer(ratio, (q, X))
+    return BoundReport.held_to(
         "gstar-asymptotic-contract", f"q in {tuple(q_set)}, X in {tuple(x_set)}",
         worst, {"cases": cases})
 
@@ -136,17 +135,15 @@ def check_gstar_difference(q_set=(1, 2, 6, 30),
                            pairs=((20_000, 10_000), (100_000, 10_000), (50_000, 25_000))) -> BoundReport:
     """Check the difference form |G*_q(X) - G*_q(Y) - H_q log(X/Y)| <= radius."""
     block = _table(max(p[0] for p in pairs))
-    worst = (0.0, None)
+    worst = _RunningMax(0.0)
     for q in q_set:
         cum = np.cumsum(_gstar_terms(block, q))
         hq = h_q(q).mid
         for X, Y in pairs:
             diff = float(cum[X - 1] - cum[Y - 1]) - hq * math.log(X / Y)
             radius = gstar_difference_bound(q, float(X), float(Y))
-            ratio = abs(diff) / radius
-            if ratio > worst[0]:
-                worst = (ratio, (q, X, Y))
-    return BoundReport.held_to_one(
+            worst.offer(abs(diff) / radius, (q, X, Y))
+    return BoundReport.held_to(
         "gstar-difference-contract", f"q in {tuple(q_set)}, pairs {tuple(pairs)}",
         worst, {})
 
@@ -236,8 +233,7 @@ def _first_max(tops) -> _RunningMax:
     at 0: what one _RunningMax(0.0) fed their sweeps in that order holds."""
     best = _RunningMax(0.0)
     for top in tops:
-        if top.value > best.value:
-            best = top
+        best.offer(top.value, top.arg)
     return best
 
 
@@ -288,16 +284,10 @@ def check_majorstar2(q_set=(1, 2, 6, 30), X_max: int = 100_000) -> BoundReport:
             partials = partial.cumsum(_q_weights(w, q, lo, hi, True) * inv)
             r2_abs = np.abs(hq.mid - partials) + 0.5 * hq.width
             top.feed(r2_abs / (scale / root), lo, q)
-    worst = _first_max(s[-1] for s in sweeps)
-    return BoundReport(
-        name="r2-envelope",
-        domain=f"q in {tuple(q_set)}, X <= {X_max}",
-        passed=worst.value <= 1.0,
-        worst_ratio=worst.value,
-        worst_arg=worst.arg,
-        bound=1.0,
-        details={"form": f"|r2*(X;q)| <= {_R_ENVELOPE} j1*(q)/sqrt(X)"},
-    )
+    return BoundReport.held_to(
+        "r2-envelope", f"q in {tuple(q_set)}, X <= {X_max}",
+        _first_max(s[-1] for s in sweeps),
+        {"form": f"|r2*(X;q)| <= {_R_ENVELOPE} j1*(q)/sqrt(X)"})
 
 
 def scan_majorstar(X_max: int = 1_000_000,
@@ -348,17 +338,10 @@ def scan_majorstar(X_max: int = 1_000_000,
                 if bar.could_rise(r[-1] / env(1)[0]):
                     top[form].feed(r / env(b), lo, q)
     worst = {form: _first_max(s[-1][form] for s in sweeps) for form in (general, mixed, sharp)}
-    passed = all(v.value <= 1.0 for v in worst.values())
-    overall = max(worst.values(), key=lambda v: v.value)
-    return BoundReport(
-        name="r1-envelopes",
-        domain=f"q in {tuple(q_set)}, X <= {X_max} (1e5 for q > 100)",
-        passed=passed,
-        worst_ratio=overall.value,
-        worst_arg=overall.arg,
-        bound=1.0,
-        details={k: {"worst_ratio": v.value, "worst_arg": v.arg} for k, v in worst.items()},
-    )
+    return BoundReport.held_to(
+        "r1-envelopes", f"q in {tuple(q_set)}, X <= {X_max} (1e5 for q > 100)",
+        max(worst.values(), key=lambda v: v.value),
+        {k: {"worst_ratio": v.value, "worst_arg": v.arg} for k, v in worst.items()})
 
 
 # ----------------------------------------------------------------------
@@ -401,7 +384,7 @@ def check_aux_k(K_step: float = 0.25, K_max: float = 200.0,
     exceed it (modulo the certified tail slack).
     """
     cutoff = _AUX_K_CUTOFF
-    worst = (0.0, None)
+    worst = _RunningMax(0.0)
     for M in M_set:
         terms = _cubic_terms(cutoff, M)
         # suffix[j] = sum over k >= j, for j = 1..cutoff+1
@@ -411,10 +394,8 @@ def check_aux_k(K_step: float = 0.25, K_max: float = 200.0,
             K = i * K_step
             kmin = max(1, math.ceil(K))
             s_abs = abs(float(suffix[kmin - 1])) + 1.0 / cutoff
-            val = K * s_abs
-            if val > worst[0]:
-                worst = (val, (K, M))
-    return BoundReport.held_to_one(
+            worst.offer(K * s_abs, (K, M))
+    return BoundReport.held_to(
         "cubic-tail-sup", f"K in (0, {K_max}] step {K_step}, M in {tuple(M_set)}",
         worst, {"form": "K |sum_{k>=K,(k,M)=1} mu phi / k^3| <= 1"})
 
@@ -560,7 +541,7 @@ def check_g_mean(limit: int = 1_000_000, q_set=(1, 2, 6)) -> BoundReport:
     The partial sum should sit within the r2* envelope 2.18 j1*(q)/sqrt(limit)
     of the certified H_q(1).
     """
-    worst = (0.0, None)
+    worst = _RunningMax(0.0)
     rows = []
     w, inv = _cubefree_weights(limit), _inverses(limit)
     for q in q_set:
@@ -572,11 +553,9 @@ def check_g_mean(limit: int = 1_000_000, q_set=(1, 2, 6)) -> BoundReport:
         err = abs(partial - hq.mid) + 0.5 * hq.width
         env = _R_ENVELOPE * j1_star(q) / math.sqrt(limit)
         rows.append({"q": q, "partial": partial, "H_q": hq.to_dict(), "envelope": env})
-        ratio = err / env
-        if ratio > worst[0]:
-            worst = (ratio, q)
-    return BoundReport.held_to_one("g-mean-value", f"m <= {limit}, q in {tuple(q_set)}",
-                                   worst, {"rows": rows})
+        worst.offer(err / env, q)
+    return BoundReport.held_to("g-mean-value", f"m <= {limit}, q in {tuple(q_set)}",
+                               worst, {"rows": rows})
 
 
 # ----------------------------------------------------------------------
@@ -632,7 +611,7 @@ def moebius_square_table_check(rows=MSQ_ROWS, X_max: int = 1_000_000) -> BoundRe
                 side[i] = "excess" if excess[j] >= deficit[j] else "deficit"
     results = []
     all_pass = True
-    worst_overall = (0.0, None)
+    worst_overall = _RunningMax(0.0)
     for i, (X0, c) in enumerate(rows):
         if i not in worst:
             # [X0, X_max + 1) holds no integer: nothing is checked.
@@ -644,16 +623,15 @@ def moebius_square_table_check(rows=MSQ_ROWS, X_max: int = 1_000_000) -> BoundRe
         results.append({"X0": X0, "c": c, "checked": True, "worst_ratio": top.value,
                         "worst_arg": top.arg, "side": side[i], "passed": row_pass})
         all_pass = all_pass and row_pass
-        if top.value > worst_overall[0]:
-            worst_overall = (top.value, (X0, top.arg))
+        worst_overall.offer(top.value, (X0, top.arg))
     unchecked = [r["X0"] for r in results if not r["checked"]]
     return BoundReport(
         name="squarefree-count-table",
         domain=f"real x up to {X_max + 1}" + (
             f"; rows X0 = {unchecked} unchecked (X0 > {X_max})" if unchecked else ""),
         passed=all_pass,
-        worst_ratio=worst_overall[0],
-        worst_arg=worst_overall[1],
+        worst_ratio=worst_overall.value,
+        worst_arg=worst_overall.arg,
         bound=1.0,
         details={"rows": results},
     )
@@ -685,19 +663,16 @@ def init_bound_check(X_max: int = 1_000_000) -> BoundReport:
             attained = float((S[0] - A_DEEP.mid) / (1.0 - A_DEEP.mid))
         if lo <= 2 < hi:
             at_2 = float(ratios[2 - lo])
-    return BoundReport(
-        name="totient-sum-start-bound",
-        domain=f"integer X <= {X_max}",
-        passed=bool(worst.value <= 1.0 + 1e-8) and worst.arg == 1,
-        worst_ratio=worst.value,
-        worst_arg=worst.arg,
-        bound=1.0,
-        details={"max_location": worst.arg,
-                 "value_at_1": attained,
-                 "one_minus_A_cap": 0.572,
-                 "cap_holds": bool(1.0 - A_DEEP.lo <= 0.572),
-                 "ratio_at_2": at_2},
-    )
+    rep = BoundReport.held_to(
+        "totient-sum-start-bound", f"integer X <= {X_max}", worst,
+        {"max_location": worst.arg,
+         "value_at_1": attained,
+         "one_minus_A_cap": 0.572,
+         "cap_holds": bool(1.0 - A_DEEP.lo <= 0.572),
+         "ratio_at_2": at_2},
+        allowance=1e-8)
+    rep.passed = rep.passed and worst.arg == 1
+    return rep
 
 
 # ----------------------------------------------------------------------
@@ -729,7 +704,7 @@ def check_averaged_divisor_identity(D_values=(10, 100, 1000), q: int = 1,
     absg = np.cumsum(np.abs(g))
     eta = math.exp(EULER_GAMMA)
     rows = []
-    worst = (0.0, None)
+    worst = _RunningMax(0.0)
     for D in D_values:
         if eta * D >= tail_limit:
             raise ValueError("tail_limit must exceed eta * max(D_values)")
@@ -773,7 +748,6 @@ def check_averaged_divisor_identity(D_values=(10, 100, 1000), q: int = 1,
         rows.append({"D": D, "lhs": lhs, "main": main, "integral": integral,
                      "residual": resid, "o_star": o_star, "slack": slack,
                      "ratio": ratio})
-        if ratio > worst[0]:
-            worst = (ratio, D)
-    return BoundReport.held_to_one(
+        worst.offer(ratio, D)
+    return BoundReport.held_to(
         "averaged-divisor-identity", f"D in {tuple(D_values)}, q = {q}", worst, {"rows": rows})

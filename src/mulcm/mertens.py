@@ -120,15 +120,9 @@ def _envelope_report(form: str, q: int, limit: int, start: int, ratio,
         if worst.could_rise(ratio(top, float(lo + m_q.size))):
             x = np.arange(lo + 1, lo + m_q.size + 1, dtype=np.float64)
             worst.feed(ratio(np.abs(m_q), x), lo)
-    return BoundReport(
-        name=f"mertens-{form}-envelope(q={q})",
-        domain=f"real x in [{start}, {limit + 1})",
-        passed=bool(worst.value <= 1.0 + 1e-12),
-        worst_ratio=worst.value,
-        worst_arg=worst.arg,
-        bound=bound,
-        details=details,
-    )
+    return BoundReport.held_to(f"mertens-{form}-envelope(q={q})",
+                               f"real x in [{start}, {limit + 1})", worst, details,
+                               allowance=1e-12, bound=bound)
 
 
 def check_envelope_sqrt(limit: int, q: int = 1) -> BoundReport:
@@ -209,12 +203,7 @@ def check_envelope_coprime(d_limit: int = 100, y_limit: int = 10_000) -> BoundRe
         for lo, m_d in _coprime_cum(y_limit, d):
             y = np.arange(lo, lo + m_d.size, dtype=np.float64)
             worst.feed(np.abs(m_d) / envelope_coprime(d, y), lo, d)
-    return BoundReport(
-        name="mertens-coprime-envelope",
-        domain=f"squarefree d <= {d_limit}, integer y <= {y_limit}",
-        passed=worst.value <= 1.0 + 1e-12,
-        worst_ratio=worst.value,
-        worst_arg=worst.arg,
-        bound=1.0,
-        details={"form": "|m_d(y)| <= g0(d) sqrt(2/y) + 0.0144 g1(d) [y>=1e12]/log y"},
-    )
+    return BoundReport.held_to(
+        "mertens-coprime-envelope", f"squarefree d <= {d_limit}, integer y <= {y_limit}",
+        worst, {"form": "|m_d(y)| <= g0(d) sqrt(2/y) + 0.0144 g1(d) [y>=1e12]/log y"},
+        allowance=1e-12)

@@ -247,12 +247,14 @@ class _RunningSum:
 class _RunningMax:
     """The largest value offered so far and where it first occurs.
 
-    feed(values, lo, tag) offers values[i] at index lo + i (the pair
-    (tag, lo + i) when tag is given) and returns whether one of them became
-    the maximum.  Only a strictly larger value replaces the maximum, so
-    over blocks fed in index order the result is np.argmax's first maximum
-    over them all.  value and arg start at the given floor and its index:
-    _RunningMax(0.0, 0) sweeps as if index 0 and any skipped prefix held 0.
+    offer(value, arg) takes value, as a float, and arg when value is strictly
+    larger than the maximum (a tie keeps the first, a NaN is never taken)
+    and returns whether it did.  feed(values, lo, tag) offers values' first
+    maximum values[i] at index lo + i (the pair (tag, lo + i) when tag is
+    given), so over blocks fed in index order the result is np.argmax's
+    first maximum over them all.  value and arg start at the given floor and
+    its index: _RunningMax(0.0, 0) sweeps as if index 0 and any skipped
+    prefix held 0.
 
     could_rise(bound) is False only when bound, padded upward by a relative
     2^-40, is <= value: values at most bound cannot replace the maximum
@@ -263,13 +265,15 @@ class _RunningMax:
     def __init__(self, value: float = -math.inf, arg=None):
         self.value, self.arg = value, arg
 
+    def offer(self, value, arg) -> bool:
+        if not value > self.value:
+            return False
+        self.value, self.arg = float(value), arg
+        return True
+
     def feed(self, values: np.ndarray, lo: int = 0, tag=None) -> bool:
         j = int(np.argmax(values))
-        if not values[j] > self.value:
-            return False
-        self.value = float(values[j])
-        self.arg = lo + j if tag is None else (tag, lo + j)
-        return True
+        return self.offer(values[j], lo + j if tag is None else (tag, lo + j))
 
     def could_rise(self, bound: float) -> bool:
         return not bound + abs(bound) * 2.0 ** -40 <= self.value

@@ -155,7 +155,7 @@ def check_prime_tail(cutoff: int = 30_000_000) -> BoundReport:
             for P, i in first.items():
                 if lo <= i < hi:
                     partials[a, P] = float(suffix[i - lo])
-    worst = (0.0, None)
+    worst = _RunningMax(0.0)
     rows = []
     for (a, P), partial in partials.items():
         exact_integral = P ** (1.0 - a) / (a - 1.0)
@@ -166,9 +166,8 @@ def check_prime_tail(cutoff: int = 30_000_000) -> BoundReport:
         rows.append({"a": a, "P": P, "mode": mode, "partial": partial,
                      "bound": bound, "ratio": ratio,
                      "captured_integral_fraction": captured})
-        if ratio > worst[0]:
-            worst = (ratio, (a, P))
-    return BoundReport.held_to_one(
+        worst.offer(ratio, (a, P))
+    return BoundReport.held_to(
         "prime-tail-estimate",
         f"f(t)=t^-a, a in (1.5, 2), P grid to 1e7, primes to {cutoff:g}",
         worst, {"rows": rows})
@@ -759,15 +758,9 @@ def check_h_caps(cutoff: int = 10_000_000) -> list[BoundReport]:
     caps = [cap for key in H_CAPS for cap in H_CAPS[key]]
     reports = []
     for (label, key), cap, (enc, tails) in zip(_H_PAIRS, caps, _h_products(_H_PAIRS, cutoff)):
-        reports.append(BoundReport(
-            name=f"h-cap-{label}({key})",
-            domain=f"primes <= {cutoff} + certified tail",
-            passed=enc.hi <= cap,
-            worst_ratio=enc.hi / cap,
-            worst_arg=None,
-            bound=cap,
-            details={"enclosure": enc.to_dict(), "cutoff": cutoff, "tails": tails},
-        ))
+        reports.append(BoundReport.held_to(
+            f"h-cap-{label}({key})", f"primes <= {cutoff} + certified tail", _RunningMax(enc.hi),
+            {"enclosure": enc.to_dict(), "cutoff": cutoff, "tails": tails}, cap=cap))
     return reports
 
 
@@ -827,33 +820,20 @@ def aux_ratio_scan(key: str, D_max: int = 1_000_000) -> BoundReport:
     of the frozen table.
     """
     worst = _aux_sweep(key, D_max, lambda sums, d: sums / d)
-    cap = AUX_RATIO_CAP[key]
-    return BoundReport(
-        name=f"aux-ratio({key})",
-        domain=f"integer D <= {D_max}",
-        passed=bool(worst.value <= cap),
-        worst_ratio=worst.value / cap,
-        worst_arg=worst.arg,
-        bound=cap,
-        details={"max_ratio": worst.value,
-                 "expected_argmax": AUX_RATIO_ARGMAX[key],
-                 "argmax_matches": worst.arg == AUX_RATIO_ARGMAX[key]},
-    )
+    return BoundReport.held_to(
+        f"aux-ratio({key})", f"integer D <= {D_max}", worst,
+        {"max_ratio": worst.value,
+         "expected_argmax": AUX_RATIO_ARGMAX[key],
+         "argmax_matches": worst.arg == AUX_RATIO_ARGMAX[key]},
+        cap=AUX_RATIO_CAP[key])
 
 
 def aux_asymptotic_check(key: str, D_max: int = 1_000_000) -> BoundReport:
     """Check sum_{d <= D} mu^2 phi G / d <= c1 D + c2 D^(2/3) for D <= D_max."""
     c1, c2 = AUX_ASYMPTOTIC[key]
     worst = _aux_sweep(key, D_max, lambda sums, d: sums / (c1 * d + c2 * d ** (2.0 / 3.0)))
-    return BoundReport(
-        name=f"aux-asymptotic({key})",
-        domain=f"integer D <= {D_max}",
-        passed=bool(worst.value <= 1.0),
-        worst_ratio=worst.value,
-        worst_arg=worst.arg,
-        bound=1.0,
-        details={"c1": c1, "c2": c2},
-    )
+    return BoundReport.held_to(f"aux-asymptotic({key})", f"integer D <= {D_max}", worst,
+                               {"c1": c1, "c2": c2})
 
 
 # ----------------------------------------------------------------------
@@ -925,7 +905,7 @@ def check_cq_forms(qs=(1, 2, 6), tol: float = 1e-9) -> BoundReport:
     (c_q_prerewrite) must agree to within the tail width of the
     universal sum plus float slack.
     """
-    worst = (0.0, None)
+    worst = _RunningMax(0.0)
     rows = []
     for q in qs:
         a = c_q(q)
@@ -935,11 +915,9 @@ def check_cq_forms(qs=(1, 2, 6), tol: float = 1e-9) -> BoundReport:
         rows.append({"q": q, "rewritten": a, "prerewrite_lo": enc.lo,
                      "prerewrite_hi": enc.hi, "deviation": dev,
                      "allowance": allowance})
-        r = dev / allowance
-        if r > worst[0]:
-            worst = (r, q)
-    return BoundReport.held_to_one("shift-constant-forms", f"q in {tuple(qs)}",
-                                   worst, {"rows": rows})
+        worst.offer(dev / allowance, q)
+    return BoundReport.held_to("shift-constant-forms", f"q in {tuple(qs)}",
+                               worst, {"rows": rows})
 
 
 def local_ratio(q: int) -> Fraction:

@@ -4,6 +4,12 @@ A BoundReport is the uniform outcome of every inequality check: it names the
 check, states the domain that was actually swept, and records the worst case
 seen.  A CertifiedValue is a closed interval guaranteed to contain a constant.
 Both serialize to plain dicts for the CLI's JSON output.
+
+Every capped check ("the largest value is at most a cap") has one pass rule,
+BoundReport.held_to: the largest value (a numutil._RunningMax) <= cap +
+allowance.  Its allowances are float slack, not a roundoff radius: 1e-12 on
+the Mertens envelopes and on the 19/30 scan cap (sigma._SCAN_CAP_SLACK, the
+resumed `sigma-scan`'s too), and 1e-8 on gstar.init_bound_check.
 """
 
 from __future__ import annotations
@@ -23,9 +29,11 @@ from typing import Any
 class BoundReport:
     """Outcome of sweeping one inequality over a finite domain.
 
-    worst_ratio is measured quantity divided by its bound at the worst point,
-    so passed is (worst_ratio <= 1) modulo any stated slack.  details carries
-    check-specific numbers (components, witnesses, tolerances).
+    worst_ratio is measured quantity divided by its bound at the worst point.
+    held_to builds every capped check with one pass rule, value <= cap +
+    allowance (the allowances are listed above); floors and identities set
+    passed themselves.  details carries check-specific numbers (components,
+    witnesses, tolerances).
     """
 
     name: str
@@ -37,9 +45,13 @@ class BoundReport:
     details: dict = field(default_factory=dict)
 
     @classmethod
-    def held_to_one(cls, name: str, domain: str, worst: tuple, details: dict):
-        """The report of ratios held to 1, worst = (the largest ratio, where)."""
-        return cls(name, domain, worst[0] <= 1.0, worst[0], worst[1], 1.0, details)
+    def held_to(cls, name: str, domain: str, top, details: dict, cap: float = 1.0,
+                allowance: float = 0.0, bound: float | None = None) -> "BoundReport":
+        """The report of the largest value top.value, at top.arg, held to cap:
+        passed is top.value <= cap + allowance, worst_ratio top.value / cap
+        (top.value itself at cap 1) and bound cap unless given."""
+        return cls(name, domain, bool(top.value <= cap + allowance), top.value / cap,
+                   top.arg, cap if bound is None else bound, details)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -74,11 +86,6 @@ class CertifiedValue:
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-    def scale(self, c: float) -> "CertifiedValue":
-        if c >= 0:
-            return _outward(self.lo * c, self.hi * c)
-        return _outward(self.hi * c, self.lo * c)
 
     def __mul__(self, other: "CertifiedValue") -> "CertifiedValue":
         """Interval product, assuming both operands may straddle zero."""

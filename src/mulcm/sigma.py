@@ -653,19 +653,12 @@ def scan_report(X_max: int = 1_000_000, scan: ScanResult | None = None) -> dict:
 
     if X_max >= _WINDOW_FROM:
         w = scan.window_extrema(_WINDOW_FROM, X_max)
-        reports["cap_0445"] = BoundReport(
-            name=f"sigma-cap-{_WINDOW_CAP}", domain=f"d in [{_WINDOW_FROM}, {X_max}]",
-            passed=w["max"] <= _WINDOW_CAP,
-            worst_ratio=w["max"] / _WINDOW_CAP,
-            worst_arg=w["argmax"], bound=_WINDOW_CAP, details=w)
+        reports["cap_0445"] = _window_cap_report(
+            _WINDOW_FROM, X_max, _RunningMax(w["max"], w["argmax"]), w)
 
     if X_max >= 2:
         w2 = scan.window_extrema(2, X_max)
-        reports["cap_19_30"] = BoundReport(
-            name="sigma-cap-19/30", domain=f"d in [2, {X_max}]",
-            passed=w2["max"] <= SCAN_CAP + _SCAN_CAP_SLACK,
-            worst_ratio=w2["max"] / SCAN_CAP,
-            worst_arg=w2["argmax"], bound=SCAN_CAP, details=w2)
+        reports["cap_19_30"] = _scan_cap_report(X_max, _RunningMax(w2["max"], w2["argmax"]), w2)
 
     if X_max >= 1300:
         w3 = scan.window_extrema(1300, 1350)
@@ -686,6 +679,18 @@ def scan_report(X_max: int = 1_000_000, scan: ScanResult | None = None) -> dict:
 
     reports["float_drift"] = drift_report(scan)
     return reports
+
+
+def _window_cap_report(lo: int, hi: int, top: _RunningMax, details: dict) -> BoundReport:
+    """S(d) <= 0.445 on a window [lo, hi] with lo >= 422, top its largest S(d)."""
+    return BoundReport.held_to(f"sigma-cap-{_WINDOW_CAP}", f"d in [{lo}, {hi}]", top, details,
+                               cap=_WINDOW_CAP)
+
+
+def _scan_cap_report(X_max: int, top: _RunningMax, details: dict) -> BoundReport:
+    """S(d) <= 19/30 on [2, X_max], up to _SCAN_CAP_SLACK, top the largest S(d)."""
+    return BoundReport.held_to("sigma-cap-19/30", f"d in [2, {X_max}]", top, details,
+                               cap=SCAN_CAP, allowance=_SCAN_CAP_SLACK)
 
 
 def drift_report(scan: ScanResult, shadow_to: int = 5000,
@@ -709,9 +714,6 @@ def drift_report(scan: ScanResult, shadow_to: int = 5000,
     scan.window_extrema(1, upto)  # refuses a resumed scan's missing prefix
     dev = float(np.max(np.abs(scan.values[1: upto + 1] - _trace_floats(upto))))
     extrapolated = dev * (scan.X_max / upto)
-    return BoundReport(
-        name="scan-float-drift", domain=f"exact shadow to {upto}",
-        passed=extrapolated <= slack,
-        worst_ratio=extrapolated / slack,
-        worst_arg=upto, bound=slack,
-        details={"max_deviation": dev, "extrapolated": extrapolated})
+    return BoundReport.held_to("scan-float-drift", f"exact shadow to {upto}",
+                               _RunningMax(extrapolated, upto),
+                               {"max_deviation": dev, "extrapolated": extrapolated}, cap=slack)

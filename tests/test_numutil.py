@@ -285,3 +285,25 @@ def test_running_max_could_rise_pads_upward_and_skips_ties():
     assert not numutil._RunningMax(-1.0 + 2.0 ** -40, 0).could_rise(-1.0)
     assert not numutil._RunningMax(0.0, 0).could_rise(-2.0)
     assert not numutil._RunningMax(0.0, 0).could_rise(0.0)
+
+
+def test_running_max_offer_keeps_the_first_of_ties_and_skips_nan():
+    top = numutil._RunningMax(0.0)
+    assert not top.offer(0.0, "floor tie")
+    assert top.offer(np.float64(0.5), "a")
+    assert type(top.value) is float and (top.value, top.arg) == (0.5, "a")
+    assert not top.offer(0.5, "b")  # a tie keeps the first arg
+    assert not top.offer(math.nan, "nan")
+    assert (top.value, top.arg) == (0.5, "a")
+    assert top.offer(math.nextafter(0.5, 1.0), "c")
+    assert top.arg == "c"
+    assert not numutil._RunningMax().offer(math.nan, 0)  # not even over -inf
+
+
+def test_running_max_feed_is_argmax_then_offer():
+    top = numutil._RunningMax(0.0, 0)
+    assert not top.feed(np.array([0.0, -1.0]), 5)
+    assert top.feed(np.array([0.25, 0.75, 0.75]), 10, "q")
+    assert (top.value, top.arg) == (0.75, ("q", 11))
+    assert not top.feed(np.array([0.75]), 20)  # a tie in a later block
+    assert top.feed(np.array([1.0, 2.0]), 30) and top.arg == 31
