@@ -399,16 +399,15 @@ def _squarefree_phi_sums(grid, term) -> list[float]:
     return sums
 
 
-def _weighted_sum_lemma(name: str, grid, term, integrand, majorant, cap,
-                        quad_tol: float) -> BoundReport:
-    """Check, for (x, D) in the grid, that the sum over squarefree
+def _weighted_sum_lemma(name: str, term, integrand, majorant, cap) -> BoundReport:
+    """Check, for (x, D) in _LEMMA_GRID, that the sum over squarefree
     d <= min(D, x/1e12) of term(phi(d), x, d) is at most cap(D), and that the
     proof's majorant(x, D, I) lies between the sum and the cap, I bounding the
     integral of integrand over [max(1e12, x/D), x] from above."""
     worst = _RunningMax(0.0)
     rows = []
-    for (x, D), exact in zip(grid, _squarefree_phi_sums(grid, term)):
-        integral, ierr = quad_checked(integrand, max(M_PARAMS.deep, x / D), x, tol=quad_tol)
+    for (x, D), exact in zip(_LEMMA_GRID, _squarefree_phi_sums(_LEMMA_GRID, term)):
+        integral, ierr = quad_checked(integrand, max(M_PARAMS.deep, x / D), x, tol=1e-13)
         bound, capval = majorant(x, D, integral + ierr), cap(D)
         rows.append({"x": x, "D": D, "exact": exact, "majorant": bound,
                      "exact_le_majorant": exact <= bound,
@@ -421,7 +420,7 @@ def _weighted_sum_lemma(name: str, grid, term, integrand, majorant, cap,
     return rep
 
 
-def le1_verify(grid=None, quad_tol: float = 1e-13) -> BoundReport:
+def le1_verify() -> BoundReport:
     """Check the cross-term lemma: for (x, D) in the grid,
 
     sum_{d <= min(D, x/1e12)} mu^2(d) phi(d) g0(d) g1(d) / (d^(3/2) log(x/d))
@@ -431,17 +430,17 @@ def le1_verify(grid=None, quad_tol: float = 1e-13) -> BoundReport:
     also stays below the cap and above the exact sum.
     """
     rep = _weighted_sum_lemma(
-        "cross-term-weighted-sum", _LEMMA_GRID if grid is None else grid,
+        "cross-term-weighted-sum",
         lambda phi, x, d: phi * g0_factor(d) * g1_factor(d) / (d ** 1.5 * math.log(x / d)),
         lambda u: (2.0 * math.log(u) - 1.0) / (u ** 1.5 * math.log(u) ** 2),
         lambda x, D, i: 0.80 * math.sqrt(x) * i + 0.0497 * math.sqrt(D),
-        lambda D: 0.05 * math.sqrt(D), quad_tol)
+        lambda D: 0.05 * math.sqrt(D))
     for row in rep.details["rows"]:
         row["cap"] = 0.05 * math.sqrt(row["D"])
     return rep
 
 
-def le2_verify(grid=None, quad_tol: float = 1e-13) -> BoundReport:
+def le2_verify() -> BoundReport:
     """Check the square-term lemma: for (x, D) in the grid,
 
     sum_{d <= min(D, x/1e12)} mu^2(d) phi(d) g1(d)^2 / (d^2 log^2(x/d)) <= 0.047,
@@ -453,10 +452,10 @@ def le2_verify(grid=None, quad_tol: float = 1e-13) -> BoundReport:
         return phi * g1 * g1 / (d * d * math.log(x / d) ** 2)
 
     return _weighted_sum_lemma(
-        "square-term-weighted-sum", _LEMMA_GRID if grid is None else grid, term,
+        "square-term-weighted-sum", term,
         lambda u: (math.log(u) - 1.0) / (u * math.log(u) ** 3),
         lambda x, D, i: 1.57 * i + 0.00152,
-        lambda D: 0.047, quad_tol)
+        lambda D: 0.047)
 
 
 def tail_bound(D: float, x: float) -> dict:

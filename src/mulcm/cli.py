@@ -60,36 +60,37 @@ def _aux(key: str, dmax: int) -> list[BoundReport]:
     return [products.aux_ratio_scan(key, dmax), products.aux_asymptotic_check(key, dmax)]
 
 
-def _lemma_targets(args) -> dict:
-    """Map each verify-lemma target to a zero-argument callable."""
-    return {
-        "m1": lambda: mertens.check_envelope_sqrt(args.limit, q=1),
-        "m2": lambda: mertens.check_envelope_log(args.limit, q=1),
-        "m3": lambda: [mertens.check_envelope_sqrt(args.limit, q=2),
-                       mertens.check_envelope_log(args.limit, q=2)],
-        "m4": mertens.check_envelope_coprime,
-        "spe": products.check_prime_tail,
-        "aux1": lambda: _aux("g0^2", args.dmax),
-        "aux2": lambda: _aux("g0*g1", args.dmax),
-        "aux3": lambda: _aux("g1^2", args.dmax),
-        "aux-caps": products.check_h_caps,
-        "init": lambda: gstar.init_bound_check(args.xmax),
-        "moebius-square": lambda: gstar.moebius_square_table_check(X_max=args.xmax),
-        "majorstar1": lambda: gstar.scan_majorstar(X_max=args.xmax),
-        "major1starter": lambda: _major1starter(args.xmax),
-        "majorstar2": gstar.check_majorstar2,
-        "auxmajorstar2": lambda: [gstar.check_aux_k(), gstar.aux_k_band()],
-        "getgstarq": lambda: [gstar.check_gstar_contract(), gstar.check_gstar_difference(),
-                              products.check_cq_forms(), gstar.check_g_mean()],
-        "convol0": lambda: gstar.check_convol0(args.n),
-        "convol": lambda: gstar.check_convol(args.n),
-        "landau": sigma.check_landau,
-        "keyb": gstar.check_averaged_divisor_identity,
-        "le1": assembly.le1_verify,
-        "le2": assembly.le2_verify,
-        "tail": lambda: [assembly.tail_audit(), assembly.tail_desk_check()],
-        "sigma-window": lambda: sigma.scan_report(args.xmax),
-    }
+# verify-lemma targets: (default --to, check of the depth) for a swept target,
+# (None, check) for one with a fixed domain.
+_DEPTH, _IDENTITY_DEPTH = 1_000_000, 100_000
+_LEMMA_TARGETS = {
+    "m1": (_DEPTH, lambda to: mertens.check_envelope_sqrt(to, q=1)),
+    "m2": (_DEPTH, lambda to: mertens.check_envelope_log(to, q=1)),
+    "m3": (_DEPTH, lambda to: [mertens.check_envelope_sqrt(to, q=2),
+                               mertens.check_envelope_log(to, q=2)]),
+    "m4": (None, mertens.check_envelope_coprime),
+    "spe": (None, products.check_prime_tail),
+    "aux1": (_DEPTH, lambda to: _aux("g0^2", to)),
+    "aux2": (_DEPTH, lambda to: _aux("g0*g1", to)),
+    "aux3": (_DEPTH, lambda to: _aux("g1^2", to)),
+    "aux-caps": (None, products.check_h_caps),
+    "init": (_DEPTH, gstar.init_bound_check),
+    "moebius-square": (_DEPTH, lambda to: gstar.moebius_square_table_check(X_max=to)),
+    "majorstar1": (_DEPTH, gstar.scan_majorstar),
+    "major1starter": (_DEPTH, _major1starter),
+    "majorstar2": (None, gstar.check_majorstar2),
+    "auxmajorstar2": (None, lambda: [gstar.check_aux_k(), gstar.aux_k_band()]),
+    "getgstarq": (None, lambda: [gstar.check_gstar_contract(), gstar.check_gstar_difference(),
+                                 products.check_cq_forms(), gstar.check_g_mean()]),
+    "convol0": (_IDENTITY_DEPTH, gstar.check_convol0),
+    "convol": (_IDENTITY_DEPTH, gstar.check_convol),
+    "landau": (None, sigma.check_landau),
+    "keyb": (None, gstar.check_averaged_divisor_identity),
+    "le1": (None, assembly.le1_verify),
+    "le2": (None, assembly.le2_verify),
+    "tail": (None, lambda: [assembly.tail_audit(), assembly.tail_desk_check()]),
+    "sigma-window": (_DEPTH, sigma.scan_report),
+}
 
 
 # ----------------------------------------------------------------------
@@ -172,20 +173,21 @@ def _cmd_sigma_scan(args) -> int:
 
 
 def _cmd_verify_lemma(args) -> int:
-    targets = _lemma_targets(args)
     if args.list or args.name is None:
-        for name in sorted(targets):
+        for name in sorted(_LEMMA_TARGETS):
             print(name)
         return EXIT_PASS if args.list else EXIT_USAGE
-    if args.name not in targets:
+    if args.name not in _LEMMA_TARGETS:
         print(f"unknown lemma target {args.name!r}; "
               f"run `mulcm verify-lemma --list`", file=sys.stderr)
         return EXIT_USAGE
-    manifest = RunManifest.start(
-        "verify-lemma",
-        {"name": args.name, "limit": args.limit, "dmax": args.dmax,
-         "xmax": args.xmax, "n": args.n})
-    reports = _flatten(targets[args.name]())
+    depth, run = _LEMMA_TARGETS[args.name]
+    if depth is None and args.to is not None:
+        print(f"{args.name!r} has a fixed domain and takes no --to", file=sys.stderr)
+        return EXIT_USAGE
+    to = depth if args.to is None else args.to
+    manifest = RunManifest.start("verify-lemma", {"name": args.name, "to": to})
+    reports = _flatten(run() if depth is None else run(to))
     for r in reports:
         print(r.summary_line())
     ok = all(r.passed for r in reports)
@@ -312,14 +314,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", nargs="?", help="target name (see --list)")
     p.add_argument("--list", action="store_true",
                    help="list available targets")
-    p.add_argument("--limit", type=int, default=1_000_000,
-                   help="partial-sum scan limit (envelope checks)")
-    p.add_argument("--dmax", type=int, default=1_000_000,
-                   help="weighted-sum scan limit (aux checks)")
-    p.add_argument("--xmax", type=int, default=1_000_000,
-                   help="argument scan limit (init, tables, r1 envelopes)")
-    p.add_argument("--n", type=int, default=100_000,
-                   help="identity check limit (convolution checks)")
+    p.add_argument("--to", type=int,
+                   help="depth of a swept target (default 10^6; 10^5 for "
+                        "convol0 and convol); a fixed-domain target refuses it")
     p.add_argument("--out", help="JSON output path")
     p.set_defaults(func=_cmd_verify_lemma)
 

@@ -114,6 +114,8 @@ def check_gstar_contract(q_set=(1, 2, 3, 6, 30, 210),
 
     One table read at the largest X serves every q and all smaller X.
     """
+    if not q_set:
+        raise ValueError("empty domain: no q")
     block = _table(max(x_set))
     worst = _RunningMax(0.0)
     cases = []
@@ -271,6 +273,8 @@ def check_majorstar2(q_set=(1, 2, 6, 30), X_max: int = 100_000) -> BoundReport:
     r2* is a step function of X, and the envelope decreases, so checking at
     integers from the left endpoint covers all real X >= 1.
     """
+    if not q_set:
+        raise ValueError("empty domain: no q")
     for q in q_set:
         require_squarefree(q)
     w = _cubefree_weights(X_max)
@@ -290,9 +294,7 @@ def check_majorstar2(q_set=(1, 2, 6, 30), X_max: int = 100_000) -> BoundReport:
         {"form": f"|r2*(X;q)| <= {_R_ENVELOPE} j1*(q)/sqrt(X)"})
 
 
-def scan_majorstar(X_max: int = 1_000_000,
-                   q_set=(1, 2, 3, 6, 30, 210),
-                   small_factor_cap: int = _SMALL_PRIMES_BELOW) -> BoundReport:
+def scan_majorstar(X_max: int = 1_000_000, q_set=(1, 2, 3, 6, 30, 210)) -> BoundReport:
     """Sweep the r1* envelopes over all jump points.
 
     Checks, for each q: r1*(X) <= 2.18 sqrt(X) j1*(q) for X <= X_max;
@@ -311,13 +313,15 @@ def scan_majorstar(X_max: int = 1_000_000,
     since on a tie the earlier q wins.
     """
     general, mixed, sharp = f"{_R_ENVELOPE}", "0.931+1.96", f"{_R1_SMALL}"
+    if not q_set:
+        raise ValueError("empty domain: no q")
     for q in q_set:
         require_squarefree(q)
     w = _cubefree_weights(X_max)
     # Per q: its last X, j1*, j5*, whether the sharp form applies, r1* so far,
     # and the worst ratio of each form.
     sweeps = [(q, X_max if q < 100 else min(X_max, 100_000), j1_star(q), j5_star(q),
-               all(p < small_factor_cap for p in prime_divisors(q)), _RunningSum(),
+               all(p < _SMALL_PRIMES_BELOW for p in prime_divisors(q)), _RunningSum(),
                {form: _RunningMax(0.0) for form in (general, mixed, sharp)})
               for q in q_set]
     for lo, hi in _blocks(1, X_max + 1):
@@ -334,13 +338,13 @@ def scan_majorstar(X_max: int = 1_000_000,
             if small:
                 envelopes[sharp] = lambda k: _R1_SMALL * sq[:k] * j1
             for form, env in envelopes.items():
-                bar = max((s[-1][form] for s in sweeps[: i + 1]), key=lambda t: t.value)
+                bar = _first_max(s[-1][form] for s in sweeps[: i + 1])
                 if bar.could_rise(r[-1] / env(1)[0]):
                     top[form].feed(r / env(b), lo, q)
     worst = {form: _first_max(s[-1][form] for s in sweeps) for form in (general, mixed, sharp)}
     return BoundReport.held_to(
         "r1-envelopes", f"q in {tuple(q_set)}, X <= {X_max} (1e5 for q > 100)",
-        max(worst.values(), key=lambda v: v.value),
+        _first_max(worst.values()),
         {k: {"worst_ratio": v.value, "worst_arg": v.arg} for k, v in worst.items()})
 
 
@@ -355,35 +359,34 @@ def _cubic_terms(cutoff: int, M: int) -> np.ndarray:
     return block.mu * _coprime_mask(cutoff, M) * block.phi / (k * k * k)
 
 
-def aux_k_sum(K: float, M: int = 1, cutoff: int = _AUX_K_CUTOFF) -> CertifiedValue:
+def aux_k_sum(K: float, M: int = 1) -> CertifiedValue:
     """Certified S(K, M) = sum_{k >= K, (k,M)=1} mu(k) phi(k) / k^3.
 
-    Exact summation (in floats, with fsum) up to `cutoff`, plus a bracketing
-    tail: each term has |mu phi / k^3| <= 1/k^2, so the omitted part lies in
-    [-1/cutoff, 1/cutoff].
+    Exact summation (in floats, with fsum) up to cutoff = _AUX_K_CUTOFF,
+    plus a bracketing tail: each term has |mu phi / k^3| <= 1/k^2, so the
+    omitted part lies in [-1/cutoff, 1/cutoff].
     """
     if K <= 0:
         raise ValueError("need K > 0")
     kmin = max(1, math.ceil(K))
-    if kmin > cutoff:
+    if kmin > _AUX_K_CUTOFF:
         # Everything is in the tail regime; bound by the integral comparison.
         bound = 1.0 / (kmin - 1)
         return CertifiedValue(-bound, bound)
-    terms = _cubic_terms(cutoff, M)
+    terms = _cubic_terms(_AUX_K_CUTOFF, M)
     terms[: kmin - 1] = 0.0
     partial = fsum_array(terms)
-    tail = 1.0 / cutoff
+    tail = 1.0 / _AUX_K_CUTOFF
     return CertifiedValue(partial - tail, partial + tail)
 
 
-def check_aux_k(K_step: float = 0.25, K_max: float = 200.0,
-                M_set=(1, 30030, 6, 30, 105)) -> BoundReport:
-    """Sweep K |S(K, M)| <= 1 over the grid K in (0, K_max] step K_step.
+def check_aux_k(K_max: float = 200.0) -> BoundReport:
+    """Sweep K |S(K, M)| <= 1 over K in (0, K_max] step 1/4, M in (1, 30030, 6, 30, 105).
 
     The sup over all (K, M) equals 1, so the scan should approach but not
     exceed it (modulo the certified tail slack).
     """
-    cutoff = _AUX_K_CUTOFF
+    cutoff, K_step, M_set = _AUX_K_CUTOFF, 0.25, (1, 30030, 6, 30, 105)
     worst = _RunningMax(0.0)
     for M in M_set:
         terms = _cubic_terms(cutoff, M)
@@ -400,13 +403,13 @@ def check_aux_k(K_step: float = 0.25, K_max: float = 200.0,
         worst, {"form": "K |sum_{k>=K,(k,M)=1} mu phi / k^3| <= 1"})
 
 
-def aux_k_band(lo: float = -0.2523, hi: float = -0.2519) -> BoundReport:
-    """Check whether K * S(K, 1) lies in [lo, hi] for the grid K in [1, 2).
+def aux_k_band() -> BoundReport:
+    """Check whether K * S(K, 1) lies in [-0.2523, -0.2519] for K in [1, 2).
 
     This is a literal containment test of an asserted numeric band; it is
     reported as found, with the certified values in the details.
     """
-    grid = [1.0, 1.25, 1.5, 1.75]
+    lo, hi, grid = -0.2523, -0.2519, [1.0, 1.25, 1.5, 1.75]
     rows = []
     ok = True
     worst = 0.0
@@ -541,6 +544,8 @@ def check_g_mean(limit: int = 1_000_000, q_set=(1, 2, 6)) -> BoundReport:
     The partial sum should sit within the r2* envelope 2.18 j1*(q)/sqrt(limit)
     of the certified H_q(1).
     """
+    if not q_set:
+        raise ValueError("empty domain: no q")
     worst = _RunningMax(0.0)
     rows = []
     w, inv = _cubefree_weights(limit), _inverses(limit)
@@ -571,6 +576,8 @@ def moebius_square_table_check(rows=MSQ_ROWS, X_max: int = 1_000_000) -> BoundRe
     extremal at x = n and the deficit side as x -> (n+1)-, so each integer n
     contributes two endpoint tests.
     """
+    if not rows:
+        raise ValueError("empty domain: no rows")
     dens = 6.0 / math.pi ** 2
     mu = _table(X_max).mu
     # One running maximum per row whose [X0, X_max + 1) holds an integer,
@@ -645,8 +652,9 @@ def init_bound_check(X_max: int = 1_000_000) -> BoundReport:
 
     Also verifies that the max of (sum - A X)/sqrt(X) over integers is
     attained at X = 1 with value 1 - A.  The A enclosure is applied on the
-    adverse side throughout, so the verdict is rigorous despite A being
-    known only to an interval.
+    adverse side at every X > 1, so the verdict is rigorous despite A being
+    known only to an interval; at X = 1 the bound holds with equality for
+    every A, and its ratio is recorded as exactly 1.
     """
     block = _table(X_max)
     S_run = _RunningSum()
@@ -658,27 +666,26 @@ def init_bound_check(X_max: int = 1_000_000) -> BoundReport:
         S = S_run.cumsum(mu * mu * block.phi[lo - 1: hi - 1] / d)
         # Rigorous upper bound on (S - A X)/((1-A) sqrt(X)) for the true A.
         ratios = (S - A_DEEP.lo * d) / ((1.0 - A_DEEP.hi) * np.sqrt(d))
-        worst.feed(ratios, lo)
         if lo == 1:
+            ratios[0] = 1.0  # the identity 1 = A + (1 - A), for every A
             attained = float((S[0] - A_DEEP.mid) / (1.0 - A_DEEP.mid))
+        worst.feed(ratios, lo)
         if lo <= 2 < hi:
             at_2 = float(ratios[2 - lo])
-    rep = BoundReport.held_to(
+    # The ratio 1 at X = 1 is the first maximum exactly when the bound holds.
+    return BoundReport.held_to(
         "totient-sum-start-bound", f"integer X <= {X_max}", worst,
         {"max_location": worst.arg,
          "value_at_1": attained,
          "one_minus_A_cap": 0.572,
          "cap_holds": bool(1.0 - A_DEEP.lo <= 0.572),
-         "ratio_at_2": at_2},
-        allowance=1e-8)
-    rep.passed = rep.passed and worst.arg == 1
-    return rep
+         "ratio_at_2": at_2})
 
 
 # ----------------------------------------------------------------------
 # Averaged-divisor identity (the engine behind the asymptotic).
 
-def check_averaged_divisor_identity(D_values=(10, 100, 1000), q: int = 1,
+def check_averaged_divisor_identity(D_values=(10, 100, 1000),
                                     tail_limit: int = 1_000_000) -> BoundReport:
     """Direct numeric test of the averaged divisor-sum identity.
 
@@ -690,14 +697,14 @@ def check_averaged_divisor_identity(D_values=(10, 100, 1000), q: int = 1,
                                   + O*((1/D) int_1^eta sum_{m <= u D} |g(m)| du/u).
 
     The identity holds for any absolutely summable sequence, so the check
-    applies it to g_q truncated at tail_limit: every term on the right is
+    applies it to g = g_1 truncated at tail_limit: every term on the right is
     then a finite sum (G# vanishes beyond the truncation and is constant
     between integers, so the integral is stepwise exact), the left side is
     unchanged for D below the truncation, and the residual must land inside
     the O* budget with no analytic slack.  The only allowance is floating
     point roundoff, scaled by the absolute mass that was summed.
     """
-    g = g_coefficients(tail_limit, q)
+    g = g_coefficients(tail_limit)
     gm = g * _inverses(tail_limit)
     partials = np.cumsum(gm)
     total = float(partials[-1])
@@ -750,4 +757,4 @@ def check_averaged_divisor_identity(D_values=(10, 100, 1000), q: int = 1,
                      "ratio": ratio})
         worst.offer(ratio, D)
     return BoundReport.held_to(
-        "averaged-divisor-identity", f"D in {tuple(D_values)}, q = {q}", worst, {"rows": rows})
+        "averaged-divisor-identity", f"D in {tuple(D_values)}, q = 1", worst, {"rows": rows})

@@ -122,7 +122,7 @@ def _envelope_report(form: str, q: int, limit: int, start: int, ratio,
             worst.feed(ratio(np.abs(m_q), x), lo)
     return BoundReport.held_to(f"mertens-{form}-envelope(q={q})",
                                f"real x in [{start}, {limit + 1})", worst, details,
-                               allowance=1e-12, bound=bound)
+                               bound=bound)
 
 
 def check_envelope_sqrt(limit: int, q: int = 1) -> BoundReport:
@@ -196,6 +196,8 @@ def check_envelope_coprime(d_limit: int = 100, y_limit: int = 10_000) -> BoundRe
     Compares |m_d(y)| directly against envelope_coprime(d, y) for every
     squarefree d <= d_limit and every integer y <= y_limit.
     """
+    if d_limit < 1 or y_limit < 1:
+        raise ValueError(f"empty domain: d <= {d_limit}, y <= {y_limit}")
     worst = _RunningMax(0.0)
     for d in range(1, d_limit + 1):
         if radical(d) != d:
@@ -205,5 +207,4 @@ def check_envelope_coprime(d_limit: int = 100, y_limit: int = 10_000) -> BoundRe
             worst.feed(np.abs(m_d) / envelope_coprime(d, y), lo, d)
     return BoundReport.held_to(
         "mertens-coprime-envelope", f"squarefree d <= {d_limit}, integer y <= {y_limit}",
-        worst, {"form": "|m_d(y)| <= g0(d) sqrt(2/y) + 0.0144 g1(d) [y>=1e12]/log y"},
-        allowance=1e-12)
+        worst, {"form": "|m_d(y)| <= g0(d) sqrt(2/y) + 0.0144 g1(d) [y>=1e12]/log y"})

@@ -248,13 +248,13 @@ class _RunningMax:
     """The largest value offered so far and where it first occurs.
 
     offer(value, arg) takes value, as a float, and arg when value is strictly
-    larger than the maximum (a tie keeps the first, a NaN is never taken)
-    and returns whether it did.  feed(values, lo, tag) offers values' first
-    maximum values[i] at index lo + i (the pair (tag, lo + i) when tag is
-    given), so over blocks fed in index order the result is np.argmax's
-    first maximum over them all.  value and arg start at the given floor and
-    its index: _RunningMax(0.0, 0) sweeps as if index 0 and any skipped
-    prefix held 0.
+    larger than the maximum (a tie keeps the first) or is the first NaN, and
+    returns whether it did; a NaN stays.  feed(values, lo, tag) offers values'
+    first maximum values[i] (the first NaN, if any) at index lo + i (the pair
+    (tag, lo + i) when tag is given), so over blocks fed in index order the
+    result is np.argmax's first maximum over them all.  value and arg start
+    at the given floor and its index: _RunningMax(0.0, 0) sweeps as if index
+    0 and any skipped prefix held 0.
 
     could_rise(bound) is False only when bound, padded upward by a relative
     2^-40, is <= value: values at most bound cannot replace the maximum
@@ -266,7 +266,7 @@ class _RunningMax:
         self.value, self.arg = value, arg
 
     def offer(self, value, arg) -> bool:
-        if not value > self.value:
+        if math.isnan(self.value) or not (value > self.value or math.isnan(value)):
             return False
         self.value, self.arg = float(value), arg
         return True
@@ -329,19 +329,18 @@ def quad_log(f, a: float, b: float, tol: float = 1e-10) -> tuple[float, float]:
     return adaptive_simpson(lambda v: f(math.exp(v)) * math.exp(v), la, lb, tol)
 
 
-def quad_checked(f, a: float, b: float, tol: float = 1e-8,
-                 agreement: float = 1e-5) -> tuple[float, float]:
+def quad_checked(f, a: float, b: float, tol: float = 1e-8) -> tuple[float, float]:
     """Integrate twice by quad_log (tol, tol/100); insist the results agree.
 
     Returns (value_at_finer_tol, error_bound) where the error bound is the
     larger of the finer run's estimate and the observed disagreement.  Raises
-    ValueError if the two runs disagree by more than `agreement` relatively,
-    which would mean the integrand defeats the quadrature.
+    ValueError if the two runs disagree by more than 1e-5 relatively, which
+    would mean the integrand defeats the quadrature.
     """
     v1, _ = quad_log(f, a, b, tol)
     v2, e2 = quad_log(f, a, b, tol / 100.0)
     scale = max(abs(v1), abs(v2), 1e-300)
-    if abs(v1 - v2) / scale > agreement:
+    if abs(v1 - v2) / scale > 1e-5:
         raise ValueError(
             f"quadrature self-check failed: {v1!r} vs {v2!r} on [{a}, {b}]"
         )

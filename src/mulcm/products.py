@@ -878,7 +878,7 @@ def c_q(q: int) -> float:
     return EULER_GAMMA + loc + universal_log_sum().mid
 
 
-def c_q_prerewrite(q: int, cutoff: int = 1_000_000) -> CertifiedValue:
+def c_q_prerewrite(q: int) -> CertifiedValue:
     """The shift constant in its pre-simplification form:
 
     c_q = gamma + sum_{p | q} log p / (p - 1)
@@ -894,29 +894,29 @@ def c_q_prerewrite(q: int, cutoff: int = 1_000_000) -> CertifiedValue:
     for p in qps:
         loc += math.log(p) / (p - 1.0)
     term = functools.partial(_universal_term, skip=list(qps))
-    base = EULER_GAMMA + loc + _partial_products(cutoff, {}, {"universal": term})[1]["universal"]
-    return CertifiedValue(base, base + _universal_tail(cutoff))
+    base = EULER_GAMMA + loc + _partial_products(1_000_000, {}, {"universal": term})[1]["universal"]
+    return CertifiedValue(base, base + _universal_tail(1_000_000))
 
 
-def check_cq_forms(qs=(1, 2, 6), tol: float = 1e-9) -> BoundReport:
-    """Cross-check the two algebraic forms of c_q on small moduli.
+def check_cq_forms() -> BoundReport:
+    """Cross-check the two algebraic forms of c_q on q = 1, 2, 6.
 
     The rewritten form (c_q) and the pre-simplification form
     (c_q_prerewrite) must agree to within the tail width of the
-    universal sum plus float slack.
+    universal sum plus a float slack of 1e-9.
     """
     worst = _RunningMax(0.0)
     rows = []
-    for q in qs:
+    for q in (1, 2, 6):
         a = c_q(q)
         enc = c_q_prerewrite(q)
         dev = abs(a - enc.mid)
-        allowance = enc.width + universal_log_sum().width + tol
+        allowance = enc.width + universal_log_sum().width + 1e-9
         rows.append({"q": q, "rewritten": a, "prerewrite_lo": enc.lo,
                      "prerewrite_hi": enc.hi, "deviation": dev,
                      "allowance": allowance})
         worst.offer(dev / allowance, q)
-    return BoundReport.held_to("shift-constant-forms", f"q in {tuple(qs)}",
+    return BoundReport.held_to("shift-constant-forms", "q in (1, 2, 6)",
                                worst, {"rows": rows})
 
 
@@ -927,8 +927,8 @@ def local_ratio(q: int) -> Fraction:
                      start=Fraction(1))
 
 
-def h_q(q: int, A: CertifiedValue = A_DEEP) -> CertifiedValue:
-    """Enclosure of H_q(1) = A * prod_{p | q} p^2/(p^2+p-1).
+def h_q(q: int) -> CertifiedValue:
+    """Enclosure of H_q(1) = A * prod_{p | q} p^2/(p^2+p-1), A in A_DEEP.
 
     This is the mean value of the q-coprime squarefree totient weight, and
     equals the full sum over m of the cancellation coefficients g_q(m)/m.
@@ -939,7 +939,7 @@ def h_q(q: int, A: CertifiedValue = A_DEEP) -> CertifiedValue:
     f = float(r)  # correctly rounded: r lies between f and one neighbour
     lo = f if Fraction(f) <= r else math.nextafter(f, -math.inf)
     hi = f if Fraction(f) >= r else math.nextafter(f, math.inf)
-    return A * CertifiedValue(lo, hi)
+    return A_DEEP * CertifiedValue(lo, hi)
 
 
 def j1_star(q: int) -> float:

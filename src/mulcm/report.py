@@ -6,10 +6,9 @@ seen.  A CertifiedValue is a closed interval guaranteed to contain a constant.
 Both serialize to plain dicts for the CLI's JSON output.
 
 Every capped check ("the largest value is at most a cap") has one pass rule,
-BoundReport.held_to: the largest value (a numutil._RunningMax) <= cap +
-allowance.  Its allowances are float slack, not a roundoff radius: 1e-12 on
-the Mertens envelopes and on the 19/30 scan cap (sigma._SCAN_CAP_SLACK, the
-resumed `sigma-scan`'s too), and 1e-8 on gstar.init_bound_check.
+BoundReport.held_to: the largest value (a numutil._RunningMax) <= cap, with
+no allowance; a NaN fails.  The H caps hold an enclosure's upper end to the
+cap; the envelope and table sweeps and the scan hold floats, with no radius.
 """
 
 from __future__ import annotations
@@ -30,10 +29,9 @@ class BoundReport:
     """Outcome of sweeping one inequality over a finite domain.
 
     worst_ratio is measured quantity divided by its bound at the worst point.
-    held_to builds every capped check with one pass rule, value <= cap +
-    allowance (the allowances are listed above); floors and identities set
-    passed themselves.  details carries check-specific numbers (components,
-    witnesses, tolerances).
+    held_to builds every capped check with one pass rule, value <= cap;
+    floors and identities set passed themselves.  details carries
+    check-specific numbers (components, witnesses, tolerances).
     """
 
     name: str
@@ -46,11 +44,11 @@ class BoundReport:
 
     @classmethod
     def held_to(cls, name: str, domain: str, top, details: dict, cap: float = 1.0,
-                allowance: float = 0.0, bound: float | None = None) -> "BoundReport":
+                bound: float | None = None) -> "BoundReport":
         """The report of the largest value top.value, at top.arg, held to cap:
-        passed is top.value <= cap + allowance, worst_ratio top.value / cap
-        (top.value itself at cap 1) and bound cap unless given."""
-        return cls(name, domain, bool(top.value <= cap + allowance), top.value / cap,
+        passed is top.value <= cap (False on a NaN), worst_ratio top.value /
+        cap (top.value itself at cap 1) and bound cap unless given."""
+        return cls(name, domain, bool(top.value <= cap), top.value / cap,
                    top.arg, cap if bound is None else bound, details)
 
     def to_dict(self) -> dict:

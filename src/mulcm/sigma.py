@@ -55,8 +55,8 @@ from .sieve import (
 # The direct-computation cap S(d) <= 19/30 for d >= 2, which the scan checks
 # and the theorem table's combined first row takes as the scan maximum.
 SCAN_CAP = 19.0 / 30.0
-# The float allowance on that cap, and the window cap S(d) <= 0.445 for d >= 422.
-_SCAN_CAP_SLACK, _WINDOW_CAP, _WINDOW_FROM = 1e-12, 0.445, 422
+# The window cap S(d) <= 0.445 for d >= 422.
+_WINDOW_CAP, _WINDOW_FROM = 0.445, 422
 
 # (k, d) pairs expanded per scatter-add, and d per strided block, in the scan;
 # bounds its transient memory.
@@ -688,13 +688,12 @@ def _window_cap_report(lo: int, hi: int, top: _RunningMax, details: dict) -> Bou
 
 
 def _scan_cap_report(X_max: int, top: _RunningMax, details: dict) -> BoundReport:
-    """S(d) <= 19/30 on [2, X_max], up to _SCAN_CAP_SLACK, top the largest S(d)."""
+    """S(d) <= 19/30 on [2, X_max], top the largest S(d); S(5) is the float 19/30."""
     return BoundReport.held_to("sigma-cap-19/30", f"d in [2, {X_max}]", top, details,
-                               cap=SCAN_CAP, allowance=_SCAN_CAP_SLACK)
+                               cap=SCAN_CAP)
 
 
-def drift_report(scan: ScanResult, shadow_to: int = 5000,
-                 slack: float = 5e-4) -> BoundReport:
+def drift_report(scan: ScanResult, shadow_to: int = 5000) -> BoundReport:
     """Bound the float accumulation error of a scan by a certified shadow.
 
     The shadow gives the correctly rounded float(S(d)) for every
@@ -706,8 +705,8 @@ def drift_report(scan: ScanResult, shadow_to: int = 5000,
     is left undecided does it fall back to the exact numerators n / L over
     the primorial (_trace_numerators).  The largest deviation of the scan
     from those floats is extrapolated linearly in d (the accumulation is a
-    sum of per-step roundings), and the result is compared to the slack
-    available in the window inequalities.  A resumed scan holds no values
+    sum of per-step roundings), and the result is compared to 5e-4, the
+    slack available in the window inequalities.  A resumed scan holds no values
     at or below its resume point, and is refused.
     """
     upto = min(shadow_to, scan.X_max)
@@ -716,4 +715,4 @@ def drift_report(scan: ScanResult, shadow_to: int = 5000,
     extrapolated = dev * (scan.X_max / upto)
     return BoundReport.held_to("scan-float-drift", f"exact shadow to {upto}",
                                _RunningMax(extrapolated, upto),
-                               {"max_deviation": dev, "extrapolated": extrapolated}, cap=slack)
+                               {"max_deviation": dev, "extrapolated": extrapolated}, cap=5e-4)

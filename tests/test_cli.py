@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mulcm import sieve
-from mulcm.cli import _build_parser, main
+from mulcm.cli import _LEMMA_TARGETS, _build_parser, main
 
 
 def test_verify_lemma_list(capsys):
@@ -20,6 +20,8 @@ def test_verify_lemma_list(capsys):
         "init", "moebius-square", "majorstar1", "major1starter", "majorstar2",
         "auxmajorstar2", "getgstarq", "convol0", "convol", "landau", "keyb",
         "le1", "le2", "tail", "sigma-window"])
+    assert sorted(n for n, (depth, _) in _LEMMA_TARGETS.items()
+                  if depth is None) == sorted(FIXED_DOMAIN_TARGETS)
 
 
 def test_verify_lemma_unknown_target(capsys):
@@ -40,11 +42,25 @@ def test_verify_lemma_landau_json(tmp_path, capsys):
     assert "landau" in payload["manifest"]["config"]["name"]
 
 
-def test_verify_lemma_failing_target_exits_1(capsys):
+def test_verify_lemma_failing_target_exits_1(tmp_path, capsys):
     # the 0.445 window cap is exceeded at d = 757, honestly reported
-    assert main(["verify-lemma", "sigma-window", "--xmax", "2000"]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL" in out
+    out = tmp_path / "window.json"
+    assert main(["verify-lemma", "sigma-window", "--to", "2000", "--out", str(out)]) == 1
+    assert "FAIL" in capsys.readouterr().out
+    # The manifest records the depth actually swept.
+    config = json.loads(out.read_text())["manifest"]["config"]
+    assert config == {"name": "sigma-window", "to": 2000}
+
+
+FIXED_DOMAIN_TARGETS = ["m4", "spe", "aux-caps", "majorstar2", "auxmajorstar2", "getgstarq",
+                        "landau", "keyb", "le1", "le2", "tail"]
+
+
+@pytest.mark.parametrize("name", FIXED_DOMAIN_TARGETS)
+def test_fixed_domain_targets_refuse_a_depth(name, capsys):
+    assert main(["verify-lemma", name, "--to", "10000000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "fixed domain" in err
 
 
 def test_sigma_scan_window(capsys, tmp_path):
@@ -61,7 +77,7 @@ def test_short_scan_reports_the_windows_it_reaches(capsys):
     # out instead of refusing the whole run as an empty window.
     assert main(["sigma-scan", "--to", "1000"]) == 1  # S(757) > 0.445
     assert main(["sigma-scan", "--to", "400"]) == 0
-    assert main(["verify-lemma", "sigma-window", "--xmax", "1000"]) == 1
+    assert main(["verify-lemma", "sigma-window", "--to", "1000"]) == 1
     out, err = capsys.readouterr()
     assert "empty window" not in out + err
     assert "757" in out and "sigma-bump" not in out

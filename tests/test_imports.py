@@ -325,3 +325,87 @@ def test_every_public_name_has_a_caller_or_a_reason():
     assert sorted(idle - set(PUBLIC_FOR_TESTS)) == []
     # Every allowlisted name is still public and still needs the allowance.
     assert sorted(set(PUBLIC_FOR_TESTS) - idle) == []
+
+
+# A defaulted parameter that no call sets is a constant that a caller could
+# still change: every one is set somewhere in the package, the tests or the
+# benchmark.  Calls are matched by the callee's name.
+CALLERS = [SRC.parents[1] / d for d in ("src", "tests", "bench")]
+
+
+def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
+    """(function, parameter, positional index or None) for each defaulted
+    parameter of each def.  A method's index skips self or cls, and a
+    class's __init__ goes by the class name."""
+    found = []
+
+    def visit(node, cls=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                pos = a.posonlyargs + a.args
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in child.decorator_list)
+                skip = 0 if cls is None or static else 1
+                name = cls.name if cls is not None and child.name == "__init__" else child.name
+                first = len(pos) - len(a.defaults)
+                found.extend((name, arg.arg, i - skip)
+                             for i, arg in enumerate(pos) if i >= first)
+                found.extend((name, arg.arg, None)
+                             for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+                visit(child)
+            else:
+                visit(child, cls)
+
+    visit(ast.parse(source))
+    return found
+
+
+def passed_arguments(source: str) -> list[tuple[str, int, set, bool]]:
+    """(callee, positional count, keywords, open) for each call, a
+    functools.partial(fn, ...) counting as a call of fn; open when *args or
+    **kwargs may fill any parameter."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "partial" and args:
+            func, args = args[0], args[1:]
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        keywords = {k.arg for k in node.keywords}
+        is_open = None in keywords or any(isinstance(x, ast.Starred) for x in args)
+        found.append((name, len(args), keywords, is_open))
+    return found
+
+
+def unset_parameters(definitions, calls) -> list[str]:
+    """'function(parameter)' for each defaulted parameter no call passes."""
+    by_name = {}
+    for name, n, keywords, is_open in calls:
+        by_name.setdefault(name, []).append((n, keywords, is_open))
+    return sorted(f"{fn}({p})" for fn, p, i in definitions
+                  if not any(is_open or p in keywords or (i is not None and i < n)
+                             for n, keywords, is_open in by_name.get(fn, [])))
+
+
+def test_unset_parameter_detector():
+    src = ("import functools\n"
+           "def f(a, b=1, c=2, *, d=3, e=4):\n    return f(a, 5) if a else 0\n"
+           "def g(x=1, y=2):\n    pass\n"
+           "class K:\n    def __init__(self, u=1, v=2):\n        pass\n"
+           "    def m(self, w=1, z=2):\n        pass\n"
+           "    @staticmethod\n    def s(t=1):\n        pass\n"
+           "f(0, e=9)\nh = functools.partial(g, 7)\nK(1)\nK().m(z=3)\nK.s(*ts)\n")
+    got = unset_parameters(defaulted_parameters(src), passed_arguments(src))
+    assert got == ["K(v)", "f(c)", "f(d)", "g(y)", "m(w)"]
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    definitions = [d for path in MODULES for d in defaulted_parameters(path.read_text())]
+    calls = [c for root in CALLERS for path in sorted(root.rglob("*.py"))
+             for c in passed_arguments(path.read_text())]
+    assert unset_parameters(definitions, calls) == []

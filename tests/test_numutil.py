@@ -287,17 +287,33 @@ def test_running_max_could_rise_pads_upward_and_skips_ties():
     assert not numutil._RunningMax(0.0, 0).could_rise(0.0)
 
 
-def test_running_max_offer_keeps_the_first_of_ties_and_skips_nan():
+def test_running_max_offer_keeps_the_first_of_ties_and_the_first_nan():
     top = numutil._RunningMax(0.0)
     assert not top.offer(0.0, "floor tie")
     assert top.offer(np.float64(0.5), "a")
     assert type(top.value) is float and (top.value, top.arg) == (0.5, "a")
     assert not top.offer(0.5, "b")  # a tie keeps the first arg
-    assert not top.offer(math.nan, "nan")
-    assert (top.value, top.arg) == (0.5, "a")
     assert top.offer(math.nextafter(0.5, 1.0), "c")
     assert top.arg == "c"
-    assert not numutil._RunningMax().offer(math.nan, 0)  # not even over -inf
+    # A NaN is taken over any maximum, and no later value replaces it.
+    assert top.offer(np.float64(math.nan), "nan")
+    assert math.isnan(top.value) and type(top.value) is float and top.arg == "nan"
+    assert not top.offer(math.inf, "inf") and not top.offer(math.nan, "nan2")
+    assert top.arg == "nan"
+    assert numutil._RunningMax().offer(math.nan, 0)  # over -inf too
+
+
+@pytest.mark.parametrize("values, at", [
+    ([math.nan, 5.0], 10),             # NaN first
+    ([5.0, math.nan], 11),             # NaN last
+    ([1.0, math.nan, 3.0, math.nan], 11),  # between larger values: the first NaN
+])
+def test_running_max_feed_takes_the_first_nan(values, at):
+    top = numutil._RunningMax(0.0, 0)
+    assert top.feed(np.array(values), 10)
+    assert math.isnan(top.value) and top.arg == at
+    assert not top.feed(np.array([7.0, math.nan]), 20)  # kept across blocks
+    assert top.arg == at
 
 
 def test_running_max_feed_is_argmax_then_offer():
